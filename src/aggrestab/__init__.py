@@ -13,7 +13,6 @@ from .grid import (
     SpectralBasis,
     constant_field,
     divergence,
-    face_lp_norm,
     gradient,
     lp_norm,
     project_zero_mean,

@@ -1,8 +1,9 @@
 """Command-line front end: flat key=value configs, deterministic CSV outputs.
 
 Subcommands: validate-kernel, analyze, simulate, mild-solve, threshold.
-Exit codes: 0 ok, 2 validation failure / invalid bracket, 3 scheme failure,
-4 non-contraction, 5 unusable kernel, 64 usage or config error, 74 I/O error.
+Exit codes: 0 ok, 2 validation failure / invalid bracket, 3 scheme failure
+or rejected step, 4 non-contraction, 5 unusable kernel (incl. unreadable or
+non-finite tables), 64 usage or config error, 74 I/O error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import (
     AggrestabError,
     ConfigError,
     InvalidBracketError,
+    KernelLoadError,
     NoExistenceTimeError,
     NonContractionError,
     SchemeFailureError,
@@ -163,34 +165,31 @@ class RunConfig:
         if variant is None:
             raise ConfigError("missing required key kernel.variant")
         scale = self.get_float("kernel.scale", default=1.0)
-        try:
-            if variant == "green_closed_form":
-                return KernelSpec.green_closed_form(scale=scale)
-            if variant == "green_series":
-                return KernelSpec.green_series(
-                    self.get_float("kernel.a", positive=True),
-                    m=self.get_int("kernel.m", default=4096, minimum=8),
-                    scale=scale,
-                )
-            if variant == "gaussian":
-                return KernelSpec.gaussian(
-                    self.get_float("kernel.sigma", positive=True),
-                    normalization=self.get_float("kernel.normalization", default=1.0),
-                    scale=scale,
-                )
-            if variant == "power_law_gradient":
-                return KernelSpec.power_law(
-                    self.get_float("kernel.alpha", positive=True),
-                    delta=self.get_float("kernel.delta", default=0.0, minimum=0.0),
-                    scale=scale,
-                )
-            if variant == "tabulated":
-                path = self.get("kernel.csv")
-                if path is None:
-                    raise ConfigError("tabulated kernel needs kernel.csv")
-                return load_tabulated_csv(path, self.grid())
-        except AggrestabError:
-            raise
+        if variant == "green_closed_form":
+            return KernelSpec.green_closed_form(scale=scale)
+        if variant == "green_series":
+            return KernelSpec.green_series(
+                self.get_float("kernel.a", positive=True),
+                m=self.get_int("kernel.m", default=4096, minimum=8),
+                scale=scale,
+            )
+        if variant == "gaussian":
+            return KernelSpec.gaussian(
+                self.get_float("kernel.sigma", positive=True),
+                normalization=self.get_float("kernel.normalization", default=1.0),
+                scale=scale,
+            )
+        if variant == "power_law_gradient":
+            return KernelSpec.power_law(
+                self.get_float("kernel.alpha", positive=True),
+                delta=self.get_float("kernel.delta", default=0.0, minimum=0.0),
+                scale=scale,
+            )
+        if variant == "tabulated":
+            path = self.get("kernel.csv")
+            if path is None:
+                raise ConfigError("tabulated kernel needs kernel.csv")
+            return load_tabulated_csv(path, self.grid())
         raise ConfigError(f"unknown kernel.variant {variant!r}")
 
 
@@ -205,7 +204,10 @@ def cmd_validate_kernel(config: RunConfig, out_dir: Path) -> int:
     grid = config.grid()
     tol = config.get_float("validate.tol", default=1e-6, positive=True)
     raw_q = config.get("validate.q_prime", "inf")
-    q_primes = tuple(float(part) for part in raw_q.split(","))
+    try:
+        q_primes = tuple(float(part) for part in raw_q.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"validate.q_prime: not a list of numbers: {raw_q!r}") from exc
     report = validate_assumptions(spec, grid, tol, q_primes=q_primes)
     cls = classify(spec)
     lines = [
@@ -353,7 +355,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--jobs", type=int, default=1, help="reserved for parameter sweeps")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
     except SchemeFailureError as exc:
         print(f"aggrestab: scheme failure: {exc}", file=sys.stderr)
         return EXIT_SCHEME
-    except NoExistenceTimeError as exc:
+    except (NoExistenceTimeError, KernelLoadError) as exc:
         print(f"aggrestab: unusable kernel: {exc}", file=sys.stderr)
         return EXIT_BAD_KERNEL
     except InvalidBracketError as exc:

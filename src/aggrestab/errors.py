@@ -25,17 +25,17 @@ class UnsupportedKernelError(AggrestabError):
     """The kernel violates a structural requirement (e.g. symmetry)."""
 
 
-class RejectedStepError(AggrestabError):
+class SchemeFailureError(AggrestabError):
+    """The scheme broke a structural invariant (positivity / mass / step bound)."""
+
+
+class RejectedStepError(SchemeFailureError):
     """Time step exceeds the stability bound for the explicit transport."""
 
     def __init__(self, dt, admissible):
         super().__init__(f"dt={dt:g} exceeds admissible bound {admissible:g}")
         self.dt = dt
         self.admissible = admissible
-
-
-class SchemeFailureError(AggrestabError):
-    """The scheme broke a structural invariant (positivity / mass)."""
 
 
 class NonContractionError(AggrestabError):

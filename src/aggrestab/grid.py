@@ -66,41 +66,44 @@ def constant_field(grid: Grid1D, value: float) -> Field:
     return Field(grid, np.full(grid.n, float(value)))
 
 
-def lp_norm(f: Field, p: float) -> float:
-    """L^p norm with midpoint quadrature; p = inf gives the max norm."""
+def lp_norm(f, p: float, grid: Grid1D | None = None) -> float:
+    """L^p norm with weight h per entry; p = inf gives the max norm.
+
+    Takes a Field (midpoint quadrature over cells), or a face vector with its
+    grid (weight h per face).
+    """
     if p < 1:
         raise InvalidParameterError(f"p must be in [1, inf], got {p}")
-    v = np.abs(f.values)
-    if np.isinf(p):
-        return float(v.max(initial=0.0))
-    return float((f.grid.h * np.sum(v**p)) ** (1.0 / p))
-
-
-def face_lp_norm(g: np.ndarray, grid: Grid1D, p: float) -> float:
-    """L^p norm of a face-valued vector, weight h per face."""
-    if p < 1:
-        raise InvalidParameterError(f"p must be in [1, inf], got {p}")
-    v = np.abs(np.asarray(g, dtype=float))
+    if isinstance(f, Field):
+        grid, f = f.grid, f.values
+    elif grid is None:
+        raise InvalidParameterError("the L^p norm of a face vector needs its grid")
+    v = np.abs(np.asarray(f, dtype=float))
     if np.isinf(p):
         return float(v.max(initial=0.0))
     return float((grid.h * np.sum(v**p)) ** (1.0 / p))
 
 
-def gradient(f: Field) -> np.ndarray:
-    """Face differences (f_{i+1}-f_i)/h; boundary faces 0 (zero flux)."""
-    g = np.zeros(f.grid.n + 1)
-    g[1:-1] = np.diff(f.values) / f.grid.h
+def gradient(u, grid: Grid1D) -> np.ndarray:
+    """Cells -> faces along axis 0: (u_{i+1}-u_i)/h, boundary faces 0 (zero flux)."""
+    u = np.asarray(u, dtype=float)
+    if u.shape[:1] != (grid.n,):
+        raise InvalidParameterError(
+            f"cell array shape {u.shape} does not match grid (need n={grid.n} rows)"
+        )
+    g = np.zeros((grid.n + 1,) + u.shape[1:])
+    g[1:-1] = np.diff(u, axis=0) / grid.h
     return g
 
 
-def divergence(g: np.ndarray, grid: Grid1D) -> Field:
-    """Cell values (g_{i+1}-g_i)/h of a face-valued vector."""
+def divergence(g, grid: Grid1D) -> np.ndarray:
+    """Faces -> cells along axis 0: (g_{i+1}-g_i)/h."""
     g = np.asarray(g, dtype=float)
-    if g.shape != (grid.n + 1,):
+    if g.shape[:1] != (grid.n + 1,):
         raise InvalidParameterError(
-            f"face vector length {g.shape} does not match grid (need n+1={grid.n + 1})"
+            f"face array shape {g.shape} does not match grid (need n+1={grid.n + 1} rows)"
         )
-    return Field(grid, np.diff(g) / grid.h)
+    return np.diff(g, axis=0) / grid.h
 
 
 def project_zero_mean(f: Field) -> Field:

@@ -34,6 +34,10 @@ CLASSIFY_QPRIMES = (np.inf, 4.0, 2.0, 1.5, 1.1, 1.0)
 _SLOPE_FINITE = 0.05
 _SLOPE_DIVERGENT = 0.15
 
+# relative change of the singular value that stops the power iteration
+_POWER_TOL = 1e-8
+_POWER_MAX_ITER = 10000
+
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
@@ -75,6 +79,8 @@ class KernelSpec:
                 raise InvalidParameterError(
                     "tabulated tables must be n x n (values) and (n+1) x n (gradient)"
                 )
+            if not (np.isfinite(self.table_values).all() and np.isfinite(self.table_grad).all()):
+                raise InvalidParameterError("tabulated kernel tables must be finite")
 
     @classmethod
     def green_closed_form(cls, scale=1.0):
@@ -104,12 +110,6 @@ class KernelSpec:
     @classmethod
     def zero(cls, n):
         return cls.tabulated(np.zeros((n, n)), np.zeros((n + 1, n)))
-
-    @property
-    def is_symmetric(self) -> bool:
-        if self.variant == "tabulated":
-            return bool(np.allclose(self.table_values, self.table_values.T, atol=1e-12))
-        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,13 +279,7 @@ def hilbert_schmidt_grad_norm(km: KernelMatrices) -> float:
     return float(np.sqrt(km.grid.h**2 * np.sum(km.gradk_faces**2)))
 
 
-def l2_operator_norm(
-    km: KernelMatrices,
-    restrict_zero_mean: bool = False,
-    tol: float = 1e-8,
-    max_iter: int = 10000,
-    seed: int = 0,
-) -> float:
+def l2_operator_norm(km: KernelMatrices) -> float:
     """Largest singular value of u -> grad K(u) between L^2 spaces.
 
     Power iteration on the composed map (adjoint . map) from a seeded random
@@ -293,29 +287,20 @@ def l2_operator_norm(
     Euclidean spectral norm of h * gradk_faces.
     """
     a = km.grid.h * km.gradk_faces
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(km.grid.n)
-    if restrict_zero_mean:
-        v -= v.mean()
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        v = np.ones(km.grid.n)
-        nv = np.linalg.norm(v)
-    v /= nv
+    v = np.random.default_rng(0).standard_normal(km.grid.n)
+    v /= np.linalg.norm(v)
     sigma_prev = -1.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = a.T @ (a @ v)
-        if restrict_zero_mean:
-            w -= w.mean()
         nw = np.linalg.norm(w)
         if nw == 0:
             return 0.0
         sigma = math.sqrt(nw)
         v = w / nw
-        if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+        if abs(sigma - sigma_prev) <= _POWER_TOL * max(sigma, 1e-300):
             return sigma
         sigma_prev = sigma
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} iterations")
+    raise ConvergenceError(f"power iteration did not converge in {_POWER_MAX_ITER} iterations")
 
 
 def _norm_value_at(spec: KernelSpec, grid: Grid1D, q_prime: float) -> float:
@@ -387,7 +372,7 @@ def classify(spec: KernelSpec, levels=None) -> KernelClassification:
 
 
 def validate_assumptions(
-    spec: KernelSpec, grid: Grid1D, tol: float, q_primes=(np.inf,), levels=None
+    spec: KernelSpec, grid: Grid1D, tol: float, q_primes=(np.inf,)
 ) -> KernelValidationReport:
     """Check the boundary, constant-state and integrability assumptions.
 
@@ -403,7 +388,7 @@ def validate_assumptions(
     row_integral = grid.h * km.gradk_faces.sum(axis=1)
     mean_grad = float(np.max(np.abs(row_integral[1:-1]), initial=0.0))
     symmetry = float(np.max(np.abs(km.k_centers - km.k_centers.T), initial=0.0))
-    estimates = {q: norm_inf_qprime(spec, q, levels) for q in q_primes}
+    estimates = {q: norm_inf_qprime(spec, q) for q in q_primes}
     norms_finite = all(e.verdict == "finite" for e in estimates.values())
     return KernelValidationReport(
         neumann_residual=neumann,
@@ -444,6 +429,8 @@ def load_tabulated_csv(path, grid: Grid1D) -> KernelSpec:
             for row in reader:
                 if len(row) != 4:
                     raise KernelLoadError(f"{path}: malformed row {row!r}")
+                if not all(math.isfinite(float(c)) for c in row if c != ""):
+                    raise KernelLoadError(f"{path}: non-finite entry in row {row!r}")
                 x, y = float(row[0]), float(row[1])
                 j = round(y / h - 0.5)
                 if not (0 <= j < n and abs(grid.centers[j] - y) <= 1e-9):

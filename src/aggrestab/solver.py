@@ -24,7 +24,7 @@ from .errors import (
     RejectedStepError,
     SchemeFailureError,
 )
-from .grid import Field, Grid1D, SpectralBasis, face_lp_norm, lp_norm
+from .grid import Field, Grid1D, SpectralBasis, divergence, gradient, lp_norm
 from .kernel import KernelMatrices, KernelSpec, apply_grad, assemble
 from .spectral import LAMBDA_1
 
@@ -181,7 +181,7 @@ def step_imex(state: Field, dt: float, mode: str, mass_level: float, km: KernelM
         admissible = km.grid.h / (2.0 * vmax)
         if dt > admissible:
             raise RejectedStepError(dt, admissible)
-    interim = state.values - dt * np.diff(flux) / km.grid.h
+    interim = state.values - dt * divergence(flux, km.grid)
     out = _diffusion_solve(interim, dt, km.grid.h)
     # the solve conserves mass only to solver roundoff; pin the mean exactly
     out += state.values.mean() - out.mean()
@@ -273,9 +273,8 @@ def semigroup_probe(probes, p: float, q: float, times) -> SemigroupProbeReport:
         for j, t in enumerate(times):
             uf = heat_semigroup(f, t, basis)
             smoothing[i, j] = lp_norm(uf, p) / ((1.0 + t**(-expo)) * fq)
-            g = np.zeros(f.grid.n + 1)
-            g[1:-1] = np.diff(uf.values) / f.grid.h
-            grad[i, j] = face_lp_norm(g, f.grid, p) * t ** (expo + 0.5) * math.exp(LAMBDA_1 * t) / fq
+            g = gradient(uf.values, f.grid)
+            grad[i, j] = lp_norm(g, p, f.grid) * t ** (expo + 0.5) * math.exp(LAMBDA_1 * t) / fq
     return SemigroupProbeReport(
         p=p,
         q=q,
@@ -366,7 +365,7 @@ def picard_mild_solve(
             face_avg = np.zeros(grid.n + 1)
             face_avg[1:-1] = 0.5 * (states[idx][:-1] + states[idx][1:])
             flux = v * face_avg
-            coeffs[idx] = grid.h * (basis.modes.T @ (np.diff(flux) / grid.h))
+            coeffs[idx] = grid.h * (basis.modes.T @ divergence(flux, grid))
         return coeffs
 
     def norm_xt(delta: np.ndarray) -> float:

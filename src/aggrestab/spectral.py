@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError, InvalidParameterError, UnsupportedKernelError
-from .grid import Field, Grid1D, SpectralBasis
+from .grid import Field, Grid1D, SpectralBasis, divergence, gradient
 from .kernel import KernelMatrices, KernelSpec, apply_grad, assemble, l2_operator_norm
 
 LAMBDA_1 = math.pi**2
@@ -28,26 +28,6 @@ VERDICT_UNSTABLE = "linearly_unstable"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 _SYMMETRY_TOL = 1e-8
-
-
-def _gradient_matrix(grid: Grid1D) -> np.ndarray:
-    """Cells -> faces difference operator, zero boundary rows."""
-    n, h = grid.n, grid.h
-    g = np.zeros((n + 1, n))
-    idx = np.arange(1, n)
-    g[idx, idx] = 1.0 / h
-    g[idx, idx - 1] = -1.0 / h
-    return g
-
-
-def _divergence_matrix(grid: Grid1D) -> np.ndarray:
-    """Faces -> cells difference operator."""
-    n, h = grid.n, grid.h
-    d = np.zeros((n, n + 1))
-    idx = np.arange(n)
-    d[idx, idx + 1] = 1.0 / h
-    d[idx, idx] = -1.0 / h
-    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,12 +49,10 @@ def assemble_linearized(grid: Grid1D, km: KernelMatrices, mass_level: float) -> 
         raise InvalidParameterError("mass level M must be nonnegative")
     if km.grid != grid:
         raise GridMismatchError("kernel matrices do not match grid")
-    div = _divergence_matrix(grid)
-    grad = _gradient_matrix(grid)
-    drift = grid.h * km.gradk_faces.copy()
-    drift[0, :] = 0.0
-    drift[-1, :] = 0.0
-    matrix = -(div @ grad) + mass_level * (div @ drift)
+    drift = grid.h * km.gradk_faces
+    drift[[0, -1], :] = 0.0
+    laplacian = divergence(gradient(np.eye(grid.n), grid), grid)
+    matrix = -laplacian + mass_level * divergence(drift, grid)
     return LinearizedOperator(grid, km, mass_level, matrix)
 
 
@@ -83,8 +61,8 @@ def bilinear_form(lop: LinearizedOperator, phi: Field, psi: Field) -> float:
     if phi.grid != lop.grid or psi.grid != lop.grid:
         raise GridMismatchError("field grids do not match operator grid")
     h = lop.grid.h
-    gphi = np.diff(phi.values) / h
-    gpsi = np.diff(psi.values) / h
+    gphi = gradient(phi.values, lop.grid)[1:-1]
+    gpsi = gradient(psi.values, lop.grid)[1:-1]
     gk = apply_grad(lop.km, phi)[1:-1]
     return float(h * np.sum(gphi * gpsi) - lop.mass_level * h * np.sum(gk * gpsi))
 
@@ -165,22 +143,6 @@ class StabilityReport:
                 self.verdict,
             ]
         )
-
-    def kv_text(self) -> str:
-        lines = [
-            f"M={self.mass_level!r}",
-            f"lambda1={self.lambda1!r}",
-            f"lambda1_discrete={self.lambda1_discrete!r}",
-            f"grad_norm={self.grad_norm!r}",
-            f"A={self.interaction_coefficient!r}",
-            f"M_crit_instab={self.critical_mass_instability!r}",
-            f"M_bound_stab={self.stability_bound_mass!r}",
-            f"principal_eig={self.principal_eigenvalue!r}",
-            f"margin={self.margin!r}",
-            f"verdict={self.verdict}",
-            f"thresholds_consistent={self.thresholds_consistent}",
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def stability_verdict(spec: KernelSpec, grid: Grid1D, mass_level: float) -> StabilityReport:

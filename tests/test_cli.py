@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from aggrestab import Grid1D, KernelSpec, assemble, save_tabulated_csv
 from aggrestab.cli import (
     EXIT_BAD_KERNEL,
     EXIT_OK,
+    EXIT_SCHEME,
     EXIT_USAGE,
     EXIT_VALIDATION,
     RunConfig,
@@ -147,6 +149,35 @@ class TestCommands:
         code = main(["mild-solve", "--config", cfg, "--out", str(out)])
         assert code == EXIT_BAD_KERNEL
 
+    def test_simulate_non_finite_tabulated_kernel_is_unusable(self, tmp_path):
+        grid = Grid1D(16)
+        table = tmp_path / "kernel.csv"
+        save_tabulated_csv(table, grid, assemble(KernelSpec.green_closed_form(), grid))
+        lines = table.read_text().splitlines()
+        row = 1 + grid.n * grid.n + grid.n  # gradient at the first interior face
+        x, y, k, gradk = lines[row].split(",")
+        lines[row] = ",".join([x, y, k, "inf"])
+        table.write_text("\n".join(lines) + "\n")
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            f"kernel.variant = tabulated\nkernel.csv = {table}\ngrid.n = 16\n"
+            + "sim.initial = constant_plus_mode:1,0.1,1\nsim.t_end = 0.01\n",
+        )
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_BAD_KERNEL
+
+    def test_simulate_rejected_step_is_scheme_failure(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            GREEN_LINES
+            + "sim.mode = nonlinear\nsim.M = 5\nsim.t_end = 1\nsim.dt = 0.5\n"
+            + "sim.initial = constant_plus_mode:5,0.05,1\n",
+        )
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_SCHEME
+
     def test_threshold_locates_critical_mass(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -181,3 +212,5 @@ class TestUsageErrors:
     def test_config_with_bad_value(self, tmp_path):
         cfg = write_config(tmp_path, "c.cfg", "kernel.variant = green_closed_form\ngrid.n = two\n")
         assert main(["analyze", "--config", cfg]) == EXIT_USAGE
+        cfg = write_config(tmp_path, "q.cfg", GREEN_LINES + "validate.q_prime = abc\n")
+        assert main(["validate-kernel", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE

@@ -46,9 +46,14 @@ class TestField:
 
 class TestNorms:
     def test_constant_lp_norms(self):
-        f = constant_field(Grid1D(64), 2.0)
+        grid = Grid1D(64)
+        f = constant_field(grid, 2.0)
+        # face vector equal to 2 on n of the n+1 faces: total weight n h = 1
+        g = np.full(65, 2.0)
+        g[0] = 0.0
         for p in (1, 2, 4, np.inf):
             assert lp_norm(f, p) == pytest.approx(2.0, rel=1e-14)
+            assert lp_norm(g, p, grid) == pytest.approx(2.0, rel=1e-14)
 
     def test_holder_monotone_on_probability_density(self, rng):
         grid = Grid1D(128)
@@ -65,14 +70,14 @@ class TestNorms:
 class TestCalculus:
     def test_gradient_zero_flux_boundaries(self, rng):
         grid = Grid1D(64)
-        g = gradient(Field(grid, rng.standard_normal(64)))
+        g = gradient(rng.standard_normal(64), grid)
         assert g.shape == (65,)
         assert g[0] == 0.0 and g[-1] == 0.0
 
     def test_divergence_of_gradient_conserves_mass(self, rng):
         grid = Grid1D(64)
         f = Field(grid, rng.standard_normal(64))
-        lap = divergence(gradient(f), grid)
+        lap = Field(grid, divergence(gradient(f.values, grid), grid))
         assert abs(lap.mass) < 1e-12
 
     def test_summation_by_parts(self, rng):
@@ -81,9 +86,16 @@ class TestCalculus:
         f = Field(grid, rng.standard_normal(64))
         g = np.zeros(65)
         g[1:-1] = rng.standard_normal(63)
-        lhs = grid.h * float(divergence(g, grid).values @ f.values)
-        rhs = -grid.h * float(g @ gradient(f))
+        lhs = grid.h * float(divergence(g, grid) @ f.values)
+        rhs = -grid.h * float(g @ gradient(f.values, grid))
         assert lhs == pytest.approx(rhs, abs=1e-12)
+        # the same identity column by column for matrices acting along axis 0
+        fm = rng.standard_normal((64, 64))
+        gm = np.zeros((65, 64))
+        gm[1:-1] = rng.standard_normal((63, 64))
+        lhs = grid.h * np.sum(divergence(gm, grid) * fm, axis=0)
+        rhs = -grid.h * np.sum(gm * gradient(fm, grid), axis=0)
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
 class TestSpectralBasis:
@@ -112,9 +124,9 @@ class TestSpectralBasis:
         basis = SpectralBasis(grid)
         for k in (1, 3, 7):
             w = basis.mode(k)
-            lap = divergence(gradient(w), grid)
+            lap = divergence(gradient(w.values, grid), grid)
             np.testing.assert_allclose(
-                lap.values,
+                lap,
                 -basis.eigenvalues_discrete[k] * w.values,
                 atol=1e-9 * basis.eigenvalues_discrete[k],
             )

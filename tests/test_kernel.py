@@ -48,6 +48,8 @@ class TestKernelSpec:
     def test_tabulated_shape_validation(self):
         with pytest.raises(InvalidParameterError):
             KernelSpec.tabulated(np.zeros((8, 8)), np.zeros((8, 8)))
+        with pytest.raises(InvalidParameterError):
+            KernelSpec.tabulated(np.full((8, 8), np.nan), np.zeros((9, 8)))
 
 
 class TestGreenKernel:
