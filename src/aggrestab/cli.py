@@ -28,7 +28,6 @@ from .grid import Grid1D
 from .kernel import (
     KernelSpec,
     assemble,
-    classify,
     load_tabulated_csv,
     norm_inf_qprime,
     validate_assumptions,
@@ -80,6 +79,13 @@ _KNOWN_KEYS = {
 }
 
 
+def _number(key, raw) -> float:
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: not a number: {raw!r}") from exc
+
+
 def _fmt(x) -> str:
     """Locale-independent numeric formatting, 17 significant digits."""
     return format(float(x), ".17g")
@@ -123,10 +129,9 @@ class RunConfig:
             if default is None:
                 raise ConfigError(f"missing required key {key}")
             return default
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not a number: {raw!r}") from exc
+        value = _number(key, raw)
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {raw!r}")
         if positive and value <= 0:
             raise ConfigError(f"{key}: must be positive, got {value}")
         if minimum is not None and value < minimum:
@@ -203,13 +208,9 @@ def cmd_validate_kernel(config: RunConfig, out_dir: Path) -> int:
     spec = config.kernel()
     grid = config.grid()
     tol = config.get_float("validate.tol", default=1e-6, positive=True)
-    raw_q = config.get("validate.q_prime", "inf")
-    try:
-        q_primes = tuple(float(part) for part in raw_q.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"validate.q_prime: not a list of numbers: {raw_q!r}") from exc
+    raw_q = config.get("validate.q_prime", "inf").split(",")
+    q_primes = tuple(_number("validate.q_prime", q) for q in raw_q)
     report = validate_assumptions(spec, grid, tol, q_primes=q_primes)
-    cls = classify(spec)
     lines = [
         f"variant={spec.variant}",
         f"tol={_fmt(tol)}",
@@ -219,8 +220,8 @@ def cmd_validate_kernel(config: RunConfig, out_dir: Path) -> int:
         f"mean_gradient_ok={report.mean_gradient_ok}",
         f"symmetry_residual={_fmt(report.symmetry_residual)}",
         f"hilbert_schmidt_norm={_fmt(report.hilbert_schmidt_norm)}",
-        f"classification={cls.category}",
-        f"critical_q_prime={cls.critical_q_prime}",
+        f"classification={report.classification.category}",
+        f"critical_q_prime={report.classification.critical_q_prime}",
     ]
     for q, est in sorted(report.norm_estimates.items()):
         lines.append(f"norm_inf_q{q}={_fmt(est.value) if math.isfinite(est.value) else 'inf'}")
@@ -280,7 +281,8 @@ def cmd_mild_solve(config: RunConfig, out_dir: Path) -> int:
     grid = config.grid()
     km = assemble(spec, grid)
     u0 = initial_field(config.get("sim.initial", "constant:1.0"), grid, config.seed)
-    q_prime = config.get_float("mild.q_prime", default=math.inf, minimum=1.0)
+    # q' = inf is the default, so it is parsed apart from get_float's finite numbers
+    q_prime = _number("mild.q_prime", config.get("mild.q_prime", "inf"))
     c_emp = config.get_float("mild.C_emp", default=1.0, positive=True)
     estimate = norm_inf_qprime(spec, q_prime, levels=(64, 128, 256, 512))
     t_exist = existence_time(u0, estimate.value, q_prime, c_emp)

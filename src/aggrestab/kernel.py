@@ -141,6 +141,7 @@ class KernelValidationReport:
     norm_estimates: dict
     norms_finite: bool
     hilbert_schmidt_norm: float
+    classification: KernelClassification
 
     @property
     def passed(self) -> bool:
@@ -303,15 +304,50 @@ def l2_operator_norm(km: KernelMatrices) -> float:
     raise ConvergenceError(f"power iteration did not converge in {_POWER_MAX_ITER} iterations")
 
 
-def _norm_value_at(spec: KernelSpec, grid: Grid1D, q_prime: float) -> float:
-    gk = np.abs(_gradk_matrix(spec, grid))
-    h = grid.h
+def _norm_value(gk: np.ndarray, h: float, q_prime: float) -> float:
+    """Mixed norm of one sampled |grad K| (faces x centers) at cell width h."""
     if np.isinf(q_prime):
-        m = float(gk.max(initial=0.0))
-        return 2.0 * m
+        return 2.0 * float(gk.max(initial=0.0))
     sup_x = float(np.max((h * np.sum(gk**q_prime, axis=1)) ** (1.0 / q_prime), initial=0.0))
     sup_y = float(np.max((h * np.sum(gk**q_prime, axis=0)) ** (1.0 / q_prime), initial=0.0))
     return sup_x + sup_y
+
+
+def _estimate(q_prime: float, trend: tuple) -> KernelNormEstimate:
+    """Verdict from the log-log slope of the trend over its finest pair of levels."""
+    values = [v for _, v in trend]
+    if not all(np.isfinite(values)):
+        return KernelNormEstimate(q_prime, math.inf, trend, "divergent")
+    if len(trend) < 2 or values[-1] == 0.0:
+        return KernelNormEstimate(q_prime, values[-1], trend, "finite")
+    (n0, v0), (n1, v1) = trend[-2], trend[-1]
+    slope = 0.0 if v0 <= 0 else math.log(v1 / v0) / math.log(n1 / n0)
+    if slope >= _SLOPE_DIVERGENT:
+        return KernelNormEstimate(q_prime, math.inf, trend, "divergent")
+    if slope <= _SLOPE_FINITE:
+        return KernelNormEstimate(q_prime, values[-1], trend, "finite")
+    return KernelNormEstimate(q_prime, values[-1], trend, "ambiguous")
+
+
+def _norm_ladder(spec: KernelSpec, q_primes, levels=None) -> dict:
+    """Norm estimates for every q' in q_primes from one sampling of each level."""
+    for q in q_primes:
+        if not q >= 1:  # written so that NaN fails too
+            raise InvalidParameterError(f"q' must be in [1, inf], got {q}")
+    if spec.variant == "tabulated":  # the table is its only level
+        levels = (spec.table_values.shape[0],)
+    elif levels is None:
+        levels = (64, 128, 256, 512, 1024, 2048)
+    if list(levels) != sorted(set(levels)):
+        raise InvalidParameterError("refinement levels must be strictly increasing")
+    trends = {q: [] for q in q_primes}
+    for n in levels:
+        grid = Grid1D(n)
+        gk = np.abs(_gradk_matrix(spec, grid))
+        for q, trend in trends.items():
+            trend.append((n, _norm_value(gk, grid.h, q)))
+        del gk  # one sampled level alive at a time
+    return {q: _estimate(q, tuple(trend)) for q, trend in trends.items()}
 
 
 def norm_inf_qprime(spec: KernelSpec, q_prime: float, levels=None) -> KernelNormEstimate:
@@ -321,38 +357,11 @@ def norm_inf_qprime(spec: KernelSpec, q_prime: float, levels=None) -> KernelNorm
     finest pair of levels decides the verdict: a persistent power-law growth
     marks the norm as infinite.
     """
-    if q_prime < 1:
-        raise InvalidParameterError(f"q' must be in [1, inf], got {q_prime}")
-    if spec.variant == "tabulated":
-        n = spec.table_values.shape[0]
-        value = _norm_value_at(spec, Grid1D(n), q_prime)
-        verdict = "finite" if np.isfinite(value) else "divergent"
-        return KernelNormEstimate(q_prime, value, ((n, value),), verdict)
-    if levels is None:
-        levels = (64, 128, 256, 512, 1024, 2048)
-    if list(levels) != sorted(set(levels)):
-        raise InvalidParameterError("refinement levels must be strictly increasing")
-    trend = tuple((n, _norm_value_at(spec, Grid1D(n), q_prime)) for n in levels)
-    values = [v for _, v in trend]
-    if not all(np.isfinite(values)) :
-        return KernelNormEstimate(q_prime, math.inf, trend, "divergent")
-    if len(trend) < 2 or values[-1] == 0.0:
-        return KernelNormEstimate(q_prime, values[-1], trend, "finite")
-    (n0, v0), (n1, v1) = trend[-2], trend[-1]
-    if v0 <= 0:
-        slope = 0.0
-    else:
-        slope = math.log(v1 / v0) / math.log(n1 / n0)
-    if slope >= _SLOPE_DIVERGENT:
-        return KernelNormEstimate(q_prime, math.inf, trend, "divergent")
-    if slope <= _SLOPE_FINITE:
-        return KernelNormEstimate(q_prime, values[-1], trend, "finite")
-    return KernelNormEstimate(q_prime, values[-1], trend, "ambiguous")
+    return _norm_ladder(spec, (q_prime,), levels)[q_prime]
 
 
-def classify(spec: KernelSpec, levels=None) -> KernelClassification:
-    """Singularity class in d = 1 from the finiteness pattern over q'."""
-    estimates = {q: norm_inf_qprime(spec, q, levels) for q in CLASSIFY_QPRIMES}
+def _classify_estimates(estimates: dict) -> KernelClassification:
+    """Singularity class in d = 1 from the verdicts of the CLASSIFY_QPRIMES estimates."""
     finite = [q for q, e in estimates.items() if e.verdict == "finite"]
     divergent = [q for q, e in estimates.items() if e.verdict == "divergent"]
     finite_above = [q for q in finite if q > 1]
@@ -371,6 +380,11 @@ def classify(spec: KernelSpec, levels=None) -> KernelClassification:
     return KernelClassification("undetermined", None, estimates)
 
 
+def classify(spec: KernelSpec, levels=None) -> KernelClassification:
+    """Singularity class in d = 1 from the finiteness pattern over q'."""
+    return _classify_estimates(_norm_ladder(spec, CLASSIFY_QPRIMES, levels))
+
+
 def validate_assumptions(
     spec: KernelSpec, grid: Grid1D, tol: float, q_primes=(np.inf,)
 ) -> KernelValidationReport:
@@ -379,7 +393,8 @@ def validate_assumptions(
     Failures are reported, not raised: the report carries measured residuals
     for the boundary normal derivative, the gradient of the kernel's y-integral
     (constant states are equilibria iff it vanishes), the finiteness of the
-    mixed gradient norms, and the value-symmetry defect.
+    mixed gradient norms, and the value-symmetry defect. One sweep of the
+    refinement ladder gives both the q_primes estimates and the classification.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
@@ -388,7 +403,8 @@ def validate_assumptions(
     row_integral = grid.h * km.gradk_faces.sum(axis=1)
     mean_grad = float(np.max(np.abs(row_integral[1:-1]), initial=0.0))
     symmetry = float(np.max(np.abs(km.k_centers - km.k_centers.T), initial=0.0))
-    estimates = {q: norm_inf_qprime(spec, q) for q in q_primes}
+    ladder = _norm_ladder(spec, (*q_primes, *CLASSIFY_QPRIMES))
+    estimates = {q: ladder[q] for q in q_primes}
     norms_finite = all(e.verdict == "finite" for e in estimates.values())
     return KernelValidationReport(
         neumann_residual=neumann,
@@ -399,6 +415,7 @@ def validate_assumptions(
         norm_estimates=estimates,
         norms_finite=norms_finite,
         hilbert_schmidt_norm=hilbert_schmidt_grad_norm(km),
+        classification=_classify_estimates({q: ladder[q] for q in CLASSIFY_QPRIMES}),
     )
 
 

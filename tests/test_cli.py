@@ -128,7 +128,8 @@ class TestCommands:
             tmp_path,
             "c.cfg",
             GREEN_LINES
-            + "sim.initial = constant_plus_mode:1,0.1,1\nmild.n_time = 32\nmild.T_factor = 0.5\n",
+            + "sim.initial = constant_plus_mode:1,0.1,1\nmild.n_time = 32\nmild.T_factor = 0.5\n"
+            + "mild.q_prime = inf\n",
         )
         out = tmp_path / "out"
         assert main(["mild-solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -212,5 +213,14 @@ class TestUsageErrors:
     def test_config_with_bad_value(self, tmp_path):
         cfg = write_config(tmp_path, "c.cfg", "kernel.variant = green_closed_form\ngrid.n = two\n")
         assert main(["analyze", "--config", cfg]) == EXIT_USAGE
-        cfg = write_config(tmp_path, "q.cfg", GREEN_LINES + "validate.q_prime = abc\n")
-        assert main(["validate-kernel", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
+        for command, line in [
+            ("validate-kernel", "validate.q_prime = abc"),
+            ("validate-kernel", "validate.q_prime = nan"),
+            ("validate-kernel", "validate.q_prime = 1,nan"),
+            ("analyze", "analysis.M = nan"),
+            ("validate-kernel", "kernel.scale = nan"),
+            ("simulate", "sim.t_end = inf"),
+        ]:
+            cfg = write_config(tmp_path, "q.cfg", GREEN_LINES + line + "\n")
+            code = main([command, "--config", cfg, "--out", str(tmp_path)])
+            assert code == EXIT_USAGE, line

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aggrestab import kernel
 from aggrestab import (
     Field,
     Grid1D,
@@ -137,6 +138,8 @@ class TestNormEstimates:
     def test_invalid_exponent(self, green):
         with pytest.raises(InvalidParameterError):
             norm_inf_qprime(green, 0.5)
+        with pytest.raises(InvalidParameterError):
+            norm_inf_qprime(green, math.nan)
 
     def test_green_sup_norm_finite(self, green):
         est = norm_inf_qprime(green, np.inf, levels=(64, 128, 256))
@@ -172,6 +175,33 @@ class TestValidation:
         report = validate_assumptions(KernelSpec.gaussian(0.1), grid128, tol=1e-6)
         assert not report.neumann_ok
         assert not report.passed
+
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec.green_closed_form(), KernelSpec.power_law(0.5), KernelSpec.gaussian(0.1)],
+        ids=["green", "power_law", "gaussian"],
+    )
+    def test_one_ladder_matches_separate_estimates(self, spec):
+        # 3.0 is not a classification exponent, so the shared ladder covers the union
+        q_primes = (np.inf, 3.0, 2.0, 1.0)
+        report = validate_assumptions(spec, Grid1D(64), tol=1e-6, q_primes=q_primes)
+        assert list(report.norm_estimates) == list(q_primes)
+        for q in q_primes:
+            assert report.norm_estimates[q] == norm_inf_qprime(spec, q)
+        assert report.classification == classify(spec)
+
+    def test_samples_each_level_once(self, green, monkeypatch):
+        sampled = []
+        original = kernel._gradk_matrix
+
+        def counting(spec, grid):
+            sampled.append(grid.n)
+            return original(spec, grid)
+
+        monkeypatch.setattr(kernel, "_gradk_matrix", counting)
+        validate_assumptions(green, Grid1D(64), tol=1e-6, q_primes=(np.inf, 2.0, 1.0))
+        # the assemble on the grid, then one sampling per ladder level
+        assert sampled == [64, 64, 128, 256, 512, 1024, 2048]
 
 
 class TestTabulatedRoundTrip:
