@@ -18,13 +18,8 @@ from .errors import FitFailureError, InvalidBracketError, InvalidParameterError
 from .grid import Field, Grid1D
 from .kernel import KernelSpec, assemble
 from .solver import SimConfig, Trajectory, evolve, picard_mild_solve, step_imex
-from .spectral import (
-    LAMBDA_1,
-    VERDICT_STABLE,
-    assemble_linearized,
-    principal_eigenpair,
-    stability_verdict,
-)
+from .spectral import LAMBDA_1, VERDICT_STABLE, LinearizedFamily, principal_eigenpair
+from .spectral import stability_verdict
 
 # log-norm fit window: samples outside are discarded, as is the leading
 # transient fraction
@@ -94,10 +89,11 @@ def threshold_bisect(
         raise InvalidParameterError("need 0 <= M_lo < M_hi")
     if tol_mass <= 0:
         raise InvalidParameterError("tol_M must be positive")
-    km = assemble(spec, grid)
+    # the kernel and the mass-independent parts of S(M) are built once
+    family = LinearizedFamily(grid, assemble(spec, grid))
 
     def eig(mass):
-        return principal_eigenpair(assemble_linearized(grid, km, mass))[0]
+        return principal_eigenpair(family.at(mass))[0]
 
     lo, hi = mass_lo, mass_hi
     e_lo, e_hi = eig(lo), eig(hi)

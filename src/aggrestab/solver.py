@@ -102,29 +102,29 @@ def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> Field:
     | random_zero_mean:<amplitude>,<seed> | csv:<path> (one value per line).
     """
     kind, _, arg = descriptor.partition(":")
+    if kind not in ("constant", "constant_plus_mode", "random_zero_mean", "csv"):
+        raise InvalidParameterError(f"unknown initial descriptor {descriptor!r}")
     try:
         if kind == "constant":
-            return Field(grid, np.full(grid.n, float(arg)))
-        if kind == "constant_plus_mode":
+            values = np.full(grid.n, float(arg))
+        elif kind == "constant_plus_mode":
             level, amplitude, k = arg.split(",")
-            basis = SpectralBasis(grid)
-            mode = basis.mode(int(k))
-            return Field(grid, float(level) + float(amplitude) * mode.values)
-        if kind == "random_zero_mean":
+            values = float(level) + float(amplitude) * SpectralBasis(grid).mode(int(k)).values
+        elif kind == "random_zero_mean":
             amplitude, sub_seed = arg.split(",")
             rng = np.random.default_rng(int(sub_seed) if sub_seed else seed)
-            z = rng.standard_normal(grid.n)
-            z -= z.mean()
-            peak = np.abs(z).max()
+            values = rng.standard_normal(grid.n)
+            values -= values.mean()
+            peak = np.abs(values).max()
             if peak > 0:
-                z *= float(amplitude) / peak
-            return Field(grid, z)
-        if kind == "csv":
+                values *= float(amplitude) / peak
+        else:
             values = np.loadtxt(arg, dtype=float, ndmin=1)
-            return Field(grid, values)
+        if not np.isfinite(values).all():
+            raise InvalidParameterError("the datum has a non-finite value")
+        return Field(grid, values)
     except (ValueError, OSError) as exc:
         raise InvalidParameterError(f"bad initial descriptor {descriptor!r}: {exc}") from exc
-    raise InvalidParameterError(f"unknown initial descriptor {descriptor!r}")
 
 
 def _face_velocity(state: Field, km: KernelMatrices) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Linearization about a constant state and its stability verdicts.
 
-The operator -Laplace(phi) + div(M grad K(phi)) is assembled in flux form
-(zero boundary fluxes), so its weighted row sums vanish identically and its
-quadratic form coincides with the energy form
+The operator S(M) = -Laplace(phi) + div(M grad K(phi)) is assembled in flux
+form (zero boundary fluxes), so its weighted row sums vanish identically and
+its quadratic form coincides with the energy form
 J(phi, psi) = int grad(phi).grad(psi) - M int grad K(phi).grad(psi).
 The principal eigenvalue is the minimum of J's Rayleigh quotient over the
-zero-mean subspace, extracted by dense symmetric eigendecomposition after
-deflating the constant vector.
+zero-mean subspace. It is solved for alone in the cosine modes w_1..w_{n-1}
+(orthonormal under midpoint quadrature: rows of the orthonormal DCT-II), on
+S(M) = L + M D with L and D projected once (`LinearizedFamily`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import GridMismatchError, InvalidParameterError, UnsupportedKernelError
 from .grid import Field, Grid1D, SpectralBasis, divergence, gradient
@@ -36,24 +38,46 @@ class LinearizedOperator:
     km: KernelMatrices
     mass_level: float
     matrix: np.ndarray
+    family: LinearizedFamily
+
+
+class LinearizedFamily:
+    """S(M) = L + M D with L = -Laplace, D = div(grad K(.)) (zero flux), for any M."""
+
+    def __init__(self, grid: Grid1D, km: KernelMatrices):
+        if km.grid != grid:
+            raise GridMismatchError("kernel matrices do not match grid")
+        drift = grid.h * km.gradk_faces
+        drift[[0, -1], :] = 0.0
+        self.grid, self.km = grid, km
+        self.laplacian = -divergence(gradient(np.eye(grid.n), grid), grid)
+        self.drift = divergence(drift, grid)
+
+    def at(self, mass_level: float) -> LinearizedOperator:
+        if mass_level < 0:
+            raise InvalidParameterError("mass level M must be nonnegative")
+        matrix = self.laplacian + mass_level * self.drift
+        return LinearizedOperator(self.grid, self.km, mass_level, matrix, self)
 
     @cached_property
-    def symmetric_part(self) -> np.ndarray:
-        # uniform quadrature weight, so the plain transpose is the L2 adjoint
-        return 0.5 * (self.matrix + self.matrix.T)
+    def reduced(self) -> tuple:
+        """Symmetric parts of L and D in the cosine modes w_1..w_{n-1}."""
+        asym = float(np.max(np.abs(self.km.k_centers - self.km.k_centers.T), initial=0.0))
+        if asym > _SYMMETRY_TOL:
+            raise UnsupportedKernelError(
+                f"kernel value matrix asymmetric (residual {asym:.2e}); "
+                "the Rayleigh characterization needs a symmetric kernel"
+            )
+        # imported here so that importing the package does not load scipy.fft
+        from scipy.fft import dctn
+
+        projected = (dctn(a, norm="ortho")[1:, 1:] for a in (self.laplacian, self.drift))
+        return tuple(0.5 * (p + p.T) for p in projected)
 
 
 def assemble_linearized(grid: Grid1D, km: KernelMatrices, mass_level: float) -> LinearizedOperator:
     """Dense matrix of -Laplace + M div(grad K(.)) in zero-flux form."""
-    if mass_level < 0:
-        raise InvalidParameterError("mass level M must be nonnegative")
-    if km.grid != grid:
-        raise GridMismatchError("kernel matrices do not match grid")
-    drift = grid.h * km.gradk_faces
-    drift[[0, -1], :] = 0.0
-    laplacian = divergence(gradient(np.eye(grid.n), grid), grid)
-    matrix = -laplacian + mass_level * divergence(drift, grid)
-    return LinearizedOperator(grid, km, mass_level, matrix)
+    return LinearizedFamily(grid, km).at(mass_level)
 
 
 def bilinear_form(lop: LinearizedOperator, phi: Field, psi: Field) -> float:
@@ -70,25 +94,20 @@ def bilinear_form(lop: LinearizedOperator, phi: Field, psi: Field) -> float:
 def principal_eigenpair(lop: LinearizedOperator):
     """Smallest eigenvalue of the symmetrized operator on zero-mean vectors.
 
-    Returns (eigenvalue, mode) with the mode normalized to unit L2 norm; the
-    weak eigenrelation residual is verified before returning.
+    Solved for that eigenpair alone in the cosine modes. Returns (eigenvalue,
+    mode) with the mode normalized to unit L2 norm; the weak eigenrelation
+    residual in the full space is verified before returning.
     """
-    asym = float(np.max(np.abs(lop.km.k_centers - lop.km.k_centers.T), initial=0.0))
-    if asym > _SYMMETRY_TOL:
-        raise UnsupportedKernelError(
-            f"kernel value matrix asymmetric (residual {asym:.2e}); "
-            "the Rayleigh characterization needs a symmetric kernel"
-        )
-    n = lop.grid.n
-    s = lop.symmetric_part
-    # orthonormal basis of the zero-mean subspace by deflating the constant
-    q, _ = np.linalg.qr(np.eye(n)[:, 1:] - 1.0 / n)
-    reduced = q.T @ s @ q
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    from scipy.fft import idct
+
+    lap, drift = lop.family.reduced
+    eigvals, eigvecs = eigh(lap + lop.mass_level * drift, subset_by_index=[0, 0])
     lam = float(eigvals[0])
-    vec = q @ eigvecs[:, 0]
+    vec = idct(np.concatenate(([0.0], eigvecs[:, 0])), norm="ortho")
     vec /= math.sqrt(lop.grid.h) * np.linalg.norm(vec)
-    residual = np.max(np.abs(s @ vec - lam * vec - (s @ vec - lam * vec).mean()))
+    # (S + S^T)/2 applied to vec without forming it; uniform weights make S^T the L2 adjoint
+    r = 0.5 * (lop.matrix @ vec + vec @ lop.matrix) - lam * vec
+    residual = np.max(np.abs(r - r.mean()))
     scale = np.linalg.norm(lop.matrix, np.inf)
     if residual > 1e-8 * max(scale, 1.0):
         raise UnsupportedKernelError(

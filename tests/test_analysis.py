@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.linalg
 
+from aggrestab import analysis, kernel, spectral
 from aggrestab import (
     Grid1D,
     KernelSpec,
@@ -72,6 +75,34 @@ class TestThresholdBisect:
         threshold_bisect(green, grid, 5.0, 20.0, tol_mass=0.1, history=history)
         widths = [hi - lo for lo, hi, _, _ in history]
         assert all(b <= a for a, b in zip(widths, widths[1:]))
+
+    def test_matches_direct_critical_mass(self, green):
+        # M* = 1/mu_max of the projected pencil (-D_r) v = mu L_r v, with L_r > 0
+        grid = Grid1D(256)
+        lap, drift = spectral.LinearizedFamily(grid, kernel.assemble(green, grid)).reduced
+        direct = 1.0 / scipy.linalg.eigh(-drift, lap, eigvals_only=True)[-1]
+        bisected = threshold_bisect(green, grid, 5.0, 20.0, tol_mass=1e-6)
+        assert bisected == pytest.approx(direct, abs=1e-6)
+
+    def test_mass_independent_work_done_once(self, green, monkeypatch):
+        calls = {"sample": 0, "family": 0, "project": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(kernel, "_gradk_matrix", counting("sample", kernel._gradk_matrix))
+        family = spectral.LinearizedFamily
+        monkeypatch.setattr(analysis, "LinearizedFamily", counting("family", family))
+        monkeypatch.setattr(scipy.fft, "dctn", counting("project", scipy.fft.dctn))
+        history = []
+        threshold_bisect(green, Grid1D(64), 5.0, 20.0, tol_mass=0.01, history=history)
+        assert len(history) > 10
+        # one kernel sampling, one family, and one projection each of L and D
+        assert calls == {"sample": 1, "family": 1, "project": 2}
 
     def test_invalid_bracket_raises(self, green):
         grid = Grid1D(64)

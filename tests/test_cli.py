@@ -213,6 +213,8 @@ class TestUsageErrors:
     def test_config_with_bad_value(self, tmp_path):
         cfg = write_config(tmp_path, "c.cfg", "kernel.variant = green_closed_form\ngrid.n = two\n")
         assert main(["analyze", "--config", cfg]) == EXIT_USAGE
+        datum = tmp_path / "datum.csv"
+        datum.write_text("1.0\n" * 63 + "nan\n")
         for command, line in [
             ("validate-kernel", "validate.q_prime = abc"),
             ("validate-kernel", "validate.q_prime = nan"),
@@ -220,6 +222,10 @@ class TestUsageErrors:
             ("analyze", "analysis.M = nan"),
             ("validate-kernel", "kernel.scale = nan"),
             ("simulate", "sim.t_end = inf"),
+            ("simulate", "sim.initial = constant:nan"),
+            ("simulate", "sim.mode = perturbed\nsim.initial = constant_plus_mode:0,inf,1"),
+            ("simulate", "sim.initial = random_zero_mean:nan,3"),
+            ("simulate", f"sim.initial = csv:{datum}"),
         ]:
             cfg = write_config(tmp_path, "q.cfg", GREEN_LINES + line + "\n")
             code = main([command, "--config", cfg, "--out", str(tmp_path)])

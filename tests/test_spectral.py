@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aggrestab
 from aggrestab import (
     Grid1D,
     KernelSpec,
@@ -79,6 +83,51 @@ class TestPrincipalEigenpair:
         km = assemble(KernelSpec.tabulated(values, np.zeros((129, 128))), grid128)
         with pytest.raises(UnsupportedKernelError):
             principal_eigenpair(assemble_linearized(grid128, km, 1.0))
+
+
+def _qr_reference(lop):
+    """Principal eigenpair by QR deflation of the constant and a full eigh."""
+    n = lop.grid.n
+    s = 0.5 * (lop.matrix + lop.matrix.T)
+    q, _ = np.linalg.qr(np.eye(n)[:, 1:] - 1.0 / n)
+    reduced = q.T @ s @ q
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    vec = q @ eigvecs[:, 0]
+    return eigvals[0], vec / (math.sqrt(lop.grid.h) * np.linalg.norm(vec))
+
+
+class TestAgainstQRReference:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec.green_closed_form(1.0),
+            KernelSpec.gaussian(0.1),
+            KernelSpec.green_series(4.0, m=64),
+            KernelSpec.power_law(0.5),
+        ],
+        ids=["green", "gaussian", "green_series", "power_law"],
+    )
+    def test_eigenpair_matches(self, spec, n):
+        grid = Grid1D(n)
+        km = assemble(spec, grid)
+        for mass in (0.0, 5.0, 12.0):
+            lop = assemble_linearized(grid, km, mass)
+            eig, mode = principal_eigenpair(lop)
+            ref_eig, ref_mode = _qr_reference(lop)
+            assert abs(eig - ref_eig) <= 1e-13 * np.linalg.norm(lop.matrix, np.inf)
+            sign = math.copysign(1.0, float(mode.values @ ref_mode))
+            assert np.abs(mode.values - sign * ref_mode).max() <= 1e-8
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    # scipy.fft is imported where the projection runs, not with the package
+    src = str(Path(aggrestab.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import aggrestab; "
+        "sys.exit('scipy.fft' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestInteractionCoefficient:
