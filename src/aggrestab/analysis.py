@@ -104,6 +104,8 @@ def threshold_bisect(
         )
     while hi - lo > tol_mass:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats: no tolerance below their spacing
         e_mid = eig(mid)
         if history is not None:
             history.append((lo, hi, mid, e_mid))

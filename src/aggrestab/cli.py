@@ -2,8 +2,8 @@
 
 Subcommands: validate-kernel, analyze, simulate, mild-solve, threshold.
 Exit codes: 0 ok, 2 validation failure / invalid bracket, 3 scheme failure
-or rejected step, 4 non-contraction, 5 unusable kernel (incl. unreadable or
-non-finite tables), 64 usage or config error, 74 I/O error.
+or rejected step, 4 non-contraction, 5 unusable kernel (incl. unreadable,
+non-finite or asymmetric tables), 64 usage or config error, 74 I/O error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
     NoExistenceTimeError,
     NonContractionError,
     SchemeFailureError,
+    UnsupportedKernelError,
 )
 from .grid import Grid1D
 from .kernel import (
@@ -371,7 +372,7 @@ def main(argv=None) -> int:
     except SchemeFailureError as exc:
         print(f"aggrestab: scheme failure: {exc}", file=sys.stderr)
         return EXIT_SCHEME
-    except (NoExistenceTimeError, KernelLoadError) as exc:
+    except (NoExistenceTimeError, KernelLoadError, UnsupportedKernelError) as exc:
         print(f"aggrestab: unusable kernel: {exc}", file=sys.stderr)
         return EXIT_BAD_KERNEL
     except InvalidBracketError as exc:

@@ -84,13 +84,16 @@ def lp_norm(f, p: float, grid: Grid1D | None = None) -> float:
     return float((grid.h * np.sum(v**p)) ** (1.0 / p))
 
 
+def _rows(a, rows: int, what: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape[:1] != (rows,):
+        raise InvalidParameterError(f"{what} shape {a.shape} does not match grid ({rows} rows)")
+    return a
+
+
 def gradient(u, grid: Grid1D) -> np.ndarray:
     """Cells -> faces along axis 0: (u_{i+1}-u_i)/h, boundary faces 0 (zero flux)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[:1] != (grid.n,):
-        raise InvalidParameterError(
-            f"cell array shape {u.shape} does not match grid (need n={grid.n} rows)"
-        )
+    u = _rows(u, grid.n, "cell array")
     g = np.zeros((grid.n + 1,) + u.shape[1:])
     g[1:-1] = np.diff(u, axis=0) / grid.h
     return g
@@ -98,12 +101,7 @@ def gradient(u, grid: Grid1D) -> np.ndarray:
 
 def divergence(g, grid: Grid1D) -> np.ndarray:
     """Faces -> cells along axis 0: (g_{i+1}-g_i)/h."""
-    g = np.asarray(g, dtype=float)
-    if g.shape[:1] != (grid.n + 1,):
-        raise InvalidParameterError(
-            f"face array shape {g.shape} does not match grid (need n+1={grid.n + 1} rows)"
-        )
-    return np.diff(g, axis=0) / grid.h
+    return np.diff(_rows(g, grid.n + 1, "face array"), axis=0) / grid.h
 
 
 def project_zero_mean(f: Field) -> Field:
@@ -113,6 +111,9 @@ def project_zero_mean(f: Field) -> Field:
 class SpectralBasis:
     """Neumann cosine eigenpairs of -Laplace on [0,1], sampled at cell centers.
 
+    Mode coefficients c_k = h sum_i u_i w_k(x_i) are sqrt(h) times the
+    orthonormal DCT-II of u; every change of basis goes through that transform,
+    computed with NumPy's FFT (scipy.fft would load scipy.special, about 5 MB).
     Continuum eigenvalues are (k pi)^2; the matching eigenvalues of the
     three-point discrete Neumann Laplacian are (2/h^2)(1 - cos(k pi h)).
     Both are exposed: thresholds use the continuum values, time evolution
@@ -121,28 +122,56 @@ class SpectralBasis:
 
     def __init__(self, grid: Grid1D):
         self.grid = grid
-        n = grid.n
-        k = np.arange(n)
-        self.wavenumbers = k
+        k = np.arange(grid.n)
         self.eigenvalues = (k * np.pi) ** 2
         self.eigenvalues_discrete = (2.0 / grid.h**2) * (1.0 - np.cos(k * np.pi * grid.h))
-        # modes[:, k] = w_k at cell centers
-        modes = np.cos(np.outer(grid.centers, k * np.pi))
-        modes[:, 1:] *= np.sqrt(2.0)
-        self.modes = modes
 
     def mode(self, k: int) -> Field:
         if not 0 <= k < self.grid.n:
             raise InvalidParameterError(f"mode index {k} outside [0, {self.grid.n})")
-        return Field(self.grid, self.modes[:, k].copy())
+        w = np.cos(self.grid.centers * (k * np.pi))
+        return Field(self.grid, w * np.sqrt(2.0) if k > 0 else w)
 
-    def to_spectral(self, f: Field) -> np.ndarray:
-        if f.grid != self.grid:
-            raise InvalidParameterError("field grid does not match basis grid")
-        return self.grid.h * (self.modes.T @ f.values)
+    def to_spectral(self, u) -> np.ndarray:
+        """Mode coefficients of cell values, along axis 0."""
+        u = _rows(u, self.grid.n, "cell array")
+        n, half = self.grid.n, self.grid.n // 2 + 1
+        angle = _quarter_angles(n, u.ndim)
+        cos, sin = np.cos(angle), np.sin(angle)
+        # Makhoul's DCT-II: V = FFT of the even samples followed by the odd ones reversed,
+        # c_k ~ Re(e^{-i pi k / 2n} V_k), and V_k = conj(V_{n-k}) as the samples are real
+        spec = np.fft.rfft(np.concatenate((u[::2], u[1::2][::-1])), axis=0)
+        re, im = spec.real, spec.imag
+        c = np.empty(u.shape)
+        c[:half] = cos[:half] * re + sin[:half] * im
+        c[half:] = cos[half:] * re[n - half : 0 : -1] - sin[half:] * im[n - half : 0 : -1]
+        c *= np.sqrt(2.0) / n
+        c[0] /= np.sqrt(2.0)
+        return c
 
-    def from_spectral(self, c: np.ndarray) -> Field:
-        c = np.asarray(c, dtype=float)
-        if c.shape != (self.grid.n,):
-            raise InvalidParameterError("coefficient length does not match basis")
-        return Field(self.grid, self.modes @ c)
+    def from_spectral(self, c) -> np.ndarray:
+        """Cell values of mode coefficients, along axis 0."""
+        c = _rows(c, self.grid.n, "coefficient array")
+        n, half = self.grid.n, self.grid.n // 2 + 1
+        # to_spectral undone: V_k = (n / sqrt 2) e^{i pi k / 2n} (c_k - i c_{n-k}), with c_0
+        # weighted by sqrt 2 and c_n = 0; one inverse real FFT; the sample order restored
+        spec = np.zeros((half,) + c.shape[1:], dtype=complex)
+        spec[1:] = c[: n - half : -1]
+        spec *= -1j
+        spec += c[:half]
+        spec[0] *= np.sqrt(2.0)
+        spec *= (n / np.sqrt(2.0)) * np.exp(1j * _quarter_angles(n, c.ndim)[:half])
+        v = np.fft.irfft(spec, n, axis=0)
+        u = np.empty(c.shape)
+        u[::2] = v[: (n + 1) // 2]
+        u[1::2] = v[(n + 1) // 2 :][::-1]
+        return u
+
+    def project(self, a) -> np.ndarray:
+        """Matrix in the modes of the n x n operator a: entry (j, k) is h w_j . (a w_k)."""
+        return self.to_spectral(self.to_spectral(a).T).T / self.grid.h
+
+
+def _quarter_angles(n: int, ndim: int) -> np.ndarray:
+    """pi k / 2n for k < n, shaped to act along axis 0."""
+    return (0.5 * np.pi / n) * np.arange(n).reshape((-1,) + (1,) * (ndim - 1))

@@ -31,6 +31,10 @@ from .spectral import LAMBDA_1
 MODES = ("nonlinear", "perturbed", "linearized")
 
 _DT_EPS = 1e-30  # guards the pure-diffusion case in the CFL formula
+# evolve refuses a run that needs more steps or keeps more state values; the
+# longest default basin_probe horizon (t_end = 1000, dt = 10 h^2) is 100 n^2 steps
+_MAX_STEPS = 10**8
+_MAX_STORED_VALUES = 10**8  # 800 MB of snapshots
 
 
 @dataclass(frozen=True)
@@ -127,24 +131,15 @@ def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> Field:
         raise InvalidParameterError(f"bad initial descriptor {descriptor!r}: {exc}") from exc
 
 
-def _face_velocity(state: Field, km: KernelMatrices) -> np.ndarray:
-    v = apply_grad(km, state)
-    v[0] = 0.0
-    v[-1] = 0.0
-    return v
-
-
 def _transport_flux(state: Field, mode: str, mass_level: float, km: KernelMatrices):
     """Face flux of the drift term and the advecting velocity used for CFL."""
-    v = _face_velocity(state, km)
-    u = state.values
+    v = apply_grad(km, state)
+    v[[0, -1]] = 0.0
     if mode == "linearized":
         return mass_level * v, v
+    u = state.values
     upwind = np.zeros(km.grid.n + 1)
-    interior = v[1:-1]
-    left = u[:-1]
-    right = u[1:]
-    upwind[1:-1] = np.where(interior > 0, left, right)
+    upwind[1:-1] = np.where(v[1:-1] > 0, u[:-1], u[1:])
     if mode == "nonlinear":
         return v * upwind, v
     # perturbed: flux (M + phi) grad K(phi), the constant part needs no upwinding
@@ -201,7 +196,14 @@ def evolve(config: SimConfig, kernel_matrices: KernelMatrices | None = None) -> 
         if abs(state.mass) > 1e-10 * scale:
             raise InvalidParameterError("perturbation modes require a zero-mean initial datum")
     dt = auto_dt(state, km, config.mode, config.mass_level) if config.dt is None else config.dt
-    nsteps = max(1, math.ceil(config.t_end / dt - 1e-12))
+    steps = config.t_end / dt
+    stored = ((steps + 1) / config.output_stride + 2) * grid.n  # an upper bound
+    if steps > _MAX_STEPS or stored > _MAX_STORED_VALUES:
+        raise InvalidParameterError(
+            f"the run needs {steps:.3g} steps and keeps up to {stored:.3g} state values; "
+            f"the limits are {_MAX_STEPS:.0e} and {_MAX_STORED_VALUES:.0e}"
+        )
+    nsteps = max(1, math.ceil(steps - 1e-12))
     dt = config.t_end / nsteps
     mass0 = state.mass
     floor = -1e-12 * max(1.0, float(np.abs(state.values).max()))
@@ -225,14 +227,13 @@ def evolve(config: SimConfig, kernel_matrices: KernelMatrices | None = None) -> 
     return Trajectory.from_states(times, states)
 
 
-def heat_semigroup(f: Field, t: float, basis: SpectralBasis | None = None) -> Field:
+def heat_semigroup(f: Field, t: float) -> Field:
     """Neumann heat propagator, exact on the discrete cosine basis."""
     if t < 0:
         raise InvalidParameterError("semigroup time must be nonnegative")
-    if basis is None:
-        basis = SpectralBasis(f.grid)
-    c = basis.to_spectral(f)
-    return basis.from_spectral(c * np.exp(-basis.eigenvalues_discrete * t))
+    basis = SpectralBasis(f.grid)
+    c = basis.to_spectral(f.values)
+    return Field(f.grid, basis.from_spectral(c * np.exp(-basis.eigenvalues_discrete * t)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,10 +261,9 @@ def semigroup_probe(probes, p: float, q: float, times) -> SemigroupProbeReport:
     if times.size == 0 or np.any(times <= 0):
         raise InvalidParameterError("probe times must be positive")
     probes = list(probes)
-    basis = SpectralBasis(probes[0].grid)
-    inv_gap = 0.0 if np.isinf(q) else 1.0 / q
-    inv_gap -= 0.0 if np.isinf(p) else 1.0 / p
-    expo = 0.5 * inv_gap
+    if not probes:
+        raise InvalidParameterError("need at least one probe")
+    expo = 0.5 * (1.0 / q - 1.0 / p)  # 1/inf = 0
     smoothing = np.zeros((len(probes), times.size))
     grad = np.zeros((len(probes), times.size))
     for i, f in enumerate(probes):
@@ -271,7 +271,7 @@ def semigroup_probe(probes, p: float, q: float, times) -> SemigroupProbeReport:
         if fq == 0:
             continue
         for j, t in enumerate(times):
-            uf = heat_semigroup(f, t, basis)
+            uf = heat_semigroup(f, t)
             smoothing[i, j] = lp_norm(uf, p) / ((1.0 + t**(-expo)) * fq)
             g = gradient(uf.values, f.grid)
             grad[i, j] = lp_norm(g, p, f.grid) * t ** (expo + 0.5) * math.exp(LAMBDA_1 * t) / fq
@@ -349,58 +349,58 @@ def picard_mild_solve(
     times = dt * np.arange(n_time + 1)
     q = 1.0 if np.isinf(q_prime) else (q_prime / (q_prime - 1.0) if q_prime > 1 else np.inf)
 
-    c0 = basis.to_spectral(u0)
-    free = np.array([basis.modes @ (c0 * np.exp(-lam * t)) for t in times])
+    # states are (n, n_time + 1) arrays: column j holds the cell values at t_j
+    c0 = basis.to_spectral(u0.values)
+    free = basis.from_spectral(c0[:, None] * np.exp(-np.outer(lam, times)))
 
     decay = np.exp(-lam * dt)
     gain = np.empty_like(lam)
     gain[0] = dt
     gain[1:] = (1.0 - decay[1:]) / lam[1:]
 
-    def drift_coefficients(states: np.ndarray) -> np.ndarray:
-        coeffs = np.empty_like(states)
-        for idx in range(n_time + 1):
-            f = Field(grid, states[idx])
-            v = _face_velocity(f, km)
-            face_avg = np.zeros(grid.n + 1)
-            face_avg[1:-1] = 0.5 * (states[idx][:-1] + states[idx][1:])
-            flux = v * face_avg
-            coeffs[idx] = grid.h * (basis.modes.T @ divergence(flux, grid))
-        return coeffs
+    # a function of its own, so that the face array is freed before the transform
+    def face_flux(states: np.ndarray) -> np.ndarray:
+        """u grad K(u) at the faces for every time, zero at the boundary faces."""
+        flux = grid.h * (km.gradk_faces @ states)
+        flux[[0, -1]] = 0.0
+        flux[1:-1] *= 0.5 * (states[:-1] + states[1:])
+        return flux
+
+    def drift_integrals(states: np.ndarray) -> np.ndarray:
+        """Mode coefficients of the Duhamel drift integral from 0 to each t_j."""
+        d = basis.to_spectral(divergence(face_flux(states), grid))
+        dbar = 0.5 * (d[:, :-1] + d[:, 1:])  # trapezoidal average over each subinterval
+        d[:, 0] = 0.0
+        for j in range(n_time):
+            d[:, j + 1] = decay * d[:, j] + gain * dbar[:, j]
+        return d
 
     def norm_xt(delta: np.ndarray) -> float:
-        sup1 = max(grid.h * np.abs(row).sum() for row in delta)
+        """sup_t ||.||_1 + sup_t ||.||_q over the time columns; overwrites delta."""
+        np.abs(delta, out=delta)
+        sup1 = grid.h * delta.sum(axis=0)
         if np.isinf(q):
-            supq = max(np.abs(row).max() for row in delta)
+            supq = delta.max(axis=0)
         else:
-            supq = max((grid.h * np.sum(np.abs(row) ** q)) ** (1.0 / q) for row in delta)
-        return float(sup1 + supq)
+            delta **= q
+            supq = (grid.h * delta.sum(axis=0)) ** (1.0 / q)
+        return float(sup1.max() + supq.max())
 
     states = free.copy()
     distances = []
-    converged = False
     for _ in range(max_iter):
-        d = drift_coefficients(states)
-        dbar = 0.5 * (d[:-1] + d[1:])
-        new_states = free.copy()
-        acc = np.zeros(grid.n)  # spectral accumulator of the drift integral
-        for j in range(1, n_time + 1):
-            acc = decay * acc + gain * dbar[j - 1]
-            new_states[j] -= basis.modes @ acc
-        distances.append(norm_xt(new_states - states))
+        new_states = basis.from_spectral(drift_integrals(states))
+        np.subtract(free, new_states, out=new_states)
+        # the old iterate's buffer takes the change, then is dropped
+        distances.append(norm_xt(np.subtract(new_states, states, out=states)))
         states = new_states
         if distances[-1] <= tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise NonContractionError(distances)
-    ratios = [
-        distances[i + 1] / distances[i]
-        for i in range(len(distances) - 1)
-        if distances[i] > 0 and distances[i + 1] > 0
-    ]
+    ratios = [b / a for a, b in zip(distances, distances[1:]) if a > 0 and b > 0]
     contraction = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
-    trajectory = Trajectory.from_states(times, [Field(grid, row) for row in states])
+    trajectory = Trajectory.from_states(times, [Field(grid, col) for col in states.T])
     return MildSolveDiagnostics(
         existence_time=existence_estimate if existence_estimate is not None else math.inf,
         picard_distances=distances,

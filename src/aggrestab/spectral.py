@@ -6,8 +6,9 @@ its quadratic form coincides with the energy form
 J(phi, psi) = int grad(phi).grad(psi) - M int grad K(phi).grad(psi).
 The principal eigenvalue is the minimum of J's Rayleigh quotient over the
 zero-mean subspace. It is solved for alone in the cosine modes w_1..w_{n-1}
-(orthonormal under midpoint quadrature: rows of the orthonormal DCT-II), on
-S(M) = L + M D with L and D projected once (`LinearizedFamily`).
+of `SpectralBasis`, on S(M) = L + M D (`LinearizedFamily`). The modes
+diagonalize the discrete Laplacian L exactly, so L is its eigenvalues there
+and only D is projected, once per family.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class LinearizedFamily:
             raise GridMismatchError("kernel matrices do not match grid")
         drift = grid.h * km.gradk_faces
         drift[[0, -1], :] = 0.0
-        self.grid, self.km = grid, km
+        self.grid, self.km, self.basis = grid, km, SpectralBasis(grid)
         self.laplacian = -divergence(gradient(np.eye(grid.n), grid), grid)
         self.drift = divergence(drift, grid)
 
@@ -61,18 +62,15 @@ class LinearizedFamily:
 
     @cached_property
     def reduced(self) -> tuple:
-        """Symmetric parts of L and D in the cosine modes w_1..w_{n-1}."""
+        """L and the symmetric part of D in the cosine modes w_1..w_{n-1}."""
         asym = float(np.max(np.abs(self.km.k_centers - self.km.k_centers.T), initial=0.0))
         if asym > _SYMMETRY_TOL:
             raise UnsupportedKernelError(
                 f"kernel value matrix asymmetric (residual {asym:.2e}); "
                 "the Rayleigh characterization needs a symmetric kernel"
             )
-        # imported here so that importing the package does not load scipy.fft
-        from scipy.fft import dctn
-
-        projected = (dctn(a, norm="ortho")[1:, 1:] for a in (self.laplacian, self.drift))
-        return tuple(0.5 * (p + p.T) for p in projected)
+        drift = self.basis.project(self.drift)[1:, 1:]
+        return np.diag(self.basis.eigenvalues_discrete[1:]), 0.5 * (drift + drift.T)
 
 
 def assemble_linearized(grid: Grid1D, km: KernelMatrices, mass_level: float) -> LinearizedOperator:
@@ -98,13 +96,10 @@ def principal_eigenpair(lop: LinearizedOperator):
     mode) with the mode normalized to unit L2 norm; the weak eigenrelation
     residual in the full space is verified before returning.
     """
-    from scipy.fft import idct
-
     lap, drift = lop.family.reduced
     eigvals, eigvecs = eigh(lap + lop.mass_level * drift, subset_by_index=[0, 0])
     lam = float(eigvals[0])
-    vec = idct(np.concatenate(([0.0], eigvecs[:, 0])), norm="ortho")
-    vec /= math.sqrt(lop.grid.h) * np.linalg.norm(vec)
+    vec = lop.family.basis.from_spectral(np.concatenate(([0.0], eigvecs[:, 0])))
     # (S + S^T)/2 applied to vec without forming it; uniform weights make S^T the L2 adjoint
     r = 0.5 * (lop.matrix @ vec + vec @ lop.matrix) - lam * vec
     residual = np.max(np.abs(r - r.mean()))
@@ -120,7 +115,7 @@ def compute_interaction_coefficient(km: KernelMatrices, basis: SpectralBasis) ->
     """Double integral of K against the first cosine mode in both slots."""
     if basis.grid != km.grid:
         raise GridMismatchError("basis grid does not match kernel grid")
-    w1 = basis.modes[:, 1]
+    w1 = basis.mode(1).values
     return float(km.grid.h**2 * (w1 @ km.k_centers @ w1))
 
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.linalg
 
 from aggrestab import analysis, kernel, spectral
@@ -10,6 +9,7 @@ from aggrestab import (
     Grid1D,
     KernelSpec,
     SimConfig,
+    SpectralBasis,
     Trajectory,
     basin_probe,
     cross_validate,
@@ -97,12 +97,32 @@ class TestThresholdBisect:
         monkeypatch.setattr(kernel, "_gradk_matrix", counting("sample", kernel._gradk_matrix))
         family = spectral.LinearizedFamily
         monkeypatch.setattr(analysis, "LinearizedFamily", counting("family", family))
-        monkeypatch.setattr(scipy.fft, "dctn", counting("project", scipy.fft.dctn))
+        monkeypatch.setattr(SpectralBasis, "project", counting("project", SpectralBasis.project))
         history = []
         threshold_bisect(green, Grid1D(64), 5.0, 20.0, tol_mass=0.01, history=history)
         assert len(history) > 10
-        # one kernel sampling, one family, and one projection each of L and D
-        assert calls == {"sample": 1, "family": 1, "project": 2}
+        # one kernel sampling, one family, and one projection of D
+        assert calls == {"sample": 1, "family": 1, "project": 1}
+
+    def test_stops_at_float_spacing(self, green, monkeypatch):
+        # a tolerance below the spacing of the bracket's floats cannot be met
+        calls = []
+
+        def counting(lop):
+            calls.append(lop.mass_level)
+            if len(calls) > 200:
+                raise RuntimeError("bisection does not stop")
+            return spectral.principal_eigenpair(lop)
+
+        monkeypatch.setattr(analysis, "principal_eigenpair", counting)
+        history = []
+        critical = threshold_bisect(green, Grid1D(16), 5.0, 20.0, tol_mass=1e-300, history=history)
+        lo, hi, mid, e_mid = history[-1]
+        lo, hi = (mid, hi) if e_mid > 0 else (lo, mid)
+        # it stops with lo and hi adjacent floats around the critical mass
+        assert np.nextafter(lo, np.inf) == hi
+        assert critical in (lo, hi)
+        assert len(calls) == len(history) + 2
 
     def test_invalid_bracket_raises(self, green):
         grid = Grid1D(64)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from aggrestab import Grid1D, KernelSpec, assemble, save_tabulated_csv
@@ -179,6 +180,25 @@ class TestCommands:
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == EXIT_SCHEME
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [("analyze", "analysis.M = 1"), ("threshold", "analysis.M_lo = 0\nanalysis.M_hi = 5")],
+    )
+    def test_asymmetric_tabulated_kernel_is_unusable(self, tmp_path, command, line):
+        grid = Grid1D(16)
+        values = np.zeros((16, 16))
+        values[0, 1] = 1.0
+        spec = KernelSpec.tabulated(values, np.zeros((17, 16)))
+        table = tmp_path / "kernel.csv"
+        save_tabulated_csv(table, grid, assemble(spec, grid))
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            f"kernel.variant = tabulated\nkernel.csv = {table}\ngrid.n = 16\n{line}\n",
+        )
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_BAD_KERNEL
+
     def test_threshold_locates_critical_mass(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -226,6 +246,9 @@ class TestUsageErrors:
             ("simulate", "sim.mode = perturbed\nsim.initial = constant_plus_mode:0,inf,1"),
             ("simulate", "sim.initial = random_zero_mean:nan,3"),
             ("simulate", f"sim.initial = csv:{datum}"),
+            # refused before the first step: 1e300 steps, and 6.4e8 stored values
+            ("simulate", "sim.dt = 1e-300"),
+            ("simulate", "sim.dt = 1e-7"),
         ]:
             cfg = write_config(tmp_path, "q.cfg", GREEN_LINES + line + "\n")
             code = main([command, "--config", cfg, "--out", str(tmp_path)])

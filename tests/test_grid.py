@@ -101,15 +101,16 @@ class TestCalculus:
 class TestSpectralBasis:
     def test_discrete_orthonormality(self):
         basis = SpectralBasis(Grid1D(32))
-        gram = basis.grid.h * basis.modes.T @ basis.modes
+        modes = np.column_stack([basis.mode(k).values for k in range(32)])
+        gram = basis.grid.h * modes.T @ modes
         np.testing.assert_allclose(gram, np.eye(32), atol=1e-12)
 
     def test_round_trip(self, rng):
         grid = Grid1D(64)
         basis = SpectralBasis(grid)
         f = Field(grid, rng.standard_normal(64))
-        back = basis.from_spectral(basis.to_spectral(f))
-        np.testing.assert_allclose(back.values, f.values, atol=1e-12)
+        back = basis.from_spectral(basis.to_spectral(f.values))
+        np.testing.assert_allclose(back, f.values, atol=1e-12)
 
     def test_eigenvalues(self):
         grid = Grid1D(256)
@@ -135,3 +136,61 @@ class TestSpectralBasis:
         basis = SpectralBasis(Grid1D(8))
         with pytest.raises(InvalidParameterError):
             basis.mode(8)
+
+
+def _dense_modes(grid):
+    """modes[:, k] = w_k at cell centers, built as one n x n cosine matrix."""
+    k = np.arange(grid.n)
+    modes = np.cos(np.outer(grid.centers, k * np.pi))
+    modes[:, 1:] *= np.sqrt(2.0)
+    return modes
+
+
+class TestCosineTransform:
+    @pytest.mark.parametrize("n", [4, 37, 100, 256])
+    def test_modes_equal_dense_columns(self, n):
+        grid = Grid1D(n)
+        basis, modes = SpectralBasis(grid), _dense_modes(grid)
+        for k in range(n):
+            assert np.array_equal(basis.mode(k).values, modes[:, k])
+
+    @pytest.mark.parametrize("n", [37, 64])
+    @pytest.mark.parametrize("columns", [(), (5,)], ids=["1d", "2d"])
+    def test_transforms_match_dense_cosine_sums(self, n, columns, rng):
+        grid = Grid1D(n)
+        basis, modes = SpectralBasis(grid), _dense_modes(grid)
+        u = rng.standard_normal((n, *columns))
+        c = basis.to_spectral(u)
+        assert c.shape == u.shape
+        np.testing.assert_allclose(c, grid.h * modes.T @ u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(basis.from_spectral(c), modes @ c, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(basis.from_spectral(c), u, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [33, 48])
+    def test_projection_matches_dense_cosine_sums(self, n, rng):
+        grid = Grid1D(n)
+        basis, modes = SpectralBasis(grid), _dense_modes(grid)
+        a = rng.standard_normal((n, n))
+        np.testing.assert_allclose(
+            basis.project(a), grid.h * modes.T @ a @ modes, rtol=0, atol=1e-12
+        )
+
+    def test_transform_diagonalizes_discrete_laplacian(self):
+        grid = Grid1D(256)
+        basis = SpectralBasis(grid)
+        laplacian = -divergence(gradient(np.eye(grid.n), grid), grid)
+        lam = basis.eigenvalues_discrete
+        np.testing.assert_allclose(
+            basis.project(laplacian)[1:, 1:], np.diag(lam[1:]), rtol=0, atol=1e-12 * lam.max()
+        )
+
+    def test_shape_mismatch_rejected(self):
+        basis = SpectralBasis(Grid1D(16))
+        with pytest.raises(InvalidParameterError):
+            basis.to_spectral(np.zeros(15))
+        with pytest.raises(InvalidParameterError):
+            basis.from_spectral(np.zeros((17, 2)))
+        with pytest.raises(InvalidParameterError):
+            basis.project(np.zeros((15, 16)))
+        with pytest.raises(InvalidParameterError):
+            basis.project(np.zeros((16, 15)))

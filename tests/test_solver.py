@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aggrestab import solver
 from aggrestab import (
     Field,
     Grid1D,
@@ -38,7 +39,7 @@ class TestInitialField:
         grid = Grid1D(64)
         f = initial_field("constant_plus_mode:3,0.1,2", grid)
         basis = SpectralBasis(grid)
-        np.testing.assert_allclose(f.values, 3.0 + 0.1 * basis.modes[:, 2])
+        np.testing.assert_allclose(f.values, 3.0 + 0.1 * basis.mode(2).values)
 
     def test_random_zero_mean(self):
         f = initial_field("random_zero_mean:0.5,7", Grid1D(64))
@@ -91,11 +92,11 @@ class TestStepImex:
     def test_pure_diffusion_decays_modes(self, grid128):
         km = assemble(KernelSpec.zero(128), grid128)
         basis = SpectralBasis(grid128)
-        u = Field(grid128, 1.0 + 0.1 * basis.modes[:, 1])
+        u = Field(grid128, 1.0 + 0.1 * basis.mode(1).values)
         dt = 1e-3
         out = step_imex(u, dt, "linearized", 0.0, km)
         lam = basis.eigenvalues_discrete[1]
-        expected = 1.0 + 0.1 * basis.modes[:, 1] / (1.0 + dt * lam)
+        expected = 1.0 + 0.1 * basis.mode(1).values / (1.0 + dt * lam)
         np.testing.assert_allclose(out.values, expected, atol=1e-12)
 
 
@@ -107,6 +108,16 @@ class TestEvolve:
         nonzero_mean = SimConfig(n=64, kernel=green, mode="perturbed", initial="constant:1")
         with pytest.raises(InvalidParameterError):
             evolve(nonzero_mean)
+
+    def test_refuses_unbounded_runs_before_stepping(self, green, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("stepped a run that should be refused")
+
+        monkeypatch.setattr(solver, "step_imex", no_step)
+        for dt, stride in [(1e-300, 10**9), (5e-324, 10**9), (1e-7, 1)]:
+            config = SimConfig(n=64, kernel=green, mode="nonlinear", dt=dt, output_stride=stride)
+            with pytest.raises(InvalidParameterError, match="limit"):
+                evolve(config)
 
     def test_records_requested_stride(self, green):
         config = SimConfig(
@@ -162,7 +173,7 @@ class TestHeatSemigroup:
         basis = SpectralBasis(grid256)
         f = basis.mode(3)
         t = 0.01
-        out = heat_semigroup(f, t, basis)
+        out = heat_semigroup(f, t)
         np.testing.assert_allclose(
             out.values, math.exp(-basis.eigenvalues_discrete[3] * t) * f.values, atol=1e-12
         )
@@ -194,6 +205,8 @@ class TestSemigroupProbe:
     def test_nonpositive_times_rejected(self, grid128):
         with pytest.raises(InvalidParameterError):
             semigroup_probe([constant_field(grid128, 1.0)], p=2, q=2, times=[0.0, 0.1])
+        with pytest.raises(InvalidParameterError):
+            semigroup_probe([], p=2, q=2, times=[0.1])
 
 
 class TestExistenceTime:
@@ -255,3 +268,74 @@ class TestPicardMildSolve:
             picard_mild_solve(u0, km128, -1.0)
         with pytest.raises(InvalidParameterError):
             picard_mild_solve(u0, km128, 1.0, n_time=1)
+
+
+def _dense_picard_reference(u0, km, horizon, n_time, q_prime, max_iter=30, tol=1e-10):
+    """Picard iteration with one dense n x n mode-matrix product per output time."""
+    grid = km.grid
+    n, h = grid.n, grid.h
+    k = np.arange(n)
+    modes = np.cos(np.outer(grid.centers, k * np.pi))
+    modes[:, 1:] *= np.sqrt(2.0)
+    lam = (2.0 / h**2) * (1.0 - np.cos(k * np.pi * h))
+    dt = horizon / n_time
+    times = dt * np.arange(n_time + 1)
+    q = 1.0 if np.isinf(q_prime) else q_prime / (q_prime - 1.0)
+    c0 = h * (modes.T @ u0.values)
+    free = np.array([modes @ (c0 * np.exp(-lam * t)) for t in times])
+    decay = np.exp(-lam * dt)
+    gain = np.empty_like(lam)
+    gain[0] = dt
+    gain[1:] = (1.0 - decay[1:]) / lam[1:]
+
+    def drift_coefficients(states):
+        coeffs = np.empty_like(states)
+        for idx, row in enumerate(states):
+            v = h * (km.gradk_faces @ row)
+            v[0] = v[-1] = 0.0
+            face_avg = np.zeros(n + 1)
+            face_avg[1:-1] = 0.5 * (row[:-1] + row[1:])
+            coeffs[idx] = h * (modes.T @ (np.diff(v * face_avg) / h))
+        return coeffs
+
+    def norm_xt(delta):
+        sup1 = max(h * np.abs(row).sum() for row in delta)
+        supq = max((h * np.sum(np.abs(row) ** q)) ** (1.0 / q) for row in delta)
+        return sup1 + supq
+
+    states, distances = free.copy(), []
+    for _ in range(max_iter):
+        d = drift_coefficients(states)
+        dbar = 0.5 * (d[:-1] + d[1:])
+        new_states = free.copy()
+        acc = np.zeros(n)
+        for j in range(1, n_time + 1):
+            acc = decay * acc + gain * dbar[j - 1]
+            new_states[j] -= modes @ acc
+        distances.append(norm_xt(new_states - states))
+        states = new_states
+        if distances[-1] <= tol:
+            break
+    return states, distances
+
+
+class TestPicardAgainstDenseReference:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("q_prime", [np.inf, 2.0], ids=["qinf", "q2"])
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec.green_closed_form(1.0), KernelSpec.gaussian(0.1)],
+        ids=["green", "gaussian"],
+    )
+    def test_matches_reference(self, spec, q_prime, n):
+        grid = Grid1D(n)
+        km = assemble(spec, grid)
+        u0 = initial_field("constant_plus_mode:1,0.5,1", grid)
+        diag = picard_mild_solve(u0, km, 0.1, n_time=64, q_prime=q_prime)
+        ref_states, ref_distances = _dense_picard_reference(u0, km, 0.1, 64, q_prime)
+        states = np.array([f.values for f in diag.trajectory.snapshots])
+        assert np.abs(states - ref_states).max() <= 1e-12
+        assert len(diag.picard_distances) == len(ref_distances)
+        for d, ref in zip(diag.picard_distances, ref_distances):
+            if ref >= 1e-8:
+                assert d == pytest.approx(ref, rel=1e-9, abs=0)

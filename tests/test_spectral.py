@@ -60,7 +60,7 @@ class TestPrincipalEigenpair:
         basis = SpectralBasis(grid256)
         assert eig == pytest.approx(basis.eigenvalues_discrete[1], rel=1e-10)
         # the minimizing mode is the first cosine, up to sign
-        overlap = abs(grid256.h * float(mode.values @ basis.modes[:, 1]))
+        overlap = abs(grid256.h * float(mode.values @ basis.mode(1).values))
         assert overlap == pytest.approx(1.0, abs=1e-6)
 
     def test_mode_is_zero_mean_and_normalized(self, grid256, km256):
@@ -121,7 +121,7 @@ class TestAgainstQRReference:
 
 
 def test_import_leaves_scipy_fft_unloaded():
-    # scipy.fft is imported where the projection runs, not with the package
+    # the package never imports scipy.fft, which would load scipy.special
     src = str(Path(aggrestab.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import aggrestab; "
