@@ -47,7 +47,6 @@ EXIT_IO = 74
 _KNOWN_KEYS = {
     "kernel.variant",
     "kernel.a",
-    "kernel.m",
     "kernel.sigma",
     "kernel.normalization",
     "kernel.alpha",
@@ -78,6 +77,11 @@ _KNOWN_KEYS = {
     "output.dir",
     "seed",
 }
+# keys that earlier versions read, refused with the reason they went
+_REMOVED_KEYS = {
+    "kernel.m": "kernel.m was removed: the Green kernel is exact for every a, with no series "
+    "to truncate",
+}
 
 
 def _number(key, raw) -> float:
@@ -96,6 +100,8 @@ class RunConfig:
     """Parsed flat key=value configuration with range validation."""
 
     def __init__(self, pairs: dict):
+        for key in sorted(set(pairs) & set(_REMOVED_KEYS)):
+            raise ConfigError(_REMOVED_KEYS[key])
         unknown = set(pairs) - _KNOWN_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -174,11 +180,7 @@ class RunConfig:
         if variant == "green_closed_form":
             return KernelSpec.green_closed_form(scale=scale)
         if variant == "green_series":
-            return KernelSpec.green_series(
-                self.get_float("kernel.a", positive=True),
-                m=self.get_int("kernel.m", default=4096, minimum=8),
-                scale=scale,
-            )
+            return KernelSpec.green_series(self.get_float("kernel.a", positive=True), scale=scale)
         if variant == "gaussian":
             return KernelSpec.gaussian(
                 self.get_float("kernel.sigma", positive=True),

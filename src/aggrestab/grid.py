@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
+# the most float values one array may hold (800 MB): larger runs and dense
+# samples are refused before they allocate
+MAX_STORED_VALUES = 10**8
+
 
 @dataclass(frozen=True)
 class Grid1D:

@@ -1,10 +1,15 @@
 """Aggregation kernels K(x,y), their integral operators and norm estimates.
 
-Built-in families: the chemotaxis Green function on [0,1] (closed form for
-a = 1, cosine series for general a > 0), a truncated Gaussian, a power-law
-gradient family bracketing the critical integrability exponent, and tabulated
-data. Values are sampled at cell centers; x-gradients at cell faces, so the
-gradient is never evaluated on its diagonal jump.
+Built-in families: the chemotaxis Green function on [0,1] (the Neumann Green
+function of -d^2/dx^2 + a, in closed form for every a > 0), a truncated
+Gaussian, a power-law gradient family bracketing the critical integrability
+exponent, and tabulated data. Values are sampled at cell centers; x-gradients
+at cell faces, so the gradient is never evaluated on its diagonal jump.
+
+A Green kernel is diagonal in the cosine modes of `SpectralBasis`: at cell
+centers and faces every mode above n aliases onto a DCT mode, so its
+integral operator and its gradient have exact O(n) symbols and need no
+n x n sample.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +28,11 @@ from .errors import (
     KernelLoadError,
     SingularityError,
 )
-from .grid import Field, Grid1D
+from .grid import MAX_STORED_VALUES, Field, Grid1D
 
-_VARIANTS = ("green_closed_form", "green_series", "gaussian", "power_law_gradient", "tabulated")
+# the two Green variants are one family: green_closed_form is a = 1
+_GREEN = ("green_closed_form", "green_series")
+_VARIANTS = (*_GREEN, "gaussian", "power_law_gradient", "tabulated")
 
 # classification probe exponents, largest first
 CLASSIFY_QPRIMES = (np.inf, 4.0, 2.0, 1.5, 1.1, 1.0)
@@ -45,7 +53,6 @@ class KernelSpec:
 
     variant: str
     a: float = 1.0
-    m: int = 4096
     sigma: float = 0.1
     normalization: float = 1.0
     alpha: float = 0.5
@@ -57,11 +64,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise InvalidParameterError(f"unknown kernel variant {self.variant!r}")
-        if self.variant == "green_series":
-            if self.a <= 0:
-                raise InvalidParameterError("green_series requires a > 0")
-            if self.m < 8:
-                raise InvalidParameterError("green_series requires truncation m >= 8")
+        if self.variant in _GREEN and not 0 < self.a < math.inf:
+            raise InvalidParameterError("the Green kernel requires a finite a > 0")
         if self.variant == "gaussian" and self.sigma <= 0:
             raise InvalidParameterError("gaussian requires sigma > 0")
         if self.variant == "power_law_gradient":
@@ -87,8 +91,8 @@ class KernelSpec:
         return cls("green_closed_form", a=1.0, scale=scale)
 
     @classmethod
-    def green_series(cls, a, m=4096, scale=1.0):
-        return cls("green_series", a=float(a), m=int(m), scale=scale)
+    def green_series(cls, a, scale=1.0):
+        return cls("green_series", a=float(a), scale=scale)
 
     @classmethod
     def gaussian(cls, sigma, normalization=1.0, scale=1.0):
@@ -112,13 +116,27 @@ class KernelSpec:
         return cls.tabulated(np.zeros((n, n)), np.zeros((n + 1, n)))
 
 
-@dataclass(frozen=True, eq=False)
 class KernelMatrices:
-    """Sampled kernel: values at center pairs, x-gradient at (face, center)."""
+    """Kernel on a grid: values at center pairs, x-gradient at (face, center).
 
-    grid: Grid1D
-    k_centers: np.ndarray
-    gradk_faces: np.ndarray
+    Each n x n sample is taken when first read. A Green kernel also carries
+    `symbols` = (sigma, t), k = 0..n-1, which need no sample: h K w_k =
+    sigma_k w_k at the centers and h dK/dx w_k = t_k sqrt(2) sin(k pi x) at the
+    faces, so the singular values of u -> grad K(u) are |t_k|. Other kernels
+    have `symbols = None`.
+    """
+
+    def __init__(self, spec: KernelSpec, grid: Grid1D):
+        self.spec, self.grid = spec, grid
+        self.symbols = _green_symbols(spec, grid) if spec.variant in _GREEN else None
+
+    @cached_property
+    def k_centers(self) -> np.ndarray:
+        return _values_matrix(self.spec, self.grid)
+
+    @cached_property
+    def gradk_faces(self) -> np.ndarray:
+        return _gradk_matrix(self.spec, self.grid)
 
 
 @dataclass(frozen=True)
@@ -155,32 +173,42 @@ class KernelClassification:
     estimates: dict
 
 
-def _green_closed(x, y):
-    d = np.abs(x - y)
-    c = 2.0 * (np.e**2 - 1.0)
-    return 0.5 * np.exp(-d) + (np.exp(x + y) + np.exp(2 - x - y) + np.exp(x - y) + np.exp(y - x)) / c
+def _green(a, x, y):
+    """Neumann Green function of -d^2/dx^2 + a on [0,1].
+
+    cosh(s(1 - max(x, y))) cosh(s min(x, y)) / (s sinh s) with s = sqrt(a),
+    written with exponents <= 0 only, so it cannot overflow.
+    """
+    s, d = math.sqrt(a), np.abs(x - y)
+    num = np.exp(-s * d) + np.exp(-s * (2 - d)) + np.exp(-s * (x + y)) + np.exp(-s * (2 - x - y))
+    return num / (2.0 * s * -math.expm1(-2.0 * s))
 
 
-def _green_closed_dx(x, y):
-    d = np.abs(x - y)
-    c = 2.0 * (np.e**2 - 1.0)
-    return -0.5 * np.sign(x - y) * np.exp(-d) + (
-        np.exp(x + y) - np.exp(2 - x - y) + np.exp(x - y) - np.exp(y - x)
-    ) / c
+def _green_dx(a, x, y):
+    """x-derivative of `_green`; the average of the one-sided ones at x = y."""
+    s, d = math.sqrt(a), np.abs(x - y)
+    jump = np.sign(y - x) * (np.exp(-s * d) - np.exp(-s * (2 - d)))
+    return (jump - np.exp(-s * (x + y)) + np.exp(-s * (2 - x - y))) / (2.0 * -math.expm1(-2.0 * s))
 
 
-def _series_matrix(spec, x, y, grad):
-    """Truncated cosine series of the Green function of -d^2/dx^2 + a."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    k = np.arange(1, spec.m + 1)
-    denom = spec.a + (k * np.pi) ** 2
-    cy = np.cos(np.outer(y, k * np.pi))
-    if grad:
-        sx = np.sin(np.outer(x, k * np.pi))
-        return -(sx * (2.0 * k * np.pi / denom)) @ cy.T
-    cx = np.cos(np.outer(x, k * np.pi))
-    return 1.0 / spec.a + (cx * (2.0 / denom)) @ cy.T
+def _green_symbols(spec: KernelSpec, grid: Grid1D) -> tuple:
+    """Exact (sigma_k, t_k) of the Green kernel on the grid, k = 0..n-1.
+
+    With s = sqrt(a), c = s h / 2 and theta_k = k pi h / 2, the aliased mode
+    sums are sigma_k = sinh(2c) / (4 n s (sinh^2 c + sin^2 theta_k)) and
+    t_k = -(h/2) sin(theta_k) cosh(c) / (sinh^2 c + sin^2 theta_k); both are
+    computed divided through by cosh^2 c, which cannot overflow.
+    """
+    s, h = math.sqrt(spec.a), grid.h
+    c = 0.5 * s * h
+    sech = 2.0 * math.exp(-c) / (1.0 + math.exp(-2.0 * c))
+    sin_theta = np.sin(np.arange(1, grid.n) * (0.5 * np.pi * h))
+    denom = (sech * sin_theta) ** 2 + math.tanh(c) ** 2
+    # k = 0, the constant mode (grad K 1 = 0), is set apart: its denominator
+    # tanh^2 c alone underflows for a tiny a
+    sigma = np.concatenate(([h / (2.0 * s * math.tanh(c))], h * math.tanh(c) / (2.0 * s) / denom))
+    t = np.concatenate(([0.0], -0.5 * h * sech * sin_theta / denom))
+    return spec.scale * sigma, spec.scale * t
 
 
 def _power_law_value(spec, r):
@@ -197,12 +225,8 @@ def eval_kernel(spec: KernelSpec, x, y):
     """Pointwise K(x,y); accepts scalars or broadcastable arrays."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if spec.variant == "green_closed_form":
-        out = _green_closed(x, y)
-    elif spec.variant == "green_series":
-        scalar = x.ndim == 0 and y.ndim == 0
-        out = _series_matrix(spec, np.ravel(x), np.ravel(y), grad=False)
-        out = out[0, 0] if scalar else out.reshape(np.broadcast(x, y).shape)
+    if spec.variant in _GREEN:
+        out = _green(spec.a, x, y)
     elif spec.variant == "gaussian":
         out = spec.normalization * np.exp(-((x - y) ** 2) / (2.0 * spec.sigma**2))
     elif spec.variant == "power_law_gradient":
@@ -216,12 +240,8 @@ def eval_grad_x(spec: KernelSpec, x, y):
     """Pointwise x-derivative of K; undefined on the diagonal for delta = 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if spec.variant == "green_closed_form":
-        out = _green_closed_dx(x, y)
-    elif spec.variant == "green_series":
-        scalar = x.ndim == 0 and y.ndim == 0
-        out = _series_matrix(spec, np.ravel(x), np.ravel(y), grad=True)
-        out = out[0, 0] if scalar else out.reshape(np.broadcast(x, y).shape)
+    if spec.variant in _GREEN:
+        out = _green_dx(spec.a, x, y)
     elif spec.variant == "gaussian":
         out = -spec.normalization * (x - y) / spec.sigma**2 * np.exp(
             -((x - y) ** 2) / (2.0 * spec.sigma**2)
@@ -236,29 +256,33 @@ def eval_grad_x(spec: KernelSpec, x, y):
     return spec.scale * out
 
 
+def _check_sample_size(grid: Grid1D):
+    if (grid.n + 1) * grid.n > MAX_STORED_VALUES:
+        raise InvalidParameterError(
+            f"a dense kernel sample at n = {grid.n} holds {(grid.n + 1) * grid.n:.3g} values; "
+            f"the limit is {MAX_STORED_VALUES:.0e}"
+        )
+
+
+def _values_matrix(spec: KernelSpec, grid: Grid1D) -> np.ndarray:
+    if spec.variant == "tabulated":
+        return spec.scale * spec.table_values.copy()
+    _check_sample_size(grid)
+    return np.asarray(eval_kernel(spec, grid.centers[:, None], grid.centers[None, :]))
+
+
 def _gradk_matrix(spec: KernelSpec, grid: Grid1D) -> np.ndarray:
     if spec.variant == "tabulated":
-        if spec.table_grad.shape != (grid.n + 1, grid.n):
-            raise GridMismatchError("tabulated gradient table does not match grid")
         return spec.scale * spec.table_grad.copy()
-    if spec.variant == "green_series":
-        return spec.scale * _series_matrix(spec, grid.faces, grid.centers, grad=True)
-    xf, yc = np.meshgrid(grid.faces, grid.centers, indexing="ij")
-    return np.asarray(eval_grad_x(spec, xf, yc))
+    _check_sample_size(grid)
+    return np.asarray(eval_grad_x(spec, grid.faces[:, None], grid.centers[None, :]))
 
 
 def assemble(spec: KernelSpec, grid: Grid1D) -> KernelMatrices:
-    """Sample the kernel on the grid: values at centers, gradient at faces."""
-    if spec.variant == "tabulated":
-        if spec.table_values.shape != (grid.n, grid.n):
-            raise GridMismatchError("tabulated value table does not match grid")
-        k_centers = spec.scale * spec.table_values.copy()
-    elif spec.variant == "green_series":
-        k_centers = spec.scale * _series_matrix(spec, grid.centers, grid.centers, grad=False)
-    else:
-        xc, yc = np.meshgrid(grid.centers, grid.centers, indexing="ij")
-        k_centers = np.asarray(eval_kernel(spec, xc, yc))
-    return KernelMatrices(grid, k_centers, _gradk_matrix(spec, grid))
+    """The kernel on the grid: values at centers, gradient at faces, sampled when read."""
+    if spec.variant == "tabulated" and spec.table_values.shape != (grid.n, grid.n):
+        raise GridMismatchError("tabulated value table does not match grid")
+    return KernelMatrices(spec, grid)
 
 
 def apply(km: KernelMatrices, u: Field) -> Field:
@@ -283,10 +307,13 @@ def hilbert_schmidt_grad_norm(km: KernelMatrices) -> float:
 def l2_operator_norm(km: KernelMatrices) -> float:
     """Largest singular value of u -> grad K(u) between L^2 spaces.
 
-    Power iteration on the composed map (adjoint . map) from a seeded random
-    start vector; with uniform quadrature weight h on both sides this is the
-    Euclidean spectral norm of h * gradk_faces.
+    For a Green kernel it is max_k |t_k|. Otherwise power iteration on the
+    composed map (adjoint . map) from a seeded random start vector; with
+    uniform quadrature weight h on both sides this is the Euclidean spectral
+    norm of h * gradk_faces.
     """
+    if km.symbols is not None:
+        return float(np.abs(km.symbols[1]).max())
     a = km.grid.h * km.gradk_faces
     v = np.random.default_rng(0).standard_normal(km.grid.n)
     v /= np.linalg.norm(v)

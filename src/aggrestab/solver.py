@@ -24,17 +24,17 @@ from .errors import (
     RejectedStepError,
     SchemeFailureError,
 )
-from .grid import Field, Grid1D, SpectralBasis, divergence, gradient, lp_norm
+from .grid import MAX_STORED_VALUES, Field, Grid1D, SpectralBasis, divergence, gradient, lp_norm
 from .kernel import KernelMatrices, KernelSpec, apply_grad, assemble
 from .spectral import LAMBDA_1
 
 MODES = ("nonlinear", "perturbed", "linearized")
 
 _DT_EPS = 1e-30  # guards the pure-diffusion case in the CFL formula
-# evolve refuses a run that needs more steps or keeps more state values; the
-# longest default basin_probe horizon (t_end = 1000, dt = 10 h^2) is 100 n^2 steps
+# evolve refuses a run that needs more steps than this, or keeps more state
+# values than MAX_STORED_VALUES; the longest default basin_probe horizon
+# (t_end = 1000, dt = 10 h^2) is 100 n^2 steps
 _MAX_STEPS = 10**8
-_MAX_STORED_VALUES = 10**8  # 800 MB of snapshots
 
 
 @dataclass(frozen=True)
@@ -198,10 +198,10 @@ def evolve(config: SimConfig, kernel_matrices: KernelMatrices | None = None) -> 
     dt = auto_dt(state, km, config.mode, config.mass_level) if config.dt is None else config.dt
     steps = config.t_end / dt
     stored = ((steps + 1) / config.output_stride + 2) * grid.n  # an upper bound
-    if steps > _MAX_STEPS or stored > _MAX_STORED_VALUES:
+    if steps > _MAX_STEPS or stored > MAX_STORED_VALUES:
         raise InvalidParameterError(
             f"the run needs {steps:.3g} steps and keeps up to {stored:.3g} state values; "
-            f"the limits are {_MAX_STEPS:.0e} and {_MAX_STORED_VALUES:.0e}"
+            f"the limits are {_MAX_STEPS:.0e} and {MAX_STORED_VALUES:.0e}"
         )
     nsteps = max(1, math.ceil(steps - 1e-12))
     dt = config.t_end / nsteps
@@ -336,6 +336,11 @@ def picard_mild_solve(
         raise InvalidParameterError("horizon T must be positive")
     if n_time < 2:
         raise InvalidParameterError("need at least 2 time intervals")
+    if km.grid.n * (n_time + 1) > MAX_STORED_VALUES:
+        raise InvalidParameterError(
+            f"the (n, n_time + 1) states hold {km.grid.n * (n_time + 1):.3g} values; "
+            f"the limit is {MAX_STORED_VALUES:.0e}"
+        )
     if existence_estimate is not None and horizon > existence_estimate:
         warnings.warn(
             f"T={horizon:g} exceeds the contraction estimate {existence_estimate:g}; "

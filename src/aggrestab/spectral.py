@@ -7,8 +7,14 @@ J(phi, psi) = int grad(phi).grad(psi) - M int grad K(phi).grad(psi).
 The principal eigenvalue is the minimum of J's Rayleigh quotient over the
 zero-mean subspace. It is solved for alone in the cosine modes w_1..w_{n-1}
 of `SpectralBasis`, on S(M) = L + M D (`LinearizedFamily`). The modes
-diagonalize the discrete Laplacian L exactly, so L is its eigenvalues there
-and only D is projected, once per family.
+diagonalize the discrete Laplacian L exactly, so L is its eigenvalues there.
+
+For a Green kernel D is diagonal in the modes too, with the symbol
+d_k = (2/h) sin(k pi h / 2) t_k of `KernelMatrices.symbols`. Then S(M) is
+the vector lambda_k^h + M d_k, the principal eigenpair is its smallest entry
+with the mode w_k, and no n x n array is built: the residual check applies L
+by `gradient` and `divergence` and D by its symbol. Other kernels project the
+dense D once per family and solve for the one eigenpair with `eigh`.
 """
 
 from __future__ import annotations
@@ -38,31 +44,56 @@ class LinearizedOperator:
     grid: Grid1D
     km: KernelMatrices
     mass_level: float
-    matrix: np.ndarray
     family: LinearizedFamily
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense S(M), built when first read."""
+        return self.family.laplacian + self.mass_level * self.family.drift
 
 
 class LinearizedFamily:
-    """S(M) = L + M D with L = -Laplace, D = div(grad K(.)) (zero flux), for any M."""
+    """S(M) = L + M D with L = -Laplace, D = div(grad K(.)) (zero flux), for any M.
+
+    The dense L and D are built when first read.
+    """
 
     def __init__(self, grid: Grid1D, km: KernelMatrices):
         if km.grid != grid:
             raise GridMismatchError("kernel matrices do not match grid")
-        drift = grid.h * km.gradk_faces
-        drift[[0, -1], :] = 0.0
         self.grid, self.km, self.basis = grid, km, SpectralBasis(grid)
-        self.laplacian = -divergence(gradient(np.eye(grid.n), grid), grid)
-        self.drift = divergence(drift, grid)
 
     def at(self, mass_level: float) -> LinearizedOperator:
         if mass_level < 0:
             raise InvalidParameterError("mass level M must be nonnegative")
-        matrix = self.laplacian + mass_level * self.drift
-        return LinearizedOperator(self.grid, self.km, mass_level, matrix, self)
+        return LinearizedOperator(self.grid, self.km, mass_level, self)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return -divergence(gradient(np.eye(self.grid.n), self.grid), self.grid)
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        drift = self.grid.h * self.km.gradk_faces
+        drift[[0, -1], :] = 0.0
+        return divergence(drift, self.grid)
+
+    @cached_property
+    def drift_symbol(self) -> np.ndarray:
+        """d_k, k = 0..n-1, for a Green kernel: D w_k = d_k w_k."""
+        angles = np.arange(self.grid.n) * (0.5 * np.pi * self.grid.h)
+        return (2.0 / self.grid.h) * np.sin(angles) * self.km.symbols[1]
 
     @cached_property
     def reduced(self) -> tuple:
-        """L and the symmetric part of D in the cosine modes w_1..w_{n-1}."""
+        """L and D on the cosine modes w_1..w_{n-1}.
+
+        L is its eigenvalues lambda_k^h. D is the vector d_k for a Green kernel,
+        and otherwise the symmetric part of its projection.
+        """
+        lap = self.basis.eigenvalues_discrete[1:]
+        if self.km.symbols is not None:
+            return lap, self.drift_symbol[1:]
         asym = float(np.max(np.abs(self.km.k_centers - self.km.k_centers.T), initial=0.0))
         if asym > _SYMMETRY_TOL:
             raise UnsupportedKernelError(
@@ -70,11 +101,11 @@ class LinearizedFamily:
                 "the Rayleigh characterization needs a symmetric kernel"
             )
         drift = self.basis.project(self.drift)[1:, 1:]
-        return np.diag(self.basis.eigenvalues_discrete[1:]), 0.5 * (drift + drift.T)
+        return lap, 0.5 * (drift + drift.T)
 
 
 def assemble_linearized(grid: Grid1D, km: KernelMatrices, mass_level: float) -> LinearizedOperator:
-    """Dense matrix of -Laplace + M div(grad K(.)) in zero-flux form."""
+    """-Laplace + M div(grad K(.)) in zero-flux form."""
     return LinearizedFamily(grid, km).at(mass_level)
 
 
@@ -96,14 +127,25 @@ def principal_eigenpair(lop: LinearizedOperator):
     mode) with the mode normalized to unit L2 norm; the weak eigenrelation
     residual in the full space is verified before returning.
     """
-    lap, drift = lop.family.reduced
-    eigvals, eigvecs = eigh(lap + lop.mass_level * drift, subset_by_index=[0, 0])
-    lam = float(eigvals[0])
-    vec = lop.family.basis.from_spectral(np.concatenate(([0.0], eigvecs[:, 0])))
-    # (S + S^T)/2 applied to vec without forming it; uniform weights make S^T the L2 adjoint
-    r = 0.5 * (lop.matrix @ vec + vec @ lop.matrix) - lam * vec
+    family, mass, basis = lop.family, lop.mass_level, lop.family.basis
+    lap, drift = family.reduced
+    if drift.ndim == 1:  # S(M) is diagonal in the modes
+        symbol = lap + mass * drift
+        k = int(np.argmin(symbol))
+        lam, vec = float(symbol[k]), basis.mode(k + 1).values
+        # S vec, with L applied by the face differences and D by its symbol
+        s_vec = -divergence(gradient(vec, lop.grid), lop.grid)
+        s_vec += mass * basis.from_spectral(family.drift_symbol * basis.to_spectral(vec))
+        r = s_vec - lam * vec
+        scale = float(np.abs(symbol).max())  # rho(S), at most ||S||_inf
+    else:
+        eigvals, eigvecs = eigh(np.diag(lap) + mass * drift, subset_by_index=[0, 0])
+        lam = float(eigvals[0])
+        vec = basis.from_spectral(np.concatenate(([0.0], eigvecs[:, 0])))
+        # (S + S^T)/2 applied to vec without forming it; uniform weights make S^T the L2 adjoint
+        r = 0.5 * (lop.matrix @ vec + vec @ lop.matrix) - lam * vec
+        scale = np.linalg.norm(lop.matrix, np.inf)
     residual = np.max(np.abs(r - r.mean()))
-    scale = np.linalg.norm(lop.matrix, np.inf)
     if residual > 1e-8 * max(scale, 1.0):
         raise UnsupportedKernelError(
             f"weak eigenrelation residual {residual:.2e} exceeds tolerance"
@@ -115,6 +157,8 @@ def compute_interaction_coefficient(km: KernelMatrices, basis: SpectralBasis) ->
     """Double integral of K against the first cosine mode in both slots."""
     if basis.grid != km.grid:
         raise GridMismatchError("basis grid does not match kernel grid")
+    if km.symbols is not None:
+        return float(km.symbols[0][1])
     w1 = basis.mode(1).values
     return float(km.grid.h**2 * (w1 @ km.k_centers @ w1))
 

@@ -21,6 +21,25 @@ from aggrestab import (
 from aggrestab.errors import FitFailureError, InvalidBracketError, InvalidParameterError
 
 
+def _direct_critical_mass(spec, grid):
+    """M* = 1/mu_max of the projected pencil (-D_r) v = mu L_r v, with L_r > 0.
+
+    D_r is the symmetric part of the dense D projected on the modes w_1..w_{n-1}.
+    """
+    family = spectral.LinearizedFamily(grid, kernel.assemble(spec, grid))
+    drift = family.basis.project(family.drift)[1:, 1:]
+    lap = np.diag(family.basis.eigenvalues_discrete[1:])
+    return 1.0 / scipy.linalg.eigh(-0.5 * (drift + drift.T), lap, eigvals_only=True)[-1]
+
+
+def _symbol_critical_mass(a, n):
+    """M*(n) = min_k lambda_k^h / (-d_k) from the Green kernel's symbols."""
+    grid = Grid1D(n)
+    km = kernel.assemble(KernelSpec.green_series(a), grid)
+    lap, drift = spectral.LinearizedFamily(grid, km).reduced
+    return float(np.min(lap / -drift))
+
+
 class TestFitRate:
     def test_recovers_synthetic_exponential(self, grid128):
         times = np.linspace(0.0, 2.0, 50)
@@ -77,15 +96,13 @@ class TestThresholdBisect:
         assert all(b <= a for a, b in zip(widths, widths[1:]))
 
     def test_matches_direct_critical_mass(self, green):
-        # M* = 1/mu_max of the projected pencil (-D_r) v = mu L_r v, with L_r > 0
         grid = Grid1D(256)
-        lap, drift = spectral.LinearizedFamily(grid, kernel.assemble(green, grid)).reduced
-        direct = 1.0 / scipy.linalg.eigh(-drift, lap, eigvals_only=True)[-1]
+        direct = _direct_critical_mass(green, grid)
         bisected = threshold_bisect(green, grid, 5.0, 20.0, tol_mass=1e-6)
         assert bisected == pytest.approx(direct, abs=1e-6)
 
     def test_mass_independent_work_done_once(self, green, monkeypatch):
-        calls = {"sample": 0, "family": 0, "project": 0}
+        calls = {}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -95,14 +112,21 @@ class TestThresholdBisect:
             return wrapper
 
         monkeypatch.setattr(kernel, "_gradk_matrix", counting("sample", kernel._gradk_matrix))
+        monkeypatch.setattr(kernel, "_values_matrix", counting("values", kernel._values_matrix))
         family = spectral.LinearizedFamily
         monkeypatch.setattr(analysis, "LinearizedFamily", counting("family", family))
         monkeypatch.setattr(SpectralBasis, "project", counting("project", SpectralBasis.project))
-        history = []
-        threshold_bisect(green, Grid1D(64), 5.0, 20.0, tol_mass=0.01, history=history)
-        assert len(history) > 10
-        # one kernel sampling, one family, and one projection of D
-        assert calls == {"sample": 1, "family": 1, "project": 1}
+        for spec, bracket, samples in [
+            # a Green kernel is its symbols: no dense sample and no projection
+            (green, (5.0, 20.0), 0),
+            # one sampling of each kind, one family, and one projection of D
+            (KernelSpec.gaussian(0.1), (0.0, 20.0), 1),
+        ]:
+            calls.update(sample=0, values=0, family=0, project=0)
+            history = []
+            threshold_bisect(spec, Grid1D(64), *bracket, tol_mass=0.01, history=history)
+            assert len(history) > 10
+            assert calls == {"sample": samples, "values": samples, "family": 1, "project": samples}
 
     def test_stops_at_float_spacing(self, green, monkeypatch):
         # a tolerance below the spacing of the bracket's floats cannot be met
@@ -123,6 +147,22 @@ class TestThresholdBisect:
         assert np.nextafter(lo, np.inf) == hi
         assert critical in (lo, hi)
         assert len(calls) == len(history) + 2
+
+    def test_symbol_critical_mass_matches_generalized_eigenvalue(self, green):
+        direct = _direct_critical_mass(green, Grid1D(256))
+        assert _symbol_critical_mass(1.0, 256) == pytest.approx(direct, rel=1e-12)
+        assert _symbol_critical_mass(1.0, 256) == pytest.approx(10.86946107936029, rel=1e-12)
+
+    def test_symbol_critical_mass_is_second_order(self):
+        errors = [_symbol_critical_mass(1.0, n) - (1.0 + math.pi**2) for n in (128, 256, 512, 1024)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine == pytest.approx(4.0, abs=0.01)
+
+    @pytest.mark.parametrize("a", [1.0, 4.0])
+    def test_richardson_critical_mass(self, a):
+        # the O(h^2) error cancels: (4 M*(2n) - M*(n)) / 3 = a + pi^2 to O(h^4)
+        extrapolated = (4.0 * _symbol_critical_mass(a, 512) - _symbol_critical_mass(a, 256)) / 3.0
+        assert abs(extrapolated - (a + math.pi**2)) <= 1e-8
 
     def test_invalid_bracket_raises(self, green):
         grid = Grid1D(64)

@@ -49,6 +49,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             RunConfig.from_file(path)
 
+    def test_rejects_removed_key(self, tmp_path):
+        from aggrestab.errors import ConfigError
+
+        text = "kernel.variant = green_series\nkernel.a = 4\nkernel.m = 4096\ngrid.n = 64\n"
+        path = write_config(tmp_path, "c.cfg", text)
+        with pytest.raises(ConfigError, match="kernel.m was removed"):
+            RunConfig.from_file(path)
+        assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == EXIT_USAGE
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, "c.cfg", GREEN_LINES + "seed = 3\n")
         config = RunConfig.from_file(path)
@@ -229,6 +238,21 @@ class TestUsageErrors:
     def test_unknown_command(self, tmp_path):
         cfg = write_config(tmp_path, "c.cfg", GREEN_LINES)
         assert main(["frobnicate", "--config", cfg]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            # (1024, 10^7 + 1) Picard states
+            ("mild-solve", GREEN_LINES.replace("64", "1024") + "mild.n_time = 10000000\n"),
+            # a 200000^2 dense kernel sample
+            ("analyze", "kernel.variant = gaussian\nkernel.sigma = 0.1\ngrid.n = 200000\n"),
+        ],
+        ids=["mild-solve", "analyze"],
+    )
+    def test_oversized_arrays_are_refused(self, tmp_path, capsys, command, text):
+        cfg = write_config(tmp_path, "c.cfg", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "the limit is 1e+08" in capsys.readouterr().err
 
     def test_config_with_bad_value(self, tmp_path):
         cfg = write_config(tmp_path, "c.cfg", "kernel.variant = green_closed_form\ngrid.n = two\n")

@@ -8,10 +8,12 @@ from aggrestab import (
     Field,
     Grid1D,
     KernelSpec,
+    SpectralBasis,
     apply,
     apply_grad,
     assemble,
     classify,
+    compute_A,
     constant_field,
     eval_grad_x,
     eval_kernel,
@@ -43,8 +45,6 @@ class TestKernelSpec:
     def test_series_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
             KernelSpec.green_series(a=-1.0)
-        with pytest.raises(InvalidParameterError):
-            KernelSpec.green_series(a=1.0, m=4)
 
     def test_tabulated_shape_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -65,13 +65,51 @@ class TestGreenKernel:
         )
 
     def test_matches_series(self):
-        series = KernelSpec.green_series(a=1.0, m=20000)
+        # G = 1/a + sum_k 2 cos(k pi x) cos(k pi y) / (a + k^2 pi^2), truncated at 20000 terms
         grid = Grid1D(32)
-        closed = assemble(KernelSpec.green_closed_form(), grid)
-        approx = assemble(series, grid)
-        # coefficient decay 1/k^2 bounds the truncation error near the diagonal
-        np.testing.assert_allclose(approx.k_centers, closed.k_centers, atol=2e-5)
-        np.testing.assert_allclose(approx.gradk_faces, closed.gradk_faces, atol=1e-5)
+        k = np.arange(1, 20001) * np.pi
+        cy = np.cos(np.outer(grid.centers, k))
+        for a in (1.0, 4.0):
+            denom = a + k**2
+            values = 1.0 / a + (cy * (2.0 / denom)) @ cy.T
+            grad = -(np.sin(np.outer(grid.faces, k)) * (2.0 * k / denom)) @ cy.T
+            closed = assemble(KernelSpec.green_series(a), grid)
+            # coefficient decay 1/k^2 bounds the truncation error near the diagonal
+            np.testing.assert_allclose(values, closed.k_centers, atol=2e-5)
+            np.testing.assert_allclose(grad, closed.gradk_faces, atol=1e-5)
+        # green_closed_form is the a = 1 member of the family
+        same = assemble(KernelSpec.green_closed_form(), grid).k_centers
+        np.testing.assert_array_equal(same, assemble(KernelSpec.green_series(1.0), grid).k_centers)
+
+    @pytest.mark.parametrize("evaluate", [eval_kernel, eval_grad_x], ids=["value", "grad"])
+    def test_broadcasts_elementwise(self, evaluate):
+        spec = KernelSpec.green_series(4.0)
+        x, y = np.array([0.1, 0.2]), np.array([0.3, 0.4])
+        pair = evaluate(spec, x, y)
+        assert pair.shape == (2,)
+        np.testing.assert_array_equal(pair, [evaluate(spec, 0.1, 0.3), evaluate(spec, 0.2, 0.4)])
+        xm, ym = np.meshgrid(x, y)
+        grid = evaluate(spec, xm, ym)
+        assert grid.shape == (2, 2)
+        for i in range(2):
+            for j in range(2):
+                assert grid[i, j] == evaluate(spec, xm[i, j], ym[i, j])
+
+    @pytest.mark.parametrize("a", [1e6, 1e-6])
+    def test_extreme_a_is_finite(self, a):
+        spec = KernelSpec.green_series(a)
+        x = np.linspace(0.0, 1.0, 11)
+        assert np.isfinite(eval_kernel(spec, x[:, None], x[None, :])).all()
+        assert np.isfinite(eval_grad_x(spec, x[:, None], x[None, :])).all()
+        km = assemble(spec, Grid1D(64))
+        assert all(np.isfinite(symbol).all() for symbol in km.symbols)
+        assert np.isfinite(l2_operator_norm(km))
+
+    def test_subnormal_a_has_finite_symbols(self):
+        # K itself overflows as 1/a, but its modes k >= 1 tend to those of -d^2/dx^2
+        km = assemble(KernelSpec.green_series(1e-320), Grid1D(64))
+        assert l2_operator_norm(km) == pytest.approx(1.0 / math.pi, rel=1e-3)
+        assert compute_A(km, SpectralBasis(km.grid)) == pytest.approx(1.0 / math.pi**2, rel=1e-3)
 
     def test_ode_residual_off_diagonal(self, green):
         # -K_xx + K = 0 away from x = y
@@ -113,6 +151,13 @@ class TestOperators:
         km = assemble(green, grid)
         dense = float(np.linalg.svd(grid.h * km.gradk_faces, compute_uv=False)[0])
         assert l2_operator_norm(km) == pytest.approx(dense, abs=1e-6)
+
+    def test_dense_sample_refused_above_limit(self):
+        km = assemble(KernelSpec.gaussian(0.1), Grid1D(200000))
+        with pytest.raises(InvalidParameterError, match="limit"):
+            km.k_centers
+        with pytest.raises(InvalidParameterError, match="limit"):
+            km.gradk_faces
 
     def test_operator_norm_zero_kernel(self):
         km = assemble(KernelSpec.zero(16), Grid1D(16))

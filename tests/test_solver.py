@@ -268,6 +268,9 @@ class TestPicardMildSolve:
             picard_mild_solve(u0, km128, -1.0)
         with pytest.raises(InvalidParameterError):
             picard_mild_solve(u0, km128, 1.0, n_time=1)
+        # (128, 10^7 + 1) states: refused before they are allocated
+        with pytest.raises(InvalidParameterError, match="limit"):
+            picard_mild_solve(u0, km128, 1.0, n_time=10**7)
 
 
 def _dense_picard_reference(u0, km, horizon, n_time, q_prime, max_iter=30, tol=1e-10):

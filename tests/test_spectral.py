@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from aggrestab import (
     bilinear_form,
     compute_A,
     compute_interaction_coefficient,
+    l2_operator_norm,
     principal_eigenpair,
     stability_verdict,
 )
@@ -103,10 +105,24 @@ class TestAgainstQRReference:
         [
             KernelSpec.green_closed_form(1.0),
             KernelSpec.gaussian(0.1),
-            KernelSpec.green_series(4.0, m=64),
+            KernelSpec.green_series(4.0),
             KernelSpec.power_law(0.5),
+            # the Green kernels take the diagonal path, the others the dense one
+            KernelSpec.green_closed_form(2.5),
+            KernelSpec.green_closed_form(-1.0),
+            KernelSpec.green_series(4.0, scale=2.5),
+            KernelSpec.green_series(4.0, scale=-1.0),
         ],
-        ids=["green", "gaussian", "green_series", "power_law"],
+        ids=[
+            "green",
+            "gaussian",
+            "green_series",
+            "power_law",
+            "green-scale2.5",
+            "green-scale-1",
+            "green_series-scale2.5",
+            "green_series-scale-1",
+        ],
     )
     def test_eigenpair_matches(self, spec, n):
         grid = Grid1D(n)
@@ -118,6 +134,40 @@ class TestAgainstQRReference:
             assert abs(eig - ref_eig) <= 1e-13 * np.linalg.norm(lop.matrix, np.inf)
             sign = math.copysign(1.0, float(mode.values @ ref_mode))
             assert np.abs(mode.values - sign * ref_mode).max() <= 1e-8
+
+
+class TestGreenSymbols:
+    """The Green symbols against the dense sample and its projection."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("scale", [1.0, 2.5, -1.0])
+    @pytest.mark.parametrize("a", [1.0, 4.0])
+    def test_match_dense_projection(self, a, scale, n):
+        grid = Grid1D(n)
+        km = assemble(KernelSpec.green_series(a, scale=scale), grid)
+        family = assemble_linearized(grid, km, 0.0).family
+        basis = family.basis
+        for projected, symbol in (
+            (grid.h * basis.project(km.k_centers), km.symbols[0]),
+            (basis.project(family.drift), family.drift_symbol),
+        ):
+            largest = np.abs(projected).max()
+            assert np.abs(projected - np.diag(np.diag(projected))).max() <= 1e-13 * largest
+            assert np.abs(np.diag(projected) - symbol).max() <= 1e-13 * largest
+        if n == 64:
+            dense = float(np.linalg.svd(grid.h * km.gradk_faces, compute_uv=False)[0])
+            assert l2_operator_norm(km) == pytest.approx(dense, rel=1e-12)
+
+    def test_large_grid_allocates_no_dense_array(self, green):
+        # one 65536 x 65536 sample would be 34 GB
+        tracemalloc.start()
+        try:
+            report = stability_verdict(green, Grid1D(65536), 12.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == VERDICT_UNSTABLE
+        assert peak < 50e6
 
 
 def test_import_leaves_scipy_fft_unloaded():
