@@ -2,8 +2,8 @@
 
 Validates aggregation kernels, computes stability/instability thresholds for
 constant states, evolves the nonlinear, perturbed and linearized dynamics with
-a mass-conservative IMEX scheme, and cross-checks against a Duhamel-Picard
-mild solver.
+a mass-conservative, second-order Strang-split scheme, and cross-checks
+against a Duhamel-Picard mild solver.
 """
 
 from .analysis import BasinProbe, RateFit, basin_probe, cross_validate, fit_rate, threshold_bisect

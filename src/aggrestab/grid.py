@@ -126,9 +126,14 @@ class SpectralBasis:
 
     def __init__(self, grid: Grid1D):
         self.grid = grid
-        k = np.arange(grid.n)
+        n = grid.n
+        k = np.arange(n)
         self.eigenvalues = (k * np.pi) ** 2
         self.eigenvalues_discrete = (2.0 / grid.h**2) * (1.0 - np.cos(k * np.pi * grid.h))
+        # the transforms' twiddle factors, functions of pi k / 2n alone
+        angle = (0.5 * np.pi / n) * k
+        self._cos, self._sin = np.cos(angle), np.sin(angle)
+        self._shift = (n / np.sqrt(2.0)) * np.exp(1j * angle[: n // 2 + 1])
 
     def mode(self, k: int) -> Field:
         if not 0 <= k < self.grid.n:
@@ -140,8 +145,7 @@ class SpectralBasis:
         """Mode coefficients of cell values, along axis 0."""
         u = _rows(u, self.grid.n, "cell array")
         n, half = self.grid.n, self.grid.n // 2 + 1
-        angle = _quarter_angles(n, u.ndim)
-        cos, sin = np.cos(angle), np.sin(angle)
+        cos, sin = _along_axis0(self._cos, u.ndim), _along_axis0(self._sin, u.ndim)
         # Makhoul's DCT-II: V = FFT of the even samples followed by the odd ones reversed,
         # c_k ~ Re(e^{-i pi k / 2n} V_k), and V_k = conj(V_{n-k}) as the samples are real
         spec = np.fft.rfft(np.concatenate((u[::2], u[1::2][::-1])), axis=0)
@@ -164,7 +168,7 @@ class SpectralBasis:
         spec *= -1j
         spec += c[:half]
         spec[0] *= np.sqrt(2.0)
-        spec *= (n / np.sqrt(2.0)) * np.exp(1j * _quarter_angles(n, c.ndim)[:half])
+        spec *= _along_axis0(self._shift, c.ndim)
         v = np.fft.irfft(spec, n, axis=0)
         u = np.empty(c.shape)
         u[::2] = v[: (n + 1) // 2]
@@ -176,6 +180,6 @@ class SpectralBasis:
         return self.to_spectral(self.to_spectral(a).T).T / self.grid.h
 
 
-def _quarter_angles(n: int, ndim: int) -> np.ndarray:
-    """pi k / 2n for k < n, shaped to act along axis 0."""
-    return (0.5 * np.pi / n) * np.arange(n).reshape((-1,) + (1,) * (ndim - 1))
+def _along_axis0(v: np.ndarray, ndim: int) -> np.ndarray:
+    """The vector v shaped to act along axis 0 of an ndim-dimensional array."""
+    return v.reshape((-1,) + (1,) * (ndim - 1))

@@ -1,11 +1,15 @@
-"""Time integration: IMEX finite-volume stepping and the Duhamel fixed point.
+"""Time integration: Strang-split finite-volume stepping and the Duhamel fixed point.
 
-The method-of-lines integrator treats diffusion implicitly (backward Euler on
-the three-point Neumann Laplacian) and the nonlocal transport explicitly with
-donor-cell upwinding, so discrete mass conservation and positivity are
-structural. The mild solver iterates the integral fixed point on the exact
-discrete cosine propagator instead, giving an independent discretization of
-the same dynamics.
+The method-of-lines integrator splits each step symmetrically (Strang): a
+half step of diffusion, applied exactly as e^{-(dt/2) L_h} on the cosine
+modes of `SpectralBasis`, then the nonlocal transport with donor-cell
+upwinding and Heun's method (SSP-RK2), then a second diffusion half step.
+The scheme is second order in time, and discrete mass conservation and
+positivity are structural: diffusion leaves the constant mode alone and
+e^{-t L_h} is nonnegative, and each Heun stage is a forward-Euler step under
+the CFL bound. Transport alone sets the automatic step. The mild solver
+iterates the integral fixed point on the same exact propagator, with its own
+treatment of the drift.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import (
     InvalidParameterError,
@@ -33,7 +36,7 @@ MODES = ("nonlinear", "perturbed", "linearized")
 _DT_EPS = 1e-30  # guards the pure-diffusion case in the CFL formula
 # evolve refuses a run that needs more steps than this, or keeps more state
 # values than MAX_STORED_VALUES; the longest default basin_probe horizon
-# (t_end = 1000, dt = 10 h^2) is 100 n^2 steps
+# (t_end = 1000 at the automatic step cap h/2) is 2000 n steps
 _MAX_STEPS = 10**8
 
 
@@ -44,7 +47,7 @@ class SimConfig:
     mode: str
     mass_level: float = 0.0
     t_end: float = 1.0
-    dt: float | None = None  # None selects the automatic CFL step
+    dt: float | None = None  # None selects the automatic step, chosen before each step
     initial: str = "constant:1.0"
     output_stride: int = 1
     seed: int = 0
@@ -147,46 +150,90 @@ def _transport_flux(state: Field, mode: str, mass_level: float, km: KernelMatric
 
 
 def auto_dt(state: Field, km: KernelMatrices, mode: str, mass_level: float) -> float:
-    """CFL step for the explicit transport, capped at 10 h^2 for accuracy."""
+    """A quarter of the CFL step of the transport at state, capped at h/2.
+
+    Diffusion is exact, so the cap keeps a step with no transport from
+    jumping across the whole run.
+    """
     _, v = _transport_flux(state, mode, mass_level, km)
+    vmax = float(np.abs(v).max())
+    if not math.isfinite(vmax):
+        raise SchemeFailureError("non-finite transport velocity: no step is admissible")
     h = km.grid.h
-    return min(h / (2.0 * np.abs(v).max() + _DT_EPS), 10.0 * h**2)
+    return min(h / (8.0 * vmax + _DT_EPS), 0.5 * h)
 
 
-def _diffusion_solve(values: np.ndarray, dt: float, h: float) -> np.ndarray:
-    n = values.shape[0]
-    r = dt / h**2
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[1, 0] = 1.0 + r
-    ab[1, -1] = 1.0 + r
-    return solveh_banded(ab, values)
-
-
-def step_imex(state: Field, dt: float, mode: str, mass_level: float, km: KernelMatrices) -> Field:
-    """One IMEX step: explicit upwind transport, implicit diffusion."""
-    if mode not in MODES:
-        raise InvalidParameterError(f"unknown mode {mode!r}")
-    if dt <= 0:
-        raise InvalidParameterError("dt must be positive")
+def _transport_stage(state: Field, dt: float, mode: str, mass_level: float, km: KernelMatrices):
+    """One forward-Euler step of the upwind transport, refused above the CFL bound."""
     flux, v = _transport_flux(state, mode, mass_level, km)
     vmax = float(np.abs(v).max())
+    if not math.isfinite(vmax):
+        raise RejectedStepError(dt, 0.0)  # no step is admissible: a NaN fails no comparison
     if vmax > 0:
         admissible = km.grid.h / (2.0 * vmax)
         if dt > admissible:
             raise RejectedStepError(dt, admissible)
-    interim = state.values - dt * divergence(flux, km.grid)
-    out = _diffusion_solve(interim, dt, km.grid.h)
-    # the solve conserves mass only to solver roundoff; pin the mean exactly
+    return Field(state.grid, state.values - dt * divergence(flux, km.grid))
+
+
+def step_imex(
+    state: Field,
+    dt: float,
+    mode: str,
+    mass_level: float,
+    km: KernelMatrices,
+    basis: SpectralBasis | None = None,
+) -> Field:
+    """One Strang step: exact half-step diffusion, Heun upwind transport, half-step diffusion.
+
+    Each Heun stage is checked against the CFL bound. Pass the grid's basis
+    to reuse it across steps.
+    """
+    if mode not in MODES:
+        raise InvalidParameterError(f"unknown mode {mode!r}")
+    if dt <= 0:
+        raise InvalidParameterError("dt must be positive")
+    basis = basis if basis is not None else SpectralBasis(state.grid)
+    half = np.exp(-0.5 * dt * basis.eigenvalues_discrete)
+    start = Field(state.grid, basis.from_spectral(half * basis.to_spectral(state.values)))
+    stage = _transport_stage(start, dt, mode, mass_level, km)
+    stage = _transport_stage(stage, dt, mode, mass_level, km)
+    out = basis.from_spectral(half * basis.to_spectral(0.5 * (start.values + stage.values)))
+    # the transforms conserve mass only to roundoff; pin the mean exactly
     out += state.values.mean() - out.mean()
     return Field(state.grid, out)
 
 
+def _auto_step(state, t, t_end, budget, mode, mass_level, km, basis):
+    """One step from t at the automatic dt, halved while a stage is rejected.
+
+    Returns the new state and its time; a step that would pass t_end ends on
+    it. Fails when dt makes no progress or would need more than budget steps.
+    """
+    dt = auto_dt(state, km, mode, mass_level)
+    while True:
+        if t + dt == t or dt * budget < t_end - t:
+            raise SchemeFailureError(f"dt={dt:g} at t={t:g} needs more than {_MAX_STEPS:.0e} steps")
+        last = t + dt >= t_end
+        try:
+            new = step_imex(state, t_end - t if last else dt, mode, mass_level, km, basis)
+            return new, t_end if last else t + dt
+        except RejectedStepError as exc:
+            if exc.admissible == 0.0:  # a non-finite velocity: no smaller step helps
+                raise
+            dt *= 0.5
+
+
 def evolve(config: SimConfig, kernel_matrices: KernelMatrices | None = None) -> Trajectory:
-    """Integrate to t_end, recording snapshots every output_stride steps."""
+    """Integrate to t_end, recording snapshots every output_stride steps.
+
+    A set dt is rounded down to t_end / (whole number of steps) and kept. The
+    automatic step is chosen from the current state before every step and
+    halved while a stage is rejected; the last step lands on t_end.
+    """
     grid = Grid1D(config.n)
     km = kernel_matrices if kernel_matrices is not None else assemble(config.kernel, grid)
+    basis = SpectralBasis(grid)
     state = initial_field(config.initial, grid, config.seed)
     if config.mode == "nonlinear":
         if state.values.min() < 0:
@@ -195,35 +242,54 @@ def evolve(config: SimConfig, kernel_matrices: KernelMatrices | None = None) -> 
         scale = max(1.0, float(np.abs(state.values).max()))
         if abs(state.mass) > 1e-10 * scale:
             raise InvalidParameterError("perturbation modes require a zero-mean initial datum")
-    dt = auto_dt(state, km, config.mode, config.mass_level) if config.dt is None else config.dt
-    steps = config.t_end / dt
-    stored = ((steps + 1) / config.output_stride + 2) * grid.n  # an upper bound
+    auto = config.dt is None
+    # an automatic run takes at least the steps of its cap h/2; a set dt, exactly its own
+    steps = config.t_end / (0.5 * grid.h if auto else config.dt)
+    stored = ((steps + 1) / config.output_stride + 2) * grid.n
     if steps > _MAX_STEPS or stored > MAX_STORED_VALUES:
         raise InvalidParameterError(
-            f"the run needs {steps:.3g} steps and keeps up to {stored:.3g} state values; "
-            f"the limits are {_MAX_STEPS:.0e} and {MAX_STORED_VALUES:.0e}"
+            f"the run needs {'at least ' if auto else ''}{steps:.3g} steps and keeps up to "
+            f"{stored:.3g} state values; the limits are {_MAX_STEPS:.0e} and {MAX_STORED_VALUES:.0e}"
         )
-    nsteps = max(1, math.ceil(steps - 1e-12))
-    dt = config.t_end / nsteps
+    if not auto:
+        nsteps = max(1, math.ceil(steps - 1e-12))
+        dt = config.t_end / nsteps
     mass0 = state.mass
     floor = -1e-12 * max(1.0, float(np.abs(state.values).max()))
     times = [0.0]
     states = [state]
-    for step in range(1, nsteps + 1):
-        state = step_imex(state, dt, config.mode, config.mass_level, km)
+    t, step, last = 0.0, 0, False
+    while not last:
+        step += 1
+        if auto:
+            state, t = _auto_step(
+                state, t, config.t_end, _MAX_STEPS - step + 1,
+                config.mode, config.mass_level, km, basis,
+            )
+            last = t == config.t_end
+        else:
+            state = step_imex(state, dt, config.mode, config.mass_level, km, basis)
+            t, last = step * dt, step == nsteps
+        if not np.isfinite(state.values).all():
+            raise SchemeFailureError(f"non-finite state at t={t:g}")
         if config.mode == "nonlinear":
             if float(state.values.min()) < floor:
                 raise SchemeFailureError(
-                    f"positivity lost at t={step * dt:g} (min {state.values.min():.3e}); "
+                    f"positivity lost at t={t:g} (min {state.values.min():.3e}); "
                     "refine dt or the grid"
                 )
             if mass0 != 0 and abs(state.mass - mass0) > 1e-12 * abs(mass0):
                 raise SchemeFailureError(
-                    f"mass drift {abs(state.mass - mass0) / abs(mass0):.3e} at t={step * dt:g}"
+                    f"mass drift {abs(state.mass - mass0) / abs(mass0):.3e} at t={t:g}"
                 )
-        if step % config.output_stride == 0 or step == nsteps:
-            times.append(step * dt)
+        if step % config.output_stride == 0 or last:
+            times.append(t)
             states.append(state)
+            if len(states) * grid.n > MAX_STORED_VALUES:
+                raise SchemeFailureError(
+                    f"the snapshots up to t={t:g} hold more than {MAX_STORED_VALUES:.0e} values; "
+                    "raise the output stride"
+                )
     return Trajectory.from_states(times, states)
 
 

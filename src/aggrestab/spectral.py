@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import GridMismatchError, InvalidParameterError, UnsupportedKernelError
-from .grid import Field, Grid1D, SpectralBasis, divergence, gradient
+from .grid import MAX_STORED_VALUES, Field, Grid1D, SpectralBasis, divergence, gradient
 from .kernel import KernelMatrices, KernelSpec, apply_grad, assemble, l2_operator_norm
 
 LAMBDA_1 = math.pi**2
@@ -37,6 +37,9 @@ VERDICT_UNSTABLE = "linearly_unstable"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 _SYMMETRY_TOL = 1e-8
+# n x n arrays the dense path holds at its peak: the kernel's value and
+# gradient samples, D, its projection, L, S(M) and a temporary
+_DENSE_ARRAYS = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,12 +58,19 @@ class LinearizedOperator:
 class LinearizedFamily:
     """S(M) = L + M D with L = -Laplace, D = div(grad K(.)) (zero flux), for any M.
 
-    The dense L and D are built when first read.
+    The dense L and D are built when first read. A kernel without symbols is
+    refused here, before anything is allocated, when the dense path would
+    hold more than MAX_STORED_VALUES values at once.
     """
 
     def __init__(self, grid: Grid1D, km: KernelMatrices):
         if km.grid != grid:
             raise GridMismatchError("kernel matrices do not match grid")
+        if km.symbols is None and _DENSE_ARRAYS * grid.n**2 > MAX_STORED_VALUES:
+            raise InvalidParameterError(
+                f"the dense stability path at n = {grid.n} holds {_DENSE_ARRAYS} n x n arrays, "
+                f"{_DENSE_ARRAYS * grid.n**2:.3g} values; the limit is {MAX_STORED_VALUES:.0e}"
+            )
         self.grid, self.km, self.basis = grid, km, SpectralBasis(grid)
 
     def at(self, mass_level: float) -> LinearizedOperator:
@@ -209,9 +219,9 @@ def stability_verdict(spec: KernelSpec, grid: Grid1D, mass_level: float) -> Stab
         raise InvalidParameterError("mass level M must be nonnegative")
     km = assemble(spec, grid)
     basis = SpectralBasis(grid)
+    lop = assemble_linearized(grid, km, mass_level)  # refuses an oversized dense path
     grad_norm = l2_operator_norm(km)
     a_coef = compute_interaction_coefficient(km, basis)
-    lop = assemble_linearized(grid, km, mass_level)
     eig, mode = principal_eigenpair(lop)
     critical = 1.0 / a_coef if a_coef > 0 else math.inf
     bound = math.sqrt(LAMBDA_1) / grad_norm if grad_norm > 0 else math.inf

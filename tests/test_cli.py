@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aggrestab import Grid1D, KernelSpec, assemble, save_tabulated_csv
+from aggrestab import Grid1D, KernelSpec, assemble, save_tabulated_csv, solver
 from aggrestab.cli import (
     EXIT_BAD_KERNEL,
     EXIT_OK,
@@ -184,10 +184,55 @@ class TestCommands:
             "c.cfg",
             GREEN_LINES
             + "sim.mode = nonlinear\nsim.M = 5\nsim.t_end = 1\nsim.dt = 0.5\n"
-            + "sim.initial = constant_plus_mode:5,0.05,1\n",
+            # the first Heun stage breaks the CFL bound h / (2 max|v|)
+            + "sim.initial = constant_plus_mode:5,3,1\n",
         )
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == EXIT_SCHEME
+
+    @pytest.mark.parametrize("dt", ["auto", "0.001"])
+    def test_simulate_nan_velocity_is_scheme_failure(self, tmp_path, monkeypatch, capsys, dt):
+        # a NaN velocity fails the stage's CFL check instead of passing it
+        monkeypatch.setattr(solver, "apply_grad", lambda km, u: np.full(km.grid.n + 1, np.nan))
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            GREEN_LINES + f"sim.M = 5\nsim.dt = {dt}\nsim.initial = constant_plus_mode:5,0.5,1\n",
+        )
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_SCHEME
+        assert "scheme failure" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("dt", ["auto", "0.001"])
+    def test_simulate_non_finite_state_is_scheme_failure(self, tmp_path, monkeypatch, capsys, dt):
+        # an admissible velocity, but the linearized flux M v overflows
+        monkeypatch.setattr(solver, "apply_grad", lambda km, u: np.full(km.grid.n + 1, 2.0))
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            GREEN_LINES
+            + f"sim.mode = linearized\nsim.M = 1e308\nsim.dt = {dt}\n"
+            + "sim.initial = constant_plus_mode:0,0.5,1\n",
+        )
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_SCHEME
+        assert "non-finite state" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_simulate_auto_run_limits(self, tmp_path, monkeypatch):
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            GREEN_LINES + "sim.M = 30\nsim.t_end = 0.5\nsim.initial = constant_plus_mode:30,0.3,1\n",
+        )
+        # the step cap h/2 alone needs 64 steps: refused before the first one
+        monkeypatch.setattr(solver, "_MAX_STEPS", 50)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == EXIT_USAGE
+        # past threshold the automatic step falls below h/2, and the run needs more
+        monkeypatch.setattr(solver, "_MAX_STEPS", 1000)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_SCHEME
 
     @pytest.mark.parametrize(
         "command, line",
@@ -246,8 +291,11 @@ class TestUsageErrors:
             ("mild-solve", GREEN_LINES.replace("64", "1024") + "mild.n_time = 10000000\n"),
             # a 200000^2 dense kernel sample
             ("analyze", "kernel.variant = gaussian\nkernel.sigma = 0.1\ngrid.n = 200000\n"),
+            # one 6000^2 sample fits, the seven n x n arrays of the dense path do not
+            ("analyze", "kernel.variant = gaussian\nkernel.sigma = 0.1\ngrid.n = 6000\n"),
+            ("threshold", "kernel.variant = gaussian\nkernel.sigma = 0.1\ngrid.n = 6000\n"),
         ],
-        ids=["mild-solve", "analyze"],
+        ids=["mild-solve", "analyze", "analyze-dense-path", "threshold-dense-path"],
     )
     def test_oversized_arrays_are_refused(self, tmp_path, capsys, command, text):
         cfg = write_config(tmp_path, "c.cfg", text)

@@ -27,6 +27,7 @@ from aggrestab.errors import (
     NoExistenceTimeError,
     NonContractionError,
     RejectedStepError,
+    SchemeFailureError,
 )
 
 
@@ -96,7 +97,7 @@ class TestStepImex:
         dt = 1e-3
         out = step_imex(u, dt, "linearized", 0.0, km)
         lam = basis.eigenvalues_discrete[1]
-        expected = 1.0 + 0.1 * basis.mode(1).values / (1.0 + dt * lam)
+        expected = 1.0 + 0.1 * basis.mode(1).values * math.exp(-lam * dt)
         np.testing.assert_allclose(out.values, expected, atol=1e-12)
 
 
@@ -162,6 +163,93 @@ class TestEvolve:
         traj = evolve(config)
         assert np.abs(traj.mass - traj.mass[0]).max() <= 1e-12 * traj.mass[0]
         assert traj.min_value.min() >= -1e-12
+
+    def test_second_order_in_time(self, green):
+        def run(steps):
+            config = SimConfig(
+                n=64,
+                kernel=green,
+                mode="nonlinear",
+                mass_level=8.0,
+                t_end=0.5,
+                dt=0.5 / steps,
+                initial="constant_plus_mode:8,2,1",
+                output_stride=10**9,
+            )
+            return evolve(config).snapshots[-1].values
+
+        reference = run(4096)
+        coarse, fine = (float(np.abs(run(k) - reference).max()) for k in (128, 256))
+        assert coarse / fine == pytest.approx(4.0, abs=0.5)
+
+    @pytest.mark.parametrize("mass, t_end", [(30.0, 0.5), (80.0, 0.25)])
+    def test_past_threshold_runs_reach_t_end(self, green, mass, t_end):
+        config = SimConfig(
+            n=64,
+            kernel=green,
+            mode="nonlinear",
+            mass_level=mass,
+            t_end=t_end,
+            initial=f"constant_plus_mode:{mass},{0.01 * mass},1",
+            output_stride=100,
+        )
+        traj = evolve(config)
+        assert traj.times[-1] == t_end
+        assert np.abs(traj.mass - traj.mass[0]).max() <= 1e-12 * traj.mass[0]
+        assert traj.min_value.min() >= -1e-12
+        assert traj.linf[-1] > 10.0 * mass  # the mass has aggregated into a peak
+
+    def test_linearized_run_takes_order_n_steps(self, green):
+        n, t_end = 256, 1.0
+        config = SimConfig(
+            n=n,
+            kernel=green,
+            mode="linearized",
+            mass_level=5.0,
+            t_end=t_end,
+            initial="constant_plus_mode:0,0.01,1",
+        )
+        traj = evolve(config)
+        assert len(traj.times) - 1 <= 2 * n * t_end + 2
+        assert traj.times[-1] == t_end
+
+    def test_rejected_auto_step_is_halved(self, green, monkeypatch):
+        # an automatic step far above the CFL bound is halved until each stage is admissible
+        monkeypatch.setattr(solver, "auto_dt", lambda *args: 0.1)
+        config = SimConfig(
+            n=64, kernel=green, mode="nonlinear", mass_level=5.0, t_end=0.1,
+            initial="constant_plus_mode:5,3,1",
+        )
+        traj = evolve(config)
+        assert traj.times[-1] == 0.1
+        assert np.diff(traj.times).max() < 0.1
+        assert traj.min_value.min() >= -1e-12
+
+    def test_refuses_unbounded_auto_runs_before_stepping(self, green, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("stepped a run that should be refused")
+
+        monkeypatch.setattr(solver, "step_imex", no_step)
+        # at n = 64 and t_end = 1 even the step cap h/2 needs 128 steps
+        monkeypatch.setattr(solver, "_MAX_STEPS", 100)
+        config = SimConfig(n=64, kernel=green, mode="nonlinear")
+        with pytest.raises(InvalidParameterError, match="limit"):
+            evolve(config)
+        monkeypatch.setattr(solver, "_MAX_STEPS", 10**8)
+        monkeypatch.setattr(solver, "MAX_STORED_VALUES", 64 * 100)
+        with pytest.raises(InvalidParameterError, match="limit"):
+            evolve(config)
+
+    def test_auto_run_past_the_stored_limit_is_scheme_failure(self, green, monkeypatch):
+        # past threshold the velocity grows and the step falls well below h/2
+        config = SimConfig(
+            n=64, kernel=green, mode="nonlinear", mass_level=30.0, t_end=0.5,
+            initial="constant_plus_mode:30,0.3,1",
+        )
+        # the 66 states stored at the cap h/2 pass the check before stepping
+        monkeypatch.setattr(solver, "MAX_STORED_VALUES", 64 * 1000)
+        with pytest.raises(SchemeFailureError, match="snapshots"):
+            evolve(config)
 
 
 class TestHeatSemigroup:

@@ -22,6 +22,7 @@ from aggrestab import (
     principal_eigenpair,
     stability_verdict,
 )
+from aggrestab import spectral
 from aggrestab.errors import GridMismatchError, InvalidParameterError, UnsupportedKernelError
 from aggrestab.spectral import VERDICT_INCONCLUSIVE, VERDICT_STABLE, VERDICT_UNSTABLE
 
@@ -230,3 +231,25 @@ class TestStabilityVerdict:
 
     def test_lambda1_constant(self):
         assert LAMBDA_1 == pytest.approx(math.pi**2)
+
+    def test_dense_path_peak_is_counted(self):
+        # the refusal below counts _DENSE_ARRAYS n x n arrays; one spare covers O(n) work
+        n = 512
+        tracemalloc.start()
+        try:
+            stability_verdict(KernelSpec.gaussian(0.1), Grid1D(n), 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (spectral._DENSE_ARRAYS + 1) * 8 * n**2
+
+    def test_oversized_dense_path_refused_before_allocating(self):
+        # one 6000 x 6000 sample is below the limit, the dense path's seven arrays are not
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError, match="the limit is 1e\\+08"):
+                stability_verdict(KernelSpec.gaussian(0.1), Grid1D(6000), 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
