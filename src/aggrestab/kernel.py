@@ -10,6 +10,12 @@ A Green kernel is diagonal in the cosine modes of `SpectralBasis`: at cell
 centers and faces every mode above n aliases onto a DCT mode, so its
 integral operator and its gradient have exact O(n) symbols and need no
 n x n sample.
+
+The mixed gradient norms are estimated on a refinement ladder in O(n) work
+and memory per level: Gaussian and power-law gradients depend on x - y alone,
+so each row and column sum of |grad K|^q' is a window of 2n offset samples;
+the Green gradient is separable on each side of the diagonal, so its sums are
+geometric scans. Only a tabulated kernel is read as a dense table.
 """
 
 from __future__ import annotations
@@ -184,11 +190,32 @@ def _green(a, x, y):
     return num / (2.0 * s * -math.expm1(-2.0 * s))
 
 
+def _green_p(s, x):
+    """sinh(s x) e^{-s x} / (sinh(s) e^{-s}), in [0, 1]."""
+    return np.expm1(-2.0 * s * x) / math.expm1(-2.0 * s)
+
+
+def _green_q(s, y):
+    """cosh(s (1 - y)) e^{-s (1 - y)}, in [1/2, 1]."""
+    return 0.5 * (1.0 + np.exp(-2.0 * s * (1.0 - y)))
+
+
 def _green_dx(a, x, y):
-    """x-derivative of `_green`; the average of the one-sided ones at x = y."""
-    s, d = math.sqrt(a), np.abs(x - y)
-    jump = np.sign(y - x) * (np.exp(-s * d) - np.exp(-s * (2 - d)))
-    return (jump - np.exp(-s * (x + y)) + np.exp(-s * (2 - x - y))) / (2.0 * -math.expm1(-2.0 * s))
+    """x-derivative of `_green`; the average of the one-sided ones at x = y.
+
+    For x < y it is sinh(s x) cosh(s (1 - y)) / sinh s = e^{-s (y - x)} p(x) q(y)
+    with s = sqrt(a); for x > y the mirror (x, y) -> (1 - x, 1 - y) with a minus
+    sign. Every factor lies in [0, 1] and off the diagonal only one side's term
+    is nonzero, so nothing cancels as a -> 0 and nothing overflows.
+    """
+    s = math.sqrt(a)
+    w = 0.5 * (1.0 + np.sign(y - x))  # 1 for x < y, 0 for x > y, 1/2 at x = y
+    # built in place, so a dense (n+1) x n sample peaks at four such arrays
+    out = w * _green_p(s, x) * _green_q(s, y)
+    out -= (1.0 - w) * _green_p(s, 1.0 - x) * _green_q(s, 1.0 - y)
+    del w
+    out *= np.exp(-s * np.abs(x - y))
+    return out
 
 
 def _green_symbols(spec: KernelSpec, grid: Grid1D) -> tuple:
@@ -331,13 +358,76 @@ def l2_operator_norm(km: KernelMatrices) -> float:
     raise ConvergenceError(f"power iteration did not converge in {_POWER_MAX_ITER} iterations")
 
 
+def _mixed_norm(row_sums, col_sums, h: float, q_prime: float) -> float:
+    """sup_x (h sum_y |grad K|^q')^(1/q') plus the same over y, from the sums."""
+    sups = (float(np.max(h * sums, initial=0.0)) for sums in (row_sums, col_sums))
+    return sum(sup ** (1.0 / q_prime) for sup in sups)
+
+
 def _norm_value(gk: np.ndarray, h: float, q_prime: float) -> float:
     """Mixed norm of one sampled |grad K| (faces x centers) at cell width h."""
     if np.isinf(q_prime):
         return 2.0 * float(gk.max(initial=0.0))
-    sup_x = float(np.max((h * np.sum(gk**q_prime, axis=1)) ** (1.0 / q_prime), initial=0.0))
-    sup_y = float(np.max((h * np.sum(gk**q_prime, axis=0)) ** (1.0 / q_prime), initial=0.0))
-    return sup_x + sup_y
+    powered = gk**q_prime
+    return _mixed_norm(powered.sum(axis=1), powered.sum(axis=0), h, q_prime)
+
+
+def _window_norm(g: np.ndarray, h: float, q_prime: float) -> float:
+    """`_norm_value` of a level whose |grad K| at (face f, center j) is g[f - j + n - 1].
+
+    Row f sums the window g[f : f + n] and column j the window
+    g[n - 1 - j : 2n - j]; one cumulative sum gives them all. Every window
+    spans offsets of length 1 across the diagonal, so it holds a sizable share
+    of the whole sum and differences of the cumulative sum keep their digits.
+    """
+    n = g.size // 2
+    if np.isinf(q_prime):
+        return 2.0 * float(g.max())
+    c = np.concatenate(([0.0], np.cumsum(g**q_prime)))
+    return _mixed_norm(c[n:] - c[: n + 1], c[n + 1 :] - c[:n], h, q_prime)
+
+
+def _decay_sum(v: np.ndarray, c: float) -> np.ndarray:
+    """out_i = sum_{k >= 0} e^{-c k} v_{i+k} by doubling: log2(len) vector passes."""
+    out, k = v.copy(), 1
+    while k < out.size:
+        out[:-k] += math.exp(-c * k) * out[k:]
+        k *= 2
+    return out
+
+
+def _green_norm(spec: KernelSpec, grid: Grid1D, q_prime: float) -> float:
+    """`_norm_value` of the Green kernel on the grid without its (n+1) x n sample.
+
+    |dG/dx| at (x_f, y_j) is e^{-s |x_f - y_j|} p_f q_j for x_f < y_j and the
+    mirror p_{n-f} q_{n-1-j} otherwise (see `_green_dx`). Row f then sums to
+    e^{-q' s h/2} (a_f + a_{n-f}) with a_f = p_f^q' sum_{j >= f} r^{j-f} q_j^q'
+    and r = e^{-q' s h}, and column j to e^{-q' s h/2} (b_j + b_{n-1-j}) with
+    b_j = q_j^q' sum_{f <= j} r^{j-f} p_f^q'. For q' = inf, |dG/dx| grows
+    towards the diagonal on both sides, so its maximum is at a face next to
+    it, where the two sides mirror each other: e^{-s h/2} max_j p_j q_j.
+    """
+    s, h = math.sqrt(spec.a), grid.h
+    p, q = _green_p(s, grid.faces), _green_q(s, grid.centers)
+    edge = abs(spec.scale) * math.exp(-0.5 * s * h)
+    if np.isinf(q_prime):
+        return 2.0 * edge * float(np.max(p[:-1] * q))
+    pq, qq = p**q_prime, q**q_prime
+    rows = pq * np.append(_decay_sum(qq, q_prime * s * h), 0.0)
+    cols = qq * _decay_sum(pq[-2::-1], q_prime * s * h)[::-1]
+    return edge * _mixed_norm(rows + rows[::-1], cols + cols[::-1], h, q_prime)
+
+
+def _level_norms(spec: KernelSpec, n: int, q_primes) -> list:
+    """The mixed norm of every q' at level n; only a tabulated kernel is read densely."""
+    grid = Grid1D(n)
+    if spec.variant == "tabulated":
+        gk = np.abs(_gradk_matrix(spec, grid))
+        return [_norm_value(gk, grid.h, q) for q in q_primes]
+    if spec.variant in _GREEN:
+        return [_green_norm(spec, grid, q) for q in q_primes]
+    g = np.abs(eval_grad_x(spec, (np.arange(2 * n) - (n - 0.5)) * grid.h, 0.0))
+    return [_window_norm(g, grid.h, q) for q in q_primes]
 
 
 def _estimate(q_prime: float, trend: tuple) -> KernelNormEstimate:
@@ -357,7 +447,7 @@ def _estimate(q_prime: float, trend: tuple) -> KernelNormEstimate:
 
 
 def _norm_ladder(spec: KernelSpec, q_primes, levels=None) -> dict:
-    """Norm estimates for every q' in q_primes from one sampling of each level."""
+    """Norm estimates for every q' in q_primes, one `_level_norms` per level."""
     for q in q_primes:
         if not q >= 1:  # written so that NaN fails too
             raise InvalidParameterError(f"q' must be in [1, inf], got {q}")
@@ -369,11 +459,8 @@ def _norm_ladder(spec: KernelSpec, q_primes, levels=None) -> dict:
         raise InvalidParameterError("refinement levels must be strictly increasing")
     trends = {q: [] for q in q_primes}
     for n in levels:
-        grid = Grid1D(n)
-        gk = np.abs(_gradk_matrix(spec, grid))
-        for q, trend in trends.items():
-            trend.append((n, _norm_value(gk, grid.h, q)))
-        del gk  # one sampled level alive at a time
+        for (q, trend), value in zip(trends.items(), _level_norms(spec, n, trends)):
+            trend.append((n, value))
     return {q: _estimate(q, tuple(trend)) for q, trend in trends.items()}
 
 
@@ -382,7 +469,9 @@ def norm_inf_qprime(spec: KernelSpec, q_prime: float, levels=None) -> KernelNorm
 
     Computed on each refinement level; the trend's log-log slope over the
     finest pair of levels decides the verdict: a persistent power-law growth
-    marks the norm as infinite.
+    marks the norm as infinite. A built-in kernel's level costs O(n): window
+    sums of 2n offset samples (Gaussian, power law) or decaying scans of the
+    separable Green factors. A tabulated kernel's one level is its dense table.
     """
     return _norm_ladder(spec, (q_prime,), levels)[q_prime]
 

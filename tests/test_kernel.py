@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,21 @@ class TestGreenKernel:
         assert all(np.isfinite(symbol).all() for symbol in km.symbols)
         assert np.isfinite(l2_operator_norm(km))
 
+    @pytest.mark.parametrize("a", [1.0, 4.0, 1e-6, 1e-14, 1e-20, 1e-300])
+    def test_gradient_keeps_its_digits(self, a):
+        # sinh(s x) cosh(s (1 - y)) / sinh s for x < y, the mirror with a minus sign
+        # for x > y, and their average sinh(s (2x - 1)) / (2 sinh s) at x = y: all
+        # free of cancellation for a <= 4
+        s = math.sqrt(a)
+        x = np.arange(1, 16, 2) / 16.0  # 1 - x and 2x - 1 exact, and 2x - 1 != 0
+        xx, yy = x[:, None], x[None, :]
+        below = np.sinh(s * xx) * np.cosh(s * (1 - yy)) / np.sinh(s)
+        above = -np.sinh(s * (1 - xx)) * np.cosh(s * yy) / np.sinh(s)
+        on = 0.5 * np.sinh(s * (2 * xx - 1)) / np.sinh(s)
+        expected = np.where(xx < yy, below, np.where(xx > yy, above, on))
+        grad = eval_grad_x(KernelSpec.green_series(a), xx, yy)
+        np.testing.assert_allclose(grad, expected, rtol=1e-14, atol=0)
+
     def test_subnormal_a_has_finite_symbols(self):
         # K itself overflows as 1/a, but its modes k >= 1 tend to those of -d^2/dx^2
         km = assemble(KernelSpec.green_series(1e-320), Grid1D(64))
@@ -198,6 +214,51 @@ class TestNormEstimates:
         assert norm_inf_qprime(spec, 4.0, levels).verdict == "divergent"
         assert norm_inf_qprime(spec, 1.5, levels).verdict == "finite"
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(KernelSpec.power_law(0.5), id="power_law-0.5"),
+            pytest.param(KernelSpec.power_law(0.9), id="power_law-0.9"),
+            pytest.param(KernelSpec.power_law(1.5, delta=0.01), id="power_law-1.5-delta"),
+            pytest.param(KernelSpec.gaussian(0.1), id="gaussian-0.1"),
+            pytest.param(KernelSpec.gaussian(0.01), id="gaussian-0.01"),
+            *(
+                pytest.param(KernelSpec.green_series(a, scale), id=f"green-{a:g}-scale{scale:g}")
+                for a in (1.0, 4.0, 1e6, 1e-6)
+                for scale in (1.0, -2.5)
+            ),
+        ],
+    )
+    def test_structured_levels_match_dense(self, spec):
+        # window sums near the power-law singularity and the Green scans against
+        # the sum over the dense (n+1) x n sample
+        q_primes = (*kernel.CLASSIFY_QPRIMES, 3.0)
+        for n in (64, 128, 256, 512, 1024, 2048):
+            gk = np.abs(kernel._gradk_matrix(spec, Grid1D(n)))
+            dense = [kernel._norm_value(gk, 1.0 / n, q) for q in q_primes]
+            np.testing.assert_allclose(kernel._level_norms(spec, n, q_primes), dense, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        # alpha = 0.6 keeps the critical q' = 1/alpha off the probe exponents; at
+        # alpha = 0.5, q' = 2 diverges like log n and its verdict moves with the finest level
+        [KernelSpec.green_closed_form(), KernelSpec.power_law(0.6), KernelSpec.gaussian(0.1)],
+        ids=["green", "power_law", "gaussian"],
+    )
+    def test_fine_ladder_stays_small(self, spec):
+        # one dense level at n = 65536 would hold 34 GB
+        tracemalloc.start()
+        try:
+            fine = kernel._norm_ladder(spec, kernel.CLASSIFY_QPRIMES, [2**k for k in range(6, 17)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        default = kernel._norm_ladder(spec, kernel.CLASSIFY_QPRIMES)
+        assert [fine[q].verdict for q in kernel.CLASSIFY_QPRIMES] == [
+            default[q].verdict for q in kernel.CLASSIFY_QPRIMES
+        ]
+
     def test_classification_green(self, green):
         cls = classify(green, levels=(64, 128, 256, 512))
         assert cls.category == "mildly_singular"
@@ -244,9 +305,18 @@ class TestValidation:
             return original(spec, grid)
 
         monkeypatch.setattr(kernel, "_gradk_matrix", counting)
-        validate_assumptions(green, Grid1D(64), tol=1e-6, q_primes=(np.inf, 2.0, 1.0))
-        # the assemble on the grid, then one sampling per ladder level
-        assert sampled == [64, 64, 128, 256, 512, 1024, 2048]
+        q_primes = (np.inf, 2.0, 1.0)
+        for spec in (green, KernelSpec.power_law(0.5), KernelSpec.gaussian(0.1)):
+            sampled.clear()
+            validate_assumptions(spec, Grid1D(64), tol=1e-6, q_primes=q_primes)
+            # the assemble on the grid alone: no ladder level needs a dense sample
+            assert sampled == [64]
+        km = assemble(green, Grid1D(16))
+        table = KernelSpec.tabulated(km.k_centers, km.gradk_faces)
+        sampled.clear()
+        validate_assumptions(table, Grid1D(16), tol=1e-6, q_primes=q_primes)
+        # the assemble, then the table as the ladder's only level
+        assert sampled == [16, 16]
 
 
 class TestTabulatedRoundTrip:
