@@ -191,12 +191,12 @@ def cross_validate(
     basis = SpectralBasis(grid)
     mild = picard_mild_solve(u0, km, horizon, n_time=n_time)
     dt_grid = horizon / n_time
-    state = u0
+    u = u0.values
     gap = 0.0
     for idx in range(1, n_time + 1):
         # equal substeps per mild output time, none longer than the automatic step
-        sub = max(1, math.ceil(dt_grid / auto_dt(state, km, "nonlinear", 0.0)))
+        sub = max(1, math.ceil(dt_grid / auto_dt(u, km)))
         for _ in range(sub):
-            state = step_imex(state, dt_grid / sub, "nonlinear", 0.0, km, basis)
-        gap = max(gap, float(np.abs(state.values - mild.trajectory.snapshots[idx].values).max()))
+            u = step_imex(u, dt_grid / sub, "nonlinear", 0.0, km, basis)
+        gap = max(gap, float(np.abs(u - mild.trajectory.snapshots[idx]).max()))
     return gap

@@ -48,7 +48,6 @@ _KNOWN_KEYS = {
     "kernel.variant",
     "kernel.a",
     "kernel.sigma",
-    "kernel.normalization",
     "kernel.alpha",
     "kernel.delta",
     "kernel.scale",
@@ -81,6 +80,8 @@ _KNOWN_KEYS = {
 _REMOVED_KEYS = {
     "kernel.m": "kernel.m was removed: the Green kernel is exact for every a, with no series "
     "to truncate",
+    "kernel.normalization": "kernel.normalization was removed: kernel.scale multiplies every "
+    "kernel, the Gaussian too",
 }
 
 
@@ -182,11 +183,7 @@ class RunConfig:
         if variant == "green_series":
             return KernelSpec.green_series(self.get_float("kernel.a", positive=True), scale=scale)
         if variant == "gaussian":
-            return KernelSpec.gaussian(
-                self.get_float("kernel.sigma", positive=True),
-                normalization=self.get_float("kernel.normalization", default=1.0),
-                scale=scale,
-            )
+            return KernelSpec.gaussian(self.get_float("kernel.sigma", positive=True), scale=scale)
         if variant == "power_law_gradient":
             return KernelSpec.power_law(
                 self.get_float("kernel.alpha", positive=True),
@@ -272,9 +269,8 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     if config.get("sim.snapshots", "false").lower() in ("true", "1", "yes"):
         header = "x," + ",".join(f"t={_fmt(t)}" for t in traj.times)
         lines = [header]
-        for i in range(grid.n):
-            cells = [_fmt(grid.centers[i])] + [_fmt(s.values[i]) for s in traj.snapshots]
-            lines.append(",".join(cells))
+        for x, column in zip(grid.centers, traj.snapshots.T):
+            lines.append(",".join(_fmt(v) for v in (x, *column)))
         (out_dir / "snapshots.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -118,17 +118,15 @@ class SpectralBasis:
     Mode coefficients c_k = h sum_i u_i w_k(x_i) are sqrt(h) times the
     orthonormal DCT-II of u; every change of basis goes through that transform,
     computed with NumPy's FFT (scipy.fft would load scipy.special, about 5 MB).
-    Continuum eigenvalues are (k pi)^2; the matching eigenvalues of the
-    three-point discrete Neumann Laplacian are (2/h^2)(1 - cos(k pi h)).
-    Both are exposed: thresholds use the continuum values, time evolution
-    the discrete ones.
+    The eigenvalues of the three-point discrete Neumann Laplacian are
+    (2/h^2)(1 - cos(k pi h)), below the continuum (k pi)^2; time evolution
+    uses them, and the stability thresholds the continuum LAMBDA_1 = pi^2.
     """
 
     def __init__(self, grid: Grid1D):
         self.grid = grid
         n = grid.n
         k = np.arange(n)
-        self.eigenvalues = (k * np.pi) ** 2
         self.eigenvalues_discrete = (2.0 / grid.h**2) * (1.0 - np.cos(k * np.pi * grid.h))
         # the transforms' twiddle factors, functions of pi k / 2n alone
         angle = (0.5 * np.pi / n) * k

@@ -11,11 +11,15 @@ centers and faces every mode above n aliases onto a DCT mode, so its
 integral operator and its gradient have exact O(n) symbols and need no
 n x n sample.
 
+The kernel actions `apply` and `apply_grad` take cell values along axis 0,
+of shape (n,) or (n, m), as `grid`'s operators do, and return arrays.
+
 The mixed gradient norms are estimated on a refinement ladder in O(n) work
 and memory per level: Gaussian and power-law gradients depend on x - y alone,
 so each row and column sum of |grad K|^q' is a window of 2n offset samples;
 the Green gradient is separable on each side of the diagonal, so its sums are
-geometric scans. Only a tabulated kernel is read as a dense table.
+geometric scans. Only a tabulated kernel is read as a dense table. A ladder
+is refined until it resolves the kernel's length scale.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
     KernelLoadError,
     SingularityError,
 )
-from .grid import MAX_STORED_VALUES, Field, Grid1D
+from .grid import MAX_STORED_VALUES, Grid1D, _rows
 
 # the two Green variants are one family: green_closed_form is a = 1
 _GREEN = ("green_closed_form", "green_series")
@@ -48,8 +52,15 @@ CLASSIFY_QPRIMES = (np.inf, 4.0, 2.0, 1.5, 1.1, 1.0)
 _SLOPE_FINITE = 0.05
 _SLOPE_DIVERGENT = 0.15
 
-# relative change of the singular value that stops the power iteration
-_POWER_TOL = 1e-8
+# a ladder for a kernel of length scale l is extended by doubling until its
+# finest level has n l >= _RESOLVED_CELLS, but past no level above _MAX_LEVEL
+_RESOLVED_CELLS = 32
+_MAX_LEVEL = 2**20
+
+# the block power iteration: its width, and the relative change of the
+# singular value that stops it
+_POWER_BLOCK = 8
+_POWER_TOL = 1e-12
 _POWER_MAX_ITER = 10000
 
 
@@ -60,7 +71,6 @@ class KernelSpec:
     variant: str
     a: float = 1.0
     sigma: float = 0.1
-    normalization: float = 1.0
     alpha: float = 0.5
     delta: float = 0.0
     table_values: np.ndarray | None = None
@@ -101,8 +111,8 @@ class KernelSpec:
         return cls("green_series", a=float(a), scale=scale)
 
     @classmethod
-    def gaussian(cls, sigma, normalization=1.0, scale=1.0):
-        return cls("gaussian", sigma=float(sigma), normalization=float(normalization), scale=scale)
+    def gaussian(cls, sigma, scale=1.0):
+        return cls("gaussian", sigma=float(sigma), scale=scale)
 
     @classmethod
     def power_law(cls, alpha, delta=0.0, scale=1.0):
@@ -255,7 +265,7 @@ def eval_kernel(spec: KernelSpec, x, y):
     if spec.variant in _GREEN:
         out = _green(spec.a, x, y)
     elif spec.variant == "gaussian":
-        out = spec.normalization * np.exp(-((x - y) ** 2) / (2.0 * spec.sigma**2))
+        out = np.exp(-((x - y) ** 2) / (2.0 * spec.sigma**2))
     elif spec.variant == "power_law_gradient":
         out = _power_law_value(spec, np.abs(x - y))
     else:
@@ -270,9 +280,7 @@ def eval_grad_x(spec: KernelSpec, x, y):
     if spec.variant in _GREEN:
         out = _green_dx(spec.a, x, y)
     elif spec.variant == "gaussian":
-        out = -spec.normalization * (x - y) / spec.sigma**2 * np.exp(
-            -((x - y) ** 2) / (2.0 * spec.sigma**2)
-        )
+        out = -(x - y) / spec.sigma**2 * np.exp(-((x - y) ** 2) / (2.0 * spec.sigma**2))
     elif spec.variant == "power_law_gradient":
         r = np.abs(x - y)
         if spec.delta == 0 and np.any(r == 0):
@@ -312,18 +320,14 @@ def assemble(spec: KernelSpec, grid: Grid1D) -> KernelMatrices:
     return KernelMatrices(spec, grid)
 
 
-def apply(km: KernelMatrices, u: Field) -> Field:
-    """Integral operator: result_i = h sum_j K(x_i, y_j) u_j."""
-    if u.grid != km.grid:
-        raise GridMismatchError("field grid does not match kernel grid")
-    return Field(km.grid, km.grid.h * (km.k_centers @ u.values))
+def apply(km: KernelMatrices, u) -> np.ndarray:
+    """Integral operator on cell values along axis 0: result_i = h sum_j K(x_i, y_j) u_j."""
+    return km.grid.h * (km.k_centers @ _rows(u, km.grid.n, "cell array"))
 
 
-def apply_grad(km: KernelMatrices, u: Field) -> np.ndarray:
-    """Gradient of the integral operator, sampled at faces."""
-    if u.grid != km.grid:
-        raise GridMismatchError("field grid does not match kernel grid")
-    return km.grid.h * (km.gradk_faces @ u.values)
+def apply_grad(km: KernelMatrices, u) -> np.ndarray:
+    """Gradient of the integral operator on cell values along axis 0, sampled at faces."""
+    return km.grid.h * (km.gradk_faces @ _rows(u, km.grid.n, "cell array"))
 
 
 def hilbert_schmidt_grad_norm(km: KernelMatrices) -> float:
@@ -334,27 +338,28 @@ def hilbert_schmidt_grad_norm(km: KernelMatrices) -> float:
 def l2_operator_norm(km: KernelMatrices) -> float:
     """Largest singular value of u -> grad K(u) between L^2 spaces.
 
-    For a Green kernel it is max_k |t_k|. Otherwise power iteration on the
-    composed map (adjoint . map) from a seeded random start vector; with
-    uniform quadrature weight h on both sides this is the Euclidean spectral
-    norm of h * gradk_faces.
+    For a Green kernel it is max_k |t_k|. Otherwise block power iteration on
+    the composed map (adjoint . map) from a seeded random orthonormal block V,
+    with a Rayleigh-Ritz step: the estimate is the largest singular value of
+    A V, and the next block is the QR factor of A^T (A V). The top singular
+    values of the other kernels come in near-equal pairs, which stall a
+    single vector. With uniform quadrature weight h on both sides this is the
+    Euclidean spectral norm of A = h * gradk_faces.
     """
     if km.symbols is not None:
         return float(np.abs(km.symbols[1]).max())
     a = km.grid.h * km.gradk_faces
-    v = np.random.default_rng(0).standard_normal(km.grid.n)
-    v /= np.linalg.norm(v)
+    v = np.linalg.qr(np.random.default_rng(0).standard_normal((km.grid.n, _POWER_BLOCK)))[0]
     sigma_prev = -1.0
     for _ in range(_POWER_MAX_ITER):
-        w = a.T @ (a @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
+        w = a @ v
+        sigma = float(np.linalg.svd(w, compute_uv=False)[0])
+        if sigma == 0:
             return 0.0
-        sigma = math.sqrt(nw)
-        v = w / nw
-        if abs(sigma - sigma_prev) <= _POWER_TOL * max(sigma, 1e-300):
+        if abs(sigma - sigma_prev) <= _POWER_TOL * sigma:
             return sigma
         sigma_prev = sigma
+        v = np.linalg.qr(a.T @ w)[0]
     raise ConvergenceError(f"power iteration did not converge in {_POWER_MAX_ITER} iterations")
 
 
@@ -446,8 +451,24 @@ def _estimate(q_prime: float, trend: tuple) -> KernelNormEstimate:
     return KernelNormEstimate(q_prime, values[-1], trend, "ambiguous")
 
 
+def _length_scale(spec: KernelSpec) -> float | None:
+    """The width of a built-in kernel's peak: 1/sqrt(a), sigma, or a power law's delta > 0."""
+    if spec.variant in _GREEN:
+        return 1.0 / math.sqrt(spec.a)
+    if spec.variant == "gaussian":
+        return spec.sigma
+    if spec.variant == "power_law_gradient" and spec.delta > 0:
+        return spec.delta
+    return None
+
+
 def _norm_ladder(spec: KernelSpec, q_primes, levels=None) -> dict:
-    """Norm estimates for every q' in q_primes, one `_level_norms` per level."""
+    """Norm estimates for every q' in q_primes, one `_level_norms` per level.
+
+    A ladder, given or default, that does not resolve the kernel's length
+    scale is extended by doubling; on a coarser grid a narrow peak reads as a
+    trend that is not there.
+    """
     for q in q_primes:
         if not q >= 1:  # written so that NaN fails too
             raise InvalidParameterError(f"q' must be in [1, inf], got {q}")
@@ -455,8 +476,12 @@ def _norm_ladder(spec: KernelSpec, q_primes, levels=None) -> dict:
         levels = (spec.table_values.shape[0],)
     elif levels is None:
         levels = (64, 128, 256, 512, 1024, 2048)
-    if list(levels) != sorted(set(levels)):
-        raise InvalidParameterError("refinement levels must be strictly increasing")
+    levels = list(levels)
+    if not levels or levels != sorted(set(levels)):
+        raise InvalidParameterError("refinement levels must be nonempty and strictly increasing")
+    scale = _length_scale(spec)
+    while scale and levels[-1] * scale < _RESOLVED_CELLS and 2 * levels[-1] <= _MAX_LEVEL:
+        levels.append(2 * levels[-1])
     trends = {q: [] for q in q_primes}
     for n in levels:
         for (q, trend), value in zip(trends.items(), _level_norms(spec, n, trends)):

@@ -9,7 +9,12 @@ positivity are structural: diffusion leaves the constant mode alone and
 e^{-t L_h} is nonnegative, and each Heun stage is a forward-Euler step under
 the CFL bound. Transport alone sets the automatic step. The mild solver
 iterates the integral fixed point on the same exact propagator, with its own
-treatment of the drift.
+treatment of the drift, and the same kernel action `apply_grad`.
+
+States follow `grid`'s convention: the stepper takes and returns cell arrays
+along axis 0, and a `Trajectory` keeps its stored states as the rows of one
+(stored states, n) array. A `Field` is a datum that carries its grid: the
+initial datum, and the inputs of the mild solver and the semigroup probes.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ class SimConfig:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     times: np.ndarray
-    snapshots: list
+    snapshots: np.ndarray  # (stored states, n): row j holds the cell values at times[j]
     mass: np.ndarray
     l1: np.ndarray
     l2: np.ndarray
@@ -77,15 +82,20 @@ class Trajectory:
 
     @classmethod
     def from_states(cls, times, states):
-        fields = list(states)
+        """The run record of cell-value rows on [0,1], reduced along axis 1."""
+        # C order, so that each row is summed as the lone vector would be
+        snapshots = np.array(states, dtype=float, order="C")
+        h = 1.0 / snapshots.shape[1]
+        size = np.abs(snapshots)
         return cls(
             times=np.asarray(times, dtype=float),
-            snapshots=fields,
-            mass=np.array([f.mass for f in fields]),
-            l1=np.array([lp_norm(f, 1) for f in fields]),
-            l2=np.array([lp_norm(f, 2) for f in fields]),
-            linf=np.array([lp_norm(f, np.inf) for f in fields]),
-            min_value=np.array([float(f.values.min()) for f in fields]),
+            snapshots=snapshots,
+            mass=h * snapshots.sum(axis=1),
+            l1=h * size.sum(axis=1),
+            # a scalar power per row: NumPy's array power of 1/2 can differ in the last digit
+            l2=np.array([s**0.5 for s in h * np.square(size).sum(axis=1)]),
+            linf=size.max(axis=1, initial=0.0),
+            min_value=snapshots.min(axis=1),
         )
 
     def norm_series(self, which: str) -> np.ndarray:
@@ -134,13 +144,12 @@ def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> Field:
         raise InvalidParameterError(f"bad initial descriptor {descriptor!r}: {exc}") from exc
 
 
-def _transport_flux(state: Field, mode: str, mass_level: float, km: KernelMatrices):
+def _transport_flux(u: np.ndarray, mode: str, mass_level: float, km: KernelMatrices):
     """Face flux of the drift term and the advecting velocity used for CFL."""
-    v = apply_grad(km, state)
+    v = apply_grad(km, u)
     v[[0, -1]] = 0.0
     if mode == "linearized":
         return mass_level * v, v
-    u = state.values
     upwind = np.zeros(km.grid.n + 1)
     upwind[1:-1] = np.where(v[1:-1] > 0, u[:-1], u[1:])
     if mode == "nonlinear":
@@ -149,23 +158,22 @@ def _transport_flux(state: Field, mode: str, mass_level: float, km: KernelMatric
     return v * (mass_level + upwind), v
 
 
-def auto_dt(state: Field, km: KernelMatrices, mode: str, mass_level: float) -> float:
-    """A quarter of the CFL step of the transport at state, capped at h/2.
+def auto_dt(u: np.ndarray, km: KernelMatrices) -> float:
+    """A quarter of the CFL step of the transport at the cell values u, capped at h/2.
 
-    Diffusion is exact, so the cap keeps a step with no transport from
-    jumping across the whole run.
+    Every mode advects with grad K(u). Diffusion is exact, so the cap keeps a
+    step with no transport from jumping across the whole run.
     """
-    _, v = _transport_flux(state, mode, mass_level, km)
-    vmax = float(np.abs(v).max())
+    vmax = float(np.abs(apply_grad(km, u)[1:-1]).max())  # the boundary faces carry no flux
     if not math.isfinite(vmax):
         raise SchemeFailureError("non-finite transport velocity: no step is admissible")
     h = km.grid.h
     return min(h / (8.0 * vmax + _DT_EPS), 0.5 * h)
 
 
-def _transport_stage(state: Field, dt: float, mode: str, mass_level: float, km: KernelMatrices):
+def _transport_stage(u: np.ndarray, dt: float, mode: str, mass_level: float, km: KernelMatrices):
     """One forward-Euler step of the upwind transport, refused above the CFL bound."""
-    flux, v = _transport_flux(state, mode, mass_level, km)
+    flux, v = _transport_flux(u, mode, mass_level, km)
     vmax = float(np.abs(v).max())
     if not math.isfinite(vmax):
         raise RejectedStepError(dt, 0.0)  # no step is admissible: a NaN fails no comparison
@@ -173,17 +181,17 @@ def _transport_stage(state: Field, dt: float, mode: str, mass_level: float, km: 
         admissible = km.grid.h / (2.0 * vmax)
         if dt > admissible:
             raise RejectedStepError(dt, admissible)
-    return Field(state.grid, state.values - dt * divergence(flux, km.grid))
+    return u - dt * divergence(flux, km.grid)
 
 
 def step_imex(
-    state: Field,
+    u: np.ndarray,
     dt: float,
     mode: str,
     mass_level: float,
     km: KernelMatrices,
     basis: SpectralBasis | None = None,
-) -> Field:
+) -> np.ndarray:
     """One Strang step: exact half-step diffusion, Heun upwind transport, half-step diffusion.
 
     Each Heun stage is checked against the CFL bound. Pass the grid's basis
@@ -193,30 +201,30 @@ def step_imex(
         raise InvalidParameterError(f"unknown mode {mode!r}")
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
-    basis = basis if basis is not None else SpectralBasis(state.grid)
+    basis = basis if basis is not None else SpectralBasis(km.grid)
     half = np.exp(-0.5 * dt * basis.eigenvalues_discrete)
-    start = Field(state.grid, basis.from_spectral(half * basis.to_spectral(state.values)))
+    start = basis.from_spectral(half * basis.to_spectral(u))
     stage = _transport_stage(start, dt, mode, mass_level, km)
     stage = _transport_stage(stage, dt, mode, mass_level, km)
-    out = basis.from_spectral(half * basis.to_spectral(0.5 * (start.values + stage.values)))
+    out = basis.from_spectral(half * basis.to_spectral(0.5 * (start + stage)))
     # the transforms conserve mass only to roundoff; pin the mean exactly
-    out += state.values.mean() - out.mean()
-    return Field(state.grid, out)
+    out += np.mean(u) - out.mean()
+    return out
 
 
-def _auto_step(state, t, t_end, budget, mode, mass_level, km, basis):
+def _auto_step(u, t, t_end, budget, mode, mass_level, km, basis):
     """One step from t at the automatic dt, halved while a stage is rejected.
 
     Returns the new state and its time; a step that would pass t_end ends on
     it. Fails when dt makes no progress or would need more than budget steps.
     """
-    dt = auto_dt(state, km, mode, mass_level)
+    dt = auto_dt(u, km)
     while True:
         if t + dt == t or dt * budget < t_end - t:
             raise SchemeFailureError(f"dt={dt:g} at t={t:g} needs more than {_MAX_STEPS:.0e} steps")
         last = t + dt >= t_end
         try:
-            new = step_imex(state, t_end - t if last else dt, mode, mass_level, km, basis)
+            new = step_imex(u, t_end - t if last else dt, mode, mass_level, km, basis)
             return new, t_end if last else t + dt
         except RejectedStepError as exc:
             if exc.admissible == 0.0:  # a non-finite velocity: no smaller step helps
@@ -234,13 +242,14 @@ def evolve(config: SimConfig, kernel_matrices: KernelMatrices | None = None) -> 
     grid = Grid1D(config.n)
     km = kernel_matrices if kernel_matrices is not None else assemble(config.kernel, grid)
     basis = SpectralBasis(grid)
-    state = initial_field(config.initial, grid, config.seed)
+    u0 = initial_field(config.initial, grid, config.seed)
+    u = u0.values
     if config.mode == "nonlinear":
-        if state.values.min() < 0:
+        if u.min() < 0:
             raise InvalidParameterError("nonlinear mode requires a nonnegative initial datum")
     else:
-        scale = max(1.0, float(np.abs(state.values).max()))
-        if abs(state.mass) > 1e-10 * scale:
+        scale = max(1.0, float(np.abs(u).max()))
+        if abs(u0.mass) > 1e-10 * scale:
             raise InvalidParameterError("perturbation modes require a zero-mean initial datum")
     auto = config.dt is None
     # an automatic run takes at least the steps of its cap h/2; a set dt, exactly its own
@@ -254,37 +263,35 @@ def evolve(config: SimConfig, kernel_matrices: KernelMatrices | None = None) -> 
     if not auto:
         nsteps = max(1, math.ceil(steps - 1e-12))
         dt = config.t_end / nsteps
-    mass0 = state.mass
-    floor = -1e-12 * max(1.0, float(np.abs(state.values).max()))
+    mass0 = u0.mass
+    floor = -1e-12 * max(1.0, float(np.abs(u).max()))
     times = [0.0]
-    states = [state]
+    states = [u]
     t, step, last = 0.0, 0, False
     while not last:
         step += 1
         if auto:
-            state, t = _auto_step(
-                state, t, config.t_end, _MAX_STEPS - step + 1,
+            u, t = _auto_step(
+                u, t, config.t_end, _MAX_STEPS - step + 1,
                 config.mode, config.mass_level, km, basis,
             )
             last = t == config.t_end
         else:
-            state = step_imex(state, dt, config.mode, config.mass_level, km, basis)
+            u = step_imex(u, dt, config.mode, config.mass_level, km, basis)
             t, last = step * dt, step == nsteps
-        if not np.isfinite(state.values).all():
+        if not np.isfinite(u).all():
             raise SchemeFailureError(f"non-finite state at t={t:g}")
         if config.mode == "nonlinear":
-            if float(state.values.min()) < floor:
+            if float(u.min()) < floor:
                 raise SchemeFailureError(
-                    f"positivity lost at t={t:g} (min {state.values.min():.3e}); "
-                    "refine dt or the grid"
+                    f"positivity lost at t={t:g} (min {u.min():.3e}); refine dt or the grid"
                 )
-            if mass0 != 0 and abs(state.mass - mass0) > 1e-12 * abs(mass0):
-                raise SchemeFailureError(
-                    f"mass drift {abs(state.mass - mass0) / abs(mass0):.3e} at t={t:g}"
-                )
+            drift = abs(grid.h * float(u.sum()) - mass0)
+            if mass0 != 0 and drift > 1e-12 * abs(mass0):
+                raise SchemeFailureError(f"mass drift {drift / abs(mass0):.3e} at t={t:g}")
         if step % config.output_stride == 0 or last:
             times.append(t)
-            states.append(state)
+            states.append(u)
             if len(states) * grid.n > MAX_STORED_VALUES:
                 raise SchemeFailureError(
                     f"the snapshots up to t={t:g} hold more than {MAX_STORED_VALUES:.0e} values; "
@@ -432,7 +439,7 @@ def picard_mild_solve(
     # a function of its own, so that the face array is freed before the transform
     def face_flux(states: np.ndarray) -> np.ndarray:
         """u grad K(u) at the faces for every time, zero at the boundary faces."""
-        flux = grid.h * (km.gradk_faces @ states)
+        flux = apply_grad(km, states)
         flux[[0, -1]] = 0.0
         flux[1:-1] *= 0.5 * (states[:-1] + states[1:])
         return flux
@@ -471,7 +478,7 @@ def picard_mild_solve(
         raise NonContractionError(distances)
     ratios = [b / a for a, b in zip(distances, distances[1:]) if a > 0 and b > 0]
     contraction = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
-    trajectory = Trajectory.from_states(times, [Field(grid, col) for col in states.T])
+    trajectory = Trajectory.from_states(times, states.T)
     return MildSolveDiagnostics(
         existence_time=existence_estimate if existence_estimate is not None else math.inf,
         picard_distances=distances,

@@ -126,7 +126,7 @@ def bilinear_form(lop: LinearizedOperator, phi: Field, psi: Field) -> float:
     h = lop.grid.h
     gphi = gradient(phi.values, lop.grid)[1:-1]
     gpsi = gradient(psi.values, lop.grid)[1:-1]
-    gk = apply_grad(lop.km, phi)[1:-1]
+    gk = apply_grad(lop.km, phi.values)[1:-1]
     return float(h * np.sum(gphi * gpsi) - lop.mass_level * h * np.sum(gk * gpsi))
 
 

@@ -43,40 +43,27 @@ def _symbol_critical_mass(a, n):
 class TestFitRate:
     def test_recovers_synthetic_exponential(self, grid128):
         times = np.linspace(0.0, 2.0, 50)
-        states = [
-            initial_field("constant:1", grid128).with_values(
-                math.exp(-3.0 * t) * np.ones(grid128.n)
-            )
-            for t in times
-        ]
+        states = [math.exp(-3.0 * t) * np.ones(grid128.n) for t in times]
         fit = fit_rate(Trajectory.from_states(times, states), norm="linf")
         assert fit.rate == pytest.approx(3.0, rel=1e-10)
         assert fit.reliable
 
     def test_growth_has_negative_rate(self, grid128):
         times = np.linspace(0.0, 1.0, 40)
-        states = [
-            initial_field("constant:1", grid128).with_values(
-                math.exp(2.0 * t) * np.ones(grid128.n)
-            )
-            for t in times
-        ]
+        states = [math.exp(2.0 * t) * np.ones(grid128.n) for t in times]
         fit = fit_rate(Trajectory.from_states(times, states))
         assert fit.rate == pytest.approx(-2.0, rel=1e-10)
 
     def test_too_few_samples(self, grid128):
         times = np.linspace(0.0, 1.0, 4)
-        states = [initial_field("constant:1", grid128) for _ in times]
+        states = [np.ones(grid128.n) for _ in times]
         with pytest.raises(FitFailureError):
             fit_rate(Trajectory.from_states(times, states))
 
     def test_underflowed_norms_are_windowed_out(self, grid128):
         times = np.linspace(0.0, 1.0, 40)
         values = [math.exp(-3.0 * t) if t <= 0.5 else 1e-14 for t in times]
-        states = [
-            initial_field("constant:1", grid128).with_values(v * np.ones(grid128.n))
-            for v in values
-        ]
+        states = [v * np.ones(grid128.n) for v in values]
         fit = fit_rate(Trajectory.from_states(times, states))
         assert fit.samples_used < len(times)
         assert fit.rate == pytest.approx(3.0, rel=1e-8)
@@ -185,6 +172,15 @@ class TestBasinProbe:
         # deep inside the stable regime every tested amplitude decays
         assert probe.open_above
         assert probe.eta_fail is None
+
+    def test_bisects_when_no_amplitude_decays(self, green):
+        # too short a horizon for any amplitude to decay by 100x
+        grid = Grid1D(32)
+        probe = basin_probe(green, grid, mass_level=5.0, amplitude_hi=1.0, steps=3, t_end=1e-3)
+        assert not probe.open_above
+        assert probe.eta_estimate == 0.0
+        assert probe.eta_fail == 0.125
+        assert probe.bisection_history == ((1.0, False), (0.5, False), (0.25, False), (0.125, False))
 
     def test_rejects_unstable_regime(self, green):
         grid = Grid1D(64)

@@ -6,6 +6,7 @@ import pytest
 from aggrestab import Grid1D, KernelSpec, assemble, save_tabulated_csv, solver
 from aggrestab.cli import (
     EXIT_BAD_KERNEL,
+    EXIT_NO_CONTRACTION,
     EXIT_OK,
     EXIT_SCHEME,
     EXIT_USAGE,
@@ -58,6 +59,15 @@ class TestRunConfig:
             RunConfig.from_file(path)
         assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == EXIT_USAGE
 
+    def test_rejects_normalization_key(self, tmp_path):
+        from aggrestab.errors import ConfigError
+
+        text = "kernel.variant = gaussian\nkernel.sigma = 0.1\nkernel.normalization = 2\ngrid.n = 64\n"
+        path = write_config(tmp_path, "c.cfg", text)
+        with pytest.raises(ConfigError, match="kernel.scale"):
+            RunConfig.from_file(path)
+        assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == EXIT_USAGE
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, "c.cfg", GREEN_LINES + "seed = 3\n")
         config = RunConfig.from_file(path)
@@ -83,6 +93,16 @@ class TestCommands:
         code = main(["validate-kernel", "--config", cfg, "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert (out / "kernel_report.txt").exists()
+
+    def test_validate_kernel_narrow_green_passes(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "c.cfg", "kernel.variant = green_series\nkernel.a = 1e6\ngrid.n = 64\n"
+        )
+        out = tmp_path / "out"
+        assert main(["validate-kernel", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        report = (out / "kernel_report.txt").read_text()
+        assert "classification=mildly_singular" in report
+        assert "critical_q_prime=inf" in report
 
     def test_analyze_reports_instability(self, tmp_path):
         cfg = write_config(tmp_path, "c.cfg", GREEN_LINES + "analysis.M = 15\n")
@@ -148,6 +168,34 @@ class TestCommands:
         assert lines[-1].startswith("T_existence=")
         t_exist = float(lines[-1].split("=")[1])
         assert math.isfinite(t_exist) and t_exist > 0
+
+    def test_mild_solve_at_q_prime_one(self, tmp_path):
+        # q' = 1 measures the iterates in sup_t L^1 + sup_t L^inf
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            GREEN_LINES + "sim.initial = constant_plus_mode:1,0.1,1\nmild.n_time = 32\n"
+            + "mild.q_prime = 1\n",
+        )
+        out = tmp_path / "out"
+        assert main(["mild-solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        lines = (out / "picard.csv").read_text().splitlines()
+        assert float(lines[-2].split(",")[1]) <= 1e-10
+        assert math.isfinite(float(lines[-1].split("=")[1]))
+
+    def test_mild_solve_non_contraction_still_writes_picard(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            GREEN_LINES + "sim.initial = constant_plus_mode:1,0.1,1\nmild.n_time = 32\n"
+            + "mild.max_iter = 1\n",
+        )
+        out = tmp_path / "out"
+        assert main(["mild-solve", "--config", cfg, "--out", str(out)]) == EXIT_NO_CONTRACTION
+        lines = (out / "picard.csv").read_text().splitlines()
+        assert lines[0] == "iteration,distance_XT,ratio"
+        assert lines[1].startswith("1,") and lines[1].endswith(",")
+        assert len(lines) == 3 and lines[-1].startswith("T_existence=")
 
     def test_mild_solve_divergent_kernel_is_unusable(self, tmp_path):
         cfg = write_config(

@@ -15,7 +15,6 @@ from aggrestab import (
     assemble,
     classify,
     compute_A,
-    constant_field,
     eval_grad_x,
     eval_kernel,
     hilbert_schmidt_grad_norm,
@@ -26,7 +25,6 @@ from aggrestab import (
     validate_assumptions,
 )
 from aggrestab.errors import (
-    GridMismatchError,
     InvalidParameterError,
     KernelLoadError,
     SingularityError,
@@ -141,26 +139,24 @@ class TestGreenKernel:
 
     def test_constant_in_constant_out(self, green, km128, grid128):
         # h-weighted row sums of K equal 1/a, so K maps constants to constants
-        out = apply(km128, constant_field(grid128, 3.0))
-        np.testing.assert_allclose(out.values, 3.0, rtol=1e-3)
+        out = apply(km128, np.full(grid128.n, 3.0))
+        np.testing.assert_allclose(out, 3.0, rtol=1e-3)
         # ... and the drift of a constant vanishes identically
-        v = apply_grad(km128, constant_field(grid128, 3.0))
+        v = apply_grad(km128, np.full(grid128.n, 3.0))
         assert np.abs(v).max() < 1e-13
 
 
 class TestOperators:
     def test_grid_mismatch_rejected(self, km128):
-        with pytest.raises(GridMismatchError):
-            apply(km128, constant_field(Grid1D(64), 1.0))
+        with pytest.raises(InvalidParameterError):
+            apply(km128, np.ones(64))
 
     def test_mode_map_eigenvalues(self, green, km256, basis256):
         # K w_k = w_k / (a + (k pi)^2)
         for k in (1, 2, 5):
             w = basis256.mode(k)
-            out = apply(km256, w)
-            np.testing.assert_allclose(
-                out.values, w.values / (1.0 + (k * math.pi) ** 2), atol=1e-4
-            )
+            out = apply(km256, w.values)
+            np.testing.assert_allclose(out, w.values / (1.0 + (k * math.pi) ** 2), atol=1e-4)
 
     def test_operator_norm_matches_dense_svd(self, green):
         grid = Grid1D(64)
@@ -193,6 +189,21 @@ class TestSingularity:
     def test_regularized_diagonal_is_finite(self):
         spec = KernelSpec.power_law(0.5, delta=0.01)
         assert np.isfinite(eval_grad_x(spec, 0.25, 0.25))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_regularized_power_law_closed_forms(self, alpha):
+        # K = -int_0^r (s + delta)^(-alpha) ds, a logarithm at alpha = 1
+        delta, x, y = 0.01, np.array([0.1, 0.5, 0.9, 0.3]), np.array([0.3, 0.5, 0.2, 0.3])
+        spec = KernelSpec.power_law(alpha, delta=delta)
+        r = np.abs(x - y)
+        if alpha == 1.0:
+            expected = -np.log((r + delta) / delta)
+        else:
+            expected = -((r + delta) ** (1 - alpha) - delta ** (1 - alpha)) / (1 - alpha)
+        np.testing.assert_allclose(eval_kernel(spec, x, y), expected, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            eval_grad_x(spec, x, y), -np.sign(x - y) * (r + delta) ** -alpha, rtol=1e-14, atol=0
+        )
 
 
 class TestNormEstimates:
@@ -267,6 +278,40 @@ class TestNormEstimates:
     def test_classification_gaussian(self):
         cls = classify(KernelSpec.gaussian(0.2), levels=(64, 128, 256))
         assert cls.category == "mildly_singular"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec.green_series(1e6), KernelSpec.power_law(1.5, delta=0.01)],
+        ids=["green-1e6", "power_law-1.5-delta"],
+    )
+    def test_narrow_kernels_are_resolved(self, spec):
+        # the ladder is extended by doubling until n l >= 32, where l is the peak's width
+        cls = classify(spec)
+        assert cls.category == "mildly_singular"
+        assert cls.critical_q_prime == np.inf
+        assert all(e.verdict == "finite" for e in cls.estimates.values())
+        finest = cls.estimates[1.0].refinement_trend[-1][0]
+        assert finest * kernel._length_scale(spec) >= 32
+        # a given ladder is extended too
+        est = norm_inf_qprime(spec, np.inf, levels=(64, 128))
+        assert est.refinement_trend[-1][0] == finest
+
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec.green_closed_form(), KernelSpec.gaussian(0.1), KernelSpec.power_law(0.5)],
+        ids=["green", "gaussian", "power_law"],
+    )
+    def test_resolved_ladders_are_not_extended(self, spec):
+        assert classify(spec).estimates[1.0].refinement_trend[-1][0] == 2048
+        est = norm_inf_qprime(spec, np.inf, levels=(64, 128, 256, 512))
+        assert est.refinement_trend[-1][0] == 512
+
+    def test_near_critical_power_law_is_undetermined(self):
+        # |grad K| = r^-0.9 is L^q' for q' < 1/0.9; the ladder cannot settle q' = 1 or 1.1
+        cls = classify(KernelSpec.power_law(0.9))
+        assert cls.category == "undetermined"
+        assert cls.critical_q_prime is None
+        assert cls.estimates[1.0].verdict == cls.estimates[1.1].verdict == "ambiguous"
 
 
 class TestValidation:
