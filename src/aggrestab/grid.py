@@ -8,6 +8,7 @@ under midpoint quadrature, which diagonalizes the discrete Neumann Laplacian.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,8 +28,14 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if self.n < 4:
-            raise InvalidParameterError(f"need n >= 4 cells, got {self.n}")
+        try:
+            n = operator.index(self.n)  # any integer, NumPy's included; no float
+        except TypeError:
+            msg = f"the cell count must be an integer, got {self.n!r}"
+            raise InvalidParameterError(msg) from None
+        if n < 4:
+            raise InvalidParameterError(f"need n >= 4 cells, got {n}")
+        object.__setattr__(self, "n", n)
 
     @property
     def h(self) -> float:

@@ -12,7 +12,11 @@ integral operator and its gradient have exact O(n) symbols and need no
 n x n sample.
 
 The kernel actions `apply` and `apply_grad` take cell values along axis 0,
-of shape (n,) or (n, m), as `grid`'s operators do, and return arrays.
+of shape (n,) or (n, m), as `grid`'s operators do, and return arrays. The
+Green `apply_grad` costs O(n m) and reads no sample: its gradient is
+separable on each side of the diagonal, so the action is two decaying scans
+(`_DecayScan`). Every other action is a product with the dense sample,
+O(n^2 m) after an O(n^2) sample taken once.
 
 The mixed gradient norms are estimated on a refinement ladder in O(n) work
 and memory per level: Gaussian and power-law gradients depend on x - y alone,
@@ -38,7 +42,7 @@ from .errors import (
     KernelLoadError,
     SingularityError,
 )
-from .grid import MAX_STORED_VALUES, Grid1D, _rows
+from .grid import MAX_STORED_VALUES, Grid1D, _along_axis0, _rows
 
 # the two Green variants are one family: green_closed_form is a = 1
 _GREEN = ("green_closed_form", "green_series")
@@ -56,6 +60,11 @@ _SLOPE_DIVERGENT = 0.15
 # finest level has n l >= _RESOLVED_CELLS, but past no level above _MAX_LEVEL
 _RESOLVED_CELLS = 32
 _MAX_LEVEL = 2**20
+
+# a decay scan's blocks span at most this exponent: its weights e^{+-c i} stay
+# within [1.6e-28, 6.2e27], so it overflows on no input below 1e270, and each
+# weight carries at most 64 rounding units of its exponent
+_SCAN_EXPONENT = 64.0
 
 # the block power iteration: its width, and the relative change of the
 # singular value that stops it
@@ -80,6 +89,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise InvalidParameterError(f"unknown kernel variant {self.variant!r}")
+        for name in ("sigma", "alpha", "delta", "scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"kernel {name} must be finite")
         if self.variant in _GREEN and not 0 < self.a < math.inf:
             raise InvalidParameterError("the Green kernel requires a finite a > 0")
         if self.variant == "gaussian" and self.sigma <= 0:
@@ -139,12 +151,20 @@ class KernelMatrices:
     `symbols` = (sigma, t), k = 0..n-1, which need no sample: h K w_k =
     sigma_k w_k at the centers and h dK/dx w_k = t_k sqrt(2) sin(k pi x) at the
     faces, so the singular values of u -> grad K(u) are |t_k|. Other kernels
-    have `symbols = None`.
+    have `symbols = None`. The Green `apply_grad` reads `green_scan`, O(n)
+    weights, and never the (n+1) x n gradient sample.
     """
 
     def __init__(self, spec: KernelSpec, grid: Grid1D):
         self.spec, self.grid = spec, grid
         self.symbols = _green_symbols(spec, grid) if spec.variant in _GREEN else None
+
+    @cached_property
+    def green_scan(self) -> _DecayScan:
+        """The decaying scan of the Green gradient action, see `apply_grad`."""
+        s, h = math.sqrt(self.spec.a), self.grid.h
+        p = self.spec.scale * h * math.exp(-0.5 * s * h) * _green_p(s, self.grid.faces[-2::-1])
+        return _DecayScan(s * h, self.grid.n, pre=_green_q(s, self.grid.centers[::-1]), post=p)
 
     @cached_property
     def k_centers(self) -> np.ndarray:
@@ -210,13 +230,14 @@ def _green_q(s, y):
     return 0.5 * (1.0 + np.exp(-2.0 * s * (1.0 - y)))
 
 
-def _green_dx(a, x, y):
+def _green_dx(a, x, y, dist=None):
     """x-derivative of `_green`; the average of the one-sided ones at x = y.
 
     For x < y it is sinh(s x) cosh(s (1 - y)) / sinh s = e^{-s (y - x)} p(x) q(y)
     with s = sqrt(a); for x > y the mirror (x, y) -> (1 - x, 1 - y) with a minus
     sign. Every factor lies in [0, 1] and off the diagonal only one side's term
-    is nonzero, so nothing cancels as a -> 0 and nothing overflows.
+    is nonzero, so nothing cancels as a -> 0 and nothing overflows. `dist`, if
+    given, is |x - y|.
     """
     s = math.sqrt(a)
     w = 0.5 * (1.0 + np.sign(y - x))  # 1 for x < y, 0 for x > y, 1/2 at x = y
@@ -224,7 +245,7 @@ def _green_dx(a, x, y):
     out = w * _green_p(s, x) * _green_q(s, y)
     out -= (1.0 - w) * _green_p(s, 1.0 - x) * _green_q(s, 1.0 - y)
     del w
-    out *= np.exp(-s * np.abs(x - y))
+    out *= np.exp(-s * (np.abs(x - y) if dist is None else dist))
     return out
 
 
@@ -310,7 +331,13 @@ def _gradk_matrix(spec: KernelSpec, grid: Grid1D) -> np.ndarray:
     if spec.variant == "tabulated":
         return spec.scale * spec.table_grad.copy()
     _check_sample_size(grid)
-    return np.asarray(eval_grad_x(spec, grid.faces[:, None], grid.centers[None, :]))
+    x, y = grid.faces[:, None], grid.centers[None, :]
+    if spec.variant in _GREEN:
+        # |x_f - y_j| from the index offset: the rounded coordinates are off by
+        # up to 1e-16, which the factor e^{-s |x - y|} multiplies by s
+        dist = np.abs(np.arange(grid.n + 1.0)[:, None] - (np.arange(grid.n) + 0.5)) * grid.h
+        return spec.scale * _green_dx(spec.a, x, y, dist)
+    return np.asarray(eval_grad_x(spec, x, y))
 
 
 def assemble(spec: KernelSpec, grid: Grid1D) -> KernelMatrices:
@@ -326,8 +353,23 @@ def apply(km: KernelMatrices, u) -> np.ndarray:
 
 
 def apply_grad(km: KernelMatrices, u) -> np.ndarray:
-    """Gradient of the integral operator on cell values along axis 0, sampled at faces."""
-    return km.grid.h * (km.gradk_faces @ _rows(u, km.grid.n, "cell array"))
+    """Gradient of the integral operator on cell values along axis 0, sampled at faces.
+
+    A product with the dense (n+1) x n sample, except for a Green kernel, whose
+    action costs O(n) per column and reads no sample. With c = s h, the centers
+    y_j < x_f contribute -e^{-c (f - 1 - j + 1/2)} p_{n-f} q_{n-1-j} u_j (see
+    `_green_dx`): `green_scan` of u, whose weights are q reversed in and p
+    reversed out, with scale, h and e^{-c/2}. The centers above are its mirror
+    image, the same scan reversed. The boundary faces, where p = 0, read 0.
+    """
+    u = _rows(u, km.grid.n, "cell array")
+    if km.spec.variant not in _GREEN:
+        return km.grid.h * (km.gradk_faces @ u)
+    out = np.empty((km.grid.n + 1,) + u.shape[1:])
+    km.green_scan(u, out=out[:-1], reverse=True)
+    out[-1] = 0.0
+    out[1:] -= km.green_scan(u)
+    return out
 
 
 def hilbert_schmidt_grad_norm(km: KernelMatrices) -> float:
@@ -392,13 +434,60 @@ def _window_norm(g: np.ndarray, h: float, q_prime: float) -> float:
     return _mixed_norm(c[n:] - c[: n + 1], c[n + 1 :] - c[:n], h, q_prime)
 
 
-def _decay_sum(v: np.ndarray, c: float) -> np.ndarray:
-    """out_i = sum_{k >= 0} e^{-c k} v_{i+k} by doubling: log2(len) vector passes."""
-    out, k = v.copy(), 1
-    while k < out.size:
-        out[:-k] += math.exp(-c * k) * out[k:]
-        k *= 2
-    return out
+class _DecayScan:
+    """out_r = post_r sum_{k <= r} e^{-c (r - k)} pre_k v_k along axis 0 of n rows, c >= 0.
+
+    The rows are cut into blocks of at most L / c rows, L = _SCAN_EXPONENT.
+    Within a block the sum is e^{-c r} times a cumulative sum of e^{c k} pre_k
+    v_k (local indices), so no weight leaves [e^-L, e^L] for any c. The sums
+    of the blocks before are carried in by a scan over the blocks. One block
+    covers c n <= L: a Green kernel with a <= L^2 at any n. The weights, pre
+    and post included, are O(n) and computed once.
+
+    With reverse=True it is the mirror image, the scan of v reversed read
+    backwards: out_r = post_{n-1-r} sum_{k >= r} e^{-c (k - r)} pre_{n-1-k} v_k.
+    """
+
+    def __init__(self, c: float, n: int, pre=1.0, post=1.0):
+        self.block = n if c * n <= _SCAN_EXPONENT else max(1, int(_SCAN_EXPONENT / c))
+        self.decay = math.exp(-c * self.block)
+        grow = np.tile(np.exp(c * np.arange(self.block)), -(-n // self.block))[:n]  # e^{c k}
+        self.pre, self.post = pre * grow, post / grow
+
+    @cached_property
+    def reversed(self) -> tuple:
+        """Reversed copies of the weights, so that a reversed scan reads contiguous arrays."""
+        return self.pre[::-1].copy(), self.post[::-1].copy()
+
+    def __call__(self, v: np.ndarray, out=None, reverse=False) -> np.ndarray:
+        pre, post = self.reversed if reverse else (self.pre, self.post)
+        if v.ndim > 1:
+            pre, post = _along_axis0(pre, v.ndim), _along_axis0(post, v.ndim)
+        acc = pre * v
+        rows = acc[::-1] if reverse else acc
+        if self.block == len(rows):
+            np.add.accumulate(rows, axis=0, out=rows)
+        else:
+            rows[:] = self._blocked(rows)
+        return np.multiply(acc, post, out=acc if out is None else out)
+
+    def _blocked(self, rows: np.ndarray) -> np.ndarray:
+        """The cumulative sum of every block, plus the decayed sum of the blocks before."""
+        n, rest = len(rows), rows.shape[1:]
+        blocks = np.zeros((-(-n // self.block) * self.block,) + rest)
+        blocks[:n] = rows
+        blocks = blocks.reshape((-1, self.block) + rest)
+        np.add.accumulate(blocks, axis=1, out=blocks)
+        # carry_b = sum_{b' < b} decay^(b - b') total_b', by doubling; a block
+        # spans more than L / 2, so the weight decay^step underflows within 6 steps
+        carry = np.zeros((len(blocks),) + rest)
+        carry[1:] = self.decay * blocks[:-1, -1]
+        step, weight = 1, self.decay
+        while step < len(carry) and weight > 0:
+            carry[step:] += weight * carry[:-step]
+            step, weight = 2 * step, weight * weight
+        blocks += carry[:, None]
+        return blocks.reshape((-1,) + rest)[:n]
 
 
 def _green_norm(spec: KernelSpec, grid: Grid1D, q_prime: float) -> float:
@@ -418,8 +507,9 @@ def _green_norm(spec: KernelSpec, grid: Grid1D, q_prime: float) -> float:
     if np.isinf(q_prime):
         return 2.0 * edge * float(np.max(p[:-1] * q))
     pq, qq = p**q_prime, q**q_prime
-    rows = pq * np.append(_decay_sum(qq, q_prime * s * h), 0.0)
-    cols = qq * _decay_sum(pq[-2::-1], q_prime * s * h)[::-1]
+    scan = _DecayScan(q_prime * s * h, grid.n)
+    rows = pq * np.append(scan(qq[::-1])[::-1], 0.0)
+    cols = qq * scan(pq[:-1])
     return edge * _mixed_norm(rows + rows[::-1], cols + cols[::-1], h, q_prime)
 
 

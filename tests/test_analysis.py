@@ -200,6 +200,18 @@ class TestCrossValidate:
         gap = cross_validate(u0, green, grid, horizon=0.2, n_time=64)
         assert gap < 1e-3
 
+    def test_reads_no_gradient_sample(self, green, monkeypatch):
+        built = []
+
+        def recording_assemble(spec, grid):
+            built.append(kernel.assemble(spec, grid))
+            return built[-1]
+
+        monkeypatch.setattr(analysis, "assemble", recording_assemble)
+        grid = Grid1D(64)
+        cross_validate(initial_field("constant_plus_mode:1,0.1,1", grid), green, grid, 0.1, n_time=8)
+        assert len(built) == 1 and "gradk_faces" not in vars(built[0])
+
     def test_gap_shrinks_with_time_refinement(self, green):
         grid = Grid1D(128)
         u0 = initial_field("constant_plus_mode:1,0.1,1", grid)

@@ -27,6 +27,16 @@ class TestGrid1D:
         with pytest.raises(InvalidParameterError):
             Grid1D(3)
 
+    @pytest.mark.parametrize("n", [64.5, 64.0, "64", None])
+    def test_rejects_non_integer_count(self, n):
+        with pytest.raises(InvalidParameterError):
+            Grid1D(n)
+
+    def test_accepts_numpy_integer_count(self):
+        grid = Grid1D(np.int64(64))
+        assert type(grid.n) is int and grid == Grid1D(64)
+        assert grid.centers.shape == (64,) and grid.faces.shape == (65,)
+
 
 class TestField:
     def test_mass_is_midpoint_integral(self):

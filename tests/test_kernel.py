@@ -45,6 +45,21 @@ class TestKernelSpec:
         with pytest.raises(InvalidParameterError):
             KernelSpec.green_series(a=-1.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bad: KernelSpec.gaussian(bad),
+            lambda bad: KernelSpec.power_law(bad, delta=0.01),
+            lambda bad: KernelSpec.power_law(0.5, delta=bad),
+            lambda bad: KernelSpec.green_closed_form(scale=bad),
+        ],
+        ids=["sigma", "alpha", "delta", "scale"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, make, bad):
+        with pytest.raises(InvalidParameterError):
+            make(bad)
+
     def test_tabulated_shape_validation(self):
         with pytest.raises(InvalidParameterError):
             KernelSpec.tabulated(np.zeros((8, 8)), np.zeros((8, 8)))
@@ -178,6 +193,66 @@ class TestOperators:
 
     def test_hs_norm_dominates_operator_norm(self, km128):
         assert l2_operator_norm(km128) <= hilbert_schmidt_grad_norm(km128) + 1e-12
+
+
+class TestGreenScan:
+    """The Green gradient action from its separable factors, without the sample."""
+
+    @pytest.mark.parametrize("n", [4, 5, 63, 512])
+    @pytest.mark.parametrize("a", [1e-300, 1e-6, 1.0, 4.0, 1e4, 4e6, 1e8])
+    def test_matches_dense_sample(self, a, n, rng):
+        grid = Grid1D(n)
+        inputs = [
+            np.full(n, 3.0),
+            rng.standard_normal(n),  # changes sign
+            rng.random((n, 3)) - 0.25,
+            rng.standard_normal((n, 2)) * [1e-200, 1e200],
+        ]
+        for scale in (1.0, -2.5):
+            km = assemble(KernelSpec.green_series(a, scale), grid)
+            actions = [apply_grad(km, u) for u in inputs]
+            zeros = apply_grad(km, np.zeros((n, 2)))
+            assert "gradk_faces" not in vars(km)
+            assert zeros.shape == (n + 1, 2) and not zeros.any()
+            gk = grid.h * km.gradk_faces
+            for u, got in zip(inputs, actions):
+                assert got.shape == (n + 1,) + u.shape[1:]
+                assert (got[[0, -1]] == 0).all()
+                # roundoff is measured against the sum of the terms' magnitudes
+                bound = (np.abs(gk) @ np.abs(u)).max(axis=0)
+                assert (np.abs(got - gk @ u).max(axis=0) <= 1e-13 * bound).all()
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("c", [0.0, 0.05, 5.0, 60.0, 1e3])
+    def test_scan_matches_direct_sum(self, c, n, rng):
+        # one block, several with a partial last one, one row per block, and
+        # blocks whose weights underflow
+        pre, post, v = rng.random(n) + 0.5, rng.random(n) + 0.5, rng.standard_normal((n, 2))
+        scan = kernel._DecayScan(c, n, pre=pre, post=post)
+        r, k = np.arange(n)[:, None], np.arange(n)[None, :]
+        weights = np.where(k <= r, np.exp(-c * np.abs(r - k)), 0.0)
+        expected = post[:, None] * (weights @ (pre[:, None] * v))
+        bound = 1e-13 * post[:, None] * (weights @ np.abs(pre[:, None] * v))
+        for got in (scan(v), scan(v[::-1], reverse=True)[::-1]):
+            assert (np.abs(got - expected) <= bound).all()
+        assert (np.abs(scan(v[:, 0]) - expected[:, 0]) <= bound[:, 0]).all()
+
+    def test_action_costs_no_sample_at_large_n(self):
+        # the dense gradient sample at n = 2^20 would hold 8.8 TB; the action
+        # holds its output and two more arrays of n values (8.4 MB each)
+        grid = Grid1D(2**20)
+        km = assemble(KernelSpec.green_closed_form(), grid)
+        u = np.ones(grid.n)
+        apply_grad(km, u)  # builds the O(n) weights
+        tracemalloc.start()
+        try:
+            v = apply_grad(km, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * grid.n
+        assert km.green_scan.block == grid.n
+        assert np.abs(v).max() < 1e-12
 
 
 class TestSingularity:

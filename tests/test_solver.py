@@ -284,6 +284,31 @@ class TestStateConvention:
             assert traj.min_value[row] == state.min()
 
 
+class TestGreenActionReadsNoSample:
+    """A Green kernel's dynamics run on its O(n) action, never its (n+1) x n sample."""
+
+    @pytest.mark.parametrize(
+        "mode, initial",
+        [
+            ("nonlinear", "constant_plus_mode:5,0.5,1"),
+            ("linearized", "constant_plus_mode:0,0.1,1"),
+            ("perturbed", "constant_plus_mode:0,0.5,2"),
+        ],
+    )
+    def test_evolve(self, green, mode, initial):
+        km = assemble(green, Grid1D(64))
+        config = SimConfig(
+            n=64, kernel=green, mode=mode, mass_level=5.0, t_end=0.01, initial=initial
+        )
+        evolve(config, kernel_matrices=km)
+        assert "gradk_faces" not in vars(km)
+
+    def test_picard_mild_solve(self, green):
+        km = assemble(green, Grid1D(64))
+        picard_mild_solve(initial_field("constant_plus_mode:1,0.1,1", km.grid), km, 0.1, n_time=16)
+        assert "gradk_faces" not in vars(km)
+
+
 class TestHeatSemigroup:
     def test_identity_at_time_zero(self, grid128, rng):
         f = Field(grid128, rng.standard_normal(128))

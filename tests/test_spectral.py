@@ -171,14 +171,31 @@ class TestGreenSymbols:
         assert peak < 50e6
 
 
-def test_import_leaves_scipy_fft_unloaded():
-    # the package never imports scipy.fft, which would load scipy.special
+def test_import_leaves_scipy_fft_unloaded(tmp_path):
+    # neither the import nor a Green simulate and mild-solve load scipy.fft,
+    # scipy.signal or scipy.special: each would add to every CLI run's start
+    # time and memory (scipy.fft loads scipy.special, about 5 MB)
     src = str(Path(aggrestab.__file__).resolve().parent.parent)
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import aggrestab; "
-        "sys.exit('scipy.fft' in sys.modules)"
+    config = tmp_path / "green.cfg"
+    config.write_text(
+        "kernel.variant = green_closed_form\ngrid.n = 64\nsim.mode = nonlinear\nsim.M = 5\n"
+        "sim.t_end = 0.01\nsim.initial = constant_plus_mode:5,0.05,1\nmild.n_time = 16\n"
     )
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+heavy = ("scipy.fft", "scipy.signal", "scipy.special")
+import aggrestab
+from aggrestab.cli import main
+loaded = [name for name in heavy if name in sys.modules]
+for command in ("simulate", "mild-solve"):
+    if main([command, "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}]) != 0:
+        sys.exit(command + " failed")
+    loaded += [name for name in heavy if name in sys.modules]
+sys.exit(", ".join(sorted(set(loaded))) or 0)
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestInteractionCoefficient:
