@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitFailureError, InvalidBracketError, InvalidParameterError
-from .grid import Field, Grid1D, SpectralBasis
+from .grid import Field, Grid1D
 from .kernel import KernelSpec, assemble
 from .solver import SimConfig, Trajectory, auto_dt, evolve, picard_mild_solve, step_imex
 from .spectral import LAMBDA_1, VERDICT_STABLE, LinearizedFamily, principal_eigenpair
@@ -90,7 +90,7 @@ def threshold_bisect(
     if tol_mass <= 0:
         raise InvalidParameterError("tol_M must be positive")
     # the kernel and the mass-independent parts of S(M) are built once
-    family = LinearizedFamily(grid, assemble(spec, grid))
+    family = LinearizedFamily(assemble(spec, grid))
 
     def eig(mass):
         return principal_eigenpair(family.at(mass))[0]
@@ -116,19 +116,18 @@ def threshold_bisect(
     return 0.5 * (lo + hi)
 
 
-def _decays(spec, grid, mass_level, amplitude, t_end, n, seed):
+def _decays(spec, grid, mass_level, amplitude, t_end):
     """Run the perturbed dynamics from amplitude * w1 and classify decay."""
     if amplitude == 0:
         return True
     config = SimConfig(
-        n=n,
+        n=grid.n,
         kernel=spec,
         mode="perturbed",
         mass_level=mass_level,
         t_end=t_end,
         initial=f"constant_plus_mode:0,{amplitude!r},1",
         output_stride=10**9,  # endpoints only
-        seed=seed,
     )
     traj = evolve(config)
     return traj.l2[-1] <= 0.01 * traj.l2[0]
@@ -141,7 +140,6 @@ def basin_probe(
     amplitude_hi: float,
     steps: int,
     t_end: float | None = None,
-    seed: int = 0,
 ) -> BasinProbe:
     """Bracket the attraction-basin radius by bisection on the amplitude.
 
@@ -159,14 +157,14 @@ def basin_probe(
         rate = LAMBDA_1 * (1.0 - mass_level * report.interaction_coefficient)
         t_end = 10.0 / max(rate, 1e-2)
     history = []
-    if _decays(spec, grid, mass_level, amplitude_hi, t_end, grid.n, seed):
+    if _decays(spec, grid, mass_level, amplitude_hi, t_end):
         history.append((amplitude_hi, True))
         return BasinProbe(mass_level, amplitude_hi, None, True, tuple(history))
     history.append((amplitude_hi, False))
     lo, hi = 0.0, amplitude_hi
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        ok = _decays(spec, grid, mass_level, mid, t_end, grid.n, seed)
+        ok = _decays(spec, grid, mass_level, mid, t_end)
         history.append((mid, ok))
         if ok:
             lo = mid
@@ -175,20 +173,14 @@ def basin_probe(
     return BasinProbe(mass_level, lo, hi, False, tuple(history))
 
 
-def cross_validate(
-    u0: Field,
-    spec: KernelSpec,
-    grid: Grid1D,
-    horizon: float,
-    n_time: int = 128,
-) -> float:
+def cross_validate(u0: Field, spec: KernelSpec, horizon: float, n_time: int = 128) -> float:
     """Max L-infinity gap between the split stepper and the mild discretization.
 
-    Both runs start from u0; the comparison is taken over the mild solver's
-    output times, with the stepper's steps aligned so the times are shared.
+    Both runs start from u0, on its grid; the comparison is taken over the mild
+    solver's output times, with the stepper's steps aligned so the times are
+    shared.
     """
-    km = assemble(spec, grid)
-    basis = SpectralBasis(grid)
+    km = assemble(spec, u0.grid)
     mild = picard_mild_solve(u0, km, horizon, n_time=n_time)
     dt_grid = horizon / n_time
     u = u0.values
@@ -197,6 +189,6 @@ def cross_validate(
         # equal substeps per mild output time, none longer than the automatic step
         sub = max(1, math.ceil(dt_grid / auto_dt(u, km)))
         for _ in range(sub):
-            u = step_imex(u, dt_grid / sub, "nonlinear", 0.0, km, basis)
+            u = step_imex(u, dt_grid / sub, "nonlinear", 0.0, km)
         gap = max(gap, float(np.abs(u - mild.trajectory.snapshots[idx]).max()))
     return gap

@@ -233,10 +233,22 @@ def cmd_validate_kernel(config: RunConfig, out_dir: Path) -> int:
 def cmd_analyze(config: RunConfig, out_dir: Path) -> int:
     spec = config.kernel()
     grid = config.grid()
-    mass = config.get_float("analysis.M", default=config.get_float("sim.M", default=0.0))
-    report = stability_verdict(spec, grid, mass)
-    text = report.csv_header() + "\n" + report.csv_row() + "\n"
-    (out_dir / "stability_report.csv").write_text(text)
+    key = "analysis.M" if config.get("analysis.M") is not None else "sim.M"
+    report = stability_verdict(spec, grid, config.get_float(key, default=0.0))
+    values = (
+        report.mass_level,
+        report.lambda1,
+        report.grad_norm,
+        report.interaction_coefficient,
+        report.critical_mass_instability,
+        report.stability_bound_mass,
+        report.principal_eigenvalue,
+    )
+    rows = [
+        "M,lambda1,grad_norm,A,M_crit_instab,M_bound_stab,principal_eig,verdict",
+        ",".join([*map(_fmt, values), report.verdict]),
+    ]
+    (out_dir / "stability_report.csv").write_text("\n".join(rows) + "\n")
     return EXIT_OK
 
 

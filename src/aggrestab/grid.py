@@ -49,6 +49,11 @@ class Grid1D:
     def faces(self) -> np.ndarray:
         return np.arange(self.n + 1) * self.h
 
+    @cached_property
+    def basis(self) -> SpectralBasis:
+        """The grid's Neumann cosine modes, built once per grid."""
+        return SpectralBasis(self)
+
 
 @dataclass(frozen=True)
 class Field:

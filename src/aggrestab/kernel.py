@@ -94,6 +94,12 @@ class KernelSpec:
                 raise InvalidParameterError(f"kernel {name} must be finite")
         if self.variant in _GREEN and not 0 < self.a < math.inf:
             raise InvalidParameterError("the Green kernel requires a finite a > 0")
+        # the Green kernel is about 1/a as a -> 0, computed unscaled, then scaled
+        if self.variant in _GREEN and math.isinf(max(1.0, abs(self.scale)) / self.a):
+            raise InvalidParameterError(
+                f"the Green kernel at a = {self.a:g}, scale = {self.scale:g} has values "
+                "beyond the largest double"
+            )
         if self.variant == "gaussian" and self.sigma <= 0:
             raise InvalidParameterError("gaussian requires sigma > 0")
         if self.variant == "power_law_gradient":

@@ -2,7 +2,7 @@
 
 The method-of-lines integrator splits each step symmetrically (Strang): a
 half step of diffusion, applied exactly as e^{-(dt/2) L_h} on the cosine
-modes of `SpectralBasis`, then the nonlocal transport with donor-cell
+modes of the grid's `basis`, then the nonlocal transport with donor-cell
 upwinding and Heun's method (SSP-RK2), then a second diffusion half step.
 The scheme is second order in time, and discrete mass conservation and
 positivity are structural: diffusion leaves the constant mode alone and
@@ -32,7 +32,7 @@ from .errors import (
     RejectedStepError,
     SchemeFailureError,
 )
-from .grid import MAX_STORED_VALUES, Field, Grid1D, SpectralBasis, divergence, gradient, lp_norm
+from .grid import MAX_STORED_VALUES, Field, Grid1D, divergence, gradient, lp_norm
 from .kernel import KernelMatrices, KernelSpec, apply_grad, assemble
 from .spectral import LAMBDA_1
 
@@ -104,12 +104,9 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class MildSolveDiagnostics:
-    existence_time: float
     picard_distances: list
     contraction_ratio: float
     trajectory: Trajectory
-    q: float
-    q_prime: float
 
 
 def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> Field:
@@ -126,7 +123,7 @@ def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> Field:
             values = np.full(grid.n, float(arg))
         elif kind == "constant_plus_mode":
             level, amplitude, k = arg.split(",")
-            values = float(level) + float(amplitude) * SpectralBasis(grid).mode(int(k)).values
+            values = float(level) + float(amplitude) * grid.basis.mode(int(k)).values
         elif kind == "random_zero_mean":
             amplitude, sub_seed = arg.split(",")
             rng = np.random.default_rng(int(sub_seed) if sub_seed else seed)
@@ -185,23 +182,17 @@ def _transport_stage(u: np.ndarray, dt: float, mode: str, mass_level: float, km:
 
 
 def step_imex(
-    u: np.ndarray,
-    dt: float,
-    mode: str,
-    mass_level: float,
-    km: KernelMatrices,
-    basis: SpectralBasis | None = None,
+    u: np.ndarray, dt: float, mode: str, mass_level: float, km: KernelMatrices
 ) -> np.ndarray:
     """One Strang step: exact half-step diffusion, Heun upwind transport, half-step diffusion.
 
-    Each Heun stage is checked against the CFL bound. Pass the grid's basis
-    to reuse it across steps.
+    Each Heun stage is checked against the CFL bound.
     """
     if mode not in MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}")
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
-    basis = basis if basis is not None else SpectralBasis(km.grid)
+    basis = km.grid.basis
     half = np.exp(-0.5 * dt * basis.eigenvalues_discrete)
     start = basis.from_spectral(half * basis.to_spectral(u))
     stage = _transport_stage(start, dt, mode, mass_level, km)
@@ -212,7 +203,7 @@ def step_imex(
     return out
 
 
-def _auto_step(u, t, t_end, budget, mode, mass_level, km, basis):
+def _auto_step(u, t, t_end, budget, mode, mass_level, km):
     """One step from t at the automatic dt, halved while a stage is rejected.
 
     Returns the new state and its time; a step that would pass t_end ends on
@@ -224,7 +215,7 @@ def _auto_step(u, t, t_end, budget, mode, mass_level, km, basis):
             raise SchemeFailureError(f"dt={dt:g} at t={t:g} needs more than {_MAX_STEPS:.0e} steps")
         last = t + dt >= t_end
         try:
-            new = step_imex(u, t_end - t if last else dt, mode, mass_level, km, basis)
+            new = step_imex(u, t_end - t if last else dt, mode, mass_level, km)
             return new, t_end if last else t + dt
         except RejectedStepError as exc:
             if exc.admissible == 0.0:  # a non-finite velocity: no smaller step helps
@@ -232,7 +223,7 @@ def _auto_step(u, t, t_end, budget, mode, mass_level, km, basis):
             dt *= 0.5
 
 
-def evolve(config: SimConfig, kernel_matrices: KernelMatrices | None = None) -> Trajectory:
+def evolve(config: SimConfig) -> Trajectory:
     """Integrate to t_end, recording snapshots every output_stride steps.
 
     A set dt is rounded down to t_end / (whole number of steps) and kept. The
@@ -240,8 +231,7 @@ def evolve(config: SimConfig, kernel_matrices: KernelMatrices | None = None) -> 
     halved while a stage is rejected; the last step lands on t_end.
     """
     grid = Grid1D(config.n)
-    km = kernel_matrices if kernel_matrices is not None else assemble(config.kernel, grid)
-    basis = SpectralBasis(grid)
+    km = assemble(config.kernel, grid)
     u0 = initial_field(config.initial, grid, config.seed)
     u = u0.values
     if config.mode == "nonlinear":
@@ -272,12 +262,11 @@ def evolve(config: SimConfig, kernel_matrices: KernelMatrices | None = None) -> 
         step += 1
         if auto:
             u, t = _auto_step(
-                u, t, config.t_end, _MAX_STEPS - step + 1,
-                config.mode, config.mass_level, km, basis,
+                u, t, config.t_end, _MAX_STEPS - step + 1, config.mode, config.mass_level, km
             )
             last = t == config.t_end
         else:
-            u = step_imex(u, dt, config.mode, config.mass_level, km, basis)
+            u = step_imex(u, dt, config.mode, config.mass_level, km)
             t, last = step * dt, step == nsteps
         if not np.isfinite(u).all():
             raise SchemeFailureError(f"non-finite state at t={t:g}")
@@ -304,7 +293,7 @@ def heat_semigroup(f: Field, t: float) -> Field:
     """Neumann heat propagator, exact on the discrete cosine basis."""
     if t < 0:
         raise InvalidParameterError("semigroup time must be nonnegative")
-    basis = SpectralBasis(f.grid)
+    basis = f.grid.basis
     c = basis.to_spectral(f.values)
     return Field(f.grid, basis.from_spectral(c * np.exp(-basis.eigenvalues_discrete * t)))
 
@@ -421,7 +410,7 @@ def picard_mild_solve(
             stacklevel=2,
         )
     grid = km.grid
-    basis = SpectralBasis(grid)
+    basis = grid.basis
     lam = basis.eigenvalues_discrete
     dt = horizon / n_time
     times = dt * np.arange(n_time + 1)
@@ -480,10 +469,7 @@ def picard_mild_solve(
     contraction = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
     trajectory = Trajectory.from_states(times, states.T)
     return MildSolveDiagnostics(
-        existence_time=existence_estimate if existence_estimate is not None else math.inf,
         picard_distances=distances,
         contraction_ratio=contraction,
         trajectory=trajectory,
-        q=q,
-        q_prime=q_prime,
     )

@@ -6,15 +6,16 @@ its quadratic form coincides with the energy form
 J(phi, psi) = int grad(phi).grad(psi) - M int grad K(phi).grad(psi).
 The principal eigenvalue is the minimum of J's Rayleigh quotient over the
 zero-mean subspace. It is solved for alone in the cosine modes w_1..w_{n-1}
-of `SpectralBasis`, on S(M) = L + M D (`LinearizedFamily`). The modes
+of the grid's `basis`, on S(M) = L + M D (`LinearizedFamily`). The modes
 diagonalize the discrete Laplacian L exactly, so L is its eigenvalues there.
 
 For a Green kernel D is diagonal in the modes too, with the symbol
 d_k = (2/h) sin(k pi h / 2) t_k of `KernelMatrices.symbols`. Then S(M) is
 the vector lambda_k^h + M d_k, the principal eigenpair is its smallest entry
 with the mode w_k, and no n x n array is built: the residual check applies L
-by `gradient` and `divergence` and D by its symbol. Other kernels project the
-dense D once per family and solve for the one eigenpair with `eigh`.
+by `gradient` and `divergence` and D by `apply_grad`, not by the symbol it
+checks. Other kernels project the dense D once per family and solve for the
+one eigenpair with `eigh`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import GridMismatchError, InvalidParameterError, UnsupportedKernelError
-from .grid import MAX_STORED_VALUES, Field, Grid1D, SpectralBasis, divergence, gradient
+from .grid import MAX_STORED_VALUES, Field, Grid1D, divergence, gradient
 from .kernel import KernelMatrices, KernelSpec, apply_grad, assemble, l2_operator_norm
 
 LAMBDA_1 = math.pi**2
@@ -63,15 +64,14 @@ class LinearizedFamily:
     hold more than MAX_STORED_VALUES values at once.
     """
 
-    def __init__(self, grid: Grid1D, km: KernelMatrices):
-        if km.grid != grid:
-            raise GridMismatchError("kernel matrices do not match grid")
+    def __init__(self, km: KernelMatrices):
+        grid = km.grid
         if km.symbols is None and _DENSE_ARRAYS * grid.n**2 > MAX_STORED_VALUES:
             raise InvalidParameterError(
                 f"the dense stability path at n = {grid.n} holds {_DENSE_ARRAYS} n x n arrays, "
                 f"{_DENSE_ARRAYS * grid.n**2:.3g} values; the limit is {MAX_STORED_VALUES:.0e}"
             )
-        self.grid, self.km, self.basis = grid, km, SpectralBasis(grid)
+        self.grid, self.km = grid, km
 
     def at(self, mass_level: float) -> LinearizedOperator:
         if mass_level < 0:
@@ -101,7 +101,7 @@ class LinearizedFamily:
         L is its eigenvalues lambda_k^h. D is the vector d_k for a Green kernel,
         and otherwise the symmetric part of its projection.
         """
-        lap = self.basis.eigenvalues_discrete[1:]
+        lap = self.grid.basis.eigenvalues_discrete[1:]
         if self.km.symbols is not None:
             return lap, self.drift_symbol[1:]
         asym = float(np.max(np.abs(self.km.k_centers - self.km.k_centers.T), initial=0.0))
@@ -110,13 +110,13 @@ class LinearizedFamily:
                 f"kernel value matrix asymmetric (residual {asym:.2e}); "
                 "the Rayleigh characterization needs a symmetric kernel"
             )
-        drift = self.basis.project(self.drift)[1:, 1:]
+        drift = self.grid.basis.project(self.drift)[1:, 1:]
         return lap, 0.5 * (drift + drift.T)
 
 
-def assemble_linearized(grid: Grid1D, km: KernelMatrices, mass_level: float) -> LinearizedOperator:
-    """-Laplace + M div(grad K(.)) in zero-flux form."""
-    return LinearizedFamily(grid, km).at(mass_level)
+def assemble_linearized(km: KernelMatrices, mass_level: float) -> LinearizedOperator:
+    """-Laplace + M div(grad K(.)) in zero-flux form, on the kernel's grid."""
+    return LinearizedFamily(km).at(mass_level)
 
 
 def bilinear_form(lop: LinearizedOperator, phi: Field, psi: Field) -> float:
@@ -137,15 +137,15 @@ def principal_eigenpair(lop: LinearizedOperator):
     mode) with the mode normalized to unit L2 norm; the weak eigenrelation
     residual in the full space is verified before returning.
     """
-    family, mass, basis = lop.family, lop.mass_level, lop.family.basis
+    family, mass, basis = lop.family, lop.mass_level, lop.grid.basis
     lap, drift = family.reduced
     if drift.ndim == 1:  # S(M) is diagonal in the modes
         symbol = lap + mass * drift
         k = int(np.argmin(symbol))
         lam, vec = float(symbol[k]), basis.mode(k + 1).values
-        # S vec, with L applied by the face differences and D by its symbol
+        # S vec, with L applied by the face differences and D by the kernel action
         s_vec = -divergence(gradient(vec, lop.grid), lop.grid)
-        s_vec += mass * basis.from_spectral(family.drift_symbol * basis.to_spectral(vec))
+        s_vec += mass * divergence(apply_grad(lop.km, vec), lop.grid)
         r = s_vec - lam * vec
         scale = float(np.abs(symbol).max())  # rho(S), at most ||S||_inf
     else:
@@ -163,13 +163,11 @@ def principal_eigenpair(lop: LinearizedOperator):
     return lam, Field(lop.grid, vec)
 
 
-def compute_interaction_coefficient(km: KernelMatrices, basis: SpectralBasis) -> float:
+def compute_interaction_coefficient(km: KernelMatrices) -> float:
     """Double integral of K against the first cosine mode in both slots."""
-    if basis.grid != km.grid:
-        raise GridMismatchError("basis grid does not match kernel grid")
     if km.symbols is not None:
         return float(km.symbols[0][1])
-    w1 = basis.mode(1).values
+    w1 = km.grid.basis.mode(1).values
     return float(km.grid.h**2 * (w1 @ km.k_centers @ w1))
 
 
@@ -192,36 +190,15 @@ class StabilityReport:
     principal_mode: Field
     thresholds_consistent: bool
 
-    _CSV_HEADER = "M,lambda1,grad_norm,A,M_crit_instab,M_bound_stab,principal_eig,verdict"
-
-    @classmethod
-    def csv_header(cls) -> str:
-        return cls._CSV_HEADER
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                repr(self.mass_level),
-                repr(self.lambda1),
-                repr(self.grad_norm),
-                repr(self.interaction_coefficient),
-                repr(self.critical_mass_instability),
-                repr(self.stability_bound_mass),
-                repr(self.principal_eigenvalue),
-                self.verdict,
-            ]
-        )
-
 
 def stability_verdict(spec: KernelSpec, grid: Grid1D, mass_level: float) -> StabilityReport:
     """Full stability report for the constant state at level M."""
     if mass_level < 0:
         raise InvalidParameterError("mass level M must be nonnegative")
     km = assemble(spec, grid)
-    basis = SpectralBasis(grid)
-    lop = assemble_linearized(grid, km, mass_level)  # refuses an oversized dense path
+    lop = assemble_linearized(km, mass_level)  # refuses an oversized dense path
     grad_norm = l2_operator_norm(km)
-    a_coef = compute_interaction_coefficient(km, basis)
+    a_coef = compute_interaction_coefficient(km)
     eig, mode = principal_eigenpair(lop)
     critical = 1.0 / a_coef if a_coef > 0 else math.inf
     bound = math.sqrt(LAMBDA_1) / grad_norm if grad_norm > 0 else math.inf
@@ -239,7 +216,7 @@ def stability_verdict(spec: KernelSpec, grid: Grid1D, mass_level: float) -> Stab
     return StabilityReport(
         mass_level=mass_level,
         lambda1=LAMBDA_1,
-        lambda1_discrete=float(basis.eigenvalues_discrete[1]),
+        lambda1_discrete=float(grid.basis.eigenvalues_discrete[1]),
         grad_norm=grad_norm,
         interaction_coefficient=a_coef,
         critical_mass_instability=critical,

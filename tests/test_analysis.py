@@ -26,9 +26,9 @@ def _direct_critical_mass(spec, grid):
 
     D_r is the symmetric part of the dense D projected on the modes w_1..w_{n-1}.
     """
-    family = spectral.LinearizedFamily(grid, kernel.assemble(spec, grid))
-    drift = family.basis.project(family.drift)[1:, 1:]
-    lap = np.diag(family.basis.eigenvalues_discrete[1:])
+    family = spectral.LinearizedFamily(kernel.assemble(spec, grid))
+    drift = grid.basis.project(family.drift)[1:, 1:]
+    lap = np.diag(grid.basis.eigenvalues_discrete[1:])
     return 1.0 / scipy.linalg.eigh(-0.5 * (drift + drift.T), lap, eigvals_only=True)[-1]
 
 
@@ -36,7 +36,7 @@ def _symbol_critical_mass(a, n):
     """M*(n) = min_k lambda_k^h / (-d_k) from the Green kernel's symbols."""
     grid = Grid1D(n)
     km = kernel.assemble(KernelSpec.green_series(a), grid)
-    lap, drift = spectral.LinearizedFamily(grid, km).reduced
+    lap, drift = spectral.LinearizedFamily(km).reduced
     return float(np.min(lap / -drift))
 
 
@@ -197,7 +197,7 @@ class TestCrossValidate:
     def test_discretizations_agree(self, green):
         grid = Grid1D(128)
         u0 = initial_field("constant_plus_mode:1,0.1,1", grid)
-        gap = cross_validate(u0, green, grid, horizon=0.2, n_time=64)
+        gap = cross_validate(u0, green, horizon=0.2, n_time=64)
         assert gap < 1e-3
 
     def test_reads_no_gradient_sample(self, green, monkeypatch):
@@ -209,12 +209,12 @@ class TestCrossValidate:
 
         monkeypatch.setattr(analysis, "assemble", recording_assemble)
         grid = Grid1D(64)
-        cross_validate(initial_field("constant_plus_mode:1,0.1,1", grid), green, grid, 0.1, n_time=8)
+        cross_validate(initial_field("constant_plus_mode:1,0.1,1", grid), green, 0.1, n_time=8)
         assert len(built) == 1 and "gradk_faces" not in vars(built[0])
 
     def test_gap_shrinks_with_time_refinement(self, green):
         grid = Grid1D(128)
         u0 = initial_field("constant_plus_mode:1,0.1,1", grid)
-        coarse = cross_validate(u0, green, grid, horizon=0.2, n_time=16)
-        fine = cross_validate(u0, green, grid, horizon=0.2, n_time=128)
+        coarse = cross_validate(u0, green, horizon=0.2, n_time=16)
+        fine = cross_validate(u0, green, horizon=0.2, n_time=128)
         assert fine < coarse

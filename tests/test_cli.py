@@ -112,6 +112,28 @@ class TestCommands:
         assert header.startswith("M,lambda1")
         assert row.endswith("linearly_unstable")
 
+    def test_analyze_writes_17_significant_digits(self, tmp_path):
+        cfg = write_config(tmp_path, "c.cfg", GREEN_LINES + "analysis.M = 3\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        header, row = (out / "stability_report.csv").read_text().splitlines()
+        header, row = header.split(","), row.split(",")
+        assert len(header) == len(row)
+        assert row[-1] == "linearly_stable_sufficient"
+        assert row[:-1] == [format(float(v), ".17g") for v in row[:-1]]
+
+    @pytest.mark.parametrize(
+        "lines",
+        ["analysis.M = 3\n", "sim.M = 3\n", "analysis.M = 3\nsim.M = abc\n"],
+        ids=["analysis", "sim", "analysis-beside-unused-sim"],
+    )
+    def test_analyze_mass_falls_back_to_sim(self, tmp_path, lines):
+        cfg = write_config(tmp_path, "c.cfg", GREEN_LINES + lines)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        row = (out / "stability_report.csv").read_text().splitlines()[1]
+        assert float(row.split(",")[0]) == 3.0
+
     def test_simulate_writes_trajectory(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -349,6 +371,16 @@ class TestUsageErrors:
         cfg = write_config(tmp_path, "c.cfg", text)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
         assert "the limit is 1e+08" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "validate-kernel"])
+    @pytest.mark.parametrize("a", ["1e-310", "1e-321", "5e-324"])
+    def test_green_values_beyond_a_double_are_refused(self, tmp_path, capsys, command, a):
+        # the Green kernel is about 1/a: 1e310 and more overflow a double
+        text = f"kernel.variant = green_series\nkernel.a = {a}\ngrid.n = 64\n"
+        cfg = write_config(tmp_path, "c.cfg", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "beyond the largest double" in err and "Traceback" not in err
 
     def test_config_with_bad_value(self, tmp_path):
         cfg = write_config(tmp_path, "c.cfg", "kernel.variant = green_closed_form\ngrid.n = two\n")

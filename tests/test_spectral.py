@@ -12,7 +12,6 @@ from aggrestab import (
     Grid1D,
     KernelSpec,
     LAMBDA_1,
-    SpectralBasis,
     assemble,
     assemble_linearized,
     bilinear_form,
@@ -22,29 +21,25 @@ from aggrestab import (
     principal_eigenpair,
     stability_verdict,
 )
-from aggrestab import spectral
-from aggrestab.errors import GridMismatchError, InvalidParameterError, UnsupportedKernelError
+from aggrestab import kernel, spectral
+from aggrestab.errors import InvalidParameterError, UnsupportedKernelError
 from aggrestab.spectral import VERDICT_INCONCLUSIVE, VERDICT_STABLE, VERDICT_UNSTABLE
 
 
 class TestAssembly:
-    def test_weighted_row_sums_vanish(self, grid128, km128):
+    def test_weighted_row_sums_vanish(self, km128):
         # flux form: the operator annihilates nothing but preserves total mass
-        lop = assemble_linearized(grid128, km128, 7.0)
+        lop = assemble_linearized(km128, 7.0)
         col_sums = lop.matrix.sum(axis=0)
         assert np.abs(col_sums).max() < 1e-9
 
-    def test_negative_mass_rejected(self, grid128, km128):
+    def test_negative_mass_rejected(self, km128):
         with pytest.raises(InvalidParameterError):
-            assemble_linearized(grid128, km128, -1.0)
-
-    def test_grid_mismatch_rejected(self, km128):
-        with pytest.raises(GridMismatchError):
-            assemble_linearized(Grid1D(64), km128, 1.0)
+            assemble_linearized(km128, -1.0)
 
     def test_matrix_matches_bilinear_form(self, grid128, km128, rng):
         # h <L phi, psi> = J(phi, psi) for zero-flux discretizations
-        lop = assemble_linearized(grid128, km128, 4.0)
+        lop = assemble_linearized(km128, 4.0)
         for _ in range(3):
             phi = rng.standard_normal(grid128.n)
             psi = rng.standard_normal(grid128.n)
@@ -58,34 +53,45 @@ class TestAssembly:
 class TestPrincipalEigenpair:
     def test_pure_diffusion_gives_discrete_lambda1(self, grid256):
         km = assemble(KernelSpec.zero(256), grid256)
-        lop = assemble_linearized(grid256, km, 0.0)
+        lop = assemble_linearized(km, 0.0)
         eig, mode = principal_eigenpair(lop)
-        basis = SpectralBasis(grid256)
+        basis = grid256.basis
         assert eig == pytest.approx(basis.eigenvalues_discrete[1], rel=1e-10)
         # the minimizing mode is the first cosine, up to sign
         overlap = abs(grid256.h * float(mode.values @ basis.mode(1).values))
         assert overlap == pytest.approx(1.0, abs=1e-6)
 
-    def test_mode_is_zero_mean_and_normalized(self, grid256, km256):
+    def test_mode_is_zero_mean_and_normalized(self, km256):
         from aggrestab import lp_norm
 
-        eig, mode = principal_eigenpair(assemble_linearized(grid256, km256, 12.0))
+        eig, mode = principal_eigenpair(assemble_linearized(km256, 12.0))
         assert abs(mode.mass) < 1e-10
         assert lp_norm(mode, 2) == pytest.approx(1.0, rel=1e-10)
 
-    def test_eigenvalue_decreases_with_mass(self, grid128, km128):
+    def test_eigenvalue_decreases_with_mass(self, km128):
         eigs = [
-            principal_eigenpair(assemble_linearized(grid128, km128, m))[0]
+            principal_eigenpair(assemble_linearized(km128, m))[0]
             for m in (0.0, 5.0, 10.0, 15.0)
         ]
         assert all(a > b for a, b in zip(eigs, eigs[1:]))
+
+    def test_residual_catches_a_wrong_symbol(self, green, grid256, monkeypatch):
+        # the residual applies D by the kernel action, not by the symbols it checks
+        true_symbols = kernel._green_symbols
+
+        def doubled(spec, grid):
+            return tuple(2.0 * symbol for symbol in true_symbols(spec, grid))
+
+        monkeypatch.setattr(kernel, "_green_symbols", doubled)
+        with pytest.raises(UnsupportedKernelError, match="residual"):
+            principal_eigenpair(assemble_linearized(assemble(green, grid256), 12.0))
 
     def test_asymmetric_kernel_rejected(self, grid128):
         values = np.zeros((128, 128))
         values[0, 1] = 1.0
         km = assemble(KernelSpec.tabulated(values, np.zeros((129, 128))), grid128)
         with pytest.raises(UnsupportedKernelError):
-            principal_eigenpair(assemble_linearized(grid128, km, 1.0))
+            principal_eigenpair(assemble_linearized(km, 1.0))
 
 
 def _qr_reference(lop):
@@ -129,7 +135,7 @@ class TestAgainstQRReference:
         grid = Grid1D(n)
         km = assemble(spec, grid)
         for mass in (0.0, 5.0, 12.0):
-            lop = assemble_linearized(grid, km, mass)
+            lop = assemble_linearized(km, mass)
             eig, mode = principal_eigenpair(lop)
             ref_eig, ref_mode = _qr_reference(lop)
             assert abs(eig - ref_eig) <= 1e-13 * np.linalg.norm(lop.matrix, np.inf)
@@ -146,8 +152,8 @@ class TestGreenSymbols:
     def test_match_dense_projection(self, a, scale, n):
         grid = Grid1D(n)
         km = assemble(KernelSpec.green_series(a, scale=scale), grid)
-        family = assemble_linearized(grid, km, 0.0).family
-        basis = family.basis
+        family = assemble_linearized(km, 0.0).family
+        basis = grid.basis
         for projected, symbol in (
             (grid.h * basis.project(km.k_centers), km.symbols[0]),
             (basis.project(family.drift), family.drift_symbol),
@@ -199,17 +205,14 @@ sys.exit(", ".join(sorted(set(loaded))) or 0)
 
 
 class TestInteractionCoefficient:
-    def test_green_closed_form_value(self, km256, basis256):
+    def test_green_closed_form_value(self, km256):
         # for the Green kernel of -d^2/dx^2 + a the coefficient is 1/(a + pi^2)
-        a_coef = compute_interaction_coefficient(km256, basis256)
+        a_coef = compute_interaction_coefficient(km256)
         assert a_coef == pytest.approx(1.0 / (1.0 + math.pi**2), abs=1e-5)
 
     def test_alias_is_same_function(self):
         assert compute_A is compute_interaction_coefficient
 
-    def test_grid_mismatch(self, km256):
-        with pytest.raises(GridMismatchError):
-            compute_interaction_coefficient(km256, SpectralBasis(Grid1D(64)))
 
 
 class TestStabilityVerdict:
@@ -238,13 +241,6 @@ class TestStabilityVerdict:
         gap_mass = 0.5 * (report.stability_bound_mass + report.critical_mass_instability)
         mid = stability_verdict(spec, grid128, gap_mass)
         assert mid.verdict in (VERDICT_INCONCLUSIVE, VERDICT_STABLE, VERDICT_UNSTABLE)
-
-    def test_csv_row_shape(self, green, grid128):
-        report = stability_verdict(green, grid128, 3.0)
-        header = report.csv_header().split(",")
-        row = report.csv_row().split(",")
-        assert len(header) == len(row)
-        assert row[-1] == VERDICT_STABLE
 
     def test_lambda1_constant(self):
         assert LAMBDA_1 == pytest.approx(math.pi**2)

@@ -1,0 +1,72 @@
+"""The benchmark's span tracer against the package: every name it traces exists.
+
+`perfbench/tracing.py` looks each traced function up by name, so a renamed or
+removed function breaks the traced benchmark. It is read here from its file,
+unchanged.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from aggrestab import Grid1D, KernelSpec, spectral
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    """Every name bound in every aggrestab module, with the object it names."""
+    return {
+        (name, key): value
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "aggrestab"
+        for key, value in vars(module).items()
+    }
+
+
+def test_traced_names_resolve(tracing):
+    for mod, attr in tracing.FUNCTIONS.values():
+        assert callable(getattr(importlib.import_module(f"aggrestab.{mod}"), attr))
+    for mod, cls, attr in tracing.METHODS.values():
+        assert attr in vars(getattr(importlib.import_module(f"aggrestab.{mod}"), cls))
+
+
+def test_tracer_wraps_and_restores(tracing):
+    classes = [
+        (getattr(importlib.import_module(f"aggrestab.{mod}"), name), attr)
+        for mod, name, attr in tracing.METHODS.values()
+    ]
+    methods = [(cls, attr, vars(cls)[attr]) for cls, attr in classes]
+    before = _bindings()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert spectral.stability_verdict is not before[("aggrestab.spectral", "stability_verdict")]
+        report = spectral.stability_verdict(KernelSpec.green_closed_form(), Grid1D(64), 3.0)
+    assert report.verdict == spectral.VERDICT_STABLE
+    spans = {span[0]: span for span in tracer.spans}
+    assert set(spans) == {
+        "spectral.stability_verdict",
+        "kernel.assemble",
+        "spectral.assemble_linearized",
+        "kernel.l2_operator_norm",
+        "spectral.principal_eigenpair",
+        "kernel.apply_grad",
+        "grid.SpectralBasis",
+    }
+    # every span found its grid, through the kernel for assemble_linearized
+    assert all(span[4] == 64 for span in tracer.spans)
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    assert all(vars(cls)[attr] is raw for cls, attr, raw in methods)
