@@ -42,10 +42,8 @@ class NonContractionError(AggrestabError):
     """Picard iteration did not contract within the iteration cap."""
 
     def __init__(self, distances):
-        super().__init__(
-            f"no contraction after {len(distances)} iterations; "
-            f"last distance {distances[-1]:g}"
-        )
+        last = f"; last distance {distances[-1]:g}" if distances else ""
+        super().__init__(f"no contraction after {len(distances)} iterations{last}")
         self.distances = list(distances)
 
 
@@ -58,7 +56,7 @@ class InvalidBracketError(AggrestabError):
 
 
 class NoExistenceTimeError(AggrestabError):
-    """No positive existence time: the kernel norm estimate is infinite."""
+    """No positive existence time: the kernel norm estimate is infinite or the time underflows."""
 
 
 class KernelLoadError(AggrestabError):

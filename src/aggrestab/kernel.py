@@ -380,7 +380,10 @@ def apply_grad(km: KernelMatrices, u) -> np.ndarray:
 
 def hilbert_schmidt_grad_norm(km: KernelMatrices) -> float:
     """L^2(Omega x Omega) norm of the gradient kernel."""
-    return float(np.sqrt(km.grid.h**2 * np.sum(km.gradk_faces**2)))
+    # scaled exactly by the power of two of the largest entry, so no square overflows
+    _, exp = math.frexp(float(np.abs(km.gradk_faces).max()))
+    scaled = np.ldexp(km.gradk_faces, -exp)
+    return float(np.ldexp(np.sqrt(km.grid.h**2 * np.sum(np.square(scaled, out=scaled))), exp))
 
 
 def l2_operator_norm(km: KernelMatrices) -> float:

@@ -372,9 +372,10 @@ def existence_time(u0: Field, grad_norm: float, q_prime: float, c_emp: float) ->
     else:
         gamma = 0.5
         budget = 4.0 * c_emp * grad_norm * (lp_norm(u0, 1) + lp_norm(u0, np.inf))
-    if budget == 0:
-        return math.inf
-    return float(budget ** (-1.0 / gamma))
+    horizon = float(budget ** (-1.0 / gamma)) if budget > 0 else math.inf
+    if horizon == 0:
+        raise NoExistenceTimeError(f"the existence time underflows to 0 (budget {budget:g})")
+    return horizon
 
 
 def picard_mild_solve(
@@ -455,16 +456,21 @@ def picard_mild_solve(
 
     states = free.copy()
     distances = []
-    for _ in range(max_iter):
-        new_states = basis.from_spectral(drift_integrals(states))
-        np.subtract(free, new_states, out=new_states)
-        # the old iterate's buffer takes the change, then is dropped
-        distances.append(norm_xt(np.subtract(new_states, states, out=states)))
-        states = new_states
-        if distances[-1] <= tol:
-            break
-    else:
-        raise NonContractionError(distances)
+    # an overflow shows as a non-finite distance, which ends the iteration
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            new_states = basis.from_spectral(drift_integrals(states))
+            np.subtract(free, new_states, out=new_states)
+            # the old iterate's buffer takes the change, then is dropped
+            distance = norm_xt(np.subtract(new_states, states, out=states))
+            if not math.isfinite(distance):
+                raise NonContractionError(distances)
+            distances.append(distance)
+            states = new_states
+            if distance <= tol:
+                break
+        else:
+            raise NonContractionError(distances)
     ratios = [b / a for a, b in zip(distances, distances[1:]) if a > 0 and b > 0]
     contraction = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
     trajectory = Trajectory.from_states(times, states.T)

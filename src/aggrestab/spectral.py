@@ -1,8 +1,8 @@
 """Linearization about a constant state and its stability verdicts.
 
-The operator S(M) = -Laplace(phi) + div(M grad K(phi)) is assembled in flux
-form (zero boundary fluxes), so its weighted row sums vanish identically and
-its quadratic form coincides with the energy form
+The operator S(M) = -Laplace(phi) + div(M grad K(phi)) is taken in flux form
+(zero boundary fluxes), so its weighted row sums vanish identically and its
+quadratic form coincides with the energy form
 J(phi, psi) = int grad(phi).grad(psi) - M int grad K(phi).grad(psi).
 The principal eigenvalue is the minimum of J's Rayleigh quotient over the
 zero-mean subspace. It is solved for alone in the cosine modes w_1..w_{n-1}
@@ -11,11 +11,11 @@ diagonalize the discrete Laplacian L exactly, so L is its eigenvalues there.
 
 For a Green kernel D is diagonal in the modes too, with the symbol
 d_k = (2/h) sin(k pi h / 2) t_k of `KernelMatrices.symbols`. Then S(M) is
-the vector lambda_k^h + M d_k, the principal eigenpair is its smallest entry
-with the mode w_k, and no n x n array is built: the residual check applies L
-by `gradient` and `divergence` and D by `apply_grad`, not by the symbol it
-checks. Other kernels project the dense D once per family and solve for the
-one eigenpair with `eigh`.
+the vector lambda_k^h + M d_k and its smallest entry gives the eigenpair.
+Other kernels project the dense D once per family and solve with `eigh`.
+Neither L nor S(M) is formed: the residual check applies L by `gradient` and
+`divergence`, and D by `apply_grad` for a Green kernel (not by the symbol it
+checks), by the symmetric part of the dense D otherwise.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ VERDICT_UNSTABLE = "linearly_unstable"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 _SYMMETRY_TOL = 1e-8
-# n x n arrays the dense path holds at its peak: the kernel's value and
-# gradient samples, D, its projection, L, S(M) and a temporary
+# n x n arrays the dense path holds at its peak, in the second transform of
+# `reduced`'s projection of D: the kernel's value and gradient samples, D, the
+# first transform's output, and the second's reordered input, FFT and output
 _DENSE_ARRAYS = 7
 
 
@@ -50,18 +51,13 @@ class LinearizedOperator:
     mass_level: float
     family: LinearizedFamily
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense S(M), built when first read."""
-        return self.family.laplacian + self.mass_level * self.family.drift
-
 
 class LinearizedFamily:
     """S(M) = L + M D with L = -Laplace, D = div(grad K(.)) (zero flux), for any M.
 
-    The dense L and D are built when first read. A kernel without symbols is
-    refused here, before anything is allocated, when the dense path would
-    hold more than MAX_STORED_VALUES values at once.
+    Only D is dense, built when first read; L acts by face differences. A
+    kernel without symbols is refused here, before anything is allocated,
+    when the dense path would hold more than MAX_STORED_VALUES values at once.
     """
 
     def __init__(self, km: KernelMatrices):
@@ -77,10 +73,6 @@ class LinearizedFamily:
         if mass_level < 0:
             raise InvalidParameterError("mass level M must be nonnegative")
         return LinearizedOperator(self.grid, self.km, mass_level, self)
-
-    @cached_property
-    def laplacian(self) -> np.ndarray:
-        return -divergence(gradient(np.eye(self.grid.n), self.grid), self.grid)
 
     @cached_property
     def drift(self) -> np.ndarray:
@@ -137,24 +129,24 @@ def principal_eigenpair(lop: LinearizedOperator):
     mode) with the mode normalized to unit L2 norm; the weak eigenrelation
     residual in the full space is verified before returning.
     """
-    family, mass, basis = lop.family, lop.mass_level, lop.grid.basis
+    family, mass, grid = lop.family, lop.mass_level, lop.grid
     lap, drift = family.reduced
     if drift.ndim == 1:  # S(M) is diagonal in the modes
         symbol = lap + mass * drift
         k = int(np.argmin(symbol))
-        lam, vec = float(symbol[k]), basis.mode(k + 1).values
-        # S vec, with L applied by the face differences and D by the kernel action
-        s_vec = -divergence(gradient(vec, lop.grid), lop.grid)
-        s_vec += mass * divergence(apply_grad(lop.km, vec), lop.grid)
-        r = s_vec - lam * vec
-        scale = float(np.abs(symbol).max())  # rho(S), at most ||S||_inf
+        lam, vec = float(symbol[k]), grid.basis.mode(k + 1).values
+        d_vec = divergence(apply_grad(lop.km, vec), grid)
+        scale = float(np.abs(symbol).max())
     else:
-        eigvals, eigvecs = eigh(np.diag(lap) + mass * drift, subset_by_index=[0, 0])
+        reduced = np.diag(lap) + mass * drift
+        eigvals, eigvecs = eigh(reduced, subset_by_index=[0, 0])
         lam = float(eigvals[0])
-        vec = basis.from_spectral(np.concatenate(([0.0], eigvecs[:, 0])))
-        # (S + S^T)/2 applied to vec without forming it; uniform weights make S^T the L2 adjoint
-        r = 0.5 * (lop.matrix @ vec + vec @ lop.matrix) - lam * vec
-        scale = np.linalg.norm(lop.matrix, np.inf)
+        vec = grid.basis.from_spectral(np.concatenate(([0.0], eigvecs[:, 0])))
+        # uniform weights make D^T the L2 adjoint of D
+        d_vec = 0.5 * (family.drift @ vec + vec @ family.drift)
+        scale = np.linalg.norm(reduced, np.inf)
+    # scale is the infinity norm of the reduced operator that was solved
+    r = mass * d_vec - divergence(gradient(vec, grid), grid) - lam * vec
     residual = np.max(np.abs(r - r.mean()))
     if residual > 1e-8 * max(scale, 1.0):
         raise UnsupportedKernelError(
@@ -193,10 +185,8 @@ class StabilityReport:
 
 def stability_verdict(spec: KernelSpec, grid: Grid1D, mass_level: float) -> StabilityReport:
     """Full stability report for the constant state at level M."""
-    if mass_level < 0:
-        raise InvalidParameterError("mass level M must be nonnegative")
     km = assemble(spec, grid)
-    lop = assemble_linearized(km, mass_level)  # refuses an oversized dense path
+    lop = assemble_linearized(km, mass_level)  # refuses M < 0 and an oversized dense path
     grad_norm = l2_operator_norm(km)
     a_coef = compute_interaction_coefficient(km)
     eig, mode = principal_eigenpair(lop)

@@ -230,6 +230,26 @@ class TestCommands:
         code = main(["mild-solve", "--config", cfg, "--out", str(out)])
         assert code == EXIT_BAD_KERNEL
 
+    def test_mild_solve_underflowed_existence_time_is_unusable(self, tmp_path, capsys):
+        # budget^(-1/gamma) = (8e200)^(-2) underflows to 0 and no mild.T is set
+        cfg = write_config(tmp_path, "c.cfg", GREEN_LINES + "kernel.scale = 1e200\n")
+        code = main(["mild-solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_BAD_KERNEL
+        assert "existence time" in capsys.readouterr().err
+
+    def test_mild_solve_overflow_writes_no_nan_row(self, tmp_path):
+        # the third sweep overflows: the run stops with the two finite distances
+        text = GREEN_LINES + "kernel.scale = 1e100\nmild.T = 0.01\n"
+        cfg = write_config(tmp_path, "c.cfg", text)
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="contraction estimate"):
+            code = main(["mild-solve", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_NO_CONTRACTION
+        lines = (out / "picard.csv").read_text().splitlines()
+        numbers = [float(v) for line in lines[1:-1] for v in line.split(",")[1:] if v]
+        numbers.append(float(lines[-1].split("=")[1]))
+        assert len(lines) == 4 and all(math.isfinite(v) for v in numbers)
+
     def test_simulate_non_finite_tabulated_kernel_is_unusable(self, tmp_path):
         grid = Grid1D(16)
         table = tmp_path / "kernel.csv"

@@ -198,6 +198,13 @@ class TestOperators:
     def test_hs_norm_dominates_operator_norm(self, km128):
         assert l2_operator_norm(km128) <= hilbert_schmidt_grad_norm(km128) + 1e-12
 
+    def test_hs_norm_of_a_large_scale_is_finite(self):
+        # the squares of the 1e160 sample overflow, its norm does not
+        grid = Grid1D(64)
+        large = hilbert_schmidt_grad_norm(assemble(KernelSpec.green_closed_form(1e160), grid))
+        unit = hilbert_schmidt_grad_norm(assemble(KernelSpec.green_closed_form(), grid))
+        assert large == pytest.approx(1e160 * unit, rel=1e-14)
+
 
 class TestGreenScan:
     """The Green gradient action from its separable factors, without the sample."""

@@ -12,6 +12,7 @@ from aggrestab import (
     Grid1D,
     KernelSpec,
     LAMBDA_1,
+    SpectralBasis,
     assemble,
     assemble_linearized,
     bilinear_form,
@@ -21,29 +22,39 @@ from aggrestab import (
     principal_eigenpair,
     stability_verdict,
 )
-from aggrestab import kernel, spectral
+from aggrestab import divergence, gradient, kernel, spectral
 from aggrestab.errors import InvalidParameterError, UnsupportedKernelError
 from aggrestab.spectral import VERDICT_INCONCLUSIVE, VERDICT_STABLE, VERDICT_UNSTABLE
+
+
+def _dense_operator(lop):
+    """S(M) = -Laplace + M D as an n x n array, for the checks below."""
+    grid = lop.grid
+    laplacian = -divergence(gradient(np.eye(grid.n), grid), grid)
+    return laplacian + lop.mass_level * lop.family.drift
 
 
 class TestAssembly:
     def test_weighted_row_sums_vanish(self, km128):
         # flux form: the operator annihilates nothing but preserves total mass
         lop = assemble_linearized(km128, 7.0)
-        col_sums = lop.matrix.sum(axis=0)
+        col_sums = _dense_operator(lop).sum(axis=0)
         assert np.abs(col_sums).max() < 1e-9
 
-    def test_negative_mass_rejected(self, km128):
-        with pytest.raises(InvalidParameterError):
+    def test_negative_mass_rejected(self, green, grid128, km128):
+        with pytest.raises(InvalidParameterError, match="must be nonnegative"):
             assemble_linearized(km128, -1.0)
+        with pytest.raises(InvalidParameterError, match="must be nonnegative"):
+            stability_verdict(green, grid128, -1.0)
 
     def test_matrix_matches_bilinear_form(self, grid128, km128, rng):
         # h <L phi, psi> = J(phi, psi) for zero-flux discretizations
         lop = assemble_linearized(km128, 4.0)
+        matrix = _dense_operator(lop)
         for _ in range(3):
             phi = rng.standard_normal(grid128.n)
             psi = rng.standard_normal(grid128.n)
-            lhs = grid128.h * float(psi @ (lop.matrix @ phi))
+            lhs = grid128.h * float(psi @ (matrix @ phi))
             from aggrestab import Field
 
             rhs = bilinear_form(lop, Field(grid128, phi), Field(grid128, psi))
@@ -86,6 +97,14 @@ class TestPrincipalEigenpair:
         with pytest.raises(UnsupportedKernelError, match="residual"):
             principal_eigenpair(assemble_linearized(assemble(green, grid256), 12.0))
 
+    def test_dense_residual_catches_a_wrong_projection(self, grid256, monkeypatch):
+        # the dense residual applies D itself, not the projection the solver read
+        project = SpectralBasis.project
+        monkeypatch.setattr(SpectralBasis, "project", lambda self, a: 2.0 * project(self, a))
+        km = assemble(KernelSpec.gaussian(0.1), grid256)
+        with pytest.raises(UnsupportedKernelError, match="residual"):
+            principal_eigenpair(assemble_linearized(km, 12.0))
+
     def test_asymmetric_kernel_rejected(self, grid128):
         values = np.zeros((128, 128))
         values[0, 1] = 1.0
@@ -97,7 +116,8 @@ class TestPrincipalEigenpair:
 def _qr_reference(lop):
     """Principal eigenpair by QR deflation of the constant and a full eigh."""
     n = lop.grid.n
-    s = 0.5 * (lop.matrix + lop.matrix.T)
+    matrix = _dense_operator(lop)
+    s = 0.5 * (matrix + matrix.T)
     q, _ = np.linalg.qr(np.eye(n)[:, 1:] - 1.0 / n)
     reduced = q.T @ s @ q
     eigvals, eigvecs = np.linalg.eigh(0.5 * (reduced + reduced.T))
@@ -138,7 +158,7 @@ class TestAgainstQRReference:
             lop = assemble_linearized(km, mass)
             eig, mode = principal_eigenpair(lop)
             ref_eig, ref_mode = _qr_reference(lop)
-            assert abs(eig - ref_eig) <= 1e-13 * np.linalg.norm(lop.matrix, np.inf)
+            assert abs(eig - ref_eig) <= 1e-13 * np.linalg.norm(_dense_operator(lop), np.inf)
             sign = math.copysign(1.0, float(mode.values @ ref_mode))
             assert np.abs(mode.values - sign * ref_mode).max() <= 1e-8
 
