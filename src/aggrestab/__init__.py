@@ -7,16 +7,7 @@ against a Duhamel-Picard mild solver.
 """
 
 from .analysis import BasinProbe, RateFit, basin_probe, cross_validate, fit_rate, threshold_bisect
-from .grid import (
-    Field,
-    Grid1D,
-    SpectralBasis,
-    constant_field,
-    divergence,
-    gradient,
-    lp_norm,
-    project_zero_mean,
-)
+from .grid import Grid1D, SpectralBasis, divergence, gradient, lp_norm
 from .kernel import (
     KernelMatrices,
     KernelNormEstimate,

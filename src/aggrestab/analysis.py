@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitFailureError, InvalidBracketError, InvalidParameterError
-from .grid import Field, Grid1D
-from .kernel import KernelSpec, assemble
+from .grid import Grid1D
+from .kernel import KernelMatrices, KernelSpec, assemble
 from .solver import SimConfig, Trajectory, auto_dt, evolve, picard_mild_solve, step_imex
 from .spectral import LAMBDA_1, VERDICT_STABLE, LinearizedFamily, principal_eigenpair
 from .spectral import stability_verdict
@@ -173,17 +173,16 @@ def basin_probe(
     return BasinProbe(mass_level, lo, hi, False, tuple(history))
 
 
-def cross_validate(u0: Field, spec: KernelSpec, horizon: float, n_time: int = 128) -> float:
+def cross_validate(u0, km: KernelMatrices, horizon: float, n_time: int = 128) -> float:
     """Max L-infinity gap between the split stepper and the mild discretization.
 
-    Both runs start from u0, on its grid; the comparison is taken over the mild
-    solver's output times, with the stepper's steps aligned so the times are
-    shared.
+    Both runs start from the cell values u0 on the kernel's grid; the comparison
+    is taken over the mild solver's output times, with the stepper's steps
+    aligned so the times are shared.
     """
-    km = assemble(spec, u0.grid)
     mild = picard_mild_solve(u0, km, horizon, n_time=n_time)
     dt_grid = horizon / n_time
-    u = u0.values
+    u = u0
     gap = 0.0
     for idx in range(1, n_time + 1):
         # equal substeps per mild output time, none longer than the automatic step

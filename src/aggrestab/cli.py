@@ -296,7 +296,7 @@ def cmd_mild_solve(config: RunConfig, out_dir: Path) -> int:
     q_prime = _number("mild.q_prime", config.get("mild.q_prime", "inf"))
     c_emp = config.get_float("mild.C_emp", default=1.0, positive=True)
     estimate = norm_inf_qprime(spec, q_prime, levels=(64, 128, 256, 512))
-    t_exist = existence_time(u0, estimate.value, q_prime, c_emp)
+    t_exist = existence_time(u0, grid, estimate.value, q_prime, c_emp)
     horizon = config.get_float("mild.T", default=0.0)
     if horizon <= 0:
         factor = config.get_float("mild.T_factor", default=1.0, positive=True)

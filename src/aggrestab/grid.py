@@ -1,9 +1,12 @@
 """Uniform cell-centered discretization of [0,1] with Neumann boundary handling.
 
-Fields live as cell averages; discrete gradients live on the n+1 cell faces,
-with the two boundary faces pinned to zero flux. The sampled cosine modes
-w_0 = 1, w_k = sqrt(2) cos(k pi x) form an exactly orthonormal discrete basis
-under midpoint quadrature, which diagonalizes the discrete Neumann Laplacian.
+A state is a NumPy array of cell averages along axis 0. It carries no grid: a
+function reads the grid from the kernel or operator it takes, or from a
+`grid` argument right after the array. Discrete gradients live on the n+1
+cell faces, with the two boundary faces pinned to zero flux. The sampled
+cosine modes w_0 = 1, w_k = sqrt(2) cos(k pi x) form an exactly orthonormal
+discrete basis under midpoint quadrature, which diagonalizes the discrete
+Neumann Laplacian.
 """
 
 from __future__ import annotations
@@ -55,46 +58,15 @@ class Grid1D:
         return SpectralBasis(self)
 
 
-@dataclass(frozen=True)
-class Field:
-    """Cell-average vector on a grid."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n,):
-            raise InvalidParameterError(
-                f"field length {values.shape} does not match grid n={self.grid.n}"
-            )
-        object.__setattr__(self, "values", values)
-
-    @property
-    def mass(self) -> float:
-        return self.grid.h * float(self.values.sum())
-
-    def with_values(self, values) -> "Field":
-        return Field(self.grid, np.asarray(values, dtype=float))
-
-
-def constant_field(grid: Grid1D, value: float) -> Field:
-    return Field(grid, np.full(grid.n, float(value)))
-
-
-def lp_norm(f, p: float, grid: Grid1D | None = None) -> float:
+def lp_norm(v, p: float, grid: Grid1D) -> float:
     """L^p norm with weight h per entry; p = inf gives the max norm.
 
-    Takes a Field (midpoint quadrature over cells), or a face vector with its
-    grid (weight h per face).
+    Takes cell values (midpoint quadrature over cells) or face values (weight h
+    per face) on the grid.
     """
     if p < 1:
         raise InvalidParameterError(f"p must be in [1, inf], got {p}")
-    if isinstance(f, Field):
-        grid, f = f.grid, f.values
-    elif grid is None:
-        raise InvalidParameterError("the L^p norm of a face vector needs its grid")
-    v = np.abs(np.asarray(f, dtype=float))
+    v = np.abs(np.asarray(v, dtype=float))
     if np.isinf(p):
         return float(v.max(initial=0.0))
     return float((grid.h * np.sum(v**p)) ** (1.0 / p))
@@ -120,10 +92,6 @@ def divergence(g, grid: Grid1D) -> np.ndarray:
     return np.diff(_rows(g, grid.n + 1, "face array"), axis=0) / grid.h
 
 
-def project_zero_mean(f: Field) -> Field:
-    return f.with_values(f.values - f.values.mean())
-
-
 class SpectralBasis:
     """Neumann cosine eigenpairs of -Laplace on [0,1], sampled at cell centers.
 
@@ -145,11 +113,11 @@ class SpectralBasis:
         self._cos, self._sin = np.cos(angle), np.sin(angle)
         self._shift = (n / np.sqrt(2.0)) * np.exp(1j * angle[: n // 2 + 1])
 
-    def mode(self, k: int) -> Field:
+    def mode(self, k: int) -> np.ndarray:
         if not 0 <= k < self.grid.n:
             raise InvalidParameterError(f"mode index {k} outside [0, {self.grid.n})")
         w = np.cos(self.grid.centers * (k * np.pi))
-        return Field(self.grid, w * np.sqrt(2.0) if k > 0 else w)
+        return w * np.sqrt(2.0) if k > 0 else w
 
     def to_spectral(self, u) -> np.ndarray:
         """Mode coefficients of cell values, along axis 0."""

@@ -180,6 +180,14 @@ class KernelMatrices:
     def gradk_faces(self) -> np.ndarray:
         return _gradk_matrix(self.spec, self.grid)
 
+    @cached_property
+    def symmetry_residual(self) -> float:
+        """max |K(x, y) - K(y, x)| at the centers: 0 for a built-in family, a function
+        of |x - y| and x + y, so only a table is sampled."""
+        if self.spec.variant != "tabulated":
+            return 0.0
+        return float(np.max(np.abs(self.k_centers - self.k_centers.T), initial=0.0))
+
 
 @dataclass(frozen=True)
 class KernelNormEstimate:
@@ -642,7 +650,6 @@ def validate_assumptions(
     neumann = float(np.max(np.abs(km.gradk_faces[[0, -1], :]), initial=0.0))
     row_integral = grid.h * km.gradk_faces.sum(axis=1)
     mean_grad = float(np.max(np.abs(row_integral[1:-1]), initial=0.0))
-    symmetry = float(np.max(np.abs(km.k_centers - km.k_centers.T), initial=0.0))
     ladder = _norm_ladder(spec, (*q_primes, *CLASSIFY_QPRIMES))
     estimates = {q: ladder[q] for q in q_primes}
     norms_finite = all(e.verdict == "finite" for e in estimates.values())
@@ -651,7 +658,7 @@ def validate_assumptions(
         neumann_ok=neumann <= tol,
         mean_gradient_residual=mean_grad,
         mean_gradient_ok=mean_grad <= tol,
-        symmetry_residual=symmetry,
+        symmetry_residual=km.symmetry_residual,
         norm_estimates=estimates,
         norms_finite=norms_finite,
         hilbert_schmidt_norm=hilbert_schmidt_grad_norm(km),

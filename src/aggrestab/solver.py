@@ -11,10 +11,10 @@ the CFL bound. Transport alone sets the automatic step. The mild solver
 iterates the integral fixed point on the same exact propagator, with its own
 treatment of the drift, and the same kernel action `apply_grad`.
 
-States follow `grid`'s convention: the stepper takes and returns cell arrays
-along axis 0, and a `Trajectory` keeps its stored states as the rows of one
-(stored states, n) array. A `Field` is a datum that carries its grid: the
-initial datum, and the inputs of the mild solver and the semigroup probes.
+Every state and datum is a cell array, as in `grid`: the initial datum, the
+stepper's input and output, and the inputs of the mild solver and the
+semigroup probes. A `Trajectory` keeps its stored states as the rows of one
+(stored states, n) array.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     RejectedStepError,
     SchemeFailureError,
 )
-from .grid import MAX_STORED_VALUES, Field, Grid1D, divergence, gradient, lp_norm
+from .grid import MAX_STORED_VALUES, Grid1D, divergence, gradient, lp_norm
 from .kernel import KernelMatrices, KernelSpec, apply_grad, assemble
 from .spectral import LAMBDA_1
 
@@ -109,8 +109,8 @@ class MildSolveDiagnostics:
     trajectory: Trajectory
 
 
-def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> Field:
-    """Build an initial datum from a config descriptor string.
+def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> np.ndarray:
+    """The cell values of an initial datum given by a config descriptor string.
 
     Forms: constant:<M> | constant_plus_mode:<M>,<amplitude>,<k>
     | random_zero_mean:<amplitude>,<seed> | csv:<path> (one value per line).
@@ -123,7 +123,7 @@ def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> Field:
             values = np.full(grid.n, float(arg))
         elif kind == "constant_plus_mode":
             level, amplitude, k = arg.split(",")
-            values = float(level) + float(amplitude) * grid.basis.mode(int(k)).values
+            values = float(level) + float(amplitude) * grid.basis.mode(int(k))
         elif kind == "random_zero_mean":
             amplitude, sub_seed = arg.split(",")
             rng = np.random.default_rng(int(sub_seed) if sub_seed else seed)
@@ -136,7 +136,9 @@ def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> Field:
             values = np.loadtxt(arg, dtype=float, ndmin=1)
         if not np.isfinite(values).all():
             raise InvalidParameterError("the datum has a non-finite value")
-        return Field(grid, values)
+        if values.shape != (grid.n,):
+            raise InvalidParameterError(f"field length {values.shape} does not match grid n={grid.n}")
+        return values
     except (ValueError, OSError) as exc:
         raise InvalidParameterError(f"bad initial descriptor {descriptor!r}: {exc}") from exc
 
@@ -232,14 +234,14 @@ def evolve(config: SimConfig) -> Trajectory:
     """
     grid = Grid1D(config.n)
     km = assemble(config.kernel, grid)
-    u0 = initial_field(config.initial, grid, config.seed)
-    u = u0.values
+    u = initial_field(config.initial, grid, config.seed)
+    mass0 = grid.h * float(u.sum())
     if config.mode == "nonlinear":
         if u.min() < 0:
             raise InvalidParameterError("nonlinear mode requires a nonnegative initial datum")
     else:
         scale = max(1.0, float(np.abs(u).max()))
-        if abs(u0.mass) > 1e-10 * scale:
+        if abs(mass0) > 1e-10 * scale:
             raise InvalidParameterError("perturbation modes require a zero-mean initial datum")
     auto = config.dt is None
     # an automatic run takes at least the steps of its cap h/2; a set dt, exactly its own
@@ -253,7 +255,6 @@ def evolve(config: SimConfig) -> Trajectory:
     if not auto:
         nsteps = max(1, math.ceil(steps - 1e-12))
         dt = config.t_end / nsteps
-    mass0 = u0.mass
     floor = -1e-12 * max(1.0, float(np.abs(u).max()))
     times = [0.0]
     states = [u]
@@ -289,13 +290,13 @@ def evolve(config: SimConfig) -> Trajectory:
     return Trajectory.from_states(times, states)
 
 
-def heat_semigroup(f: Field, t: float) -> Field:
+def heat_semigroup(u, grid: Grid1D, t: float) -> np.ndarray:
     """Neumann heat propagator, exact on the discrete cosine basis."""
     if t < 0:
         raise InvalidParameterError("semigroup time must be nonnegative")
-    basis = f.grid.basis
-    c = basis.to_spectral(f.values)
-    return Field(f.grid, basis.from_spectral(c * np.exp(-basis.eigenvalues_discrete * t)))
+    basis = grid.basis
+    c = basis.to_spectral(u)
+    return basis.from_spectral(c * np.exp(-basis.eigenvalues_discrete * t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +310,7 @@ class SemigroupProbeReport:
     gradient_constant: float
 
 
-def semigroup_probe(probes, p: float, q: float, times) -> SemigroupProbeReport:
+def semigroup_probe(probes, grid: Grid1D, p: float, q: float, times) -> SemigroupProbeReport:
     """Empirical constants in the heat-semigroup decay estimates (d = 1).
 
     For each probe f and time t the report records
@@ -329,14 +330,14 @@ def semigroup_probe(probes, p: float, q: float, times) -> SemigroupProbeReport:
     smoothing = np.zeros((len(probes), times.size))
     grad = np.zeros((len(probes), times.size))
     for i, f in enumerate(probes):
-        fq = lp_norm(f, q)
+        fq = lp_norm(f, q, grid)
         if fq == 0:
             continue
         for j, t in enumerate(times):
-            uf = heat_semigroup(f, t)
-            smoothing[i, j] = lp_norm(uf, p) / ((1.0 + t**(-expo)) * fq)
-            g = gradient(uf.values, f.grid)
-            grad[i, j] = lp_norm(g, p, f.grid) * t ** (expo + 0.5) * math.exp(LAMBDA_1 * t) / fq
+            uf = heat_semigroup(f, grid, t)
+            smoothing[i, j] = lp_norm(uf, p, grid) / ((1.0 + t**(-expo)) * fq)
+            g = gradient(uf, grid)
+            grad[i, j] = lp_norm(g, p, grid) * t ** (expo + 0.5) * math.exp(LAMBDA_1 * t) / fq
     return SemigroupProbeReport(
         p=p,
         q=q,
@@ -348,7 +349,7 @@ def semigroup_probe(probes, p: float, q: float, times) -> SemigroupProbeReport:
     )
 
 
-def existence_time(u0: Field, grad_norm: float, q_prime: float, c_emp: float) -> float:
+def existence_time(u0, grid: Grid1D, grad_norm: float, q_prime: float, c_emp: float) -> float:
     """Horizon on which the Duhamel map contracts, from the scalar condition.
 
     Mild branch (q' > 1): 4 c T^{1/(2q)} g ||u0||_1 < 1 with 1/q = 1 - 1/q'.
@@ -368,18 +369,21 @@ def existence_time(u0: Field, grad_norm: float, q_prime: float, c_emp: float) ->
     if q_prime > 1:
         q = q_prime / (q_prime - 1.0) if np.isfinite(q_prime) else 1.0
         gamma = 1.0 / (2.0 * q)
-        budget = 4.0 * c_emp * grad_norm * lp_norm(u0, 1)
+        budget = 4.0 * c_emp * grad_norm * lp_norm(u0, 1, grid)
     else:
         gamma = 0.5
-        budget = 4.0 * c_emp * grad_norm * (lp_norm(u0, 1) + lp_norm(u0, np.inf))
-    horizon = float(budget ** (-1.0 / gamma)) if budget > 0 else math.inf
+        budget = 4.0 * c_emp * grad_norm * (lp_norm(u0, 1, grid) + lp_norm(u0, np.inf, grid))
+    try:
+        horizon = float(budget ** (-1.0 / gamma)) if budget > 0 else math.inf
+    except OverflowError:  # T beyond the largest double: no finite horizon binds
+        horizon = math.inf
     if horizon == 0:
         raise NoExistenceTimeError(f"the existence time underflows to 0 (budget {budget:g})")
     return horizon
 
 
 def picard_mild_solve(
-    u0: Field,
+    u0,
     km: KernelMatrices,
     horizon: float,
     n_time: int = 128,
@@ -418,7 +422,7 @@ def picard_mild_solve(
     q = 1.0 if np.isinf(q_prime) else (q_prime / (q_prime - 1.0) if q_prime > 1 else np.inf)
 
     # states are (n, n_time + 1) arrays: column j holds the cell values at t_j
-    c0 = basis.to_spectral(u0.values)
+    c0 = basis.to_spectral(u0)
     free = basis.from_spectral(c0[:, None] * np.exp(-np.outer(lam, times)))
 
     decay = np.exp(-lam * dt)

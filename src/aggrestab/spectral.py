@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import GridMismatchError, InvalidParameterError, UnsupportedKernelError
-from .grid import MAX_STORED_VALUES, Field, Grid1D, divergence, gradient
+from .errors import InvalidParameterError, UnsupportedKernelError
+from .grid import MAX_STORED_VALUES, Grid1D, divergence, gradient
 from .kernel import KernelMatrices, KernelSpec, apply_grad, assemble, l2_operator_norm
 
 LAMBDA_1 = math.pi**2
@@ -96,7 +96,7 @@ class LinearizedFamily:
         lap = self.grid.basis.eigenvalues_discrete[1:]
         if self.km.symbols is not None:
             return lap, self.drift_symbol[1:]
-        asym = float(np.max(np.abs(self.km.k_centers - self.km.k_centers.T), initial=0.0))
+        asym = self.km.symmetry_residual
         if asym > _SYMMETRY_TOL:
             raise UnsupportedKernelError(
                 f"kernel value matrix asymmetric (residual {asym:.2e}); "
@@ -111,14 +111,12 @@ def assemble_linearized(km: KernelMatrices, mass_level: float) -> LinearizedOper
     return LinearizedFamily(km).at(mass_level)
 
 
-def bilinear_form(lop: LinearizedOperator, phi: Field, psi: Field) -> float:
-    """Energy form J(phi, psi) over interior faces."""
-    if phi.grid != lop.grid or psi.grid != lop.grid:
-        raise GridMismatchError("field grids do not match operator grid")
+def bilinear_form(lop: LinearizedOperator, phi, psi) -> float:
+    """Energy form J(phi, psi) of cell values over interior faces."""
     h = lop.grid.h
-    gphi = gradient(phi.values, lop.grid)[1:-1]
-    gpsi = gradient(psi.values, lop.grid)[1:-1]
-    gk = apply_grad(lop.km, phi.values)[1:-1]
+    gphi = gradient(phi, lop.grid)[1:-1]
+    gpsi = gradient(psi, lop.grid)[1:-1]
+    gk = apply_grad(lop.km, phi)[1:-1]
     return float(h * np.sum(gphi * gpsi) - lop.mass_level * h * np.sum(gk * gpsi))
 
 
@@ -134,7 +132,7 @@ def principal_eigenpair(lop: LinearizedOperator):
     if drift.ndim == 1:  # S(M) is diagonal in the modes
         symbol = lap + mass * drift
         k = int(np.argmin(symbol))
-        lam, vec = float(symbol[k]), grid.basis.mode(k + 1).values
+        lam, vec = float(symbol[k]), grid.basis.mode(k + 1)
         d_vec = divergence(apply_grad(lop.km, vec), grid)
         scale = float(np.abs(symbol).max())
     else:
@@ -152,14 +150,14 @@ def principal_eigenpair(lop: LinearizedOperator):
         raise UnsupportedKernelError(
             f"weak eigenrelation residual {residual:.2e} exceeds tolerance"
         )
-    return lam, Field(lop.grid, vec)
+    return lam, vec
 
 
 def compute_interaction_coefficient(km: KernelMatrices) -> float:
     """Double integral of K against the first cosine mode in both slots."""
     if km.symbols is not None:
         return float(km.symbols[0][1])
-    w1 = km.grid.basis.mode(1).values
+    w1 = km.grid.basis.mode(1)
     return float(km.grid.h**2 * (w1 @ km.k_centers @ w1))
 
 
@@ -179,7 +177,7 @@ class StabilityReport:
     verdict: str
     margin: float
     principal_eigenvalue: float
-    principal_mode: Field
+    principal_mode: np.ndarray  # cell values
     thresholds_consistent: bool
 
 

@@ -106,14 +106,15 @@ class TestThresholdBisect:
         for spec, bracket, samples in [
             # a Green kernel is its symbols: no dense sample and no projection
             (green, (5.0, 20.0), 0),
-            # one sampling of each kind, one family, and one projection of D
+            # one gradient sample, one family, and one projection of D; no value
+            # sample, as a built-in family is symmetric by construction
             (KernelSpec.gaussian(0.1), (0.0, 20.0), 1),
         ]:
             calls.update(sample=0, values=0, family=0, project=0)
             history = []
             threshold_bisect(spec, Grid1D(64), *bracket, tol_mass=0.01, history=history)
             assert len(history) > 10
-            assert calls == {"sample": samples, "values": samples, "family": 1, "project": samples}
+            assert calls == {"sample": samples, "values": 0, "family": 1, "project": samples}
 
     def test_stops_at_float_spacing(self, green, monkeypatch):
         # a tolerance below the spacing of the bracket's floats cannot be met
@@ -197,24 +198,17 @@ class TestCrossValidate:
     def test_discretizations_agree(self, green):
         grid = Grid1D(128)
         u0 = initial_field("constant_plus_mode:1,0.1,1", grid)
-        gap = cross_validate(u0, green, horizon=0.2, n_time=64)
+        gap = cross_validate(u0, kernel.assemble(green, grid), horizon=0.2, n_time=64)
         assert gap < 1e-3
 
-    def test_reads_no_gradient_sample(self, green, monkeypatch):
-        built = []
-
-        def recording_assemble(spec, grid):
-            built.append(kernel.assemble(spec, grid))
-            return built[-1]
-
-        monkeypatch.setattr(analysis, "assemble", recording_assemble)
-        grid = Grid1D(64)
-        cross_validate(initial_field("constant_plus_mode:1,0.1,1", grid), green, 0.1, n_time=8)
-        assert len(built) == 1 and "gradk_faces" not in vars(built[0])
+    def test_reads_no_gradient_sample(self, green):
+        km = kernel.assemble(green, Grid1D(64))
+        cross_validate(initial_field("constant_plus_mode:1,0.1,1", km.grid), km, 0.1, n_time=8)
+        assert "gradk_faces" not in vars(km)
 
     def test_gap_shrinks_with_time_refinement(self, green):
         grid = Grid1D(128)
-        u0 = initial_field("constant_plus_mode:1,0.1,1", grid)
-        coarse = cross_validate(u0, green, horizon=0.2, n_time=16)
-        fine = cross_validate(u0, green, horizon=0.2, n_time=128)
+        u0, km = initial_field("constant_plus_mode:1,0.1,1", grid), kernel.assemble(green, grid)
+        coarse = cross_validate(u0, km, horizon=0.2, n_time=16)
+        fine = cross_validate(u0, km, horizon=0.2, n_time=128)
         assert fine < coarse

@@ -175,6 +175,16 @@ class TestCommands:
         assert snaps[0].startswith("x,t=")
         assert len(snaps) == 65  # header + one row per cell
 
+    @pytest.mark.parametrize(
+        "table, shape", [("1\n" * 63, "(63,)"), ("1 2\n" * 64, "(64, 2)")], ids=["short", "2-column"]
+    )
+    def test_simulate_wrong_length_datum_is_refused(self, tmp_path, capsys, table, shape):
+        datum = tmp_path / "u0.csv"
+        datum.write_text(table)
+        cfg = write_config(tmp_path, "c.cfg", GREEN_LINES + f"sim.initial = csv:{datum}\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert f"length {shape} does not match grid n=64" in capsys.readouterr().err
+
     def test_mild_solve_contracts(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -236,6 +246,14 @@ class TestCommands:
         code = main(["mild-solve", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == EXIT_BAD_KERNEL
         assert "existence time" in capsys.readouterr().err
+
+    def test_mild_solve_overflowed_existence_time_is_infinite(self, tmp_path, capsys):
+        # budget^(-1/gamma) = (8e-200)^(-2) is beyond the largest double: the horizon is free
+        cfg = write_config(tmp_path, "c.cfg", GREEN_LINES + "kernel.scale = 1e-200\n")
+        out = tmp_path / "out"
+        assert main(["mild-solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert (out / "picard.csv").read_text().splitlines()[-1] == "T_existence=inf"
+        assert capsys.readouterr().err == ""
 
     def test_mild_solve_overflow_writes_no_nan_row(self, tmp_path):
         # the third sweep overflows: the run stops with the two finite distances

@@ -6,7 +6,6 @@ import pytest
 
 from aggrestab import kernel
 from aggrestab import (
-    Field,
     Grid1D,
     KernelSpec,
     apply,
@@ -174,8 +173,8 @@ class TestOperators:
         # K w_k = w_k / (a + (k pi)^2)
         for k in (1, 2, 5):
             w = basis256.mode(k)
-            out = apply(km256, w.values)
-            np.testing.assert_allclose(out, w.values / (1.0 + (k * math.pi) ** 2), atol=1e-4)
+            out = apply(km256, w)
+            np.testing.assert_allclose(out, w / (1.0 + (k * math.pi) ** 2), atol=1e-4)
 
     def test_operator_norm_matches_dense_svd(self, green):
         grid = Grid1D(64)
@@ -448,6 +447,20 @@ class TestValidation:
         validate_assumptions(table, Grid1D(16), tol=1e-6, q_primes=q_primes)
         # the assemble, then the table as the ladder's only level
         assert sampled == [16, 16]
+
+    def test_symmetry_residual_samples_only_a_table(self, green, monkeypatch):
+        sampled = []
+        original = kernel._values_matrix
+        monkeypatch.setattr(kernel, "_values_matrix", lambda *a: sampled.append(a) or original(*a))
+        for spec in (green, KernelSpec.gaussian(0.1), KernelSpec.power_law(0.5)):
+            assert validate_assumptions(spec, Grid1D(64), tol=1e-6).symmetry_residual == 0.0
+        assert sampled == []
+        values = np.zeros((16, 16))
+        values[0, 1] = 1.0
+        table = KernelSpec.tabulated(values, np.zeros((17, 16)), scale=2.0)
+        # the residual of the scaled table
+        assert validate_assumptions(table, Grid1D(16), tol=1e-6).symmetry_residual == 2.0
+        assert len(sampled) == 1
 
 
 class TestTabulatedRoundTrip:
