@@ -14,6 +14,7 @@ from .kernel import (
     KernelSpec,
     apply,
     apply_grad,
+    apply_grad_adjoint,
     assemble,
     classify,
     eval_grad_x,

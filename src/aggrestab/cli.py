@@ -300,10 +300,9 @@ def cmd_mild_solve(config: RunConfig, out_dir: Path) -> int:
     horizon = config.get_float("mild.T", default=0.0)
     if horizon <= 0:
         factor = config.get_float("mild.T_factor", default=1.0, positive=True)
-        if not math.isfinite(t_exist):
-            horizon = factor  # free horizon: T_existence is infinite
-        else:
-            horizon = factor * t_exist
+        horizon = factor * t_exist
+        if not math.isfinite(horizon):
+            horizon = factor  # free horizon: T_existence is infinite, or its multiple overflows
     distances, ratios, code = [], [], EXIT_OK
     try:
         diag = picard_mild_solve(

@@ -11,12 +11,21 @@ centers and faces every mode above n aliases onto a DCT mode, so its
 integral operator and its gradient have exact O(n) symbols and need no
 n x n sample.
 
-The kernel actions `apply` and `apply_grad` take cell values along axis 0,
-of shape (n,) or (n, m), as `grid`'s operators do, and return arrays. The
-Green `apply_grad` costs O(n m) and reads no sample: its gradient is
-separable on each side of the diagonal, so the action is two decaying scans
-(`_DecayScan`). Every other action is a product with the dense sample,
-O(n^2 m) after an O(n^2) sample taken once.
+The kernel actions `apply`, `apply_grad` and the adjoint `apply_grad_adjoint`
+take values along axis 0, of shape (n,) or (n, m) (n + 1 rows for face
+values), as `grid`'s operators do, and return arrays. Each kernel acts by its
+structure, and only a table by a dense product:
+
+- Green: `apply` by the symbols, O(n log n), and `apply_grad` by two
+  decaying scans (`_DecayScan`), O(n), as the gradient is separable on each
+  side of the diagonal.
+- Gaussian and power law: K and grad K depend on x - y alone, so their
+  samples are Toeplitz matrices of 2n offsets, and each action is one
+  zero-padded real FFT (`_Toeplitz`), O(n log n) per column.
+- Tabulated: products with the stored table, O(n^2) per column.
+
+The operator norm and the Hilbert-Schmidt norm read the same structure: the
+Green symbols, the offsets and the FFT actions, or the table.
 
 The mixed gradient norms are estimated on a refinement ladder in O(n) work
 and memory per level: Gaussian and power-law gradients depend on x - y alone,
@@ -35,8 +44,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .eigen import smallest_eigenpair
 from .errors import (
-    ConvergenceError,
     GridMismatchError,
     InvalidParameterError,
     KernelLoadError,
@@ -46,7 +55,9 @@ from .grid import MAX_STORED_VALUES, Grid1D, _along_axis0, _rows
 
 # the two Green variants are one family: green_closed_form is a = 1
 _GREEN = ("green_closed_form", "green_series")
-_VARIANTS = (*_GREEN, "gaussian", "power_law_gradient", "tabulated")
+# kernels of x - y alone, whose samples are Toeplitz matrices
+_TOEPLITZ = ("gaussian", "power_law_gradient")
+_VARIANTS = (*_GREEN, *_TOEPLITZ, "tabulated")
 
 # classification probe exponents, largest first
 CLASSIFY_QPRIMES = (np.inf, 4.0, 2.0, 1.5, 1.1, 1.0)
@@ -66,11 +77,10 @@ _MAX_LEVEL = 2**20
 # weight carries at most 64 rounding units of its exponent
 _SCAN_EXPONENT = 64.0
 
-# the block power iteration: its width, and the relative change of the
-# singular value that stops it
-_POWER_BLOCK = 8
-_POWER_TOL = 1e-12
-_POWER_MAX_ITER = 10000
+# the operator norm's block eigensolver: its width, and the residual, relative
+# to the largest eigenvalue of A^T A, that stops it
+_NORM_BLOCK = 8
+_NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,12 +163,13 @@ class KernelSpec:
 class KernelMatrices:
     """Kernel on a grid: values at center pairs, x-gradient at (face, center).
 
-    Each n x n sample is taken when first read. A Green kernel also carries
-    `symbols` = (sigma, t), k = 0..n-1, which need no sample: h K w_k =
+    A Green kernel carries `symbols` = (sigma, t), k = 0..n-1: h K w_k =
     sigma_k w_k at the centers and h dK/dx w_k = t_k sqrt(2) sin(k pi x) at the
     faces, so the singular values of u -> grad K(u) are |t_k|. Other kernels
     have `symbols = None`. The Green `apply_grad` reads `green_scan`, O(n)
-    weights, and never the (n+1) x n gradient sample.
+    weights; a Gaussian or power-law kernel acts by `grad_toeplitz` and
+    `value_toeplitz`, O(n) offsets. The dense samples `k_centers` and
+    `gradk_faces` are taken when first read, which only a table's actions do.
     """
 
     def __init__(self, spec: KernelSpec, grid: Grid1D):
@@ -171,6 +182,17 @@ class KernelMatrices:
         s, h = math.sqrt(self.spec.a), self.grid.h
         p = self.spec.scale * h * math.exp(-0.5 * s * h) * _green_p(s, self.grid.faces[-2::-1])
         return _DecayScan(s * h, self.grid.n, pre=_green_q(s, self.grid.centers[::-1]), post=p)
+
+    @cached_property
+    def grad_toeplitz(self) -> _Toeplitz:
+        """A Gaussian or power-law gradient at (face f, center j), g((f - j - 1/2) h)."""
+        return _Toeplitz(_grad_offsets(self.spec, self.grid), self.grid.n)
+
+    @cached_property
+    def value_toeplitz(self) -> _Toeplitz:
+        """A Gaussian or power-law kernel at (center i, center j), K(|i - j| h)."""
+        n = self.grid.n
+        return _Toeplitz(eval_kernel(self.spec, np.abs(np.arange(1 - n, n)) * self.grid.h, 0.0), n)
 
     @cached_property
     def k_centers(self) -> np.ndarray:
@@ -326,6 +348,36 @@ def eval_grad_x(spec: KernelSpec, x, y):
     return spec.scale * out
 
 
+def _grad_offsets(spec: KernelSpec, grid: Grid1D) -> np.ndarray:
+    """A Gaussian or power-law gradient at the 2n offsets x_f - y_j = (m - 1/2) h, m = 1-n..n."""
+    return eval_grad_x(spec, (np.arange(2 * grid.n) - (grid.n - 0.5)) * grid.h, 0.0)
+
+
+class _Toeplitz:
+    """The (r x n) Toeplitz matrix T[i, j] = t[i - j + n - 1] of r + n - 1 offsets t.
+
+    T u along axis 0 is rows n-1..n+r-2 of the linear convolution t * u, and
+    T^T v is rows r-1..r+n-2 of t * (v reversed), reversed. A circular
+    convolution of size 2n >= r + n - 1 wraps only onto rows outside those,
+    so either is one zero-padded real FFT (Chan & Ng, SIAM Rev. 38, 1996).
+    """
+
+    def __init__(self, t: np.ndarray, n: int):
+        self.offsets, self.n, self.rows = t, n, t.size - n + 1
+        self.spectrum = np.fft.rfft(t, 2 * n)
+
+    def _convolve(self, v: np.ndarray, first: int, count: int) -> np.ndarray:
+        size = 2 * self.n
+        spec = np.fft.rfft(v, size, axis=0) * _along_axis0(self.spectrum, v.ndim)
+        return np.fft.irfft(spec, size, axis=0)[first : first + count]
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        return self._convolve(u, self.n - 1, self.rows)
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        return self._convolve(v[::-1], self.rows - 1, self.n)[::-1]
+
+
 def _check_sample_size(grid: Grid1D):
     if (grid.n + 1) * grid.n > MAX_STORED_VALUES:
         raise InvalidParameterError(
@@ -362,22 +414,35 @@ def assemble(spec: KernelSpec, grid: Grid1D) -> KernelMatrices:
 
 
 def apply(km: KernelMatrices, u) -> np.ndarray:
-    """Integral operator on cell values along axis 0: result_i = h sum_j K(x_i, y_j) u_j."""
-    return km.grid.h * (km.k_centers @ _rows(u, km.grid.n, "cell array"))
+    """Integral operator on cell values along axis 0: result_i = h sum_j K(x_i, y_j) u_j.
+
+    A Green kernel acts by its symbols, h K w_k = sigma_k w_k; a Gaussian or
+    power-law kernel by its Toeplitz FFT; a table by its dense product.
+    """
+    u = _rows(u, km.grid.n, "cell array")
+    if km.symbols is not None:
+        basis = km.grid.basis
+        return basis.from_spectral(_along_axis0(km.symbols[0], u.ndim) * basis.to_spectral(u))
+    if km.spec.variant in _TOEPLITZ:
+        return km.grid.h * km.value_toeplitz(u)
+    return km.grid.h * (km.k_centers @ u)
 
 
 def apply_grad(km: KernelMatrices, u) -> np.ndarray:
     """Gradient of the integral operator on cell values along axis 0, sampled at faces.
 
-    A product with the dense (n+1) x n sample, except for a Green kernel, whose
-    action costs O(n) per column and reads no sample. With c = s h, the centers
-    y_j < x_f contribute -e^{-c (f - 1 - j + 1/2)} p_{n-f} q_{n-1-j} u_j (see
-    `_green_dx`): `green_scan` of u, whose weights are q reversed in and p
-    reversed out, with scale, h and e^{-c/2}. The centers above are its mirror
-    image, the same scan reversed. The boundary faces, where p = 0, read 0.
+    A Gaussian or power-law kernel acts by its Toeplitz FFT and a table by its
+    dense product. A Green kernel's action costs O(n) per column and reads no
+    sample. With c = s h, the centers y_j < x_f contribute
+    -e^{-c (f - 1 - j + 1/2)} p_{n-f} q_{n-1-j} u_j (see `_green_dx`):
+    `green_scan` of u, whose weights are q reversed in and p reversed out, with
+    scale, h and e^{-c/2}. The centers above are its mirror image, the same
+    scan reversed. The boundary faces, where p = 0, read 0.
     """
     u = _rows(u, km.grid.n, "cell array")
-    if km.spec.variant not in _GREEN:
+    if km.spec.variant in _TOEPLITZ:
+        return km.grid.h * km.grad_toeplitz(u)
+    if km.symbols is None:
         return km.grid.h * (km.gradk_faces @ u)
     out = np.empty((km.grid.n + 1,) + u.shape[1:])
     km.green_scan(u, out=out[:-1], reverse=True)
@@ -386,40 +451,64 @@ def apply_grad(km: KernelMatrices, u) -> np.ndarray:
     return out
 
 
+def apply_grad_adjoint(km: KernelMatrices, v) -> np.ndarray:
+    """The adjoint of `apply_grad`, face values to cell values along axis 0.
+
+    A Toeplitz FFT for a Gaussian or power-law kernel, the dense product
+    otherwise; a Green kernel's operator norm and eigenpair read its symbols
+    instead.
+    """
+    v = _rows(v, km.grid.n + 1, "face array")
+    if km.spec.variant in _TOEPLITZ:
+        return km.grid.h * km.grad_toeplitz.adjoint(v)
+    return km.grid.h * (km.gradk_faces.T @ v)
+
+
+def _scaled_norm(values: np.ndarray, weights=1.0) -> float:
+    """sqrt(sum weights * values^2), scaled exactly by the power of two of the
+    largest |value|, so no square overflows."""
+    _, exp = math.frexp(float(np.abs(values).max(initial=0.0)))
+    scaled = np.ldexp(values, -exp)
+    return float(np.ldexp(np.sqrt(np.sum(weights * np.square(scaled))), exp))
+
+
 def hilbert_schmidt_grad_norm(km: KernelMatrices) -> float:
-    """L^2(Omega x Omega) norm of the gradient kernel."""
-    # scaled exactly by the power of two of the largest entry, so no square overflows
-    _, exp = math.frexp(float(np.abs(km.gradk_faces).max()))
-    scaled = np.ldexp(km.gradk_faces, -exp)
-    return float(np.ldexp(np.sqrt(km.grid.h**2 * np.sum(np.square(scaled, out=scaled))), exp))
+    """L^2(Omega x Omega) norm of the gradient kernel, h times the Frobenius norm of its sample.
+
+    For a Green kernel it is sqrt(sum_k t_k^2), the singular values' norm. A
+    Gaussian or power-law sample holds its offset f - j = m - n + 1 of the
+    2n offsets in min(m + 1, 2n - m) entries. A table is read entry by entry.
+    """
+    if km.symbols is not None:
+        return _scaled_norm(km.symbols[1])
+    if km.spec.variant in _TOEPLITZ:
+        n = km.grid.n
+        m = np.arange(2 * n)
+        return km.grid.h * _scaled_norm(km.grad_toeplitz.offsets, np.minimum(m + 1, 2 * n - m))
+    return km.grid.h * _scaled_norm(km.gradk_faces)
 
 
 def l2_operator_norm(km: KernelMatrices) -> float:
     """Largest singular value of u -> grad K(u) between L^2 spaces.
 
-    For a Green kernel it is max_k |t_k|. Otherwise block power iteration on
-    the composed map (adjoint . map) from a seeded random orthonormal block V,
-    with a Rayleigh-Ritz step: the estimate is the largest singular value of
-    A V, and the next block is the QR factor of A^T (A V). The top singular
-    values of the other kernels come in near-equal pairs, which stall a
-    single vector. With uniform quadrature weight h on both sides this is the
+    For a Green kernel it is max_k |t_k|. Otherwise the square root of the
+    largest eigenvalue of A^T A, A = `apply_grad`, by the block eigensolver
+    from a seeded random block: it converges on the gap to the block's last
+    eigenvalue, where a power iteration converges on the ratio of the top
+    two, and the top singular values of these kernels come in near-equal
+    pairs. With uniform quadrature weight h on both sides this is the
     Euclidean spectral norm of A = h * gradk_faces.
     """
     if km.symbols is not None:
         return float(np.abs(km.symbols[1]).max())
-    a = km.grid.h * km.gradk_faces
-    v = np.linalg.qr(np.random.default_rng(0).standard_normal((km.grid.n, _POWER_BLOCK)))[0]
-    sigma_prev = -1.0
-    for _ in range(_POWER_MAX_ITER):
-        w = a @ v
-        sigma = float(np.linalg.svd(w, compute_uv=False)[0])
-        if sigma == 0:
-            return 0.0
-        if abs(sigma - sigma_prev) <= _POWER_TOL * sigma:
-            return sigma
-        sigma_prev = sigma
-        v = np.linalg.qr(a.T @ w)[0]
-    raise ConvergenceError(f"power iteration did not converge in {_POWER_MAX_ITER} iterations")
+    n = km.grid.n
+    start = np.linalg.qr(np.random.default_rng(0).standard_normal((n, min(_NORM_BLOCK, n))))[0]
+
+    def gram(v):
+        return -apply_grad_adjoint(km, apply_grad(km, v))
+
+    # abs, not a minus sign: a zero kernel's eigenvalue may be -0.0
+    return math.sqrt(abs(smallest_eigenpair(gram, start, _NORM_TOL)[0]))
 
 
 def _mixed_norm(row_sums, col_sums, h: float, q_prime: float) -> float:
@@ -538,7 +627,7 @@ def _level_norms(spec: KernelSpec, n: int, q_primes) -> list:
         return [_norm_value(gk, grid.h, q) for q in q_primes]
     if spec.variant in _GREEN:
         return [_green_norm(spec, grid, q) for q in q_primes]
-    g = np.abs(eval_grad_x(spec, (np.arange(2 * n) - (n - 0.5)) * grid.h, 0.0))
+    g = np.abs(_grad_offsets(spec, grid))
     return [_window_norm(g, grid.h, q) for q in q_primes]
 
 
@@ -633,6 +722,19 @@ def classify(spec: KernelSpec, levels=None) -> KernelClassification:
     return _classify_estimates(_norm_ladder(spec, CLASSIFY_QPRIMES, levels))
 
 
+def _boundary_residual(km: KernelMatrices) -> float:
+    """max |grad K| on the boundary faces x = 0 and x = 1.
+
+    0 for a Green kernel, whose factor p vanishes there; for a Gaussian or
+    power-law kernel the two boundary rows hold all 2n offsets between them.
+    """
+    if km.symbols is not None:
+        return 0.0
+    if km.spec.variant in _TOEPLITZ:
+        return float(np.abs(km.grad_toeplitz.offsets).max())
+    return float(np.max(np.abs(km.gradk_faces[[0, -1], :]), initial=0.0))
+
+
 def validate_assumptions(
     spec: KernelSpec, grid: Grid1D, tol: float, q_primes=(np.inf,)
 ) -> KernelValidationReport:
@@ -647,9 +749,8 @@ def validate_assumptions(
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     km = assemble(spec, grid)
-    neumann = float(np.max(np.abs(km.gradk_faces[[0, -1], :]), initial=0.0))
-    row_integral = grid.h * km.gradk_faces.sum(axis=1)
-    mean_grad = float(np.max(np.abs(row_integral[1:-1]), initial=0.0))
+    neumann = _boundary_residual(km)
+    mean_grad = float(np.max(np.abs(apply_grad(km, np.ones(grid.n))[1:-1]), initial=0.0))
     ladder = _norm_ladder(spec, (*q_primes, *CLASSIFY_QPRIMES))
     estimates = {q: ladder[q] for q in q_primes}
     norms_finite = all(e.verdict == "finite" for e in estimates.values())
@@ -681,6 +782,7 @@ def save_tabulated_csv(path, grid: Grid1D, km: KernelMatrices):
 
 def load_tabulated_csv(path, grid: Grid1D) -> KernelSpec:
     """Read a tabulated kernel written in the x,y,k,gradk row format."""
+    _check_sample_size(grid)
     n, h = grid.n, grid.h
     values = np.full((n, n), np.nan)
     grad = np.full((n + 1, n), np.nan)

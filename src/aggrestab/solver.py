@@ -399,8 +399,8 @@ def picard_mild_solve(
     average of the transport term, so the endpoint singularity of the
     gradient-semigroup bound never enters the quadrature.
     """
-    if horizon <= 0:
-        raise InvalidParameterError("horizon T must be positive")
+    if not 0 < horizon < math.inf:  # written so that NaN fails too
+        raise InvalidParameterError(f"horizon T must be positive and finite, got {horizon}")
     if n_time < 2:
         raise InvalidParameterError("need at least 2 time intervals")
     if km.grid.n * (n_time + 1) > MAX_STORED_VALUES:

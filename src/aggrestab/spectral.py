@@ -12,10 +12,15 @@ diagonalize the discrete Laplacian L exactly, so L is its eigenvalues there.
 For a Green kernel D is diagonal in the modes too, with the symbol
 d_k = (2/h) sin(k pi h / 2) t_k of `KernelMatrices.symbols`. Then S(M) is
 the vector lambda_k^h + M d_k and its smallest entry gives the eigenpair.
-Other kernels project the dense D once per family and solve with `eigh`.
+A Gaussian or power-law kernel is solved matrix-free, by the block
+eigensolver of `eigen` on diag(lambda_k^h) + M D_r, D_r the symmetric part
+of D in the modes, applied by the kernel's FFT actions: O(n log n) per step,
+started and preconditioned by the circulant estimate of D_r's diagonal.
+Only a table projects its dense D, once per family, and solves with `eigh`.
 Neither L nor S(M) is formed: the residual check applies L by `gradient` and
 `divergence`, and D by `apply_grad` for a Green kernel (not by the symbol it
-checks), by the symmetric part of the dense D otherwise.
+checks), by the symmetric part of D from `apply_grad` and its adjoint
+otherwise (not by the projection a table's solve read).
 """
 
 from __future__ import annotations
@@ -28,8 +33,17 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import InvalidParameterError, UnsupportedKernelError
+from .eigen import smallest_eigenpair
 from .grid import MAX_STORED_VALUES, Grid1D, divergence, gradient
-from .kernel import KernelMatrices, KernelSpec, apply_grad, assemble, l2_operator_norm
+from .kernel import (
+    KernelMatrices,
+    KernelSpec,
+    apply,
+    apply_grad,
+    apply_grad_adjoint,
+    assemble,
+    l2_operator_norm,
+)
 
 LAMBDA_1 = math.pi**2
 
@@ -38,10 +52,14 @@ VERDICT_UNSTABLE = "linearly_unstable"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 _SYMMETRY_TOL = 1e-8
-# n x n arrays the dense path holds at its peak, in the second transform of
-# `reduced`'s projection of D: the kernel's value and gradient samples, D, the
-# first transform's output, and the second's reordered input, FFT and output
+# n x n arrays a table's dense path holds at its peak, in the second transform
+# of `reduced`'s projection of D: the kernel's value and gradient samples, D,
+# the first transform's output, and the second's reordered input, FFT and output
 _DENSE_ARRAYS = 7
+# the block eigensolver's width on a Gaussian or power-law kernel, and the
+# 2-norm of its residual in the modes, relative to the check's scale, that stops it
+_BLOCK = 4
+_SOLVE_TOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,14 +73,15 @@ class LinearizedOperator:
 class LinearizedFamily:
     """S(M) = L + M D with L = -Laplace, D = div(grad K(.)) (zero flux), for any M.
 
-    Only D is dense, built when first read; L acts by face differences. A
-    kernel without symbols is refused here, before anything is allocated,
-    when the dense path would hold more than MAX_STORED_VALUES values at once.
+    L acts by face differences, D by the kernel's `apply_grad` and its
+    adjoint. Only a table's D is dense, built when first read; a table is
+    refused here, before anything is allocated, when that path would hold more
+    than MAX_STORED_VALUES values at once.
     """
 
     def __init__(self, km: KernelMatrices):
         grid = km.grid
-        if km.symbols is None and _DENSE_ARRAYS * grid.n**2 > MAX_STORED_VALUES:
+        if km.spec.variant == "tabulated" and _DENSE_ARRAYS * grid.n**2 > MAX_STORED_VALUES:
             raise InvalidParameterError(
                 f"the dense stability path at n = {grid.n} holds {_DENSE_ARRAYS} n x n arrays, "
                 f"{_DENSE_ARRAYS * grid.n**2:.3g} values; the limit is {MAX_STORED_VALUES:.0e}"
@@ -76,9 +95,28 @@ class LinearizedFamily:
 
     @cached_property
     def drift(self) -> np.ndarray:
+        """D as an n x n array, from the dense gradient sample."""
         drift = self.grid.h * self.km.gradk_faces
         drift[[0, -1], :] = 0.0
         return divergence(drift, self.grid)
+
+    def symmetric_drift(self, vec) -> np.ndarray:
+        """(D + D^T) vec / 2 on cell values along axis 0, by the kernel's actions.
+
+        Uniform weights make D^T the L2 adjoint of D: it is the adjoint gradient
+        action applied to -gradient(vec), whose boundary faces are zero as the
+        zero-flux D ignores them.
+        """
+        flux = apply_grad(self.km, vec)
+        flux[[0, -1]] = 0.0
+        adjoint = apply_grad_adjoint(self.km, gradient(vec, self.grid))
+        return 0.5 * (divergence(flux, self.grid) - adjoint)
+
+    def reduced_drift(self, coef) -> np.ndarray:
+        """The symmetric part of D on mode coefficients of w_1..w_{n-1}, along axis 0."""
+        basis = self.grid.basis
+        vec = basis.from_spectral(np.concatenate((np.zeros((1,) + coef.shape[1:]), coef)))
+        return basis.to_spectral(self.symmetric_drift(vec))[1:]
 
     @cached_property
     def drift_symbol(self) -> np.ndarray:
@@ -87,11 +125,28 @@ class LinearizedFamily:
         return (2.0 / self.grid.h) * np.sin(angles) * self.km.symbols[1]
 
     @cached_property
+    def drift_diagonal(self) -> tuple:
+        """The circulant estimate of the reduced D's diagonal, and its exact last entry.
+
+        A Gaussian or power-law D has Toeplitz entries d_m = g((m + 1/2) h) -
+        g((m - 1/2) h) away from the boundary rows, even in m as g is odd. The
+        estimate sum_m d_m cos(k pi m h), k = 1..n-1, is one real FFT of
+        their even extension. The last diagonal entry, w_{n-1} . D w_{n-1},
+        is one action.
+        """
+        n = self.grid.n
+        d = np.diff(self.km.grad_toeplitz.offsets)[n - 1 :]
+        estimate = np.fft.rfft(np.concatenate((d, [0.0], d[:0:-1]))).real[1:n]
+        last = np.zeros(n - 1)
+        last[-1] = 1.0
+        return estimate, float(self.reduced_drift(last)[-1])
+
+    @cached_property
     def reduced(self) -> tuple:
-        """L and D on the cosine modes w_1..w_{n-1}.
+        """L and D on the cosine modes w_1..w_{n-1}, where D has a stored form.
 
         L is its eigenvalues lambda_k^h. D is the vector d_k for a Green kernel,
-        and otherwise the symmetric part of its projection.
+        and for a table the symmetric part of its dense projection.
         """
         lap = self.grid.basis.eigenvalues_discrete[1:]
         if self.km.symbols is not None:
@@ -120,6 +175,38 @@ def bilinear_form(lop: LinearizedOperator, phi, psi) -> float:
     return float(h * np.sum(gphi * gpsi) - lop.mass_level * h * np.sum(gk * gpsi))
 
 
+def _block_solve(lop: LinearizedOperator) -> tuple:
+    """(eigenvalue, mode coefficients, scale) of a Gaussian or power-law S(M).
+
+    The block eigensolver on diag(lambda_k^h) + M D_r, D_r = `reduced_drift`,
+    starts at the modes where the circulant estimate lambda_k^h + M e_k is
+    smallest, and is preconditioned by (lambda_k^h + M e_k - shift)^-1 with
+    the shift below the estimate's minimum. The scale is |e_{n-1} . S e_{n-1}|
+    or |eigenvalue|, whichever is larger: both are at most the 2-norm of the
+    reduced operator, so at most its infinity norm.
+    """
+    family, mass = lop.family, lop.mass_level
+    lap = lop.grid.basis.eigenvalues_discrete[1:]
+    estimate, last = family.drift_diagonal
+    diagonal = lap + mass * estimate
+    order = np.argsort(diagonal, kind="stable")[: min(_BLOCK, lap.size)]
+    start = np.zeros((lap.size, order.size))
+    start[order, np.arange(order.size)] = 1.0
+    # a shift just below the minimum makes the preconditioner near singular on one
+    # mode, which stalls the iteration; one far below flattens it to the identity
+    low = float(diagonal[order[0]])
+    shifted = diagonal - (low - 1.0 - 0.01 * abs(low))
+
+    def operator(coef):
+        return lap[:, None] * coef + mass * family.reduced_drift(coef)
+
+    scale = max(abs(lap[-1] + mass * last), 1.0)
+    lam, coef = smallest_eigenpair(
+        operator, start, _SOLVE_TOL, scale, precond=lambda r: r / shifted[:, None]
+    )
+    return lam, coef, max(scale, abs(lam))
+
+
 def principal_eigenpair(lop: LinearizedOperator):
     """Smallest eigenvalue of the symmetrized operator on zero-mean vectors.
 
@@ -128,22 +215,25 @@ def principal_eigenpair(lop: LinearizedOperator):
     residual in the full space is verified before returning.
     """
     family, mass, grid = lop.family, lop.mass_level, lop.grid
-    lap, drift = family.reduced
-    if drift.ndim == 1:  # S(M) is diagonal in the modes
+    if lop.km.symbols is not None:  # S(M) is diagonal in the modes
+        lap, drift = family.reduced
         symbol = lap + mass * drift
         k = int(np.argmin(symbol))
         lam, vec = float(symbol[k]), grid.basis.mode(k + 1)
         d_vec = divergence(apply_grad(lop.km, vec), grid)
         scale = float(np.abs(symbol).max())
     else:
-        reduced = np.diag(lap) + mass * drift
-        eigvals, eigvecs = eigh(reduced, subset_by_index=[0, 0])
-        lam = float(eigvals[0])
-        vec = grid.basis.from_spectral(np.concatenate(([0.0], eigvecs[:, 0])))
-        # uniform weights make D^T the L2 adjoint of D
-        d_vec = 0.5 * (family.drift @ vec + vec @ family.drift)
-        scale = np.linalg.norm(reduced, np.inf)
-    # scale is the infinity norm of the reduced operator that was solved
+        if lop.km.spec.variant == "tabulated":
+            lap, drift = family.reduced
+            reduced = np.diag(lap) + mass * drift
+            eigvals, eigvecs = eigh(reduced, subset_by_index=[0, 0])
+            lam, coef = float(eigvals[0]), eigvecs[:, 0]
+            scale = np.linalg.norm(reduced, np.inf)
+        else:
+            lam, coef, scale = _block_solve(lop)
+        vec = grid.basis.from_spectral(np.concatenate(([0.0], coef)))
+        d_vec = family.symmetric_drift(vec)
+    # scale is at most the infinity norm of the reduced operator that was solved
     r = mass * d_vec - divergence(gradient(vec, grid), grid) - lam * vec
     residual = np.max(np.abs(r - r.mean()))
     if residual > 1e-8 * max(scale, 1.0):
@@ -158,7 +248,7 @@ def compute_interaction_coefficient(km: KernelMatrices) -> float:
     if km.symbols is not None:
         return float(km.symbols[0][1])
     w1 = km.grid.basis.mode(1)
-    return float(km.grid.h**2 * (w1 @ km.k_centers @ w1))
+    return float(km.grid.h * (w1 @ apply(km, w1)))
 
 
 # conventional short name: A in the instability condition M > 1/A

@@ -98,23 +98,27 @@ class TestThresholdBisect:
 
             return wrapper
 
+        gaussian = kernel.assemble(KernelSpec.gaussian(0.1), Grid1D(64))
+        table = KernelSpec.tabulated(gaussian.k_centers, gaussian.gradk_faces)
         monkeypatch.setattr(kernel, "_gradk_matrix", counting("sample", kernel._gradk_matrix))
         monkeypatch.setattr(kernel, "_values_matrix", counting("values", kernel._values_matrix))
         family = spectral.LinearizedFamily
         monkeypatch.setattr(analysis, "LinearizedFamily", counting("family", family))
         monkeypatch.setattr(SpectralBasis, "project", counting("project", SpectralBasis.project))
-        for spec, bracket, samples in [
+        for spec, bracket, samples, values in [
             # a Green kernel is its symbols: no dense sample and no projection
-            (green, (5.0, 20.0), 0),
-            # one gradient sample, one family, and one projection of D; no value
-            # sample, as a built-in family is symmetric by construction
-            (KernelSpec.gaussian(0.1), (0.0, 20.0), 1),
+            (green, (5.0, 20.0), 0, 0),
+            # a Gaussian kernel acts by FFT: no dense sample and no projection either
+            (KernelSpec.gaussian(0.1), (0.0, 20.0), 0, 0),
+            # a table: one gradient sample, one family, and one projection of D; one
+            # value sample, for its symmetry check
+            (table, (0.0, 20.0), 1, 1),
         ]:
             calls.update(sample=0, values=0, family=0, project=0)
             history = []
             threshold_bisect(spec, Grid1D(64), *bracket, tol_mass=0.01, history=history)
             assert len(history) > 10
-            assert calls == {"sample": samples, "values": 0, "family": 1, "project": samples}
+            assert calls == {"sample": samples, "values": values, "family": 1, "project": samples}
 
     def test_stops_at_float_spacing(self, green, monkeypatch):
         # a tolerance below the spacing of the bracket's floats cannot be met

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from aggrestab import Grid1D, KernelSpec, assemble, save_tabulated_csv, solver
+from aggrestab import Grid1D, KernelSpec, assemble, save_tabulated_csv, solver, spectral
 from aggrestab.cli import (
     EXIT_BAD_KERNEL,
     EXIT_NO_CONTRACTION,
@@ -255,6 +257,20 @@ class TestCommands:
         assert (out / "picard.csv").read_text().splitlines()[-1] == "T_existence=inf"
         assert capsys.readouterr().err == ""
 
+    def test_mild_solve_overflowed_horizon_is_free(self, tmp_path):
+        # T_existence = 1.09e308 is finite, mild.T_factor times it is not: the horizon is free
+        text = GREEN_LINES.replace("64", "16") + (
+            "kernel.scale = 1.2e-155\nmild.T_factor = 4\nmild.n_time = 4\n"
+        )
+        cfg = write_config(tmp_path, "c.cfg", text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mild-solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        lines = (out / "picard.csv").read_text().splitlines()
+        assert len(lines) > 2 and lines[1].startswith("1,")
+        assert math.isfinite(float(lines[-1].split("=")[1]))
+
     def test_mild_solve_overflow_writes_no_nan_row(self, tmp_path):
         # the third sweep overflows: the run stops with the two finite distances
         text = GREEN_LINES + "kernel.scale = 1e100\nmild.T = 0.01\n"
@@ -393,22 +409,45 @@ class TestUsageErrors:
         assert main(["frobnicate", "--config", cfg]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "command, text",
+        "command, text, limit",
         [
             # (1024, 10^7 + 1) Picard states
-            ("mild-solve", GREEN_LINES.replace("64", "1024") + "mild.n_time = 10000000\n"),
-            # a 200000^2 dense kernel sample
-            ("analyze", "kernel.variant = gaussian\nkernel.sigma = 0.1\ngrid.n = 200000\n"),
-            # one 6000^2 sample fits, the seven n x n arrays of the dense path do not
-            ("analyze", "kernel.variant = gaussian\nkernel.sigma = 0.1\ngrid.n = 6000\n"),
-            ("threshold", "kernel.variant = gaussian\nkernel.sigma = 0.1\ngrid.n = 6000\n"),
+            ("mild-solve", GREEN_LINES.replace("64", "1024") + "mild.n_time = 10000000\n", None),
+            # a 200000^2 table, refused before its file is read
+            ("analyze", "kernel.variant = tabulated\nkernel.csv = {table}\ngrid.n = 200000\n", None),
+            # a 16^2 table fits a limit of 10^3 values, the seven n x n arrays of its
+            # dense path do not; a Gaussian kernel has no dense path
+            ("analyze", "kernel.variant = tabulated\nkernel.csv = {table}\ngrid.n = 16\n", 10**3),
+            ("threshold", "kernel.variant = tabulated\nkernel.csv = {table}\ngrid.n = 16\n", 10**3),
         ],
         ids=["mild-solve", "analyze", "analyze-dense-path", "threshold-dense-path"],
     )
-    def test_oversized_arrays_are_refused(self, tmp_path, capsys, command, text):
-        cfg = write_config(tmp_path, "c.cfg", text)
+    def test_oversized_arrays_are_refused(self, tmp_path, capsys, monkeypatch, command, text, limit):
+        table = tmp_path / "kernel.csv"
+        save_tabulated_csv(table, Grid1D(16), assemble(KernelSpec.gaussian(0.1), Grid1D(16)))
+        if limit is not None:
+            monkeypatch.setattr(spectral, "MAX_STORED_VALUES", limit)
+        cfg = write_config(tmp_path, "c.cfg", text.format(table=table))
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
-        assert "the limit is 1e+08" in capsys.readouterr().err
+        assert f"the limit is {limit or 10**8:.0e}" in capsys.readouterr().err
+
+    def test_large_gaussian_analyze_runs_matrix_free(self, tmp_path):
+        # one 6000^2 sample would be 288 MB; the kernel acts by FFT and the eigenpair is
+        # found by the block eigensolver
+        text = "kernel.variant = gaussian\nkernel.sigma = 0.1\ngrid.n = 6000\nanalysis.M = 3\n"
+        cfg = write_config(tmp_path, "c.cfg", text)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 20e6
+        row = (tmp_path / "out" / "stability_report.csv").read_text().splitlines()[1]
+        assert row.endswith(",inconclusive")
 
     @pytest.mark.parametrize("command", ["analyze", "validate-kernel"])
     @pytest.mark.parametrize("a", ["1e-310", "1e-321", "5e-324"])

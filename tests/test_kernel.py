@@ -10,6 +10,7 @@ from aggrestab import (
     KernelSpec,
     apply,
     apply_grad,
+    apply_grad_adjoint,
     assemble,
     classify,
     compute_A,
@@ -190,9 +191,12 @@ class TestOperators:
             km.gradk_faces
 
     def test_operator_norm_zero_kernel(self):
-        km = assemble(KernelSpec.zero(16), Grid1D(16))
-        assert l2_operator_norm(km) == 0.0
-        assert hilbert_schmidt_grad_norm(km) == 0.0
+        for n in (16, 64):
+            km = assemble(KernelSpec.zero(n), Grid1D(n))
+            # +0.0: a grad_norm of -0 would be written to stability_report.csv as "-0"
+            assert math.copysign(1.0, l2_operator_norm(km)) == 1.0
+            assert l2_operator_norm(km) == 0.0
+            assert hilbert_schmidt_grad_norm(km) == 0.0
 
     def test_hs_norm_dominates_operator_norm(self, km128):
         assert l2_operator_norm(km128) <= hilbert_schmidt_grad_norm(km128) + 1e-12
@@ -232,6 +236,19 @@ class TestGreenScan:
                 bound = (np.abs(gk) @ np.abs(u)).max(axis=0)
                 assert (np.abs(got - gk @ u).max(axis=0) <= 1e-13 * bound).all()
 
+    @pytest.mark.parametrize("n", [4, 5, 257, 1024])
+    @pytest.mark.parametrize("a", [1e-6, 1.0, 1e4])
+    def test_apply_by_symbols_matches_dense_sample(self, a, n, rng):
+        grid = Grid1D(n)
+        km = assemble(KernelSpec.green_series(a, scale=-2.5), grid)
+        inputs = [np.full(n, 3.0), rng.standard_normal(n), rng.standard_normal((n, 3))]
+        actions = [apply(km, u) for u in inputs]
+        assert "k_centers" not in vars(km)
+        k = grid.h * km.k_centers
+        for u, got in zip(inputs, actions):
+            bound = (np.abs(k) @ np.abs(u)).max(axis=0)
+            assert (np.abs(got - k @ u).max(axis=0) <= 1e-13 * bound).all()
+
     @pytest.mark.parametrize("n", [1, 7, 64])
     @pytest.mark.parametrize("c", [0.0, 0.05, 5.0, 60.0, 1e3])
     def test_scan_matches_direct_sum(self, c, n, rng):
@@ -263,6 +280,78 @@ class TestGreenScan:
         assert peak < 3.5 * 8 * grid.n
         assert km.green_scan.block == grid.n
         assert np.abs(v).max() < 1e-12
+
+
+TOEPLITZ_SPECS = [
+    KernelSpec.gaussian(0.1),
+    KernelSpec.gaussian(0.01, scale=-2.5),
+    KernelSpec.power_law(0.5),
+    KernelSpec.power_law(1.5, delta=0.01),
+]
+TOEPLITZ_IDS = ["gaussian0.1", "gaussian0.01-scale-2.5", "power_law0.5", "power_law1.5-0.01"]
+
+
+class TestToeplitz:
+    """Gaussian and power-law actions by FFT, against their dense samples."""
+
+    @pytest.mark.parametrize("n", [4, 5, 63, 512])
+    @pytest.mark.parametrize("spec", TOEPLITZ_SPECS, ids=TOEPLITZ_IDS)
+    def test_actions_match_dense_samples(self, spec, n, rng):
+        grid = Grid1D(n)
+        km = assemble(spec, grid)
+        cells = [
+            np.full(n, 3.0),
+            rng.standard_normal(n),
+            rng.random((n, 3)) - 0.25,
+            rng.standard_normal((n, 2)) * [1e-200, 1e200],
+        ]
+        faces = [rng.standard_normal(n + 1), rng.standard_normal((n + 1, 2)) * [1e-200, 1e200]]
+        cases = [(apply_grad, cells), (apply, cells), (apply_grad_adjoint, faces)]
+        results = [[action(km, u) for u in inputs] for action, inputs in cases]
+        assert "gradk_faces" not in vars(km) and "k_centers" not in vars(km)
+        gk, k = grid.h * km.gradk_faces, grid.h * km.k_centers
+        for matrix, (_, inputs), got in zip((gk, k, gk.T), cases, results):
+            for u, out in zip(inputs, got):
+                assert out.shape == (matrix.shape[0],) + u.shape[1:]
+                # roundoff is measured against the sum of the terms' magnitudes
+                bound = (np.abs(matrix) @ np.abs(u)).max(axis=0)
+                assert (np.abs(out - matrix @ u).max(axis=0) <= 1e-13 * bound).all()
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec.gaussian(0.1), KernelSpec.power_law(0.5), KernelSpec.power_law(1.5, delta=0.01)],
+        ids=["gaussian0.1", "power_law0.5", "power_law1.5-0.01"],
+    )
+    def test_operator_norm_matches_svd(self, spec, n):
+        km = assemble(spec, Grid1D(n))
+        norm = l2_operator_norm(km)
+        dense = float(np.linalg.svd(km.grid.h * km.gradk_faces, compute_uv=False)[0])
+        assert norm == pytest.approx(dense, rel=1e-10)
+
+    def test_table_operator_norm_matches_svd(self):
+        grid = Grid1D(48)
+        km = assemble(KernelSpec.power_law(1.5, delta=0.01), grid)
+        table = assemble(KernelSpec.tabulated(km.k_centers, km.gradk_faces, scale=-3.0), grid)
+        dense = float(np.linalg.svd(grid.h * table.gradk_faces, compute_uv=False)[0])
+        assert l2_operator_norm(table) == pytest.approx(dense, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec.green_closed_form(), KernelSpec.green_series(4.0, scale=-2.5), *TOEPLITZ_SPECS],
+        ids=["green", "green_series-scale-2.5", *TOEPLITZ_IDS],
+    )
+    def test_validation_matches_the_table(self, spec):
+        # the table's report reads the dense sample entry by entry
+        grid = Grid1D(100)
+        km = assemble(spec, grid)
+        report = validate_assumptions(spec, grid, tol=1e-6)
+        table = KernelSpec.tabulated(km.k_centers, km.gradk_faces)
+        dense = validate_assumptions(table, grid, tol=1e-6)
+        for name in ("neumann_residual", "mean_gradient_residual", "hilbert_schmidt_norm"):
+            got, expected = getattr(report, name), getattr(dense, name)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-14), name
+        assert (report.neumann_ok, report.mean_gradient_ok) == (dense.neumann_ok, dense.mean_gradient_ok)
 
 
 class TestSingularity:
@@ -439,8 +528,8 @@ class TestValidation:
         for spec in (green, KernelSpec.power_law(0.5), KernelSpec.gaussian(0.1)):
             sampled.clear()
             validate_assumptions(spec, Grid1D(64), tol=1e-6, q_primes=q_primes)
-            # the assemble on the grid alone: no ladder level needs a dense sample
-            assert sampled == [64]
+            # neither the residuals on the grid nor a ladder level need a dense sample
+            assert sampled == []
         km = assemble(green, Grid1D(16))
         table = KernelSpec.tabulated(km.k_centers, km.gradk_faces)
         sampled.clear()

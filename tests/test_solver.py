@@ -400,6 +400,12 @@ class TestPicardMildSolve:
         with pytest.raises(InvalidParameterError, match="limit"):
             picard_mild_solve(u0, km128, 1.0, n_time=10**7)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_is_refused(self, km128, horizon):
+        # an infinite step would make every propagator factor 0 * inf
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            picard_mild_solve(np.ones(128), km128, horizon)
+
 
 def _dense_picard_reference(u0, km, horizon, n_time, q_prime, max_iter=30, tol=1e-10):
     """Picard iteration with one dense n x n mode-matrix product per output time."""

@@ -2,10 +2,12 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import aggrestab
 from aggrestab import (
@@ -25,6 +27,12 @@ from aggrestab import (
 from aggrestab import divergence, gradient, kernel, spectral
 from aggrestab.errors import InvalidParameterError, UnsupportedKernelError
 from aggrestab.spectral import VERDICT_INCONCLUSIVE, VERDICT_STABLE, VERDICT_UNSTABLE
+
+
+def _table(spec, grid):
+    """The kernel as a table of its dense samples, which takes the dense path."""
+    km = assemble(spec, grid)
+    return KernelSpec.tabulated(km.k_centers, km.gradk_faces)
 
 
 def _dense_operator(lop):
@@ -97,9 +105,9 @@ class TestPrincipalEigenpair:
 
     def test_dense_residual_catches_a_wrong_projection(self, grid256, monkeypatch):
         # the dense residual applies D itself, not the projection the solver read
+        km = assemble(_table(KernelSpec.gaussian(0.1), grid256), grid256)
         project = SpectralBasis.project
         monkeypatch.setattr(SpectralBasis, "project", lambda self, a: 2.0 * project(self, a))
-        km = assemble(KernelSpec.gaussian(0.1), grid256)
         with pytest.raises(UnsupportedKernelError, match="residual"):
             principal_eigenpair(assemble_linearized(km, 12.0))
 
@@ -159,6 +167,57 @@ class TestAgainstQRReference:
             assert abs(eig - ref_eig) <= 1e-13 * np.linalg.norm(_dense_operator(lop), np.inf)
             sign = math.copysign(1.0, float(mode @ ref_mode))
             assert np.abs(mode - sign * ref_mode).max() <= 1e-8
+
+
+class TestMatrixFree:
+    """The block eigensolver on the Toeplitz FFT actions against a dense eigh."""
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec.gaussian(0.1),
+            KernelSpec.gaussian(0.01),
+            KernelSpec.power_law(0.5),
+            KernelSpec.power_law(1.5, delta=0.01),
+        ],
+        ids=["gaussian0.1", "gaussian0.01", "power_law0.5", "power_law1.5-0.01"],
+    )
+    def test_eigenvalue_matches_dense_eigh(self, spec, n):
+        grid = Grid1D(n)
+        family = spectral.LinearizedFamily(assemble(spec, grid))
+        for mass in (0.0, 5.0, 12.0, 1e4):
+            lop = family.at(mass)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                eig, mode = principal_eigenpair(lop)
+            matrix = _dense_operator(lop)
+            reduced = grid.basis.project(0.5 * (matrix + matrix.T))[1:, 1:]
+            ref = scipy.linalg.eigh(reduced, eigvals_only=True, subset_by_index=[0, 0])[0]
+            assert abs(eig - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("n", range(4, 30))
+    def test_small_grids_match_dense(self, n):
+        # three blocks of the solver span these few modes: its trial basis is all of them
+        grid = Grid1D(n)
+        km = assemble(KernelSpec.power_law(1.5, delta=0.01), grid)
+        dense = float(np.linalg.svd(grid.h * km.gradk_faces, compute_uv=False)[0])
+        assert l2_operator_norm(km) == pytest.approx(dense, rel=1e-10)
+        for mass in (0.0, 12.0):
+            lop = assemble_linearized(km, mass)
+            matrix = _dense_operator(lop)
+            reduced = grid.basis.project(0.5 * (matrix + matrix.T))[1:, 1:]
+            ref = scipy.linalg.eigh(reduced, eigvals_only=True, subset_by_index=[0, 0])[0]
+            assert principal_eigenpair(lop)[0] == pytest.approx(ref, rel=1e-9)
+
+    def test_reads_no_dense_sample(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense sample")
+
+        monkeypatch.setattr(kernel, "_gradk_matrix", refuse)
+        monkeypatch.setattr(kernel, "_values_matrix", refuse)
+        for spec in (KernelSpec.gaussian(0.1), KernelSpec.power_law(1.5, delta=0.01)):
+            assert stability_verdict(spec, Grid1D(128), 12.0).principal_eigenvalue < 0
 
 
 class TestGreenSymbols:
@@ -266,20 +325,23 @@ class TestStabilityVerdict:
     def test_dense_path_peak_is_counted(self):
         # the refusal below counts _DENSE_ARRAYS n x n arrays; one spare covers O(n) work
         n = 512
+        table = _table(KernelSpec.gaussian(0.1), Grid1D(n))
         tracemalloc.start()
         try:
-            stability_verdict(KernelSpec.gaussian(0.1), Grid1D(n), 3.0)
+            stability_verdict(table, Grid1D(n), 3.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= (spectral._DENSE_ARRAYS + 1) * 8 * n**2
 
-    def test_oversized_dense_path_refused_before_allocating(self):
-        # one 6000 x 6000 sample is below the limit, the dense path's seven arrays are not
+    def test_oversized_dense_path_refused_before_allocating(self, monkeypatch):
+        # the 64^2 table is below a limit of 10^4 values, the dense path's seven arrays are not
+        table = _table(KernelSpec.gaussian(0.1), Grid1D(64))
+        monkeypatch.setattr(spectral, "MAX_STORED_VALUES", 10**4)
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidParameterError, match="the limit is 1e\\+08"):
-                stability_verdict(KernelSpec.gaussian(0.1), Grid1D(6000), 3.0)
+            with pytest.raises(InvalidParameterError, match="the limit is 1e\\+04"):
+                stability_verdict(table, Grid1D(64), 3.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
