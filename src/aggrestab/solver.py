@@ -7,9 +7,10 @@ upwinding and Heun's method (SSP-RK2), then a second diffusion half step.
 The scheme is second order in time, and discrete mass conservation and
 positivity are structural: diffusion leaves the constant mode alone and
 e^{-t L_h} is nonnegative, and each Heun stage is a forward-Euler step under
-the CFL bound. Transport alone sets the automatic step. The mild solver
-iterates the integral fixed point on the same exact propagator, with its own
-treatment of the drift, and the same kernel action `apply_grad`.
+the CFL bound. Transport alone sets the automatic step. `evolve` carries the
+mode coefficients from step to step: three transforms and two kernel actions
+a step. The mild solver iterates the integral fixed point on the same exact
+propagator, with its own drift treatment and the same kernel action `apply_grad`.
 
 Every state and datum is a cell array, as in `grid`: the initial datum, the
 stepper's input and output, and the inputs of the mild solver and the
@@ -52,7 +53,7 @@ class SimConfig:
     mode: str
     mass_level: float = 0.0
     t_end: float = 1.0
-    dt: float | None = None  # None selects the automatic step, chosen before each step
+    dt: float | None = None  # None selects the automatic step
     initial: str = "constant:1.0"
     output_stride: int = 1
     seed: int = 0
@@ -157,6 +158,11 @@ def _transport_flux(u: np.ndarray, mode: str, mass_level: float, km: KernelMatri
     return v * (mass_level + upwind), v
 
 
+def _cfl_dt(vmax: float, h: float) -> float:
+    """A quarter of the CFL step h/(2 vmax), capped at h/2."""
+    return min(h / (8.0 * vmax + _DT_EPS), 0.5 * h)
+
+
 def auto_dt(u: np.ndarray, km: KernelMatrices) -> float:
     """A quarter of the CFL step of the transport at the cell values u, capped at h/2.
 
@@ -166,12 +172,11 @@ def auto_dt(u: np.ndarray, km: KernelMatrices) -> float:
     vmax = float(np.abs(apply_grad(km, u)[1:-1]).max())  # the boundary faces carry no flux
     if not math.isfinite(vmax):
         raise SchemeFailureError("non-finite transport velocity: no step is admissible")
-    h = km.grid.h
-    return min(h / (8.0 * vmax + _DT_EPS), 0.5 * h)
+    return _cfl_dt(vmax, km.grid.h)
 
 
 def _transport_stage(u: np.ndarray, dt: float, mode: str, mass_level: float, km: KernelMatrices):
-    """One forward-Euler step of the upwind transport, refused above the CFL bound."""
+    """One forward-Euler upwind transport step and its max|v|, refused above the CFL bound."""
     flux, v = _transport_flux(u, mode, mass_level, km)
     vmax = float(np.abs(v).max())
     if not math.isfinite(vmax):
@@ -180,7 +185,26 @@ def _transport_stage(u: np.ndarray, dt: float, mode: str, mass_level: float, km:
         admissible = km.grid.h / (2.0 * vmax)
         if dt > admissible:
             raise RejectedStepError(dt, admissible)
-    return u - dt * divergence(flux, km.grid)
+    return u - dt * divergence(flux, km.grid), vmax
+
+
+class _Strang:
+    """The Strang step on mode coefficients; it recomputes e^{-(dt/2) L_h} only when dt changes."""
+
+    def __init__(self, mode: str, mass_level: float, km: KernelMatrices):
+        self.mode, self.mass_level, self.km, self.dt, self.half = mode, mass_level, km, None, None
+
+    def __call__(self, c: np.ndarray, dt: float):
+        """The closing coefficients from those of the start c, and the two stages' larger max|v|."""
+        basis = self.km.grid.basis
+        if dt != self.dt:
+            self.dt, self.half = dt, np.exp(-0.5 * dt * basis.eigenvalues_discrete)
+        start = basis.from_spectral(self.half * c)
+        stage, v1 = _transport_stage(start, dt, self.mode, self.mass_level, self.km)
+        stage, v2 = _transport_stage(stage, dt, self.mode, self.mass_level, self.km)
+        out = self.half * basis.to_spectral(0.5 * (start + stage))
+        out[0] = c[0]  # the transforms conserve mass only to roundoff; pin the mean exactly
+        return out, max(v1, v2)
 
 
 def step_imex(
@@ -195,30 +219,22 @@ def step_imex(
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
     basis = km.grid.basis
-    half = np.exp(-0.5 * dt * basis.eigenvalues_discrete)
-    start = basis.from_spectral(half * basis.to_spectral(u))
-    stage = _transport_stage(start, dt, mode, mass_level, km)
-    stage = _transport_stage(stage, dt, mode, mass_level, km)
-    out = basis.from_spectral(half * basis.to_spectral(0.5 * (start + stage)))
-    # the transforms conserve mass only to roundoff; pin the mean exactly
-    out += np.mean(u) - out.mean()
-    return out
+    return basis.from_spectral(_Strang(mode, mass_level, km)(basis.to_spectral(u), dt)[0])
 
 
-def _auto_step(u, t, t_end, budget, mode, mass_level, km):
-    """One step from t at the automatic dt, halved while a stage is rejected.
+def _auto_step(c, t, dt, t_end, budget, strang):
+    """One step from t at dt, halved while a stage is rejected; a step past t_end ends on it.
 
-    Returns the new state and its time; a step that would pass t_end ends on
-    it. Fails when dt makes no progress or would need more than budget steps.
+    Returns the coefficients, their time and the stages' max|v|; fails when dt
+    makes no progress or would need more than budget steps.
     """
-    dt = auto_dt(u, km)
     while True:
         if t + dt == t or dt * budget < t_end - t:
             raise SchemeFailureError(f"dt={dt:g} at t={t:g} needs more than {_MAX_STEPS:.0e} steps")
         last = t + dt >= t_end
         try:
-            new = step_imex(u, t_end - t if last else dt, mode, mass_level, km)
-            return new, t_end if last else t + dt
+            c, vmax = strang(c, t_end - t if last else dt)
+            return c, t_end if last else t + dt, vmax
         except RejectedStepError as exc:
             if exc.admissible == 0.0:  # a non-finite velocity: no smaller step helps
                 raise
@@ -229,8 +245,9 @@ def evolve(config: SimConfig) -> Trajectory:
     """Integrate to t_end, recording snapshots every output_stride steps.
 
     A set dt is rounded down to t_end / (whole number of steps) and kept. The
-    automatic step is chosen from the current state before every step and
-    halved while a stage is rejected; the last step lands on t_end.
+    automatic step is auto_dt's rule at the datum, then at the larger max|v| of
+    the previous step's two stages; it is halved while a stage is rejected, and
+    the last step lands on t_end.
     """
     grid = Grid1D(config.n)
     km = assemble(config.kernel, grid)
@@ -252,23 +269,22 @@ def evolve(config: SimConfig) -> Trajectory:
             f"the run needs {'at least ' if auto else ''}{steps:.3g} steps and keeps up to "
             f"{stored:.3g} state values; the limits are {_MAX_STEPS:.0e} and {MAX_STORED_VALUES:.0e}"
         )
-    if not auto:
-        nsteps = max(1, math.ceil(steps - 1e-12))
-        dt = config.t_end / nsteps
+    nsteps = max(1, math.ceil(steps - 1e-12))  # the step count of a set dt
+    dt = auto_dt(u, km) if auto else config.t_end / nsteps
+    strang = _Strang(config.mode, config.mass_level, km)
+    c = grid.basis.to_spectral(u)
     floor = -1e-12 * max(1.0, float(np.abs(u).max()))
-    times = [0.0]
-    states = [u]
+    times, states = [0.0], [u]
     t, step, last = 0.0, 0, False
     while not last:
         step += 1
         if auto:
-            u, t = _auto_step(
-                u, t, config.t_end, _MAX_STEPS - step + 1, config.mode, config.mass_level, km
-            )
-            last = t == config.t_end
+            c, t, vmax = _auto_step(c, t, dt, config.t_end, _MAX_STEPS - step + 1, strang)
+            dt, last = _cfl_dt(vmax, grid.h), t == config.t_end
         else:
-            u = step_imex(u, dt, config.mode, config.mass_level, km)
+            c, _ = strang(c, dt)
             t, last = step * dt, step == nsteps
+        u = grid.basis.from_spectral(c)
         if not np.isfinite(u).all():
             raise SchemeFailureError(f"non-finite state at t={t:g}")
         if config.mode == "nonlinear":
@@ -295,8 +311,7 @@ def heat_semigroup(u, grid: Grid1D, t: float) -> np.ndarray:
     if t < 0:
         raise InvalidParameterError("semigroup time must be nonnegative")
     basis = grid.basis
-    c = basis.to_spectral(u)
-    return basis.from_spectral(c * np.exp(-basis.eigenvalues_discrete * t))
+    return basis.from_spectral(basis.to_spectral(u) * np.exp(-basis.eigenvalues_discrete * t))
 
 
 @dataclass(frozen=True, eq=False)

@@ -328,6 +328,25 @@ class TestCommands:
         assert "scheme failure" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
+    def test_simulate_nan_velocity_after_the_first_step_is_scheme_failure(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # only a Heun stage reads the velocity after the first step: no halving follows
+        action, calls = solver.apply_grad, []
+
+        def fails_late(km, u):
+            calls.append(None)
+            return action(km, u) if len(calls) < 6 else np.full(km.grid.n + 1, np.nan)
+
+        monkeypatch.setattr(solver, "apply_grad", fails_late)
+        cfg = write_config(
+            tmp_path, "c.cfg", GREEN_LINES + "sim.M = 5\nsim.initial = constant_plus_mode:5,0.5,1\n"
+        )
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_SCHEME
+        assert "scheme failure" in capsys.readouterr().err
+        assert len(calls) == 6
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize("dt", ["auto", "0.001"])
     def test_simulate_non_finite_state_is_scheme_failure(self, tmp_path, monkeypatch, capsys, dt):

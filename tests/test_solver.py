@@ -112,7 +112,7 @@ class TestEvolve:
         def no_step(*args):
             raise AssertionError("stepped a run that should be refused")
 
-        monkeypatch.setattr(solver, "step_imex", no_step)
+        monkeypatch.setattr(solver._Strang, "__call__", no_step)
         for dt, stride in [(1e-300, 10**9), (5e-324, 10**9), (1e-7, 1)]:
             config = SimConfig(n=64, kernel=green, mode="nonlinear", dt=dt, output_stride=stride)
             with pytest.raises(InvalidParameterError, match="limit"):
@@ -194,6 +194,8 @@ class TestEvolve:
         traj = evolve(config)
         assert traj.times[-1] == t_end
         assert np.abs(traj.mass - traj.mass[0]).max() <= 1e-12 * traj.mass[0]
+        # every step keeps the datum's mean, so roundoff does not pile up over the steps
+        assert np.abs(traj.mass - traj.mass[0]).max() <= 1e-14 * traj.mass[0]
         assert traj.min_value.min() >= -1e-12
         assert traj.linf[-1] > 10.0 * mass  # the mass has aggregated into a peak
 
@@ -227,7 +229,7 @@ class TestEvolve:
         def no_step(*args):
             raise AssertionError("stepped a run that should be refused")
 
-        monkeypatch.setattr(solver, "step_imex", no_step)
+        monkeypatch.setattr(solver._Strang, "__call__", no_step)
         # at n = 64 and t_end = 1 even the step cap h/2 needs 128 steps
         monkeypatch.setattr(solver, "_MAX_STEPS", 100)
         config = SimConfig(n=64, kernel=green, mode="nonlinear")
@@ -248,6 +250,91 @@ class TestEvolve:
         monkeypatch.setattr(solver, "MAX_STORED_VALUES", 64 * 1000)
         with pytest.raises(SchemeFailureError, match="snapshots"):
             evolve(config)
+
+
+class TestCarriedCoefficients:
+    """evolve carries the mode coefficients from step to step; step_imex starts from cell values."""
+
+    @staticmethod
+    def hand_loop(config, km, dts):
+        u = initial_field(config.initial, km.grid)
+        times, states = [0.0], [u]
+        for dt, t in dts(u):
+            u = step_imex(u, dt, config.mode, config.mass_level, km)
+            times.append(t)
+            states.append(u)
+        return np.array(times), np.array(states)
+
+    def test_set_dt_matches_step_imex(self, green):
+        config = SimConfig(
+            n=64, kernel=green, mode="nonlinear", mass_level=8.0, t_end=0.05, dt=1e-3,
+            initial="constant_plus_mode:8,2,1",
+        )
+        traj = evolve(config)
+        km = assemble(green, Grid1D(64))
+        dt = config.t_end / 50
+        _, states = self.hand_loop(config, km, lambda u: [(dt, k * dt) for k in range(1, 51)])
+        assert np.abs(traj.snapshots - states).max() <= 1e-13 * np.abs(states).max()
+
+    def test_auto_dt_at_the_cap_matches_step_imex(self, green):
+        config = SimConfig(
+            n=64, kernel=green, mode="nonlinear", mass_level=8.0, t_end=0.1,
+            initial="constant_plus_mode:8,0.08,1",
+        )
+        traj = evolve(config)
+        km = assemble(green, Grid1D(64))
+
+        def cap_steps(u):
+            t, dt = 0.0, auto_dt(u, km)
+            assert dt == 0.5 * km.grid.h  # the cap h/2 binds
+            while t + dt < config.t_end:
+                yield dt, t + dt
+                t += dt
+            yield config.t_end - t, config.t_end
+
+        times, states = self.hand_loop(config, km, cap_steps)
+        assert np.array_equal(traj.times, times)
+        assert np.abs(traj.snapshots - states).max() <= 1e-13 * np.abs(states).max()
+
+    def test_step_work_budget(self, green, monkeypatch):
+        calls = {"apply_grad": 0, "to_spectral": 0, "from_spectral": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(solver, "apply_grad", counted("apply_grad", solver.apply_grad))
+        for name in ("to_spectral", "from_spectral"):
+            monkeypatch.setattr(SpectralBasis, name, counted(name, getattr(SpectralBasis, name)))
+        config = SimConfig(
+            n=64, kernel=green, mode="nonlinear", mass_level=8.0, t_end=0.1,
+            initial="constant_plus_mode:8,0.08,1",
+        )
+        steps = len(evolve(config).times) - 1
+        assert steps == math.ceil(0.1 / (0.5 / 64))  # every step at the cap h/2
+        assert calls == {
+            "apply_grad": 1 + 2 * steps, "to_spectral": 1 + steps, "from_spectral": 2 * steps
+        }
+
+    def test_non_finite_velocity_after_the_first_step(self, green, monkeypatch):
+        # auto_dt reads the datum, the first step's two stages pass, the second step's first fails
+        action, calls = solver.apply_grad, []
+
+        def fails_late(km, u):
+            calls.append(None)
+            return action(km, u) if len(calls) < 4 else np.full(km.grid.n + 1, np.nan)
+
+        monkeypatch.setattr(solver, "apply_grad", fails_late)
+        config = SimConfig(
+            n=64, kernel=green, mode="nonlinear", mass_level=5.0, t_end=0.1,
+            initial="constant_plus_mode:5,0.5,1",
+        )
+        with pytest.raises(SchemeFailureError):
+            evolve(config)
+        assert len(calls) == 4  # no halving loop
 
 
 class TestStateConvention:
