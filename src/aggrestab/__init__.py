@@ -28,7 +28,6 @@ from .kernel import (
 )
 from .solver import (
     MildSolveDiagnostics,
-    SimConfig,
     Trajectory,
     auto_dt,
     evolve,

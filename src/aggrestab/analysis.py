@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FitFailureError, InvalidBracketError, InvalidParameterError
 from .grid import Grid1D
 from .kernel import KernelMatrices, KernelSpec, assemble
-from .solver import SimConfig, Trajectory, auto_dt, evolve, picard_mild_solve, step_imex
+from .solver import Trajectory, auto_dt, evolve, picard_mild_solve, step_imex
 from .spectral import LAMBDA_1, VERDICT_STABLE, LinearizedFamily, principal_eigenpair
 from .spectral import stability_verdict
 
@@ -116,21 +116,13 @@ def threshold_bisect(
     return 0.5 * (lo + hi)
 
 
-def _decays(spec, grid, mass_level, amplitude, t_end):
+def _decays(km, mass_level, amplitude, t_end) -> bool:
     """Run the perturbed dynamics from amplitude * w1 and classify decay."""
     if amplitude == 0:
         return True
-    config = SimConfig(
-        n=grid.n,
-        kernel=spec,
-        mode="perturbed",
-        mass_level=mass_level,
-        t_end=t_end,
-        initial=f"constant_plus_mode:0,{amplitude!r},1",
-        output_stride=10**9,  # endpoints only
-    )
-    traj = evolve(config)
-    return traj.l2[-1] <= 0.01 * traj.l2[0]
+    u0 = amplitude * km.grid.basis.mode(1)
+    traj = evolve(u0, km, "perturbed", mass_level, t_end, output_stride=10**9)  # endpoints only
+    return bool(traj.l2[-1] <= 0.01 * traj.l2[0])
 
 
 def basin_probe(
@@ -156,15 +148,16 @@ def basin_probe(
     if t_end is None:
         rate = LAMBDA_1 * (1.0 - mass_level * report.interaction_coefficient)
         t_end = 10.0 / max(rate, 1e-2)
+    km = assemble(spec, grid)
     history = []
-    if _decays(spec, grid, mass_level, amplitude_hi, t_end):
+    if _decays(km, mass_level, amplitude_hi, t_end):
         history.append((amplitude_hi, True))
         return BasinProbe(mass_level, amplitude_hi, None, True, tuple(history))
     history.append((amplitude_hi, False))
     lo, hi = 0.0, amplitude_hi
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        ok = _decays(spec, grid, mass_level, mid, t_end)
+        ok = _decays(km, mass_level, mid, t_end)
         history.append((mid, ok))
         if ok:
             lo = mid

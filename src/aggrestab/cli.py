@@ -33,7 +33,7 @@ from .kernel import (
     norm_inf_qprime,
     validate_assumptions,
 )
-from .solver import SimConfig, evolve, existence_time, initial_field, picard_mild_solve
+from .solver import evolve, existence_time, initial_field, picard_mild_solve
 from .spectral import stability_verdict
 
 EXIT_OK = 0
@@ -257,18 +257,16 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     grid = config.grid()
     dt_raw = config.get("sim.dt", "auto")
     dt = None if dt_raw == "auto" else config.get_float("sim.dt", positive=True)
-    sim = SimConfig(
-        n=grid.n,
-        kernel=spec,
-        mode=config.get("sim.mode", "nonlinear"),
+    u0 = initial_field(config.get("sim.initial", "constant:1.0"), grid, config.seed)
+    traj = evolve(
+        u0,
+        assemble(spec, grid),
+        config.get("sim.mode", "nonlinear"),
         mass_level=config.get_float("sim.M", default=0.0, minimum=0.0),
         t_end=config.get_float("sim.t_end", default=1.0, positive=True),
         dt=dt,
-        initial=config.get("sim.initial", "constant:1.0"),
         output_stride=config.get_int("sim.output_stride", default=1, minimum=1),
-        seed=config.seed,
     )
-    traj = evolve(sim)
     rows = ["t,mass,l1,l2,linf,min_u"]
     for i, t in enumerate(traj.times):
         rows.append(

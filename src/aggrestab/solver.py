@@ -14,8 +14,11 @@ propagator, with its own drift treatment and the same kernel action `apply_grad`
 
 Every state and datum is a cell array, as in `grid`: the initial datum, the
 stepper's input and output, and the inputs of the mild solver and the
-semigroup probes. A `Trajectory` keeps its stored states as the rows of one
-(stored states, n) array.
+semigroup probes. The solver's entry points take the datum and the assembled
+kernel and read the grid from `km.grid`: `evolve(u0, km, mode, ...)`,
+`step_imex(u, dt, mode, M, km)` and `picard_mild_solve(u0, km, T)`. Each
+refuses, through `check_datum`, anything but a finite (n,) array. A
+`Trajectory` keeps its stored states as the rows of one (stored states, n) array.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     SchemeFailureError,
 )
 from .grid import MAX_STORED_VALUES, Grid1D, divergence, gradient, lp_norm
-from .kernel import KernelMatrices, KernelSpec, apply_grad, assemble
+from .kernel import KernelMatrices, apply_grad
 from .spectral import LAMBDA_1
 
 MODES = ("nonlinear", "perturbed", "linearized")
@@ -44,31 +47,6 @@ _DT_EPS = 1e-30  # guards the pure-diffusion case in the CFL formula
 # values than MAX_STORED_VALUES; the longest default basin_probe horizon
 # (t_end = 1000 at the automatic step cap h/2) is 2000 n steps
 _MAX_STEPS = 10**8
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    n: int
-    kernel: KernelSpec
-    mode: str
-    mass_level: float = 0.0
-    t_end: float = 1.0
-    dt: float | None = None  # None selects the automatic step
-    initial: str = "constant:1.0"
-    output_stride: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidParameterError(f"unknown mode {self.mode!r}")
-        if self.t_end <= 0:
-            raise InvalidParameterError("t_end must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise InvalidParameterError("dt must be positive")
-        if self.output_stride < 1:
-            raise InvalidParameterError("output stride must be >= 1")
-        if self.mass_level < 0:
-            raise InvalidParameterError("mass level M must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +88,18 @@ class MildSolveDiagnostics:
     trajectory: Trajectory
 
 
+def check_datum(u, n: int) -> np.ndarray:
+    """u as a float array, refused unless it is a finite (n,) cell array of real numbers."""
+    values = np.asarray(u)
+    if values.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"the datum has dtype {values.dtype}, not real numbers")
+    if not np.isfinite(values).all():
+        raise InvalidParameterError("the datum has a non-finite value")
+    if values.shape != (n,):
+        raise InvalidParameterError(f"field length {values.shape} does not match grid n={n}")
+    return values.astype(float, copy=False)
+
+
 def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> np.ndarray:
     """The cell values of an initial datum given by a config descriptor string.
 
@@ -135,11 +125,7 @@ def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> np.ndarray:
                 values *= float(amplitude) / peak
         else:
             values = np.loadtxt(arg, dtype=float, ndmin=1)
-        if not np.isfinite(values).all():
-            raise InvalidParameterError("the datum has a non-finite value")
-        if values.shape != (grid.n,):
-            raise InvalidParameterError(f"field length {values.shape} does not match grid n={grid.n}")
-        return values
+        return check_datum(values, grid.n)
     except (ValueError, OSError) as exc:
         raise InvalidParameterError(f"bad initial descriptor {descriptor!r}: {exc}") from exc
 
@@ -216,10 +202,11 @@ def step_imex(
     """
     if mode not in MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    if dt <= 0:
-        raise InvalidParameterError("dt must be positive")
+    if not 0 < dt < math.inf:  # written so that NaN fails too
+        raise InvalidParameterError("dt must be positive and finite")
     basis = km.grid.basis
-    return basis.from_spectral(_Strang(mode, mass_level, km)(basis.to_spectral(u), dt)[0])
+    c = basis.to_spectral(check_datum(u, km.grid.n))
+    return basis.from_spectral(_Strang(mode, mass_level, km)(c, dt)[0])
 
 
 def _auto_step(c, t, dt, t_end, budget, strang):
@@ -241,37 +228,55 @@ def _auto_step(c, t, dt, t_end, budget, strang):
             dt *= 0.5
 
 
-def evolve(config: SimConfig) -> Trajectory:
-    """Integrate to t_end, recording snapshots every output_stride steps.
+def evolve(
+    u0,
+    km: KernelMatrices,
+    mode: str,
+    mass_level: float = 0.0,
+    t_end: float = 1.0,
+    dt: float | None = None,
+    output_stride: int = 1,
+) -> Trajectory:
+    """Integrate the datum u0 on km's grid to t_end, recording every output_stride steps.
 
-    A set dt is rounded down to t_end / (whole number of steps) and kept. The
-    automatic step is auto_dt's rule at the datum, then at the larger max|v| of
-    the previous step's two stages; it is halved while a stage is rejected, and
-    the last step lands on t_end.
+    dt=None selects the automatic step: auto_dt's rule at the datum, then at
+    the larger max|v| of the previous step's two stages; it is halved while a
+    stage is rejected, and the last step lands on t_end. A set dt is rounded
+    down to t_end / (whole number of steps) and kept.
     """
-    grid = Grid1D(config.n)
-    km = assemble(config.kernel, grid)
-    u = initial_field(config.initial, grid, config.seed)
+    if mode not in MODES:
+        raise InvalidParameterError(f"unknown mode {mode!r}")
+    # the comparisons are written so that NaN fails them
+    if not t_end > 0:
+        raise InvalidParameterError("t_end must be positive")
+    if dt is not None and not dt > 0:
+        raise InvalidParameterError("dt must be positive")
+    if output_stride < 1:
+        raise InvalidParameterError("output stride must be >= 1")
+    if not mass_level >= 0:
+        raise InvalidParameterError("mass level M must be nonnegative")
+    grid = km.grid
+    u = check_datum(u0, grid.n)
     mass0 = grid.h * float(u.sum())
-    if config.mode == "nonlinear":
+    if mode == "nonlinear":
         if u.min() < 0:
             raise InvalidParameterError("nonlinear mode requires a nonnegative initial datum")
     else:
         scale = max(1.0, float(np.abs(u).max()))
         if abs(mass0) > 1e-10 * scale:
             raise InvalidParameterError("perturbation modes require a zero-mean initial datum")
-    auto = config.dt is None
+    auto = dt is None
     # an automatic run takes at least the steps of its cap h/2; a set dt, exactly its own
-    steps = config.t_end / (0.5 * grid.h if auto else config.dt)
-    stored = ((steps + 1) / config.output_stride + 2) * grid.n
+    steps = t_end / (0.5 * grid.h if auto else dt)
+    stored = ((steps + 1) / output_stride + 2) * grid.n
     if steps > _MAX_STEPS or stored > MAX_STORED_VALUES:
         raise InvalidParameterError(
             f"the run needs {'at least ' if auto else ''}{steps:.3g} steps and keeps up to "
             f"{stored:.3g} state values; the limits are {_MAX_STEPS:.0e} and {MAX_STORED_VALUES:.0e}"
         )
     nsteps = max(1, math.ceil(steps - 1e-12))  # the step count of a set dt
-    dt = auto_dt(u, km) if auto else config.t_end / nsteps
-    strang = _Strang(config.mode, config.mass_level, km)
+    dt = auto_dt(u, km) if auto else t_end / nsteps
+    strang = _Strang(mode, mass_level, km)
     c = grid.basis.to_spectral(u)
     floor = -1e-12 * max(1.0, float(np.abs(u).max()))
     times, states = [0.0], [u]
@@ -279,15 +284,15 @@ def evolve(config: SimConfig) -> Trajectory:
     while not last:
         step += 1
         if auto:
-            c, t, vmax = _auto_step(c, t, dt, config.t_end, _MAX_STEPS - step + 1, strang)
-            dt, last = _cfl_dt(vmax, grid.h), t == config.t_end
+            c, t, vmax = _auto_step(c, t, dt, t_end, _MAX_STEPS - step + 1, strang)
+            dt, last = _cfl_dt(vmax, grid.h), t == t_end
         else:
             c, _ = strang(c, dt)
             t, last = step * dt, step == nsteps
         u = grid.basis.from_spectral(c)
         if not np.isfinite(u).all():
             raise SchemeFailureError(f"non-finite state at t={t:g}")
-        if config.mode == "nonlinear":
+        if mode == "nonlinear":
             if float(u.min()) < floor:
                 raise SchemeFailureError(
                     f"positivity lost at t={t:g} (min {u.min():.3e}); refine dt or the grid"
@@ -295,7 +300,7 @@ def evolve(config: SimConfig) -> Trajectory:
             drift = abs(grid.h * float(u.sum()) - mass0)
             if mass0 != 0 and drift > 1e-12 * abs(mass0):
                 raise SchemeFailureError(f"mass drift {drift / abs(mass0):.3e} at t={t:g}")
-        if step % config.output_stride == 0 or last:
+        if step % output_stride == 0 or last:
             times.append(t)
             states.append(u)
             if len(states) * grid.n > MAX_STORED_VALUES:
@@ -414,6 +419,7 @@ def picard_mild_solve(
     average of the transport term, so the endpoint singularity of the
     gradient-semigroup bound never enters the quadrature.
     """
+    u0 = check_datum(u0, km.grid.n)
     if not 0 < horizon < math.inf:  # written so that NaN fails too
         raise InvalidParameterError(f"horizon T must be positive and finite, got {horizon}")
     if n_time < 2:

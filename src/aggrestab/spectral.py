@@ -16,7 +16,8 @@ A Gaussian or power-law kernel is solved matrix-free, by the block
 eigensolver of `eigen` on diag(lambda_k^h) + M D_r, D_r the symmetric part
 of D in the modes, applied by the kernel's FFT actions: O(n log n) per step,
 started and preconditioned by the circulant estimate of D_r's diagonal.
-Only a table projects its dense D, once per family, and solves with `eigh`.
+Only a table projects its dense D, once per family, and solves with SciPy's
+`eigh`, imported there so that no other path loads SciPy.
 Neither L nor S(M) is formed: the residual check applies L by `gradient` and
 `divergence`, and D by `apply_grad` for a Green kernel (not by the symbol it
 checks), by the symmetric part of D from `apply_grad` and its adjoint
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import InvalidParameterError, UnsupportedKernelError
 from .eigen import smallest_eigenpair
@@ -224,6 +224,8 @@ def principal_eigenpair(lop: LinearizedOperator):
         scale = float(np.abs(symbol).max())
     else:
         if lop.km.spec.variant == "tabulated":
+            from scipy.linalg import eigh  # a table's direct solve is the one use of SciPy
+
             lap, drift = family.reduced
             reduced = np.diag(lap) + mass * drift
             eigvals, eigvecs = eigh(reduced, subset_by_index=[0, 0])

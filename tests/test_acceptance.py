@@ -24,16 +24,10 @@ def report(label: str, ok: bool, detail: str) -> None:
 
 
 def linearized_rate(mass, n=256, amplitude=0.01, t_end=1.0):
-    config = ag.SimConfig(
-        n=n,
-        kernel=GREEN,
-        mode="linearized",
-        mass_level=mass,
-        t_end=t_end,
-        initial=f"constant_plus_mode:0,{amplitude},1",
-        output_stride=20,
-    )
-    return ag.fit_rate(ag.evolve(config)).rate
+    km = ag.assemble(GREEN, ag.Grid1D(n))
+    u0 = ag.initial_field(f"constant_plus_mode:0,{amplitude},1", km.grid)
+    traj = ag.evolve(u0, km, "linearized", mass_level=mass, t_end=t_end, output_stride=20)
+    return ag.fit_rate(traj).rate
 
 
 def test_criterion_01_instability_constant():
@@ -128,18 +122,11 @@ def test_criterion_04_linearized_rates():
 
 def test_criterion_05_nonlinear_dichotomy():
     def run(mass, t_end):
-        config = ag.SimConfig(
-            n=128,
-            kernel=GREEN,
-            mode="nonlinear",
-            mass_level=mass,
-            t_end=t_end,
-            initial=f"constant_plus_mode:{mass},{0.01 * mass},1",
-            output_stride=100,
-        )
-        traj = ag.evolve(config)
+        km = ag.assemble(GREEN, ag.Grid1D(128))
+        u0 = ag.initial_field(f"constant_plus_mode:{mass},{0.01 * mass},1", km.grid)
+        traj = ag.evolve(u0, km, "nonlinear", mass_level=mass, t_end=t_end, output_stride=100)
         pert = [
-            ag.lp_norm(s - mass, 2, ag.Grid1D(config.n)) for s in (traj.snapshots[0], traj.snapshots[-1])
+            ag.lp_norm(s - mass, 2, km.grid) for s in (traj.snapshots[0], traj.snapshots[-1])
         ]
         drift = float(np.abs(traj.mass - traj.mass[0]).max()) / traj.mass[0]
         return pert[0], pert[-1], drift, float(traj.min_value.min())
@@ -160,16 +147,9 @@ def test_criterion_05_nonlinear_dichotomy():
 
 
 def test_criterion_06_constant_steady_state():
-    config = ag.SimConfig(
-        n=128,
-        kernel=GREEN,
-        mode="nonlinear",
-        mass_level=7.0,
-        t_end=1.0,
-        initial="constant:7",
-        output_stride=50,
-    )
-    traj = ag.evolve(config)
+    km = ag.assemble(GREEN, ag.Grid1D(128))
+    u0 = np.full(128, 7.0)
+    traj = ag.evolve(u0, km, "nonlinear", mass_level=7.0, t_end=1.0, output_stride=50)
     deviation = float(np.abs(traj.snapshots - 7.0).max())
     ok = deviation <= 1e-10
     report(
@@ -269,17 +249,10 @@ def test_criterion_11_self_convergence():
     dt = 0.25 / 2048
 
     def run(n):
-        config = ag.SimConfig(
-            n=n,
-            kernel=GREEN,
-            mode="nonlinear",
-            mass_level=1.0,
-            t_end=0.25,
-            dt=dt,
-            initial="constant_plus_mode:1,0.1,1",
-            output_stride=10**9,
-        )
-        return ag.evolve(config).snapshots[-1]
+        km = ag.assemble(GREEN, ag.Grid1D(n))
+        u0 = ag.initial_field("constant_plus_mode:1,0.1,1", km.grid)
+        traj = ag.evolve(u0, km, "nonlinear", 1.0, t_end=0.25, dt=dt, output_stride=10**9)
+        return traj.snapshots[-1]
 
     solutions = {n: run(n) for n in (64, 128, 256, 512)}
     errors = [

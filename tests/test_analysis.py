@@ -8,7 +8,6 @@ from aggrestab import analysis, kernel, spectral
 from aggrestab import (
     Grid1D,
     KernelSpec,
-    SimConfig,
     SpectralBasis,
     Trajectory,
     basin_probe,
@@ -186,6 +185,7 @@ class TestBasinProbe:
         assert probe.eta_estimate == 0.0
         assert probe.eta_fail == 0.125
         assert probe.bisection_history == ((1.0, False), (0.5, False), (0.25, False), (0.125, False))
+        assert all(type(decayed) is bool for _, decayed in probe.bisection_history)
 
     def test_rejects_unstable_regime(self, green):
         grid = Grid1D(64)

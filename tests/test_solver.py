@@ -7,10 +7,10 @@ from aggrestab import kernel, solver
 from aggrestab import (
     Grid1D,
     KernelSpec,
-    SimConfig,
     SpectralBasis,
     assemble,
     auto_dt,
+    cross_validate,
     evolve,
     existence_time,
     heat_semigroup,
@@ -63,6 +63,38 @@ class TestInitialField:
             initial_field("constant:abc", Grid1D(16))
 
 
+class TestDatumCheck:
+    """Every solver entry point refuses a datum that is not a finite real (n,) cell array."""
+
+    ENTRY_POINTS = {
+        "evolve": lambda u, km: evolve(u, km, "nonlinear", t_end=0.01),
+        "step_imex": lambda u, km: step_imex(u, 1e-3, "nonlinear", 0.0, km),
+        "picard_mild_solve": lambda u, km: picard_mild_solve(u, km, 0.01, n_time=4),
+        "cross_validate": lambda u, km: cross_validate(u, km, 0.01, n_time=4),
+    }
+    BAD_DATA = {
+        "nan": lambda n: np.where(np.arange(n) == 3, np.nan, 1.0),
+        "inf": lambda n: np.where(np.arange(n) == 3, np.inf, 1.0),
+        "(n, 2)": lambda n: np.ones((n, 2)),
+        "(n - 1,)": lambda n: np.ones(n - 1),
+        "complex": lambda n: np.full(n, 1.0 + 1.0j),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", sorted(BAD_DATA))
+    def test_entry_points_refuse_bad_data(self, green, entry, bad):
+        km = assemble(green, Grid1D(16))
+        with pytest.raises(InvalidParameterError):
+            self.ENTRY_POINTS[entry](self.BAD_DATA[bad](16), km)
+
+    def test_descriptor_names_the_non_finite_datum(self):
+        with pytest.raises(InvalidParameterError) as info:
+            initial_field("constant:nan", Grid1D(16))
+        assert str(info.value) == (
+            "bad initial descriptor 'constant:nan': the datum has a non-finite value"
+        )
+
+
 class TestStepImex:
     def test_conserves_mass(self, km128, grid128):
         u = initial_field("constant_plus_mode:2,0.5,1", grid128)
@@ -83,8 +115,9 @@ class TestStepImex:
 
     def test_invalid_arguments(self, km128, grid128):
         u = np.ones(grid128.n)
-        with pytest.raises(InvalidParameterError):
-            step_imex(u, -0.1, "nonlinear", 0.0, km128)
+        for dt in (-0.1, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                step_imex(u, dt, "nonlinear", 0.0, km128)
         with pytest.raises(InvalidParameterError):
             step_imex(u, 0.1, "hyperbolic", 0.0, km128)
 
@@ -101,80 +134,69 @@ class TestStepImex:
 
 class TestEvolve:
     def test_validates_initial_data(self, green):
-        bad = SimConfig(n=64, kernel=green, mode="nonlinear", initial="constant:-1")
+        km = assemble(green, Grid1D(64))
         with pytest.raises(InvalidParameterError):
-            evolve(bad)
-        nonzero_mean = SimConfig(n=64, kernel=green, mode="perturbed", initial="constant:1")
+            evolve(np.full(64, -1.0), km, "nonlinear")
         with pytest.raises(InvalidParameterError):
-            evolve(nonzero_mean)
+            evolve(np.full(64, 1.0), km, "perturbed")
+
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"mode": "hyperbolic"}, "unknown mode"),
+            ({"t_end": 0.0}, "t_end must be positive"),
+            ({"t_end": math.nan}, "t_end must be positive"),
+            ({"dt": -1e-3}, "dt must be positive"),
+            ({"dt": math.nan}, "dt must be positive"),
+            ({"output_stride": 0}, "output stride"),
+            ({"mass_level": -1.0}, "mass level"),
+            ({"mass_level": math.nan}, "mass level"),
+        ],
+    )
+    def test_refuses_bad_arguments(self, green, arguments, message):
+        km = assemble(green, Grid1D(64))
+        with pytest.raises(InvalidParameterError, match=message):
+            evolve(np.ones(64), km, **{"mode": "nonlinear", **arguments})
 
     def test_refuses_unbounded_runs_before_stepping(self, green, monkeypatch):
         def no_step(*args):
             raise AssertionError("stepped a run that should be refused")
 
         monkeypatch.setattr(solver._Strang, "__call__", no_step)
+        km = assemble(green, Grid1D(64))
         for dt, stride in [(1e-300, 10**9), (5e-324, 10**9), (1e-7, 1)]:
-            config = SimConfig(n=64, kernel=green, mode="nonlinear", dt=dt, output_stride=stride)
             with pytest.raises(InvalidParameterError, match="limit"):
-                evolve(config)
+                evolve(np.ones(64), km, "nonlinear", dt=dt, output_stride=stride)
 
     def test_records_requested_stride(self, green):
-        config = SimConfig(
-            n=64,
-            kernel=green,
-            mode="nonlinear",
-            t_end=0.01,
-            dt=1e-3,
-            initial="constant:1",
-            output_stride=5,
-        )
-        traj = evolve(config)
+        km = assemble(green, Grid1D(64))
+        traj = evolve(np.ones(64), km, "nonlinear", t_end=0.01, dt=1e-3, output_stride=5)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(0.01)
         assert len(traj.snapshots) == len(traj.times)
 
     def test_stable_perturbation_decays_at_spectral_rate(self, green):
-        config = SimConfig(
-            n=128,
-            kernel=green,
-            mode="perturbed",
-            mass_level=5.0,
-            t_end=0.5,
-            initial="constant_plus_mode:0,0.01,1",
-            output_stride=20,
-        )
-        traj = evolve(config)
+        km = assemble(green, Grid1D(128))
+        u0 = initial_field("constant_plus_mode:0,0.01,1", km.grid)
+        traj = evolve(u0, km, "perturbed", mass_level=5.0, t_end=0.5, output_stride=20)
         rate = -math.log(traj.l2[-1] / traj.l2[0]) / traj.times[-1]
         expected = math.pi**2 * (1.0 - 5.0 / (1.0 + math.pi**2))
         assert rate == pytest.approx(expected, rel=0.02)
 
     def test_mass_and_positivity_guarantees(self, green):
-        config = SimConfig(
-            n=64,
-            kernel=green,
-            mode="nonlinear",
-            mass_level=12.0,
-            t_end=1.0,
-            initial="constant_plus_mode:12,0.12,1",
-            output_stride=10,
-        )
-        traj = evolve(config)
+        km = assemble(green, Grid1D(64))
+        u0 = initial_field("constant_plus_mode:12,0.12,1", km.grid)
+        traj = evolve(u0, km, "nonlinear", mass_level=12.0, t_end=1.0, output_stride=10)
         assert np.abs(traj.mass - traj.mass[0]).max() <= 1e-12 * traj.mass[0]
         assert traj.min_value.min() >= -1e-12
 
     def test_second_order_in_time(self, green):
+        km = assemble(green, Grid1D(64))
+        u0 = initial_field("constant_plus_mode:8,2,1", km.grid)
+
         def run(steps):
-            config = SimConfig(
-                n=64,
-                kernel=green,
-                mode="nonlinear",
-                mass_level=8.0,
-                t_end=0.5,
-                dt=0.5 / steps,
-                initial="constant_plus_mode:8,2,1",
-                output_stride=10**9,
-            )
-            return evolve(config).snapshots[-1]
+            traj = evolve(u0, km, "nonlinear", 8.0, t_end=0.5, dt=0.5 / steps, output_stride=10**9)
+            return traj.snapshots[-1]
 
         reference = run(4096)
         coarse, fine = (float(np.abs(run(k) - reference).max()) for k in (128, 256))
@@ -182,16 +204,9 @@ class TestEvolve:
 
     @pytest.mark.parametrize("mass, t_end", [(30.0, 0.5), (80.0, 0.25)])
     def test_past_threshold_runs_reach_t_end(self, green, mass, t_end):
-        config = SimConfig(
-            n=64,
-            kernel=green,
-            mode="nonlinear",
-            mass_level=mass,
-            t_end=t_end,
-            initial=f"constant_plus_mode:{mass},{0.01 * mass},1",
-            output_stride=100,
-        )
-        traj = evolve(config)
+        km = assemble(green, Grid1D(64))
+        u0 = initial_field(f"constant_plus_mode:{mass},{0.01 * mass},1", km.grid)
+        traj = evolve(u0, km, "nonlinear", mass_level=mass, t_end=t_end, output_stride=100)
         assert traj.times[-1] == t_end
         assert np.abs(traj.mass - traj.mass[0]).max() <= 1e-12 * traj.mass[0]
         # every step keeps the datum's mean, so roundoff does not pile up over the steps
@@ -201,26 +216,18 @@ class TestEvolve:
 
     def test_linearized_run_takes_order_n_steps(self, green):
         n, t_end = 256, 1.0
-        config = SimConfig(
-            n=n,
-            kernel=green,
-            mode="linearized",
-            mass_level=5.0,
-            t_end=t_end,
-            initial="constant_plus_mode:0,0.01,1",
-        )
-        traj = evolve(config)
+        km = assemble(green, Grid1D(n))
+        u0 = initial_field("constant_plus_mode:0,0.01,1", km.grid)
+        traj = evolve(u0, km, "linearized", mass_level=5.0, t_end=t_end)
         assert len(traj.times) - 1 <= 2 * n * t_end + 2
         assert traj.times[-1] == t_end
 
     def test_rejected_auto_step_is_halved(self, green, monkeypatch):
         # an automatic step far above the CFL bound is halved until each stage is admissible
         monkeypatch.setattr(solver, "auto_dt", lambda *args: 0.1)
-        config = SimConfig(
-            n=64, kernel=green, mode="nonlinear", mass_level=5.0, t_end=0.1,
-            initial="constant_plus_mode:5,3,1",
-        )
-        traj = evolve(config)
+        km = assemble(green, Grid1D(64))
+        u0 = initial_field("constant_plus_mode:5,3,1", km.grid)
+        traj = evolve(u0, km, "nonlinear", mass_level=5.0, t_end=0.1)
         assert traj.times[-1] == 0.1
         assert np.diff(traj.times).max() < 0.1
         assert traj.min_value.min() >= -1e-12
@@ -232,67 +239,59 @@ class TestEvolve:
         monkeypatch.setattr(solver._Strang, "__call__", no_step)
         # at n = 64 and t_end = 1 even the step cap h/2 needs 128 steps
         monkeypatch.setattr(solver, "_MAX_STEPS", 100)
-        config = SimConfig(n=64, kernel=green, mode="nonlinear")
+        km = assemble(green, Grid1D(64))
         with pytest.raises(InvalidParameterError, match="limit"):
-            evolve(config)
+            evolve(np.ones(64), km, "nonlinear")
         monkeypatch.setattr(solver, "_MAX_STEPS", 10**8)
         monkeypatch.setattr(solver, "MAX_STORED_VALUES", 64 * 100)
         with pytest.raises(InvalidParameterError, match="limit"):
-            evolve(config)
+            evolve(np.ones(64), km, "nonlinear")
 
     def test_auto_run_past_the_stored_limit_is_scheme_failure(self, green, monkeypatch):
         # past threshold the velocity grows and the step falls well below h/2
-        config = SimConfig(
-            n=64, kernel=green, mode="nonlinear", mass_level=30.0, t_end=0.5,
-            initial="constant_plus_mode:30,0.3,1",
-        )
+        km = assemble(green, Grid1D(64))
+        u0 = initial_field("constant_plus_mode:30,0.3,1", km.grid)
         # the 66 states stored at the cap h/2 pass the check before stepping
         monkeypatch.setattr(solver, "MAX_STORED_VALUES", 64 * 1000)
         with pytest.raises(SchemeFailureError, match="snapshots"):
-            evolve(config)
+            evolve(u0, km, "nonlinear", mass_level=30.0, t_end=0.5)
 
 
 class TestCarriedCoefficients:
     """evolve carries the mode coefficients from step to step; step_imex starts from cell values."""
 
     @staticmethod
-    def hand_loop(config, km, dts):
-        u = initial_field(config.initial, km.grid)
+    def hand_loop(u, mass_level, km, dts):
         times, states = [0.0], [u]
         for dt, t in dts(u):
-            u = step_imex(u, dt, config.mode, config.mass_level, km)
+            u = step_imex(u, dt, "nonlinear", mass_level, km)
             times.append(t)
             states.append(u)
         return np.array(times), np.array(states)
 
     def test_set_dt_matches_step_imex(self, green):
-        config = SimConfig(
-            n=64, kernel=green, mode="nonlinear", mass_level=8.0, t_end=0.05, dt=1e-3,
-            initial="constant_plus_mode:8,2,1",
-        )
-        traj = evolve(config)
         km = assemble(green, Grid1D(64))
-        dt = config.t_end / 50
-        _, states = self.hand_loop(config, km, lambda u: [(dt, k * dt) for k in range(1, 51)])
+        u0 = initial_field("constant_plus_mode:8,2,1", km.grid)
+        traj = evolve(u0, km, "nonlinear", mass_level=8.0, t_end=0.05, dt=1e-3)
+        dt = 0.05 / 50
+        _, states = self.hand_loop(u0, 8.0, km, lambda u: [(dt, k * dt) for k in range(1, 51)])
         assert np.abs(traj.snapshots - states).max() <= 1e-13 * np.abs(states).max()
 
     def test_auto_dt_at_the_cap_matches_step_imex(self, green):
-        config = SimConfig(
-            n=64, kernel=green, mode="nonlinear", mass_level=8.0, t_end=0.1,
-            initial="constant_plus_mode:8,0.08,1",
-        )
-        traj = evolve(config)
         km = assemble(green, Grid1D(64))
+        u0 = initial_field("constant_plus_mode:8,0.08,1", km.grid)
+        t_end = 0.1
+        traj = evolve(u0, km, "nonlinear", mass_level=8.0, t_end=t_end)
 
         def cap_steps(u):
             t, dt = 0.0, auto_dt(u, km)
             assert dt == 0.5 * km.grid.h  # the cap h/2 binds
-            while t + dt < config.t_end:
+            while t + dt < t_end:
                 yield dt, t + dt
                 t += dt
-            yield config.t_end - t, config.t_end
+            yield t_end - t, t_end
 
-        times, states = self.hand_loop(config, km, cap_steps)
+        times, states = self.hand_loop(u0, 8.0, km, cap_steps)
         assert np.array_equal(traj.times, times)
         assert np.abs(traj.snapshots - states).max() <= 1e-13 * np.abs(states).max()
 
@@ -309,11 +308,9 @@ class TestCarriedCoefficients:
         monkeypatch.setattr(solver, "apply_grad", counted("apply_grad", solver.apply_grad))
         for name in ("to_spectral", "from_spectral"):
             monkeypatch.setattr(SpectralBasis, name, counted(name, getattr(SpectralBasis, name)))
-        config = SimConfig(
-            n=64, kernel=green, mode="nonlinear", mass_level=8.0, t_end=0.1,
-            initial="constant_plus_mode:8,0.08,1",
-        )
-        steps = len(evolve(config).times) - 1
+        km = assemble(green, Grid1D(64))
+        u0 = initial_field("constant_plus_mode:8,0.08,1", km.grid)
+        steps = len(evolve(u0, km, "nonlinear", mass_level=8.0, t_end=0.1).times) - 1
         assert steps == math.ceil(0.1 / (0.5 / 64))  # every step at the cap h/2
         assert calls == {
             "apply_grad": 1 + 2 * steps, "to_spectral": 1 + steps, "from_spectral": 2 * steps
@@ -328,12 +325,10 @@ class TestCarriedCoefficients:
             return action(km, u) if len(calls) < 4 else np.full(km.grid.n + 1, np.nan)
 
         monkeypatch.setattr(solver, "apply_grad", fails_late)
-        config = SimConfig(
-            n=64, kernel=green, mode="nonlinear", mass_level=5.0, t_end=0.1,
-            initial="constant_plus_mode:5,0.5,1",
-        )
+        km = assemble(green, Grid1D(64))
+        u0 = initial_field("constant_plus_mode:5,0.5,1", km.grid)
         with pytest.raises(SchemeFailureError):
-            evolve(config)
+            evolve(u0, km, "nonlinear", mass_level=5.0, t_end=0.1)
         assert len(calls) == 4  # no halving loop
 
 
@@ -363,10 +358,8 @@ class TestGreenActionReadsNoSample:
     def test_evolve(self, green, mode, initial, monkeypatch):
         sample, samples = kernel._gradk_matrix, []
         monkeypatch.setattr(kernel, "_gradk_matrix", lambda *a: samples.append(a) or sample(*a))
-        config = SimConfig(
-            n=64, kernel=green, mode=mode, mass_level=5.0, t_end=0.01, initial=initial
-        )
-        evolve(config)
+        km = assemble(green, Grid1D(64))
+        evolve(initial_field(initial, km.grid), km, mode, mass_level=5.0, t_end=0.01)
         assert samples == []
 
     def test_picard_mild_solve(self, green):

@@ -255,24 +255,30 @@ class TestGreenSymbols:
 
 
 def test_import_leaves_scipy_fft_unloaded(tmp_path):
-    # neither the import nor a Green simulate and mild-solve load scipy.fft,
-    # scipy.signal or scipy.special: each would add to every CLI run's start
-    # time and memory (scipy.fft loads scipy.special, about 5 MB)
+    # neither the import nor a Green simulate and mild-solve nor a Gaussian analyze
+    # load scipy.fft, scipy.linalg, scipy.signal or scipy.special: each would add to
+    # every CLI run's start time and memory (scipy.fft loads scipy.special, about
+    # 5 MB); only a tabulated kernel's stability analysis imports scipy.linalg
     src = str(Path(aggrestab.__file__).resolve().parent.parent)
-    config = tmp_path / "green.cfg"
-    config.write_text(
+    green = tmp_path / "green.cfg"
+    green.write_text(
         "kernel.variant = green_closed_form\ngrid.n = 64\nsim.mode = nonlinear\nsim.M = 5\n"
         "sim.t_end = 0.01\nsim.initial = constant_plus_mode:5,0.05,1\nmild.n_time = 16\n"
     )
+    gaussian = tmp_path / "gaussian.cfg"
+    gaussian.write_text(
+        "kernel.variant = gaussian\nkernel.sigma = 0.1\ngrid.n = 64\nanalysis.M = 3\n"
+    )
+    runs = [("simulate", str(green)), ("mild-solve", str(green)), ("analyze", str(gaussian))]
     code = f"""
 import sys
 sys.path.insert(0, {src!r})
-heavy = ("scipy.fft", "scipy.signal", "scipy.special")
+heavy = ("scipy.fft", "scipy.linalg", "scipy.signal", "scipy.special")
 import aggrestab
 from aggrestab.cli import main
 loaded = [name for name in heavy if name in sys.modules]
-for command in ("simulate", "mild-solve"):
-    if main([command, "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}]) != 0:
+for command, config in {runs!r}:
+    if main([command, "--config", config, "--out", {str(tmp_path / "out")!r}]) != 0:
         sys.exit(command + " failed")
     loaded += [name for name in heavy if name in sys.modules]
 sys.exit(", ".join(sorted(set(loaded))) or 0)
