@@ -40,7 +40,6 @@ from .solver import (
 )
 from .spectral import (
     LAMBDA_1,
-    LinearizedOperator,
     StabilityReport,
     assemble_linearized,
     bilinear_form,

@@ -4,7 +4,11 @@ These orchestrate the solver and spectral modules into the measurements the
 stability statements are checked against: fitted exponential rates of the
 perturbation norm, the critical mass located by the sign of the principal
 eigenvalue, lower bounds on the nonlinear attraction basin, and agreement
-between the two independent time discretizations.
+between the two independent time discretizations. Each takes the assembled
+kernel `km` and assembles nothing: `threshold_bisect(km, M_lo, M_hi, tol)`
+builds one `LinearizedFamily` for all its masses, `basin_probe(km, M, ...)`
+steps on the kernel that its verdict reads, and `cross_validate(u0, km, T)`
+runs both solvers on it.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitFailureError, InvalidBracketError, InvalidParameterError
-from .grid import Grid1D
-from .kernel import KernelMatrices, KernelSpec, assemble
+from .kernel import KernelMatrices
 from .solver import Trajectory, auto_dt, evolve, picard_mild_solve, step_imex
-from .spectral import LAMBDA_1, VERDICT_STABLE, LinearizedFamily, principal_eigenpair
+from .spectral import LAMBDA_1, VERDICT_STABLE, assemble_linearized, principal_eigenpair
 from .spectral import stability_verdict
 
 # log-norm fit window: samples outside are discarded, as is the leading
@@ -77,23 +80,24 @@ def fit_rate(traj: Trajectory, norm: str = "l2") -> RateFit:
 
 
 def threshold_bisect(
-    spec: KernelSpec,
-    grid: Grid1D,
+    km: KernelMatrices,
     mass_lo: float,
     mass_hi: float,
     tol_mass: float,
     history: list | None = None,
 ) -> float:
-    """Critical mass where the principal eigenvalue changes sign."""
-    if not (0 <= mass_lo < mass_hi):
+    """Critical mass where the principal eigenvalue changes sign.
+
+    `principal_eigenpair` refuses an endpoint that is not finite.
+    """
+    if not (0 <= mass_lo < mass_hi):  # written so that NaN fails too
         raise InvalidParameterError("need 0 <= M_lo < M_hi")
-    if tol_mass <= 0:
-        raise InvalidParameterError("tol_M must be positive")
-    # the kernel and the mass-independent parts of S(M) are built once
-    family = LinearizedFamily(assemble(spec, grid))
+    if not 0 < tol_mass < math.inf:
+        raise InvalidParameterError("tol_M must be positive and finite")
+    family = assemble_linearized(km)  # the mass-independent parts of S(M), built once
 
     def eig(mass):
-        return principal_eigenpair(family.at(mass))[0]
+        return principal_eigenpair(family, mass)[0]
 
     lo, hi = mass_lo, mass_hi
     e_lo, e_hi = eig(lo), eig(hi)
@@ -126,8 +130,7 @@ def _decays(km, mass_level, amplitude, t_end) -> bool:
 
 
 def basin_probe(
-    spec: KernelSpec,
-    grid: Grid1D,
+    km: KernelMatrices,
     mass_level: float,
     amplitude_hi: float,
     steps: int,
@@ -138,9 +141,9 @@ def basin_probe(
     Only ever reports a lower bound: if every tested amplitude decays the
     result is flagged open above.
     """
-    if amplitude_hi <= 0 or steps < 1:
-        raise InvalidParameterError("need amplitude_hi > 0 and steps >= 1")
-    report = stability_verdict(spec, grid, mass_level)
+    if not 0 < amplitude_hi < math.inf or steps < 1:
+        raise InvalidParameterError("need a finite amplitude_hi > 0 and steps >= 1")
+    report = stability_verdict(km, mass_level)
     if report.verdict != VERDICT_STABLE:
         raise InvalidParameterError(
             f"basin probe needs the verified-stable regime, verdict is {report.verdict}"
@@ -148,7 +151,6 @@ def basin_probe(
     if t_end is None:
         rate = LAMBDA_1 * (1.0 - mass_level * report.interaction_coefficient)
         t_end = 10.0 / max(rate, 1e-2)
-    km = assemble(spec, grid)
     history = []
     if _decays(km, mass_level, amplitude_hi, t_end):
         history.append((amplitude_hi, True))

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .grid import Grid1D
 from .kernel import (
+    KernelMatrices,
     KernelSpec,
     assemble,
     load_tabulated_csv,
@@ -173,29 +174,32 @@ class RunConfig:
     def grid(self) -> Grid1D:
         return Grid1D(self.get_int("grid.n", minimum=4))
 
-    def kernel(self) -> KernelSpec:
+    def kernel(self) -> KernelMatrices:
+        """The kernel of the kernel.* keys, assembled on the grid of grid.n."""
         variant = self.get("kernel.variant")
         if variant is None:
             raise ConfigError("missing required key kernel.variant")
         scale = self.get_float("kernel.scale", default=1.0)
         if variant == "green_closed_form":
-            return KernelSpec.green_closed_form(scale=scale)
-        if variant == "green_series":
-            return KernelSpec.green_series(self.get_float("kernel.a", positive=True), scale=scale)
-        if variant == "gaussian":
-            return KernelSpec.gaussian(self.get_float("kernel.sigma", positive=True), scale=scale)
-        if variant == "power_law_gradient":
-            return KernelSpec.power_law(
+            spec = KernelSpec.green_closed_form(scale=scale)
+        elif variant == "green_series":
+            spec = KernelSpec.green_series(self.get_float("kernel.a", positive=True), scale=scale)
+        elif variant == "gaussian":
+            spec = KernelSpec.gaussian(self.get_float("kernel.sigma", positive=True), scale=scale)
+        elif variant == "power_law_gradient":
+            spec = KernelSpec.power_law(
                 self.get_float("kernel.alpha", positive=True),
                 delta=self.get_float("kernel.delta", default=0.0, minimum=0.0),
                 scale=scale,
             )
-        if variant == "tabulated":
+        elif variant == "tabulated":
             path = self.get("kernel.csv")
             if path is None:
                 raise ConfigError("tabulated kernel needs kernel.csv")
-            return load_tabulated_csv(path, self.grid())
-        raise ConfigError(f"unknown kernel.variant {variant!r}")
+            spec = load_tabulated_csv(path, self.grid())
+        else:
+            raise ConfigError(f"unknown kernel.variant {variant!r}")
+        return assemble(spec, self.grid())
 
 
 def _out_dir(config: RunConfig, override) -> Path:
@@ -205,14 +209,13 @@ def _out_dir(config: RunConfig, override) -> Path:
 
 
 def cmd_validate_kernel(config: RunConfig, out_dir: Path) -> int:
-    spec = config.kernel()
-    grid = config.grid()
+    km = config.kernel()
     tol = config.get_float("validate.tol", default=1e-6, positive=True)
     raw_q = config.get("validate.q_prime", "inf").split(",")
     q_primes = tuple(_number("validate.q_prime", q) for q in raw_q)
-    report = validate_assumptions(spec, grid, tol, q_primes=q_primes)
+    report = validate_assumptions(km, tol, q_primes=q_primes)
     lines = [
-        f"variant={spec.variant}",
+        f"variant={km.spec.variant}",
         f"tol={_fmt(tol)}",
         f"neumann_residual={_fmt(report.neumann_residual)}",
         f"neumann_ok={report.neumann_ok}",
@@ -231,10 +234,9 @@ def cmd_validate_kernel(config: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_analyze(config: RunConfig, out_dir: Path) -> int:
-    spec = config.kernel()
-    grid = config.grid()
+    km = config.kernel()
     key = "analysis.M" if config.get("analysis.M") is not None else "sim.M"
-    report = stability_verdict(spec, grid, config.get_float(key, default=0.0))
+    report = stability_verdict(km, config.get_float(key, default=0.0))
     values = (
         report.mass_level,
         report.lambda1,
@@ -253,14 +255,14 @@ def cmd_analyze(config: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
-    spec = config.kernel()
-    grid = config.grid()
+    km = config.kernel()
+    grid = km.grid
     dt_raw = config.get("sim.dt", "auto")
     dt = None if dt_raw == "auto" else config.get_float("sim.dt", positive=True)
     u0 = initial_field(config.get("sim.initial", "constant:1.0"), grid, config.seed)
     traj = evolve(
         u0,
-        assemble(spec, grid),
+        km,
         config.get("sim.mode", "nonlinear"),
         mass_level=config.get_float("sim.M", default=0.0, minimum=0.0),
         t_end=config.get_float("sim.t_end", default=1.0, positive=True),
@@ -286,14 +288,13 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_mild_solve(config: RunConfig, out_dir: Path) -> int:
-    spec = config.kernel()
-    grid = config.grid()
-    km = assemble(spec, grid)
+    km = config.kernel()
+    grid = km.grid
     u0 = initial_field(config.get("sim.initial", "constant:1.0"), grid, config.seed)
     # q' = inf is the default, so it is parsed apart from get_float's finite numbers
     q_prime = _number("mild.q_prime", config.get("mild.q_prime", "inf"))
     c_emp = config.get_float("mild.C_emp", default=1.0, positive=True)
-    estimate = norm_inf_qprime(spec, q_prime, levels=(64, 128, 256, 512))
+    estimate = norm_inf_qprime(km.spec, q_prime, levels=(64, 128, 256, 512))
     t_exist = existence_time(u0, grid, estimate.value, q_prime, c_emp)
     horizon = config.get_float("mild.T", default=0.0)
     if horizon <= 0:
@@ -329,12 +330,9 @@ def cmd_mild_solve(config: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_threshold(config: RunConfig, out_dir: Path) -> int:
-    spec = config.kernel()
-    grid = config.grid()
     history = []
     critical = threshold_bisect(
-        spec,
-        grid,
+        config.kernel(),
         config.get_float("analysis.M_lo", default=0.0, minimum=0.0),
         config.get_float("analysis.M_hi", default=30.0, positive=True),
         config.get_float("analysis.tol_M", default=0.01, positive=True),

@@ -736,7 +736,7 @@ def _boundary_residual(km: KernelMatrices) -> float:
 
 
 def validate_assumptions(
-    spec: KernelSpec, grid: Grid1D, tol: float, q_primes=(np.inf,)
+    km: KernelMatrices, tol: float, q_primes=(np.inf,)
 ) -> KernelValidationReport:
     """Check the boundary, constant-state and integrability assumptions.
 
@@ -746,12 +746,11 @@ def validate_assumptions(
     mixed gradient norms, and the value-symmetry defect. One sweep of the
     refinement ladder gives both the q_primes estimates and the classification.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
-    km = assemble(spec, grid)
+    if not 0 < tol < math.inf:  # written so that NaN fails too
+        raise InvalidParameterError("tol must be positive and finite")
     neumann = _boundary_residual(km)
-    mean_grad = float(np.max(np.abs(apply_grad(km, np.ones(grid.n))[1:-1]), initial=0.0))
-    ladder = _norm_ladder(spec, (*q_primes, *CLASSIFY_QPRIMES))
+    mean_grad = float(np.max(np.abs(apply_grad(km, np.ones(km.grid.n))[1:-1]), initial=0.0))
+    ladder = _norm_ladder(km.spec, (*q_primes, *CLASSIFY_QPRIMES))
     estimates = {q: ladder[q] for q in q_primes}
     norms_finite = all(e.verdict == "finite" for e in estimates.values())
     return KernelValidationReport(

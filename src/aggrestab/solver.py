@@ -376,14 +376,15 @@ def existence_time(u0, grid: Grid1D, grad_norm: float, q_prime: float, c_emp: fl
     Strongly singular branch (q' = 1): 4 c T^{1/2} g (||u0||_1 + ||u0||_inf) < 1.
     The returned T solves the corresponding equality.
     """
-    if c_emp <= 0:
+    # each comparison is written so that NaN fails it
+    if not c_emp > 0:
         raise InvalidParameterError("empirical constant must be positive")
-    if q_prime < 1:
+    if not q_prime >= 1:
         raise InvalidParameterError("q' must be in [1, inf]")
-    if not np.isfinite(grad_norm):
-        raise NoExistenceTimeError("gradient kernel norm estimate is infinite")
-    if grad_norm < 0:
+    if not grad_norm >= 0:
         raise InvalidParameterError("gradient kernel norm must be nonnegative")
+    if grad_norm == math.inf:
+        raise NoExistenceTimeError("gradient kernel norm estimate is infinite")
     if grad_norm == 0:
         return math.inf
     if q_prime > 1:

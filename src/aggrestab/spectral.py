@@ -6,8 +6,15 @@ quadratic form coincides with the energy form
 J(phi, psi) = int grad(phi).grad(psi) - M int grad K(phi).grad(psi).
 The principal eigenvalue is the minimum of J's Rayleigh quotient over the
 zero-mean subspace. It is solved for alone in the cosine modes w_1..w_{n-1}
-of the grid's `basis`, on S(M) = L + M D (`LinearizedFamily`). The modes
-diagonalize the discrete Laplacian L exactly, so L is its eigenvalues there.
+of the grid's `basis`, on S(M) = L + M D. The modes diagonalize the discrete
+Laplacian L exactly, so L is its eigenvalues there.
+
+Everything here takes the assembled kernel `km` and the mass M, and reads the
+grid from `km.grid`. S(M) is affine in M: `assemble_linearized(km)` builds
+its mass-independent parts once, the `LinearizedFamily`, and
+`principal_eigenpair(family, M)` solves it at one M, refusing an M that is
+negative or not finite. `bilinear_form(km, M, phi, psi)` is J at level M, and
+`stability_verdict(km, M)` reports on the constant state u = M.
 
 For a Green kernel D is diagonal in the modes too, with the symbol
 d_k = (2/h) sin(k pi h / 2) t_k of `KernelMatrices.symbols`. Then S(M) is
@@ -34,16 +41,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedKernelError
 from .eigen import smallest_eigenpair
-from .grid import MAX_STORED_VALUES, Grid1D, divergence, gradient
-from .kernel import (
-    KernelMatrices,
-    KernelSpec,
-    apply,
-    apply_grad,
-    apply_grad_adjoint,
-    assemble,
-    l2_operator_norm,
-)
+from .grid import MAX_STORED_VALUES, divergence, gradient
+from .kernel import KernelMatrices, apply, apply_grad, apply_grad_adjoint, l2_operator_norm
 
 LAMBDA_1 = math.pi**2
 
@@ -60,14 +59,6 @@ _DENSE_ARRAYS = 7
 # 2-norm of its residual in the modes, relative to the check's scale, that stops it
 _BLOCK = 4
 _SOLVE_TOL = 1e-11
-
-
-@dataclass(frozen=True, eq=False)
-class LinearizedOperator:
-    grid: Grid1D
-    km: KernelMatrices
-    mass_level: float
-    family: LinearizedFamily
 
 
 class LinearizedFamily:
@@ -87,11 +78,6 @@ class LinearizedFamily:
                 f"{_DENSE_ARRAYS * grid.n**2:.3g} values; the limit is {MAX_STORED_VALUES:.0e}"
             )
         self.grid, self.km = grid, km
-
-    def at(self, mass_level: float) -> LinearizedOperator:
-        if mass_level < 0:
-            raise InvalidParameterError("mass level M must be nonnegative")
-        return LinearizedOperator(self.grid, self.km, mass_level, self)
 
     @cached_property
     def drift(self) -> np.ndarray:
@@ -161,21 +147,21 @@ class LinearizedFamily:
         return lap, 0.5 * (drift + drift.T)
 
 
-def assemble_linearized(km: KernelMatrices, mass_level: float) -> LinearizedOperator:
-    """-Laplace + M div(grad K(.)) in zero-flux form, on the kernel's grid."""
-    return LinearizedFamily(km).at(mass_level)
+def assemble_linearized(km: KernelMatrices) -> LinearizedFamily:
+    """-Laplace + M div(grad K(.)) in zero-flux form, on the kernel's grid, for every M."""
+    return LinearizedFamily(km)
 
 
-def bilinear_form(lop: LinearizedOperator, phi, psi) -> float:
-    """Energy form J(phi, psi) of cell values over interior faces."""
-    h = lop.grid.h
-    gphi = gradient(phi, lop.grid)[1:-1]
-    gpsi = gradient(psi, lop.grid)[1:-1]
-    gk = apply_grad(lop.km, phi)[1:-1]
-    return float(h * np.sum(gphi * gpsi) - lop.mass_level * h * np.sum(gk * gpsi))
+def bilinear_form(km: KernelMatrices, mass_level: float, phi, psi) -> float:
+    """Energy form J(phi, psi) at level M of cell values over interior faces."""
+    grid = km.grid
+    gphi = gradient(phi, grid)[1:-1]
+    gpsi = gradient(psi, grid)[1:-1]
+    gk = apply_grad(km, phi)[1:-1]
+    return float(grid.h * np.sum(gphi * gpsi) - mass_level * grid.h * np.sum(gk * gpsi))
 
 
-def _block_solve(lop: LinearizedOperator) -> tuple:
+def _block_solve(family: LinearizedFamily, mass: float) -> tuple:
     """(eigenvalue, mode coefficients, scale) of a Gaussian or power-law S(M).
 
     The block eigensolver on diag(lambda_k^h) + M D_r, D_r = `reduced_drift`,
@@ -185,8 +171,7 @@ def _block_solve(lop: LinearizedOperator) -> tuple:
     or |eigenvalue|, whichever is larger: both are at most the 2-norm of the
     reduced operator, so at most its infinity norm.
     """
-    family, mass = lop.family, lop.mass_level
-    lap = lop.grid.basis.eigenvalues_discrete[1:]
+    lap = family.grid.basis.eigenvalues_discrete[1:]
     estimate, last = family.drift_diagonal
     diagonal = lap + mass * estimate
     order = np.argsort(diagonal, kind="stable")[: min(_BLOCK, lap.size)]
@@ -207,36 +192,39 @@ def _block_solve(lop: LinearizedOperator) -> tuple:
     return lam, coef, max(scale, abs(lam))
 
 
-def principal_eigenpair(lop: LinearizedOperator):
-    """Smallest eigenvalue of the symmetrized operator on zero-mean vectors.
+def principal_eigenpair(family: LinearizedFamily, mass_level: float):
+    """Smallest eigenvalue of the symmetrized S(M) on zero-mean vectors.
 
     Solved for that eigenpair alone in the cosine modes. Returns (eigenvalue,
     mode) with the mode normalized to unit L2 norm; the weak eigenrelation
     residual in the full space is verified before returning.
     """
-    family, mass, grid = lop.family, lop.mass_level, lop.grid
-    if lop.km.symbols is not None:  # S(M) is diagonal in the modes
+    if not 0 <= mass_level < math.inf:  # written so that NaN fails too
+        msg = f"mass level M must be nonnegative and finite, got {mass_level}"
+        raise InvalidParameterError(msg)
+    km, grid = family.km, family.grid
+    if km.symbols is not None:  # S(M) is diagonal in the modes
         lap, drift = family.reduced
-        symbol = lap + mass * drift
+        symbol = lap + mass_level * drift
         k = int(np.argmin(symbol))
         lam, vec = float(symbol[k]), grid.basis.mode(k + 1)
-        d_vec = divergence(apply_grad(lop.km, vec), grid)
+        d_vec = divergence(apply_grad(km, vec), grid)
         scale = float(np.abs(symbol).max())
     else:
-        if lop.km.spec.variant == "tabulated":
+        if km.spec.variant == "tabulated":
             from scipy.linalg import eigh  # a table's direct solve is the one use of SciPy
 
             lap, drift = family.reduced
-            reduced = np.diag(lap) + mass * drift
+            reduced = np.diag(lap) + mass_level * drift
             eigvals, eigvecs = eigh(reduced, subset_by_index=[0, 0])
             lam, coef = float(eigvals[0]), eigvecs[:, 0]
             scale = np.linalg.norm(reduced, np.inf)
         else:
-            lam, coef, scale = _block_solve(lop)
+            lam, coef, scale = _block_solve(family, mass_level)
         vec = grid.basis.from_spectral(np.concatenate(([0.0], coef)))
         d_vec = family.symmetric_drift(vec)
     # scale is at most the infinity norm of the reduced operator that was solved
-    r = mass * d_vec - divergence(gradient(vec, grid), grid) - lam * vec
+    r = mass_level * d_vec - divergence(gradient(vec, grid), grid) - lam * vec
     residual = np.max(np.abs(r - r.mean()))
     if residual > 1e-8 * max(scale, 1.0):
         raise UnsupportedKernelError(
@@ -273,13 +261,12 @@ class StabilityReport:
     thresholds_consistent: bool
 
 
-def stability_verdict(spec: KernelSpec, grid: Grid1D, mass_level: float) -> StabilityReport:
-    """Full stability report for the constant state at level M."""
-    km = assemble(spec, grid)
-    lop = assemble_linearized(km, mass_level)  # refuses M < 0 and an oversized dense path
+def stability_verdict(km: KernelMatrices, mass_level: float) -> StabilityReport:
+    """Full stability report for the constant state at level M of the kernel on its grid."""
+    # first, as it refuses an oversized dense path and M that is negative or not finite
+    eig, mode = principal_eigenpair(assemble_linearized(km), mass_level)
     grad_norm = l2_operator_norm(km)
     a_coef = compute_interaction_coefficient(km)
-    eig, mode = principal_eigenpair(lop)
     critical = 1.0 / a_coef if a_coef > 0 else math.inf
     bound = math.sqrt(LAMBDA_1) / grad_norm if grad_norm > 0 else math.inf
     margin = math.sqrt(LAMBDA_1) - mass_level * grad_norm
@@ -296,7 +283,7 @@ def stability_verdict(spec: KernelSpec, grid: Grid1D, mass_level: float) -> Stab
     return StabilityReport(
         mass_level=mass_level,
         lambda1=LAMBDA_1,
-        lambda1_discrete=float(grid.basis.eigenvalues_discrete[1]),
+        lambda1_discrete=float(km.grid.basis.eigenvalues_discrete[1]),
         grad_norm=grad_norm,
         interaction_coefficient=a_coef,
         critical_mass_instability=critical,

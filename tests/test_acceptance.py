@@ -49,7 +49,7 @@ def test_criterion_01_instability_constant():
 def test_criterion_02_threshold_sharpness():
     start = time.perf_counter()
     grid = ag.Grid1D(256)
-    critical = ag.threshold_bisect(GREEN, grid, 5.0, 20.0, tol_mass=0.005)
+    critical = ag.threshold_bisect(ag.assemble(GREEN, grid), 5.0, 20.0, tol_mass=0.005)
     bound = math.sqrt(PI2) / ag.l2_operator_norm(ag.assemble(GREEN, grid))
     expected = 1.0 + PI2
     err_crit = abs(critical - expected) / expected
@@ -298,8 +298,8 @@ def test_verdict_consistency_supplement():
     # the two analytic thresholds coincide for the Green kernel, so verdicts
     # must switch directly from stable to unstable across the critical mass
     grid = ag.Grid1D(128)
-    below = ag.stability_verdict(GREEN, grid, 10.0)
-    above = ag.stability_verdict(GREEN, grid, 12.0)
+    below = ag.stability_verdict(ag.assemble(GREEN, grid), 10.0)
+    above = ag.stability_verdict(ag.assemble(GREEN, grid), 12.0)
     assert below.verdict == VERDICT_STABLE
     assert above.verdict == VERDICT_UNSTABLE
     assert below.thresholds_consistent and above.thresholds_consistent

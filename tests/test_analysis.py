@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,12 +11,16 @@ from aggrestab import (
     KernelSpec,
     SpectralBasis,
     Trajectory,
+    assemble_linearized,
     basin_probe,
     cross_validate,
     evolve,
     fit_rate,
     initial_field,
+    principal_eigenpair,
+    stability_verdict,
     threshold_bisect,
+    validate_assumptions,
 )
 from aggrestab.errors import FitFailureError, InvalidBracketError, InvalidParameterError
 
@@ -25,17 +30,25 @@ def _direct_critical_mass(spec, grid):
 
     D_r is the symmetric part of the dense D projected on the modes w_1..w_{n-1}.
     """
-    family = spectral.LinearizedFamily(kernel.assemble(spec, grid))
+    family = spectral.assemble_linearized(kernel.assemble(spec, grid))
     drift = grid.basis.project(family.drift)[1:, 1:]
     lap = np.diag(grid.basis.eigenvalues_discrete[1:])
     return 1.0 / scipy.linalg.eigh(-0.5 * (drift + drift.T), lap, eigvals_only=True)[-1]
+
+
+def _green_km(n=64):
+    return kernel.assemble(KernelSpec.green_closed_form(), Grid1D(n))
+
+
+def _gaussian_km(n=64):
+    return kernel.assemble(KernelSpec.gaussian(0.1), Grid1D(n))
 
 
 def _symbol_critical_mass(a, n):
     """M*(n) = min_k lambda_k^h / (-d_k) from the Green kernel's symbols."""
     grid = Grid1D(n)
     km = kernel.assemble(KernelSpec.green_series(a), grid)
-    lap, drift = spectral.LinearizedFamily(km).reduced
+    lap, drift = spectral.assemble_linearized(km).reduced
     return float(np.min(lap / -drift))
 
 
@@ -71,20 +84,20 @@ class TestFitRate:
 class TestThresholdBisect:
     def test_finds_green_critical_mass(self, green):
         grid = Grid1D(128)
-        critical = threshold_bisect(green, grid, 5.0, 20.0, tol_mass=0.01)
+        critical = threshold_bisect(kernel.assemble(green, grid), 5.0, 20.0, tol_mass=0.01)
         assert critical == pytest.approx(1.0 + math.pi**2, rel=0.01)
 
     def test_history_brackets_shrink(self, green):
         grid = Grid1D(64)
         history = []
-        threshold_bisect(green, grid, 5.0, 20.0, tol_mass=0.1, history=history)
+        threshold_bisect(kernel.assemble(green, grid), 5.0, 20.0, tol_mass=0.1, history=history)
         widths = [hi - lo for lo, hi, _, _ in history]
         assert all(b <= a for a, b in zip(widths, widths[1:]))
 
     def test_matches_direct_critical_mass(self, green):
         grid = Grid1D(256)
         direct = _direct_critical_mass(green, grid)
-        bisected = threshold_bisect(green, grid, 5.0, 20.0, tol_mass=1e-6)
+        bisected = threshold_bisect(kernel.assemble(green, grid), 5.0, 20.0, tol_mass=1e-6)
         assert bisected == pytest.approx(direct, abs=1e-6)
 
     def test_mass_independent_work_done_once(self, green, monkeypatch):
@@ -101,8 +114,8 @@ class TestThresholdBisect:
         table = KernelSpec.tabulated(gaussian.k_centers, gaussian.gradk_faces)
         monkeypatch.setattr(kernel, "_gradk_matrix", counting("sample", kernel._gradk_matrix))
         monkeypatch.setattr(kernel, "_values_matrix", counting("values", kernel._values_matrix))
-        family = spectral.LinearizedFamily
-        monkeypatch.setattr(analysis, "LinearizedFamily", counting("family", family))
+        family = spectral.assemble_linearized
+        monkeypatch.setattr(analysis, "assemble_linearized", counting("family", family))
         monkeypatch.setattr(SpectralBasis, "project", counting("project", SpectralBasis.project))
         for spec, bracket, samples, values in [
             # a Green kernel is its symbols: no dense sample and no projection
@@ -115,7 +128,8 @@ class TestThresholdBisect:
         ]:
             calls.update(sample=0, values=0, family=0, project=0)
             history = []
-            threshold_bisect(spec, Grid1D(64), *bracket, tol_mass=0.01, history=history)
+            km = kernel.assemble(spec, Grid1D(64))
+            threshold_bisect(km, *bracket, tol_mass=0.01, history=history)
             assert len(history) > 10
             assert calls == {"sample": samples, "values": values, "family": 1, "project": samples}
 
@@ -123,15 +137,16 @@ class TestThresholdBisect:
         # a tolerance below the spacing of the bracket's floats cannot be met
         calls = []
 
-        def counting(lop):
-            calls.append(lop.mass_level)
+        def counting(family, mass):
+            calls.append(mass)
             if len(calls) > 200:
                 raise RuntimeError("bisection does not stop")
-            return spectral.principal_eigenpair(lop)
+            return spectral.principal_eigenpair(family, mass)
 
         monkeypatch.setattr(analysis, "principal_eigenpair", counting)
         history = []
-        critical = threshold_bisect(green, Grid1D(16), 5.0, 20.0, tol_mass=1e-300, history=history)
+        km = kernel.assemble(green, Grid1D(16))
+        critical = threshold_bisect(km, 5.0, 20.0, tol_mass=1e-300, history=history)
         lo, hi, mid, e_mid = history[-1]
         lo, hi = (mid, hi) if e_mid > 0 else (lo, mid)
         # it stops with lo and hi adjacent floats around the critical mass
@@ -158,20 +173,20 @@ class TestThresholdBisect:
     def test_invalid_bracket_raises(self, green):
         grid = Grid1D(64)
         with pytest.raises(InvalidBracketError):
-            threshold_bisect(green, grid, 0.0, 5.0, tol_mass=0.1)
+            threshold_bisect(kernel.assemble(green, grid), 0.0, 5.0, tol_mass=0.1)
 
     def test_argument_validation(self, green):
         grid = Grid1D(64)
         with pytest.raises(InvalidParameterError):
-            threshold_bisect(green, grid, 5.0, 3.0, tol_mass=0.1)
+            threshold_bisect(kernel.assemble(green, grid), 5.0, 3.0, tol_mass=0.1)
         with pytest.raises(InvalidParameterError):
-            threshold_bisect(green, grid, 3.0, 5.0, tol_mass=-1.0)
+            threshold_bisect(kernel.assemble(green, grid), 3.0, 5.0, tol_mass=-1.0)
 
 
 class TestBasinProbe:
     def test_stable_regime_reports_open_lower_bound(self, green):
-        grid = Grid1D(64)
-        probe = basin_probe(green, grid, mass_level=5.0, amplitude_hi=1.0, steps=2, t_end=2.0)
+        km = kernel.assemble(green, Grid1D(64))
+        probe = basin_probe(km, mass_level=5.0, amplitude_hi=1.0, steps=2, t_end=2.0)
         assert probe.eta_estimate > 0
         # deep inside the stable regime every tested amplitude decays
         assert probe.open_above
@@ -179,8 +194,8 @@ class TestBasinProbe:
 
     def test_bisects_when_no_amplitude_decays(self, green):
         # too short a horizon for any amplitude to decay by 100x
-        grid = Grid1D(32)
-        probe = basin_probe(green, grid, mass_level=5.0, amplitude_hi=1.0, steps=3, t_end=1e-3)
+        km = kernel.assemble(green, Grid1D(32))
+        probe = basin_probe(km, mass_level=5.0, amplitude_hi=1.0, steps=3, t_end=1e-3)
         assert not probe.open_above
         assert probe.eta_estimate == 0.0
         assert probe.eta_fail == 0.125
@@ -188,14 +203,14 @@ class TestBasinProbe:
         assert all(type(decayed) is bool for _, decayed in probe.bisection_history)
 
     def test_rejects_unstable_regime(self, green):
-        grid = Grid1D(64)
+        km = kernel.assemble(green, Grid1D(64))
         with pytest.raises(InvalidParameterError):
-            basin_probe(green, grid, mass_level=20.0, amplitude_hi=0.1, steps=2)
+            basin_probe(km, mass_level=20.0, amplitude_hi=0.1, steps=2)
 
     def test_argument_validation(self, green):
-        grid = Grid1D(64)
+        km = kernel.assemble(green, Grid1D(64))
         with pytest.raises(InvalidParameterError):
-            basin_probe(green, grid, mass_level=5.0, amplitude_hi=-1.0, steps=2)
+            basin_probe(km, mass_level=5.0, amplitude_hi=-1.0, steps=2)
 
 
 class TestCrossValidate:
@@ -216,3 +231,51 @@ class TestCrossValidate:
         coarse = cross_validate(u0, km, horizon=0.2, n_time=16)
         fine = cross_validate(u0, km, horizon=0.2, n_time=128)
         assert fine < coarse
+
+
+# each analysis entry point on a Green kernel at n = 64 unless named otherwise
+NON_FINITE = {
+    "threshold-tol-nan": lambda: threshold_bisect(_green_km(), 0.0, 30.0, tol_mass=math.nan),
+    "threshold-tol-inf": lambda: threshold_bisect(_green_km(), 0.0, 30.0, tol_mass=math.inf),
+    "threshold-lo-nan": lambda: threshold_bisect(_green_km(), math.nan, 30.0, 0.01),
+    "threshold-hi-inf": lambda: threshold_bisect(_green_km(), 0.0, math.inf, 0.01),
+    "verdict-M-nan": lambda: stability_verdict(_green_km(), math.nan),
+    "verdict-M-inf": lambda: stability_verdict(_green_km(), math.inf),
+    "gaussian-verdict-M-nan": lambda: stability_verdict(_gaussian_km(), math.nan),
+    "gaussian-verdict-M-inf": lambda: stability_verdict(_gaussian_km(), math.inf),
+    "eigenpair-M-nan": lambda: principal_eigenpair(assemble_linearized(_green_km()), math.nan),
+    "validate-tol-nan": lambda: validate_assumptions(_green_km(), tol=math.nan),
+    "validate-tol-inf": lambda: validate_assumptions(_green_km(), tol=math.inf),
+    "basin-amplitude-nan": lambda: basin_probe(_green_km(), 5.0, math.nan, steps=2),
+    "basin-amplitude-inf": lambda: basin_probe(_green_km(), 5.0, math.inf, steps=2),
+    "basin-M-nan": lambda: basin_probe(_green_km(), math.nan, 1.0, steps=2),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_argument_refused(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+# M = 1 is stable and [0, 20] brackets the critical mass for both kernels below
+ANALYSES = {
+    "stability_verdict": lambda km: stability_verdict(km, 1.0),
+    "threshold_bisect": lambda km: threshold_bisect(km, 0.0, 20.0, tol_mass=0.1),
+    "basin_probe": lambda km: basin_probe(km, 1.0, 1.0, steps=1, t_end=1e-3),
+    "validate_assumptions": lambda km: validate_assumptions(km, tol=1e-6),
+}
+
+
+@pytest.mark.parametrize("analysis_call", ANALYSES.values(), ids=ANALYSES.keys())
+@pytest.mark.parametrize("make_km", [_green_km, _gaussian_km], ids=["green", "gaussian"])
+def test_analysis_assembles_nothing(make_km, analysis_call, monkeypatch):
+    km = make_km(32)
+    # every module that imports assemble by name holds its own binding of it
+    calls = []
+    original = kernel.assemble
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "aggrestab" and getattr(module, "assemble", None) is original:
+            monkeypatch.setattr(module, "assemble", lambda *a: calls.append(a) or original(*a))
+    analysis_call(km)
+    assert calls == []

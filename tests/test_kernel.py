@@ -345,9 +345,9 @@ class TestToeplitz:
         # the table's report reads the dense sample entry by entry
         grid = Grid1D(100)
         km = assemble(spec, grid)
-        report = validate_assumptions(spec, grid, tol=1e-6)
+        report = validate_assumptions(assemble(spec, grid), tol=1e-6)
         table = KernelSpec.tabulated(km.k_centers, km.gradk_faces)
-        dense = validate_assumptions(table, grid, tol=1e-6)
+        dense = validate_assumptions(assemble(table, grid), tol=1e-6)
         for name in ("neumann_residual", "mean_gradient_residual", "hilbert_schmidt_norm"):
             got, expected = getattr(report, name), getattr(dense, name)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-14), name
@@ -490,14 +490,14 @@ class TestNormEstimates:
 
 class TestValidation:
     def test_green_passes(self, green, grid128):
-        report = validate_assumptions(green, grid128, tol=1e-6)
+        report = validate_assumptions(assemble(green, grid128), tol=1e-6)
         assert report.passed
         assert report.neumann_residual < 1e-12
         assert report.mean_gradient_residual < 1e-12
         assert report.symmetry_residual < 1e-12
 
     def test_gaussian_fails_boundary_assumption(self, grid128):
-        report = validate_assumptions(KernelSpec.gaussian(0.1), grid128, tol=1e-6)
+        report = validate_assumptions(assemble(KernelSpec.gaussian(0.1), grid128), tol=1e-6)
         assert not report.neumann_ok
         assert not report.passed
 
@@ -509,7 +509,7 @@ class TestValidation:
     def test_one_ladder_matches_separate_estimates(self, spec):
         # 3.0 is not a classification exponent, so the shared ladder covers the union
         q_primes = (np.inf, 3.0, 2.0, 1.0)
-        report = validate_assumptions(spec, Grid1D(64), tol=1e-6, q_primes=q_primes)
+        report = validate_assumptions(assemble(spec, Grid1D(64)), tol=1e-6, q_primes=q_primes)
         assert list(report.norm_estimates) == list(q_primes)
         for q in q_primes:
             assert report.norm_estimates[q] == norm_inf_qprime(spec, q)
@@ -527,13 +527,13 @@ class TestValidation:
         q_primes = (np.inf, 2.0, 1.0)
         for spec in (green, KernelSpec.power_law(0.5), KernelSpec.gaussian(0.1)):
             sampled.clear()
-            validate_assumptions(spec, Grid1D(64), tol=1e-6, q_primes=q_primes)
+            validate_assumptions(assemble(spec, Grid1D(64)), tol=1e-6, q_primes=q_primes)
             # neither the residuals on the grid nor a ladder level need a dense sample
             assert sampled == []
         km = assemble(green, Grid1D(16))
         table = KernelSpec.tabulated(km.k_centers, km.gradk_faces)
         sampled.clear()
-        validate_assumptions(table, Grid1D(16), tol=1e-6, q_primes=q_primes)
+        validate_assumptions(assemble(table, Grid1D(16)), tol=1e-6, q_primes=q_primes)
         # the assemble, then the table as the ladder's only level
         assert sampled == [16, 16]
 
@@ -542,13 +542,14 @@ class TestValidation:
         original = kernel._values_matrix
         monkeypatch.setattr(kernel, "_values_matrix", lambda *a: sampled.append(a) or original(*a))
         for spec in (green, KernelSpec.gaussian(0.1), KernelSpec.power_law(0.5)):
-            assert validate_assumptions(spec, Grid1D(64), tol=1e-6).symmetry_residual == 0.0
+            report = validate_assumptions(assemble(spec, Grid1D(64)), tol=1e-6)
+            assert report.symmetry_residual == 0.0
         assert sampled == []
         values = np.zeros((16, 16))
         values[0, 1] = 1.0
         table = KernelSpec.tabulated(values, np.zeros((17, 16)), scale=2.0)
         # the residual of the scaled table
-        assert validate_assumptions(table, Grid1D(16), tol=1e-6).symmetry_residual == 2.0
+        assert validate_assumptions(assemble(table, Grid1D(16)), tol=1e-6).symmetry_residual == 2.0
         assert len(sampled) == 1
 
 

@@ -435,6 +435,16 @@ class TestExistenceTime:
         t = existence_time(np.ones(128), grid128, 0.5, 1.0, 1.0)
         assert t == pytest.approx((4.0 * 0.5 * 2.0) ** -2.0)
 
+    @pytest.mark.parametrize(
+        "grad_norm, q_prime, c_emp",
+        [(math.nan, np.inf, 1.0), (0.5, math.nan, 1.0), (0.5, np.inf, math.nan)],
+        ids=["grad_norm", "q_prime", "c_emp"],
+    )
+    def test_nan_argument_refused(self, grid128, grad_norm, q_prime, c_emp):
+        # NaN fails every comparison, so each guard is written to be failed by it
+        with pytest.raises(InvalidParameterError):
+            existence_time(np.ones(128), grid128, grad_norm, q_prime, c_emp)
+
 
 class TestPicardMildSolve:
     def test_contracts_within_existence_horizon(self, green, grid128, km128):

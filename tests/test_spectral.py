@@ -35,43 +35,43 @@ def _table(spec, grid):
     return KernelSpec.tabulated(km.k_centers, km.gradk_faces)
 
 
-def _dense_operator(lop):
+def _dense_operator(family, mass):
     """S(M) = -Laplace + M D as an n x n array, for the checks below."""
-    grid = lop.grid
+    grid = family.grid
     laplacian = -divergence(gradient(np.eye(grid.n), grid), grid)
-    return laplacian + lop.mass_level * lop.family.drift
+    return laplacian + mass * family.drift
 
 
 class TestAssembly:
     def test_weighted_row_sums_vanish(self, km128):
         # flux form: the operator annihilates nothing but preserves total mass
-        lop = assemble_linearized(km128, 7.0)
-        col_sums = _dense_operator(lop).sum(axis=0)
+        family = assemble_linearized(km128)
+        col_sums = _dense_operator(family, 7.0).sum(axis=0)
         assert np.abs(col_sums).max() < 1e-9
 
     def test_negative_mass_rejected(self, green, grid128, km128):
         with pytest.raises(InvalidParameterError, match="must be nonnegative"):
-            assemble_linearized(km128, -1.0)
+            principal_eigenpair(assemble_linearized(km128), -1.0)
         with pytest.raises(InvalidParameterError, match="must be nonnegative"):
-            stability_verdict(green, grid128, -1.0)
+            stability_verdict(assemble(green, grid128), -1.0)
 
     def test_matrix_matches_bilinear_form(self, grid128, km128, rng):
         # h <L phi, psi> = J(phi, psi) for zero-flux discretizations
-        lop = assemble_linearized(km128, 4.0)
-        matrix = _dense_operator(lop)
+        family = assemble_linearized(km128)
+        matrix = _dense_operator(family, 4.0)
         for _ in range(3):
             phi = rng.standard_normal(grid128.n)
             psi = rng.standard_normal(grid128.n)
             lhs = grid128.h * float(psi @ (matrix @ phi))
-            rhs = bilinear_form(lop, phi, psi)
+            rhs = bilinear_form(km128, 4.0, phi, psi)
             assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(rhs)))
 
 
 class TestPrincipalEigenpair:
     def test_pure_diffusion_gives_discrete_lambda1(self, grid256):
         km = assemble(KernelSpec.zero(256), grid256)
-        lop = assemble_linearized(km, 0.0)
-        eig, mode = principal_eigenpair(lop)
+        family = assemble_linearized(km)
+        eig, mode = principal_eigenpair(family, 0.0)
         basis = grid256.basis
         assert eig == pytest.approx(basis.eigenvalues_discrete[1], rel=1e-10)
         # the minimizing mode is the first cosine, up to sign
@@ -81,13 +81,13 @@ class TestPrincipalEigenpair:
     def test_mode_is_zero_mean_and_normalized(self, km256):
         from aggrestab import lp_norm
 
-        eig, mode = principal_eigenpair(assemble_linearized(km256, 12.0))
+        eig, mode = principal_eigenpair(assemble_linearized(km256), 12.0)
         assert abs(km256.grid.h * float(mode.sum())) < 1e-10
         assert lp_norm(mode, 2, km256.grid) == pytest.approx(1.0, rel=1e-10)
 
     def test_eigenvalue_decreases_with_mass(self, km128):
         eigs = [
-            principal_eigenpair(assemble_linearized(km128, m))[0]
+            principal_eigenpair(assemble_linearized(km128), m)[0]
             for m in (0.0, 5.0, 10.0, 15.0)
         ]
         assert all(a > b for a, b in zip(eigs, eigs[1:]))
@@ -101,7 +101,7 @@ class TestPrincipalEigenpair:
 
         monkeypatch.setattr(kernel, "_green_symbols", doubled)
         with pytest.raises(UnsupportedKernelError, match="residual"):
-            principal_eigenpair(assemble_linearized(assemble(green, grid256), 12.0))
+            principal_eigenpair(assemble_linearized(assemble(green, grid256)), 12.0)
 
     def test_dense_residual_catches_a_wrong_projection(self, grid256, monkeypatch):
         # the dense residual applies D itself, not the projection the solver read
@@ -109,26 +109,26 @@ class TestPrincipalEigenpair:
         project = SpectralBasis.project
         monkeypatch.setattr(SpectralBasis, "project", lambda self, a: 2.0 * project(self, a))
         with pytest.raises(UnsupportedKernelError, match="residual"):
-            principal_eigenpair(assemble_linearized(km, 12.0))
+            principal_eigenpair(assemble_linearized(km), 12.0)
 
     def test_asymmetric_kernel_rejected(self, grid128):
         values = np.zeros((128, 128))
         values[0, 1] = 1.0
         km = assemble(KernelSpec.tabulated(values, np.zeros((129, 128))), grid128)
         with pytest.raises(UnsupportedKernelError):
-            principal_eigenpair(assemble_linearized(km, 1.0))
+            principal_eigenpair(assemble_linearized(km), 1.0)
 
 
-def _qr_reference(lop):
+def _qr_reference(family, mass):
     """Principal eigenpair by QR deflation of the constant and a full eigh."""
-    n = lop.grid.n
-    matrix = _dense_operator(lop)
+    n = family.grid.n
+    matrix = _dense_operator(family, mass)
     s = 0.5 * (matrix + matrix.T)
     q, _ = np.linalg.qr(np.eye(n)[:, 1:] - 1.0 / n)
     reduced = q.T @ s @ q
     eigvals, eigvecs = np.linalg.eigh(0.5 * (reduced + reduced.T))
     vec = q @ eigvecs[:, 0]
-    return eigvals[0], vec / (math.sqrt(lop.grid.h) * np.linalg.norm(vec))
+    return eigvals[0], vec / (math.sqrt(family.grid.h) * np.linalg.norm(vec))
 
 
 class TestAgainstQRReference:
@@ -160,11 +160,12 @@ class TestAgainstQRReference:
     def test_eigenpair_matches(self, spec, n):
         grid = Grid1D(n)
         km = assemble(spec, grid)
+        family = assemble_linearized(km)
         for mass in (0.0, 5.0, 12.0):
-            lop = assemble_linearized(km, mass)
-            eig, mode = principal_eigenpair(lop)
-            ref_eig, ref_mode = _qr_reference(lop)
-            assert abs(eig - ref_eig) <= 1e-13 * np.linalg.norm(_dense_operator(lop), np.inf)
+            eig, mode = principal_eigenpair(family, mass)
+            ref_eig, ref_mode = _qr_reference(family, mass)
+            scale = np.linalg.norm(_dense_operator(family, mass), np.inf)
+            assert abs(eig - ref_eig) <= 1e-13 * scale
             sign = math.copysign(1.0, float(mode @ ref_mode))
             assert np.abs(mode - sign * ref_mode).max() <= 1e-8
 
@@ -185,13 +186,12 @@ class TestMatrixFree:
     )
     def test_eigenvalue_matches_dense_eigh(self, spec, n):
         grid = Grid1D(n)
-        family = spectral.LinearizedFamily(assemble(spec, grid))
+        family = assemble_linearized(assemble(spec, grid))
         for mass in (0.0, 5.0, 12.0, 1e4):
-            lop = family.at(mass)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                eig, mode = principal_eigenpair(lop)
-            matrix = _dense_operator(lop)
+                eig, mode = principal_eigenpair(family, mass)
+            matrix = _dense_operator(family, mass)
             reduced = grid.basis.project(0.5 * (matrix + matrix.T))[1:, 1:]
             ref = scipy.linalg.eigh(reduced, eigvals_only=True, subset_by_index=[0, 0])[0]
             assert abs(eig - ref) <= 1e-9 * abs(ref)
@@ -203,12 +203,12 @@ class TestMatrixFree:
         km = assemble(KernelSpec.power_law(1.5, delta=0.01), grid)
         dense = float(np.linalg.svd(grid.h * km.gradk_faces, compute_uv=False)[0])
         assert l2_operator_norm(km) == pytest.approx(dense, rel=1e-10)
+        family = assemble_linearized(km)
         for mass in (0.0, 12.0):
-            lop = assemble_linearized(km, mass)
-            matrix = _dense_operator(lop)
+            matrix = _dense_operator(family, mass)
             reduced = grid.basis.project(0.5 * (matrix + matrix.T))[1:, 1:]
             ref = scipy.linalg.eigh(reduced, eigvals_only=True, subset_by_index=[0, 0])[0]
-            assert principal_eigenpair(lop)[0] == pytest.approx(ref, rel=1e-9)
+            assert principal_eigenpair(family, mass)[0] == pytest.approx(ref, rel=1e-9)
 
     def test_reads_no_dense_sample(self, monkeypatch):
         def refuse(*args):
@@ -217,7 +217,7 @@ class TestMatrixFree:
         monkeypatch.setattr(kernel, "_gradk_matrix", refuse)
         monkeypatch.setattr(kernel, "_values_matrix", refuse)
         for spec in (KernelSpec.gaussian(0.1), KernelSpec.power_law(1.5, delta=0.01)):
-            assert stability_verdict(spec, Grid1D(128), 12.0).principal_eigenvalue < 0
+            assert stability_verdict(assemble(spec, Grid1D(128)), 12.0).principal_eigenvalue < 0
 
 
 class TestGreenSymbols:
@@ -229,7 +229,7 @@ class TestGreenSymbols:
     def test_match_dense_projection(self, a, scale, n):
         grid = Grid1D(n)
         km = assemble(KernelSpec.green_series(a, scale=scale), grid)
-        family = assemble_linearized(km, 0.0).family
+        family = assemble_linearized(km)
         basis = grid.basis
         for projected, symbol in (
             (grid.h * basis.project(km.k_centers), km.symbols[0]),
@@ -246,7 +246,7 @@ class TestGreenSymbols:
         # one 65536 x 65536 sample would be 34 GB
         tracemalloc.start()
         try:
-            report = stability_verdict(green, Grid1D(65536), 12.0)
+            report = stability_verdict(assemble(green, Grid1D(65536)), 12.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -301,8 +301,8 @@ class TestInteractionCoefficient:
 class TestStabilityVerdict:
     def test_verdicts_across_masses(self, green, grid128):
         critical = 1.0 + math.pi**2
-        below = stability_verdict(green, grid128, 5.0)
-        above = stability_verdict(green, grid128, 2.0 * critical)
+        below = stability_verdict(assemble(green, grid128), 5.0)
+        above = stability_verdict(assemble(green, grid128), 2.0 * critical)
         assert below.verdict == VERDICT_STABLE
         assert below.principal_eigenvalue > 0
         assert above.verdict == VERDICT_UNSTABLE
@@ -312,7 +312,7 @@ class TestStabilityVerdict:
     def test_thresholds_agree_for_green(self, green, grid256):
         # both the sharp instability level 1/A and the sufficient bound
         # sqrt(lambda1)/||grad K|| equal a + lambda1 for this kernel
-        report = stability_verdict(green, grid256, 1.0)
+        report = stability_verdict(assemble(green, grid256), 1.0)
         expected = 1.0 + math.pi**2
         assert report.critical_mass_instability == pytest.approx(expected, rel=1e-3)
         assert report.stability_bound_mass == pytest.approx(expected, rel=1e-3)
@@ -320,9 +320,9 @@ class TestStabilityVerdict:
     def test_between_bounds_is_not_misreported(self, grid128):
         # gaussian kernel: the two thresholds differ, the gap is inconclusive
         spec = KernelSpec.gaussian(0.2)
-        report = stability_verdict(spec, grid128, 1.0)
+        report = stability_verdict(assemble(spec, grid128), 1.0)
         gap_mass = 0.5 * (report.stability_bound_mass + report.critical_mass_instability)
-        mid = stability_verdict(spec, grid128, gap_mass)
+        mid = stability_verdict(assemble(spec, grid128), gap_mass)
         assert mid.verdict in (VERDICT_INCONCLUSIVE, VERDICT_STABLE, VERDICT_UNSTABLE)
 
     def test_lambda1_constant(self):
@@ -334,7 +334,7 @@ class TestStabilityVerdict:
         table = _table(KernelSpec.gaussian(0.1), Grid1D(n))
         tracemalloc.start()
         try:
-            stability_verdict(table, Grid1D(n), 3.0)
+            stability_verdict(assemble(table, Grid1D(n)), 3.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,7 +347,7 @@ class TestStabilityVerdict:
         tracemalloc.start()
         try:
             with pytest.raises(InvalidParameterError, match="the limit is 1e\\+04"):
-                stability_verdict(table, Grid1D(64), 3.0)
+                stability_verdict(assemble(table, Grid1D(64)), 3.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

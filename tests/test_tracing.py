@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from aggrestab import Grid1D, KernelSpec, spectral
+from aggrestab import Grid1D, KernelSpec, kernel, spectral
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -52,7 +52,8 @@ def test_tracer_wraps_and_restores(tracing):
     tracer = tracing.Tracer()
     with tracer.installed():
         assert spectral.stability_verdict is not before[("aggrestab.spectral", "stability_verdict")]
-        report = spectral.stability_verdict(KernelSpec.green_closed_form(), Grid1D(64), 3.0)
+        km = kernel.assemble(KernelSpec.green_closed_form(), Grid1D(64))
+        report = spectral.stability_verdict(km, 3.0)
     assert report.verdict == spectral.VERDICT_STABLE
     spans = {span[0]: span for span in tracer.spans}
     assert set(spans) == {
