@@ -8,7 +8,7 @@ between the two independent time discretizations. Each takes the assembled
 kernel `km` and assembles nothing: `threshold_bisect(km, M_lo, M_hi, tol)`
 builds one `LinearizedFamily` for all its masses, `basin_probe(km, M, ...)`
 steps on the kernel that its verdict reads, and `cross_validate(u0, km, T)`
-runs both solvers on it.
+runs both solvers on it, the split stepper through `evolve` like every run.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitFailureError, InvalidBracketError, InvalidParameterError
+from .grid import check_count
 from .kernel import KernelMatrices
-from .solver import Trajectory, auto_dt, evolve, picard_mild_solve, step_imex
+from .solver import Trajectory, evolve, picard_mild_solve
 from .spectral import LAMBDA_1, VERDICT_STABLE, assemble_linearized, principal_eigenpair
 from .spectral import stability_verdict
 
@@ -141,8 +142,9 @@ def basin_probe(
     Only ever reports a lower bound: if every tested amplitude decays the
     result is flagged open above.
     """
-    if not 0 < amplitude_hi < math.inf or steps < 1:
-        raise InvalidParameterError("need a finite amplitude_hi > 0 and steps >= 1")
+    if not 0 < amplitude_hi < math.inf:
+        raise InvalidParameterError("need a finite amplitude_hi > 0")
+    steps = check_count(steps, "the bisection step count", 1)
     report = stability_verdict(km, mass_level)
     if report.verdict != VERDICT_STABLE:
         raise InvalidParameterError(
@@ -172,17 +174,13 @@ def cross_validate(u0, km: KernelMatrices, horizon: float, n_time: int = 128) ->
     """Max L-infinity gap between the split stepper and the mild discretization.
 
     Both runs start from the cell values u0 on the kernel's grid; the comparison
-    is taken over the mild solver's output times, with the stepper's steps
-    aligned so the times are shared.
+    is taken over the mild solver's output times. `evolve` advances the stepper
+    over each mild interval at its automatic step, whose last step lands on the
+    mild time.
     """
     mild = picard_mild_solve(u0, km, horizon, n_time=n_time)
-    dt_grid = horizon / n_time
-    u = u0
-    gap = 0.0
-    for idx in range(1, n_time + 1):
-        # equal substeps per mild output time, none longer than the automatic step
-        sub = max(1, math.ceil(dt_grid / auto_dt(u, km)))
-        for _ in range(sub):
-            u = step_imex(u, dt_grid / sub, "nonlinear", 0.0, km)
-        gap = max(gap, float(np.abs(u - mild.trajectory.snapshots[idx]).max()))
+    u, gap = u0, 0.0
+    for state in mild.trajectory.snapshots[1:]:
+        u = evolve(u, km, "nonlinear", t_end=horizon / n_time, output_stride=10**9).snapshots[-1]
+        gap = max(gap, float(np.abs(u - state).max()))
     return gap

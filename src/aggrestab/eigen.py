@@ -51,7 +51,9 @@ def smallest_eigenpair(op, start: np.ndarray, rtol: float, scale=0.0, precond=No
         theta, y = theta[:k], y[:, :k]
         x, ax = basis @ y, image @ y
         residual = ax - x * theta
-        if np.linalg.norm(residual[:, 0]) <= rtol * max(scale, abs(theta[0])):
+        # the residual norm scaled by its largest entry, whose square could overflow
+        peak = np.abs(residual[:, 0]).max() or 1.0
+        if peak * np.linalg.norm(residual[:, 0] / peak) <= rtol * max(scale, abs(theta[0])):
             return float(theta[0]), x[:, 0]
         directions = residual if precond is None else precond(residual)
         if basis.shape[1] > k:  # the step's direction: the part of the new block outside the old

@@ -31,14 +31,7 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.n)  # any integer, NumPy's included; no float
-        except TypeError:
-            msg = f"the cell count must be an integer, got {self.n!r}"
-            raise InvalidParameterError(msg) from None
-        if n < 4:
-            raise InvalidParameterError(f"need n >= 4 cells, got {n}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", check_count(self.n, "the cell count n", 4))
 
     @property
     def h(self) -> float:
@@ -58,13 +51,24 @@ class Grid1D:
         return SpectralBasis(self)
 
 
+def check_count(value, what: str, least: int) -> int:
+    """value as an int, refused unless it is an integer (NumPy's included; no float) >= least."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}") from None
+    if count < least:
+        raise InvalidParameterError(f"need {what} >= {least}, got {count}")
+    return count
+
+
 def lp_norm(v, p: float, grid: Grid1D) -> float:
     """L^p norm with weight h per entry; p = inf gives the max norm.
 
     Takes cell values (midpoint quadrature over cells) or face values (weight h
     per face) on the grid.
     """
-    if p < 1:
+    if not p >= 1:  # written so that NaN fails too
         raise InvalidParameterError(f"p must be in [1, inf], got {p}")
     v = np.abs(np.asarray(v, dtype=float))
     if np.isinf(p):
@@ -114,7 +118,8 @@ class SpectralBasis:
         self._shift = (n / np.sqrt(2.0)) * np.exp(1j * angle[: n // 2 + 1])
 
     def mode(self, k: int) -> np.ndarray:
-        if not 0 <= k < self.grid.n:
+        k = check_count(k, "the mode index", 0)
+        if not k < self.grid.n:
             raise InvalidParameterError(f"mode index {k} outside [0, {self.grid.n})")
         w = np.cos(self.grid.centers * (k * np.pi))
         return w * np.sqrt(2.0) if k > 0 else w

@@ -7,10 +7,12 @@ upwinding and Heun's method (SSP-RK2), then a second diffusion half step.
 The scheme is second order in time, and discrete mass conservation and
 positivity are structural: diffusion leaves the constant mode alone and
 e^{-t L_h} is nonnegative, and each Heun stage is a forward-Euler step under
-the CFL bound. Transport alone sets the automatic step. `evolve` carries the
-mode coefficients from step to step: three transforms and two kernel actions
-a step. The mild solver iterates the integral fixed point on the same exact
-propagator, with its own drift treatment and the same kernel action `apply_grad`.
+the CFL bound. Transport alone sets the automatic step. `evolve` alone drives
+the step: it carries the mode coefficients, three transforms and two kernel
+actions a step, and checks each state's finiteness, positivity and mass;
+`step_imex` is its run of one set step. The mild solver iterates the integral
+fixed point on the same exact propagator, with its own drift treatment and the
+same kernel action `apply_grad`.
 
 Every state and datum is a cell array, as in `grid`: the initial datum, the
 stepper's input and output, and the inputs of the mild solver and the
@@ -36,7 +38,7 @@ from .errors import (
     RejectedStepError,
     SchemeFailureError,
 )
-from .grid import MAX_STORED_VALUES, Grid1D, divergence, gradient, lp_norm
+from .grid import MAX_STORED_VALUES, Grid1D, check_count, divergence, gradient, lp_norm
 from .kernel import KernelMatrices, apply_grad
 from .spectral import LAMBDA_1
 
@@ -78,7 +80,9 @@ class Trajectory:
         )
 
     def norm_series(self, which: str) -> np.ndarray:
-        return {"l1": self.l1, "l2": self.l2, "linf": self.linf}[which]
+        if which not in ("l1", "l2", "linf"):
+            raise InvalidParameterError(f"unknown norm {which!r}; the norms are l1, l2 and linf")
+        return getattr(self, which)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,10 +142,8 @@ def _transport_flux(u: np.ndarray, mode: str, mass_level: float, km: KernelMatri
         return mass_level * v, v
     upwind = np.zeros(km.grid.n + 1)
     upwind[1:-1] = np.where(v[1:-1] > 0, u[:-1], u[1:])
-    if mode == "nonlinear":
-        return v * upwind, v
-    # perturbed: flux (M + phi) grad K(phi), the constant part needs no upwinding
-    return v * (mass_level + upwind), v
+    # the flux (M + u) grad K(u), at M = 0 in nonlinear mode; the constant M needs no upwinding
+    return v * ((mass_level if mode == "perturbed" else 0.0) + upwind), v
 
 
 def _cfl_dt(vmax: float, h: float) -> float:
@@ -166,7 +168,7 @@ def _transport_stage(u: np.ndarray, dt: float, mode: str, mass_level: float, km:
     flux, v = _transport_flux(u, mode, mass_level, km)
     vmax = float(np.abs(v).max())
     if not math.isfinite(vmax):
-        raise RejectedStepError(dt, 0.0)  # no step is admissible: a NaN fails no comparison
+        raise SchemeFailureError("non-finite transport velocity: no step is admissible")
     if vmax > 0:
         admissible = km.grid.h / (2.0 * vmax)
         if dt > admissible:
@@ -198,15 +200,10 @@ def step_imex(
 ) -> np.ndarray:
     """One Strang step: exact half-step diffusion, Heun upwind transport, half-step diffusion.
 
-    Each Heun stage is checked against the CFL bound.
+    It is evolve's one step of a set dt, with evolve's checks on the datum,
+    on each Heun stage's CFL bound and on the result.
     """
-    if mode not in MODES:
-        raise InvalidParameterError(f"unknown mode {mode!r}")
-    if not 0 < dt < math.inf:  # written so that NaN fails too
-        raise InvalidParameterError("dt must be positive and finite")
-    basis = km.grid.basis
-    c = basis.to_spectral(check_datum(u, km.grid.n))
-    return basis.from_spectral(_Strang(mode, mass_level, km)(c, dt)[0])
+    return evolve(u, km, mode, mass_level, t_end=dt, dt=dt).snapshots[-1]
 
 
 def _auto_step(c, t, dt, t_end, budget, strang):
@@ -222,9 +219,7 @@ def _auto_step(c, t, dt, t_end, budget, strang):
         try:
             c, vmax = strang(c, t_end - t if last else dt)
             return c, t_end if last else t + dt, vmax
-        except RejectedStepError as exc:
-            if exc.admissible == 0.0:  # a non-finite velocity: no smaller step helps
-                raise
+        except RejectedStepError:
             dt *= 0.5
 
 
@@ -249,22 +244,18 @@ def evolve(
     # the comparisons are written so that NaN fails them
     if not t_end > 0:
         raise InvalidParameterError("t_end must be positive")
-    if dt is not None and not dt > 0:
-        raise InvalidParameterError("dt must be positive")
-    if output_stride < 1:
-        raise InvalidParameterError("output stride must be >= 1")
+    if dt is not None and not 0 < dt < math.inf:
+        raise InvalidParameterError("dt must be positive and finite")
+    output_stride = check_count(output_stride, "the output stride", 1)
     if not mass_level >= 0:
         raise InvalidParameterError("mass level M must be nonnegative")
     grid = km.grid
     u = check_datum(u0, grid.n)
     mass0 = grid.h * float(u.sum())
-    if mode == "nonlinear":
-        if u.min() < 0:
-            raise InvalidParameterError("nonlinear mode requires a nonnegative initial datum")
-    else:
-        scale = max(1.0, float(np.abs(u).max()))
-        if abs(mass0) > 1e-10 * scale:
-            raise InvalidParameterError("perturbation modes require a zero-mean initial datum")
+    if mode == "nonlinear" and u.min() < 0:
+        raise InvalidParameterError("nonlinear mode requires a nonnegative initial datum")
+    if mode != "nonlinear" and abs(mass0) > 1e-10 * max(1.0, float(np.abs(u).max())):
+        raise InvalidParameterError("perturbation modes require a zero-mean initial datum")
     auto = dt is None
     # an automatic run takes at least the steps of its cap h/2; a set dt, exactly its own
     steps = t_end / (0.5 * grid.h if auto else dt)
@@ -313,8 +304,8 @@ def evolve(
 
 def heat_semigroup(u, grid: Grid1D, t: float) -> np.ndarray:
     """Neumann heat propagator, exact on the discrete cosine basis."""
-    if t < 0:
-        raise InvalidParameterError("semigroup time must be nonnegative")
+    if not 0 <= t < math.inf:  # written so that NaN fails too
+        raise InvalidParameterError(f"semigroup time must be nonnegative and finite, got {t}")
     basis = grid.basis
     return basis.from_spectral(basis.to_spectral(u) * np.exp(-basis.eigenvalues_discrete * t))
 
@@ -341,8 +332,8 @@ def semigroup_probe(probes, grid: Grid1D, p: float, q: float, times) -> Semigrou
     if not 1 <= q <= p:
         raise InvalidParameterError("need 1 <= q <= p <= inf")
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times <= 0):
-        raise InvalidParameterError("probe times must be positive")
+    if times.size == 0 or not np.all((times > 0) & (times < math.inf)):
+        raise InvalidParameterError("probe times must be positive and finite")
     probes = list(probes)
     if not probes:
         raise InvalidParameterError("need at least one probe")
@@ -376,6 +367,7 @@ def existence_time(u0, grid: Grid1D, grad_norm: float, q_prime: float, c_emp: fl
     Strongly singular branch (q' = 1): 4 c T^{1/2} g (||u0||_1 + ||u0||_inf) < 1.
     The returned T solves the corresponding equality.
     """
+    u0 = check_datum(u0, grid.n)
     # each comparison is written so that NaN fails it
     if not c_emp > 0:
         raise InvalidParameterError("empirical constant must be positive")
@@ -423,8 +415,10 @@ def picard_mild_solve(
     u0 = check_datum(u0, km.grid.n)
     if not 0 < horizon < math.inf:  # written so that NaN fails too
         raise InvalidParameterError(f"horizon T must be positive and finite, got {horizon}")
-    if n_time < 2:
-        raise InvalidParameterError("need at least 2 time intervals")
+    n_time = check_count(n_time, "the time interval count n_time", 2)
+    max_iter = check_count(max_iter, "the sweep count max_iter", 1)
+    if not (tol >= 0 and q_prime >= 1):  # written so that NaN fails too
+        raise InvalidParameterError(f"need tol >= 0 and q' in [1, inf], got {tol} and {q_prime}")
     if km.grid.n * (n_time + 1) > MAX_STORED_VALUES:
         raise InvalidParameterError(
             f"the (n, n_time + 1) states hold {km.grid.n * (n_time + 1):.3g} values; "

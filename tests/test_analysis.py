@@ -15,8 +15,12 @@ from aggrestab import (
     basin_probe,
     cross_validate,
     evolve,
+    existence_time,
     fit_rate,
+    heat_semigroup,
     initial_field,
+    lp_norm,
+    picard_mild_solve,
     principal_eigenpair,
     stability_verdict,
     threshold_bisect,
@@ -225,6 +229,18 @@ class TestCrossValidate:
         cross_validate(initial_field("constant_plus_mode:1,0.1,1", km.grid), km, 0.1, n_time=8)
         assert "gradk_faces" not in vars(km)
 
+    def test_one_evolve_call_per_mild_interval(self, green, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["t_end"])
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "evolve", counted)
+        km = kernel.assemble(green, Grid1D(64))
+        cross_validate(initial_field("constant_plus_mode:1,0.1,1", km.grid), km, 0.1, n_time=8)
+        assert calls == [0.1 / 8] * 8
+
     def test_gap_shrinks_with_time_refinement(self, green):
         grid = Grid1D(128)
         u0, km = initial_field("constant_plus_mode:1,0.1,1", grid), kernel.assemble(green, grid)
@@ -249,6 +265,29 @@ NON_FINITE = {
     "basin-amplitude-nan": lambda: basin_probe(_green_km(), 5.0, math.nan, steps=2),
     "basin-amplitude-inf": lambda: basin_probe(_green_km(), 5.0, math.inf, steps=2),
     "basin-M-nan": lambda: basin_probe(_green_km(), math.nan, 1.0, steps=2),
+    # counts that are not integers, NaN tolerances and times, and unknown names
+    "basin-steps-float": lambda: basin_probe(_green_km(32), 5.0, 1.0, steps=2.5, t_end=1e-3),
+    "picard-n_time-float": lambda: picard_mild_solve(np.ones(32), _green_km(32), 0.01, n_time=2.5),
+    "picard-max_iter-float": lambda: picard_mild_solve(
+        np.ones(32), _green_km(32), 0.01, max_iter=2.5
+    ),
+    "picard-tol-nan": lambda: picard_mild_solve(np.ones(32), _green_km(32), 0.01, tol=math.nan),
+    "picard-q_prime-nan": lambda: picard_mild_solve(
+        np.ones(32), _green_km(32), 0.01, q_prime=math.nan
+    ),
+    "cross-validate-n_time-float": lambda: cross_validate(np.ones(32), _green_km(32), 0.01, 2.5),
+    "evolve-stride-float": lambda: evolve(
+        np.ones(32), _green_km(32), "nonlinear", output_stride=2.5
+    ),
+    "evolve-dt-inf": lambda: evolve(np.ones(32), _green_km(32), "nonlinear", dt=math.inf),
+    "lp-norm-p-nan": lambda: lp_norm(np.ones(32), math.nan, Grid1D(32)),
+    "existence-datum-nan": lambda: existence_time(np.full(32, math.nan), Grid1D(32), 1.0, 2.0, 1.0),
+    "mode-index-float": lambda: Grid1D(32).basis.mode(2.5),
+    "heat-t-nan": lambda: heat_semigroup(np.ones(32), Grid1D(32), math.nan),
+    "heat-t-inf": lambda: heat_semigroup(np.ones(32), Grid1D(32), math.inf),
+    "fit-rate-unknown-norm": lambda: fit_rate(
+        evolve(np.ones(32), _green_km(32), "nonlinear", t_end=0.1), "l3"
+    ),
 }
 
 

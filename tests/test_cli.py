@@ -347,6 +347,25 @@ class TestCommands:
         assert "scheme failure" in capsys.readouterr().err
         assert len(calls) == 6
 
+    def test_simulate_set_dt_nan_stage_velocity_is_named(self, tmp_path, monkeypatch, capsys):
+        # the second step's first stage reads a NaN velocity; a set dt reads no other
+        action, calls = solver.apply_grad, []
+
+        def fails_late(km, u):
+            calls.append(None)
+            return action(km, u) if len(calls) < 3 else np.full(km.grid.n + 1, np.nan)
+
+        monkeypatch.setattr(solver, "apply_grad", fails_late)
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            GREEN_LINES + "sim.M = 5\nsim.dt = 0.001\nsim.initial = constant_plus_mode:5,0.5,1\n",
+        )
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_SCHEME
+        assert "non-finite transport velocity" in capsys.readouterr().err
+        assert len(calls) == 3
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize("dt", ["auto", "0.001"])
     def test_simulate_non_finite_state_is_scheme_failure(self, tmp_path, monkeypatch, capsys, dt):

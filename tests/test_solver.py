@@ -121,14 +121,40 @@ class TestStepImex:
         with pytest.raises(InvalidParameterError):
             step_imex(u, 0.1, "hyperbolic", 0.0, km128)
 
+    @pytest.mark.parametrize(
+        "mode, mass_level, datum",
+        [
+            ("nonlinear", 0.0, "constant_plus_mode:8,2,1"),
+            ("perturbed", 8.0, "constant_plus_mode:0,2,1"),
+            ("linearized", 8.0, "constant_plus_mode:0,2,1"),
+        ],
+    )
+    def test_is_one_set_dt_evolve_step(self, green, mode, mass_level, datum):
+        km = assemble(green, Grid1D(64))
+        u = initial_field(datum, km.grid)
+        out = step_imex(u, 1e-3, mode, mass_level, km)
+        traj = evolve(u, km, mode, mass_level, t_end=1e-3, dt=1e-3)
+        assert traj.times.tolist() == [0.0, 1e-3]
+        assert np.array_equal(out, traj.snapshots[-1])
+
+    def test_refuses_what_evolve_refuses(self, km128, grid128):
+        for u, mode, mass_level in [
+            (initial_field("constant_plus_mode:1,2,1", grid128), "nonlinear", 0.0),
+            (np.full(grid128.n, 0.5), "perturbed", 5.0),
+            (np.full(grid128.n, 0.5), "linearized", 5.0),
+            (np.ones(grid128.n), "nonlinear", -1.0),
+        ]:
+            with pytest.raises(InvalidParameterError):
+                step_imex(u, 1e-4, mode, mass_level, km128)
+
     def test_pure_diffusion_decays_modes(self, grid128):
         km = assemble(KernelSpec.zero(128), grid128)
         basis = SpectralBasis(grid128)
-        u = 1.0 + 0.1 * basis.mode(1)
+        u = 0.1 * basis.mode(1)  # a perturbation: zero mean
         dt = 1e-3
         out = step_imex(u, dt, "linearized", 0.0, km)
         lam = basis.eigenvalues_discrete[1]
-        expected = 1.0 + 0.1 * basis.mode(1) * math.exp(-lam * dt)
+        expected = 0.1 * basis.mode(1) * math.exp(-lam * dt)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
 

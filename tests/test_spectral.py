@@ -210,6 +210,15 @@ class TestMatrixFree:
             ref = scipy.linalg.eigh(reduced, eigvals_only=True, subset_by_index=[0, 0])[0]
             assert principal_eigenpair(family, mass)[0] == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("mass", [1e150, 1e200, 1e305])
+    def test_huge_mass_converges_without_overflow(self, mass):
+        # the residual's entries are about M: its squares overflow past M ~ 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = stability_verdict(assemble(KernelSpec.gaussian(0.1), Grid1D(32)), mass)
+        assert report.verdict == VERDICT_UNSTABLE
+        assert report.principal_eigenvalue == pytest.approx(-17.556409730305 * mass, rel=1e-9)
+
     def test_reads_no_dense_sample(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("dense sample")
