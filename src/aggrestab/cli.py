@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import threshold_bisect
@@ -45,38 +46,6 @@ EXIT_BAD_KERNEL = 5
 EXIT_USAGE = 64
 EXIT_IO = 74
 
-_KNOWN_KEYS = {
-    "kernel.variant",
-    "kernel.a",
-    "kernel.sigma",
-    "kernel.alpha",
-    "kernel.delta",
-    "kernel.scale",
-    "kernel.csv",
-    "grid.n",
-    "sim.mode",
-    "sim.M",
-    "sim.t_end",
-    "sim.dt",
-    "sim.initial",
-    "sim.output_stride",
-    "sim.snapshots",
-    "analysis.M",
-    "analysis.M_lo",
-    "analysis.M_hi",
-    "analysis.tol_M",
-    "validate.tol",
-    "validate.q_prime",
-    "mild.T",
-    "mild.T_factor",
-    "mild.n_time",
-    "mild.max_iter",
-    "mild.tol",
-    "mild.q_prime",
-    "mild.C_emp",
-    "output.dir",
-    "seed",
-}
 # keys that earlier versions read, refused with the reason they went
 _REMOVED_KEYS = {
     "kernel.m": "kernel.m was removed: the Green kernel is exact for every a, with no series "
@@ -93,19 +62,90 @@ def _number(key, raw) -> float:
         raise ConfigError(f"{key}: not a number: {raw!r}") from exc
 
 
+def _real(key, raw) -> float:
+    if not math.isfinite(value := _number(key, raw)):
+        raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    return value
+
+
+def _integer(key, raw) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: not an integer: {raw!r}") from exc
+
+
+def _numbers(key, raw) -> tuple:
+    return tuple(_number(key, q) for q in raw.split(","))
+
+
+def _flag(key, raw) -> bool:
+    return raw.lower() in ("true", "1", "yes")
+
+
+def _step(key, raw):
+    return None if raw == "auto" else _real(key, raw)
+
+
+_REQUIRED = object()
+_POSITIVE = "positive"
+# every key: (parser, default, bound); str keeps the text. A default is the text
+# a config would give, _REQUIRED, or None where absence means something: sim.dt
+# the automatic step, analysis.M the level sim.M, mild.T the horizon T_factor
+# times the existence time. A bound is a least value or _POSITIVE; q' takes inf.
+_KEYS = {
+    "kernel.variant": (str, _REQUIRED, None),
+    "kernel.a": (_real, _REQUIRED, _POSITIVE),
+    "kernel.sigma": (_real, _REQUIRED, _POSITIVE),
+    "kernel.alpha": (_real, _REQUIRED, _POSITIVE),
+    "kernel.delta": (_real, "0", 0.0),
+    "kernel.scale": (_real, "1", None),
+    "kernel.csv": (str, _REQUIRED, None),
+    "grid.n": (_integer, _REQUIRED, 4),
+    "sim.mode": (str, "nonlinear", None),
+    "sim.M": (_real, "0", 0.0),
+    "sim.t_end": (_real, "1", _POSITIVE),
+    "sim.dt": (_step, None, _POSITIVE),
+    "sim.initial": (str, "constant:1.0", None),
+    "sim.output_stride": (_integer, "1", 1),
+    "sim.snapshots": (_flag, "false", None),
+    "analysis.M": (_real, None, 0.0),
+    "analysis.M_lo": (_real, "0", 0.0),
+    "analysis.M_hi": (_real, "30", _POSITIVE),
+    "analysis.tol_M": (_real, "0.01", _POSITIVE),
+    "validate.tol": (_real, "1e-6", _POSITIVE),
+    "validate.q_prime": (_numbers, "inf", None),
+    "mild.T": (_real, None, _POSITIVE),
+    "mild.T_factor": (_real, "1", _POSITIVE),
+    "mild.n_time": (_integer, "128", 2),
+    "mild.max_iter": (_integer, "30", 1),
+    "mild.tol": (_real, "1e-10", _POSITIVE),
+    "mild.q_prime": (_number, "inf", None),
+    "mild.C_emp": (_real, "1", _POSITIVE),
+    "output.dir": (str, ".", None),
+    "seed": (_integer, "0", 0),
+}
+# the kernel.* keys each built-in variant reads, by KernelSpec field
+_VARIANT_KEYS = {
+    "green_closed_form": (),
+    "green_series": ("a",),
+    "gaussian": ("sigma",),
+    "power_law_gradient": ("alpha", "delta"),
+}
+
+
 def _fmt(x) -> str:
     """Locale-independent numeric formatting, 17 significant digits."""
     return format(float(x), ".17g")
 
 
 class RunConfig:
-    """Parsed flat key=value configuration with range validation."""
+    """A flat key=value configuration; `config[key]` parses and bounds a key as `_KEYS` says."""
 
     def __init__(self, pairs: dict):
         for key in sorted(set(pairs) & set(_REMOVED_KEYS)):
             raise ConfigError(_REMOVED_KEYS[key])
-        unknown = set(pairs) - _KNOWN_KEYS
-        if unknown:
+        if unknown := set(pairs) - set(_KEYS):
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         self.pairs = dict(pairs)
 
@@ -129,91 +169,45 @@ class RunConfig:
             pairs[key] = value
         return cls(pairs)
 
-    def get(self, key, default=None):
-        return self.pairs.get(key, default)
-
-    def get_float(self, key, default=None, minimum=None, positive=False):
-        raw = self.pairs.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key}")
-            return default
-        value = _number(key, raw)
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {raw!r}")
-        if positive and value <= 0:
+    def __getitem__(self, key):
+        parse, default, bound = _KEYS[key]
+        raw = self.pairs.get(key, default)
+        if raw is _REQUIRED:
+            raise ConfigError(f"missing required key {key}")
+        value = raw if raw is None or parse is str else parse(key, raw)
+        if value is None or bound is None:
+            return value
+        if bound == _POSITIVE and value <= 0:
             raise ConfigError(f"{key}: must be positive, got {value}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
-        return value
-
-    def get_int(self, key, default=None, minimum=None):
-        raw = self.pairs.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key}")
-            return default
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not an integer: {raw!r}") from exc
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
+        if bound != _POSITIVE and value < bound:
+            raise ConfigError(f"{key}: must be >= {bound}, got {value}")
         return value
 
     @property
     def seed(self) -> int:
         env = os.environ.get("AGGRESTAB_SEED")
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError as exc:
-                raise ConfigError(f"AGGRESTAB_SEED: not an integer: {env!r}") from exc
-        return self.get_int("seed", default=0, minimum=0)
+        return self["seed"] if env is None else _integer("AGGRESTAB_SEED", env)
 
     def grid(self) -> Grid1D:
-        return Grid1D(self.get_int("grid.n", minimum=4))
+        return Grid1D(self["grid.n"])
 
     def kernel(self) -> KernelMatrices:
         """The kernel of the kernel.* keys, assembled on the grid of grid.n."""
-        variant = self.get("kernel.variant")
-        if variant is None:
-            raise ConfigError("missing required key kernel.variant")
-        scale = self.get_float("kernel.scale", default=1.0)
-        if variant == "green_closed_form":
-            spec = KernelSpec.green_closed_form(scale=scale)
-        elif variant == "green_series":
-            spec = KernelSpec.green_series(self.get_float("kernel.a", positive=True), scale=scale)
-        elif variant == "gaussian":
-            spec = KernelSpec.gaussian(self.get_float("kernel.sigma", positive=True), scale=scale)
-        elif variant == "power_law_gradient":
-            spec = KernelSpec.power_law(
-                self.get_float("kernel.alpha", positive=True),
-                delta=self.get_float("kernel.delta", default=0.0, minimum=0.0),
-                scale=scale,
-            )
-        elif variant == "tabulated":
-            path = self.get("kernel.csv")
-            if path is None:
-                raise ConfigError("tabulated kernel needs kernel.csv")
-            spec = load_tabulated_csv(path, self.grid())
+        variant, scale = self["kernel.variant"], self["kernel.scale"]
+        if variant == "tabulated":
+            spec = replace(load_tabulated_csv(self["kernel.csv"], self.grid()), scale=scale)
+        elif variant in _VARIANT_KEYS:
+            params = {name: self[f"kernel.{name}"] for name in _VARIANT_KEYS[variant]}
+            spec = KernelSpec(variant, scale=scale, **params)
         else:
             raise ConfigError(f"unknown kernel.variant {variant!r}")
         return assemble(spec, self.grid())
 
 
-def _out_dir(config: RunConfig, override) -> Path:
-    path = Path(override) if override else Path(config.get("output.dir", "."))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def cmd_validate_kernel(config: RunConfig, out_dir: Path) -> int:
     km = config.kernel()
-    tol = config.get_float("validate.tol", default=1e-6, positive=True)
-    raw_q = config.get("validate.q_prime", "inf").split(",")
-    q_primes = tuple(_number("validate.q_prime", q) for q in raw_q)
-    report = validate_assumptions(km, tol, q_primes=q_primes)
+    tol = config["validate.tol"]
+    report = validate_assumptions(km, tol, q_primes=config["validate.q_prime"])
     lines = [
         f"variant={km.spec.variant}",
         f"tol={_fmt(tol)}",
@@ -235,8 +229,8 @@ def cmd_validate_kernel(config: RunConfig, out_dir: Path) -> int:
 
 def cmd_analyze(config: RunConfig, out_dir: Path) -> int:
     km = config.kernel()
-    key = "analysis.M" if config.get("analysis.M") is not None else "sim.M"
-    report = stability_verdict(km, config.get_float(key, default=0.0))
+    mass = config["analysis.M"]
+    report = stability_verdict(km, config["sim.M"] if mass is None else mass)
     values = (
         report.mass_level,
         report.lambda1,
@@ -257,17 +251,15 @@ def cmd_analyze(config: RunConfig, out_dir: Path) -> int:
 def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     km = config.kernel()
     grid = km.grid
-    dt_raw = config.get("sim.dt", "auto")
-    dt = None if dt_raw == "auto" else config.get_float("sim.dt", positive=True)
-    u0 = initial_field(config.get("sim.initial", "constant:1.0"), grid, config.seed)
+    u0 = initial_field(config["sim.initial"], grid, config.seed)
     traj = evolve(
         u0,
         km,
-        config.get("sim.mode", "nonlinear"),
-        mass_level=config.get_float("sim.M", default=0.0, minimum=0.0),
-        t_end=config.get_float("sim.t_end", default=1.0, positive=True),
-        dt=dt,
-        output_stride=config.get_int("sim.output_stride", default=1, minimum=1),
+        config["sim.mode"],
+        mass_level=config["sim.M"],
+        t_end=config["sim.t_end"],
+        dt=config["sim.dt"],
+        output_stride=config["sim.output_stride"],
     )
     rows = ["t,mass,l1,l2,linf,min_u"]
     for i, t in enumerate(traj.times):
@@ -278,7 +270,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
             )
         )
     (out_dir / "trajectory.csv").write_text("\n".join(rows) + "\n")
-    if config.get("sim.snapshots", "false").lower() in ("true", "1", "yes"):
+    if config["sim.snapshots"]:
         header = "x," + ",".join(f"t={_fmt(t)}" for t in traj.times)
         lines = [header]
         for x, column in zip(grid.centers, traj.snapshots.T):
@@ -290,31 +282,28 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
 def cmd_mild_solve(config: RunConfig, out_dir: Path) -> int:
     km = config.kernel()
     grid = km.grid
-    u0 = initial_field(config.get("sim.initial", "constant:1.0"), grid, config.seed)
-    # q' = inf is the default, so it is parsed apart from get_float's finite numbers
-    q_prime = _number("mild.q_prime", config.get("mild.q_prime", "inf"))
-    c_emp = config.get_float("mild.C_emp", default=1.0, positive=True)
+    u0 = initial_field(config["sim.initial"], grid, config.seed)
+    q_prime, c_emp = config["mild.q_prime"], config["mild.C_emp"]
     estimate = norm_inf_qprime(km.spec, q_prime, levels=(64, 128, 256, 512))
     t_exist = existence_time(u0, grid, estimate.value, q_prime, c_emp)
-    horizon = config.get_float("mild.T", default=0.0)
-    if horizon <= 0:
-        factor = config.get_float("mild.T_factor", default=1.0, positive=True)
+    horizon = config["mild.T"]
+    if horizon is None:
+        factor = config["mild.T_factor"]
         horizon = factor * t_exist
         if not math.isfinite(horizon):
             horizon = factor  # free horizon: T_existence is infinite, or its multiple overflows
-    distances, ratios, code = [], [], EXIT_OK
+    code = EXIT_OK
     try:
-        diag = picard_mild_solve(
+        distances = picard_mild_solve(
             u0,
             km,
             horizon,
-            n_time=config.get_int("mild.n_time", default=128, minimum=2),
-            max_iter=config.get_int("mild.max_iter", default=30, minimum=1),
-            tol=config.get_float("mild.tol", default=1e-10, positive=True),
+            n_time=config["mild.n_time"],
+            max_iter=config["mild.max_iter"],
+            tol=config["mild.tol"],
             q_prime=q_prime,
             existence_estimate=t_exist,
-        )
-        distances = diag.picard_distances
+        ).picard_distances
     except NonContractionError as exc:
         distances = exc.distances
         code = EXIT_NO_CONTRACTION
@@ -333,9 +322,9 @@ def cmd_threshold(config: RunConfig, out_dir: Path) -> int:
     history = []
     critical = threshold_bisect(
         config.kernel(),
-        config.get_float("analysis.M_lo", default=0.0, minimum=0.0),
-        config.get_float("analysis.M_hi", default=30.0, positive=True),
-        config.get_float("analysis.tol_M", default=0.01, positive=True),
+        config["analysis.M_lo"],
+        config["analysis.M_hi"],
+        config["analysis.tol_M"],
         history=history,
     )
     rows = ["iteration,M_lo,M_hi,M_mid,eig_mid"]
@@ -369,7 +358,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         config = RunConfig.from_file(args.config)
-        out_dir = _out_dir(config, args.out)
+        out_dir = Path(args.out or config["output.dir"])
+        out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out_dir)
     except ConfigError as exc:
         print(f"aggrestab: config error: {exc}", file=sys.stderr)

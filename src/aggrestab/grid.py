@@ -3,10 +3,12 @@
 A state is a NumPy array of cell averages along axis 0. It carries no grid: a
 function reads the grid from the kernel or operator it takes, or from a
 `grid` argument right after the array. Discrete gradients live on the n+1
-cell faces, with the two boundary faces pinned to zero flux. The sampled
-cosine modes w_0 = 1, w_k = sqrt(2) cos(k pi x) form an exactly orthonormal
-discrete basis under midpoint quadrature, which diagonalizes the discrete
-Neumann Laplacian.
+cell faces, and the Neumann condition lives here: `gradient` pins the two
+boundary faces to zero flux and `divergence` reads them as zero flux, so
+-divergence is the exact adjoint of gradient. The sampled cosine modes
+w_0 = 1, w_k = sqrt(2) cos(k pi x) form an exactly orthonormal discrete
+basis under midpoint quadrature, which diagonalizes the discrete Neumann
+Laplacian.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-# the most float values one array may hold (800 MB): larger runs and dense
-# samples are refused before they allocate
+# the most float values one array may hold (800 MB): larger grids, runs and
+# dense samples are refused before they allocate
 MAX_STORED_VALUES = 10**8
 
 
@@ -32,6 +34,8 @@ class Grid1D:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_count(self.n, "the cell count n", 4))
+        if self.n > MAX_STORED_VALUES:
+            raise InvalidParameterError(f"n = {self.n} cells; the limit is {MAX_STORED_VALUES:.0e}")
 
     @property
     def h(self) -> float:
@@ -92,8 +96,11 @@ def gradient(u, grid: Grid1D) -> np.ndarray:
 
 
 def divergence(g, grid: Grid1D) -> np.ndarray:
-    """Faces -> cells along axis 0: (g_{i+1}-g_i)/h."""
-    return np.diff(_rows(g, grid.n + 1, "face array"), axis=0) / grid.h
+    """Faces -> cells along axis 0: (g_{i+1}-g_i)/h, the boundary faces read as 0 (zero flux)."""
+    g = _rows(g, grid.n + 1, "face array")
+    d = g[1:] - g[:-1]
+    d[0], d[-1] = g[1], 0.0 - g[-2]  # 0 - g, not -g: a zero keeps the sign np.diff gave it
+    return np.divide(d, grid.h, out=d)
 
 
 class SpectralBasis:

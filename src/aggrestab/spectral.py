@@ -12,9 +12,9 @@ Laplacian L exactly, so L is its eigenvalues there.
 Everything here takes the assembled kernel `km` and the mass M, and reads the
 grid from `km.grid`. S(M) is affine in M: `assemble_linearized(km)` builds
 its mass-independent parts once, the `LinearizedFamily`, and
-`principal_eigenpair(family, M)` solves it at one M, refusing an M that is
-negative or not finite. `bilinear_form(km, M, phi, psi)` is J at level M, and
-`stability_verdict(km, M)` reports on the constant state u = M.
+`principal_eigenpair(family, M)` solves it at one M, and `bilinear_form(km,
+M, phi, psi)` is J at level M; both refuse an M that is negative or not
+finite. `stability_verdict(km, M)` reports on the constant state u = M.
 
 For a Green kernel D is diagonal in the modes too, with the symbol
 d_k = (2/h) sin(k pi h / 2) t_k of `KernelMatrices.symbols`. Then S(M) is
@@ -82,9 +82,7 @@ class LinearizedFamily:
     @cached_property
     def drift(self) -> np.ndarray:
         """D as an n x n array, from the dense gradient sample."""
-        drift = self.grid.h * self.km.gradk_faces
-        drift[[0, -1], :] = 0.0
-        return divergence(drift, self.grid)
+        return divergence(self.grid.h * self.km.gradk_faces, self.grid)
 
     def symmetric_drift(self, vec) -> np.ndarray:
         """(D + D^T) vec / 2 on cell values along axis 0, by the kernel's actions.
@@ -93,10 +91,8 @@ class LinearizedFamily:
         action applied to -gradient(vec), whose boundary faces are zero as the
         zero-flux D ignores them.
         """
-        flux = apply_grad(self.km, vec)
-        flux[[0, -1]] = 0.0
         adjoint = apply_grad_adjoint(self.km, gradient(vec, self.grid))
-        return 0.5 * (divergence(flux, self.grid) - adjoint)
+        return 0.5 * (divergence(apply_grad(self.km, vec), self.grid) - adjoint)
 
     def reduced_drift(self, coef) -> np.ndarray:
         """The symmetric part of D on mode coefficients of w_1..w_{n-1}, along axis 0."""
@@ -152,8 +148,16 @@ def assemble_linearized(km: KernelMatrices) -> LinearizedFamily:
     return LinearizedFamily(km)
 
 
+def _check_mass(mass: float):
+    if not 0 <= mass < math.inf:  # written so that NaN fails too
+        raise InvalidParameterError(f"mass level M must be nonnegative and finite, got {mass}")
+
+
 def bilinear_form(km: KernelMatrices, mass_level: float, phi, psi) -> float:
     """Energy form J(phi, psi) at level M of cell values over interior faces."""
+    _check_mass(mass_level)
+    if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
+        raise InvalidParameterError("phi and psi must be finite")
     grid = km.grid
     gphi = gradient(phi, grid)[1:-1]
     gpsi = gradient(psi, grid)[1:-1]
@@ -199,9 +203,7 @@ def principal_eigenpair(family: LinearizedFamily, mass_level: float):
     mode) with the mode normalized to unit L2 norm; the weak eigenrelation
     residual in the full space is verified before returning.
     """
-    if not 0 <= mass_level < math.inf:  # written so that NaN fails too
-        msg = f"mass level M must be nonnegative and finite, got {mass_level}"
-        raise InvalidParameterError(msg)
+    _check_mass(mass_level)
     km, grid = family.km, family.grid
     if km.symbols is not None:  # S(M) is diagonal in the modes
         lap, drift = family.reduced

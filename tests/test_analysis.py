@@ -13,6 +13,7 @@ from aggrestab import (
     Trajectory,
     assemble_linearized,
     basin_probe,
+    bilinear_form,
     cross_validate,
     evolve,
     existence_time,
@@ -260,6 +261,14 @@ NON_FINITE = {
     "gaussian-verdict-M-nan": lambda: stability_verdict(_gaussian_km(), math.nan),
     "gaussian-verdict-M-inf": lambda: stability_verdict(_gaussian_km(), math.inf),
     "eigenpair-M-nan": lambda: principal_eigenpair(assemble_linearized(_green_km()), math.nan),
+    "bilinear-M-nan": lambda: bilinear_form(_green_km(32), math.nan, np.ones(32), np.ones(32)),
+    "bilinear-M-negative": lambda: bilinear_form(_green_km(32), -3.0, np.ones(32), np.ones(32)),
+    "bilinear-phi-nan": lambda: bilinear_form(
+        _green_km(32), 1.0, np.full(32, math.nan), np.ones(32)
+    ),
+    "bilinear-psi-inf": lambda: bilinear_form(
+        _green_km(32), 1.0, np.ones(32), np.full(32, math.inf)
+    ),
     "validate-tol-nan": lambda: validate_assumptions(_green_km(), tol=math.nan),
     "validate-tol-inf": lambda: validate_assumptions(_green_km(), tol=math.inf),
     "basin-amplitude-nan": lambda: basin_probe(_green_km(), 5.0, math.nan, steps=2),

@@ -14,6 +14,7 @@ from aggrestab.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     RunConfig,
+    _KEYS,
     main,
 )
 
@@ -35,7 +36,7 @@ class TestRunConfig:
             "# a comment\nkernel.variant = green_closed_form  # trailing\n\ngrid.n = 64\n",
         )
         config = RunConfig.from_file(path)
-        assert config.get("kernel.variant") == "green_closed_form"
+        assert config["kernel.variant"] == "green_closed_form"
         assert config.grid().n == 64
 
     def test_rejects_unknown_key(self, tmp_path):
@@ -271,6 +272,15 @@ class TestCommands:
         assert len(lines) > 2 and lines[1].startswith("1,")
         assert math.isfinite(float(lines[-1].split("=")[1]))
 
+    @pytest.mark.parametrize("horizon", ["0", "-5"])
+    def test_mild_solve_non_positive_horizon_is_refused(self, tmp_path, capsys, horizon):
+        text = GREEN_LINES.replace("64", "32") + f"mild.n_time = 8\nmild.T = {horizon}\n"
+        cfg = write_config(tmp_path, "c.cfg", text)
+        out = tmp_path / "out"
+        assert main(["mild-solve", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert "mild.T" in capsys.readouterr().err
+        assert not (out / "picard.csv").exists()
+
     def test_mild_solve_overflow_writes_no_nan_row(self, tmp_path):
         # the third sweep overflows: the run stops with the two finite distances
         text = GREEN_LINES + "kernel.scale = 1e100\nmild.T = 0.01\n"
@@ -396,6 +406,35 @@ class TestCommands:
         monkeypatch.setattr(solver, "_MAX_STEPS", 1000)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_SCHEME
 
+    def test_tabulated_kernel_is_scaled(self, tmp_path):
+        grid = Grid1D(16)
+        table = tmp_path / "kernel.csv"
+        save_tabulated_csv(table, grid, assemble(KernelSpec.gaussian(0.1), grid))
+        reports = {}
+        for scale in ("1", "2"):
+            text = f"kernel.variant = tabulated\nkernel.csv = {table}\ngrid.n = 16\n"
+            cfg = write_config(tmp_path, "c.cfg", text + f"analysis.M = 3\nkernel.scale = {scale}\n")
+            out = tmp_path / scale
+            assert main(["analyze", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            header, row = (out / "stability_report.csv").read_text().splitlines()
+            reports[scale] = dict(zip(header.split(","), row.split(",")))
+        for name in ("A", "grad_norm"):
+            assert float(reports["2"][name]) == pytest.approx(2 * float(reports["1"][name]), rel=1e-7)
+
+    @pytest.mark.parametrize("command", ["validate-kernel", "analyze", "simulate", "mild-solve", "threshold"])
+    def test_table_defaults_written_out_change_nothing(self, tmp_path, command):
+        # every key with a default, set to the text the key table gives it
+        defaults = "".join(
+            f"{key} = {default}\n" for key, (_, default, _) in _KEYS.items() if isinstance(default, str)
+        )
+        outputs = []
+        for name, text in (("minimal", GREEN_LINES), ("defaults", GREEN_LINES + defaults)):
+            cfg = write_config(tmp_path, f"{name}.cfg", text)
+            out = tmp_path / name
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] and outputs[0] == outputs[1]
+
     @pytest.mark.parametrize(
         "command, line",
         [("analyze", "analysis.M = 1"), ("threshold", "analysis.M_lo = 0\nanalysis.M_hi = 5")],
@@ -457,8 +496,10 @@ class TestUsageErrors:
             # dense path do not; a Gaussian kernel has no dense path
             ("analyze", "kernel.variant = tabulated\nkernel.csv = {table}\ngrid.n = 16\n", 10**3),
             ("threshold", "kernel.variant = tabulated\nkernel.csv = {table}\ngrid.n = 16\n", 10**3),
+            # a grid of 10^12 cells, refused before its first array
+            ("analyze", GREEN_LINES.replace("64", "1000000000000"), None),
         ],
-        ids=["mild-solve", "analyze", "analyze-dense-path", "threshold-dense-path"],
+        ids=["mild-solve", "analyze", "analyze-dense-path", "threshold-dense-path", "analyze-grid"],
     )
     def test_oversized_arrays_are_refused(self, tmp_path, capsys, monkeypatch, command, text, limit):
         table = tmp_path / "kernel.csv"

@@ -23,6 +23,12 @@ class TestGrid1D:
         with pytest.raises(InvalidParameterError):
             Grid1D(n)
 
+    @pytest.mark.parametrize("n", [10**8 + 1, 10**12])
+    def test_rejects_grids_no_array_may_hold(self, n):
+        # refused before any array of n values is allocated
+        with pytest.raises(InvalidParameterError, match="the limit is 1e\\+08"):
+            Grid1D(n)
+
     def test_accepts_numpy_integer_count(self):
         grid = Grid1D(np.int64(64))
         assert type(grid.n) is int and grid == Grid1D(64)
@@ -81,6 +87,18 @@ class TestCalculus:
         lhs = grid.h * np.sum(divergence(gm, grid) * fm, axis=0)
         rhs = -grid.h * np.sum(gm * gradient(fm, grid), axis=0)
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
+
+    def test_summation_by_parts_reads_boundary_faces_as_zero_flux(self, rng):
+        # -divergence is the adjoint of gradient for every face array: the Neumann
+        # condition ignores whatever the two boundary faces hold
+        grid = Grid1D(64)
+        fm = rng.standard_normal((64, 3))
+        gm = rng.standard_normal((65, 3))
+        assert np.all(gm[[0, -1]] != 0.0)
+        lhs = grid.h * np.sum(divergence(gm, grid) * fm, axis=0)
+        rhs = -grid.h * np.sum(gm * gradient(fm, grid), axis=0)
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(divergence(gm[:, 0], grid), divergence(gm, grid)[:, 0])
 
 
 class TestSpectralBasis:
