@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitFailureError, InvalidBracketError, InvalidParameterError
-from .grid import check_count
+from .grid import check_count, check_real
 from .kernel import KernelMatrices
 from .solver import Trajectory, evolve, picard_mild_solve
 from .spectral import LAMBDA_1, VERDICT_STABLE, assemble_linearized, principal_eigenpair
@@ -93,8 +93,7 @@ def threshold_bisect(
     """
     if not (0 <= mass_lo < mass_hi):  # written so that NaN fails too
         raise InvalidParameterError("need 0 <= M_lo < M_hi")
-    if not 0 < tol_mass < math.inf:
-        raise InvalidParameterError("tol_M must be positive and finite")
+    check_real(tol_mass, "tol_M", 0, strict=True)
     family = assemble_linearized(km)  # the mass-independent parts of S(M), built once
 
     def eig(mass):
@@ -142,8 +141,7 @@ def basin_probe(
     Only ever reports a lower bound: if every tested amplitude decays the
     result is flagged open above.
     """
-    if not 0 < amplitude_hi < math.inf:
-        raise InvalidParameterError("need a finite amplitude_hi > 0")
+    check_real(amplitude_hi, "amplitude_hi", 0, strict=True)
     steps = check_count(steps, "the bisection step count", 1)
     report = stability_verdict(km, mass_level)
     if report.verdict != VERDICT_STABLE:

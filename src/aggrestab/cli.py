@@ -134,6 +134,21 @@ _VARIANT_KEYS = {
 }
 
 
+def _parse(name, raw, key):
+    """raw parsed and bounded as `_KEYS` says for key, with name in every message."""
+    parse, _, bound = _KEYS[key]
+    if raw is _REQUIRED:
+        raise ConfigError(f"missing required key {name}")
+    value = raw if raw is None or parse is str else parse(name, raw)
+    if value is None or bound is None:
+        return value
+    if bound == _POSITIVE and value <= 0:
+        raise ConfigError(f"{name}: must be positive, got {value}")
+    if bound != _POSITIVE and value < bound:
+        raise ConfigError(f"{name}: must be >= {bound}, got {value}")
+    return value
+
+
 def _fmt(x) -> str:
     """Locale-independent numeric formatting, 17 significant digits."""
     return format(float(x), ".17g")
@@ -170,23 +185,12 @@ class RunConfig:
         return cls(pairs)
 
     def __getitem__(self, key):
-        parse, default, bound = _KEYS[key]
-        raw = self.pairs.get(key, default)
-        if raw is _REQUIRED:
-            raise ConfigError(f"missing required key {key}")
-        value = raw if raw is None or parse is str else parse(key, raw)
-        if value is None or bound is None:
-            return value
-        if bound == _POSITIVE and value <= 0:
-            raise ConfigError(f"{key}: must be positive, got {value}")
-        if bound != _POSITIVE and value < bound:
-            raise ConfigError(f"{key}: must be >= {bound}, got {value}")
-        return value
+        return _parse(key, self.pairs.get(key, _KEYS[key][1]), key)
 
     @property
     def seed(self) -> int:
         env = os.environ.get("AGGRESTAB_SEED")
-        return self["seed"] if env is None else _integer("AGGRESTAB_SEED", env)
+        return self["seed"] if env is None else _parse("AGGRESTAB_SEED", env, "seed")
 
     def grid(self) -> Grid1D:
         return Grid1D(self["grid.n"])

@@ -13,6 +13,7 @@ Laplacian.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,14 +67,23 @@ def check_count(value, what: str, least: int) -> int:
     return count
 
 
+def check_real(value, what: str, low: float, strict: bool = False, finite: bool = True):
+    """value, refused unless it is above low (strict) or at least low, and below inf
+    unless not finite; each comparison is written so that NaN fails it."""
+    if (value > low if strict else value >= low) and (value < math.inf or not finite):
+        return value
+    words = ("positive" if strict else "nonnegative") + (" and finite" if finite else "")
+    interval = f"in {'(' if strict else '['}{low:g}, inf{')' if finite else ']'}"
+    raise InvalidParameterError(f"{what} must be {words if low == 0 else interval}, got {value}")
+
+
 def lp_norm(v, p: float, grid: Grid1D) -> float:
     """L^p norm with weight h per entry; p = inf gives the max norm.
 
     Takes cell values (midpoint quadrature over cells) or face values (weight h
     per face) on the grid.
     """
-    if not p >= 1:  # written so that NaN fails too
-        raise InvalidParameterError(f"p must be in [1, inf], got {p}")
+    check_real(p, "p", 1, finite=False)
     v = np.abs(np.asarray(v, dtype=float))
     if np.isinf(p):
         return float(v.max(initial=0.0))

@@ -16,9 +16,9 @@ take values along axis 0, of shape (n,) or (n, m) (n + 1 rows for face
 values), as `grid`'s operators do, and return arrays. Each kernel acts by its
 structure, and only a table by a dense product:
 
-- Green: `apply` by the symbols, O(n log n), and `apply_grad` by two
-  decaying scans (`_DecayScan`), O(n), as the gradient is separable on each
-  side of the diagonal.
+- Green: `apply` and `apply_grad_adjoint` by the symbols, O(n log n), and
+  `apply_grad` by two decaying scans (`_DecayScan`), O(n), as the gradient
+  is separable on each side of the diagonal.
 - Gaussian and power law: K and grad K depend on x - y alone, so their
   samples are Toeplitz matrices of 2n offsets, and each action is one
   zero-padded real FFT (`_Toeplitz`), O(n log n) per column.
@@ -51,7 +51,7 @@ from .errors import (
     KernelLoadError,
     SingularityError,
 )
-from .grid import MAX_STORED_VALUES, Grid1D, _along_axis0, _rows
+from .grid import MAX_STORED_VALUES, Grid1D, _along_axis0, _rows, check_real, divergence
 
 # the two Green variants are one family: green_closed_form is a = 1
 _GREEN = ("green_closed_form", "green_series")
@@ -99,22 +99,20 @@ class KernelSpec:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise InvalidParameterError(f"unknown kernel variant {self.variant!r}")
-        for name in ("sigma", "alpha", "delta", "scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"kernel {name} must be finite")
-        if self.variant in _GREEN and not 0 < self.a < math.inf:
-            raise InvalidParameterError("the Green kernel requires a finite a > 0")
-        # the Green kernel is about 1/a as a -> 0, computed unscaled, then scaled
-        if self.variant in _GREEN and math.isinf(max(1.0, abs(self.scale)) / self.a):
-            raise InvalidParameterError(
-                f"the Green kernel at a = {self.a:g}, scale = {self.scale:g} has values "
-                "beyond the largest double"
-            )
-        if self.variant == "gaussian" and self.sigma <= 0:
-            raise InvalidParameterError("gaussian requires sigma > 0")
+        check_real(self.scale, "kernel scale", -math.inf, strict=True)
+        if self.variant in _GREEN:
+            check_real(self.a, "Green a", 0, strict=True)
+            # the Green kernel is about 1/a as a -> 0, computed unscaled, then scaled
+            if math.isinf(max(1.0, abs(self.scale)) / self.a):
+                raise InvalidParameterError(
+                    f"the Green kernel at a = {self.a:g}, scale = {self.scale:g} has values "
+                    "beyond the largest double"
+                )
+        if self.variant == "gaussian":
+            check_real(self.sigma, "gaussian sigma", 0, strict=True)
         if self.variant == "power_law_gradient":
-            if self.alpha <= 0 or self.delta < 0:
-                raise InvalidParameterError("power law requires alpha > 0 and delta >= 0")
+            check_real(self.alpha, "power-law alpha", 0, strict=True)
+            check_real(self.delta, "power-law delta", 0)
             if self.delta == 0 and self.alpha >= 1:
                 raise InvalidParameterError(
                     "power law with delta = 0 needs alpha < 1 (gradient not integrable)"
@@ -163,13 +161,14 @@ class KernelSpec:
 class KernelMatrices:
     """Kernel on a grid: values at center pairs, x-gradient at (face, center).
 
-    A Green kernel carries `symbols` = (sigma, t), k = 0..n-1: h K w_k =
-    sigma_k w_k at the centers and h dK/dx w_k = t_k sqrt(2) sin(k pi x) at the
-    faces, so the singular values of u -> grad K(u) are |t_k|. Other kernels
-    have `symbols = None`. The Green `apply_grad` reads `green_scan`, O(n)
-    weights; a Gaussian or power-law kernel acts by `grad_toeplitz` and
-    `value_toeplitz`, O(n) offsets. The dense samples `k_centers` and
-    `gradk_faces` are taken when first read, which only a table's actions do.
+    A Green kernel carries `symbols` = (sigma, t, e), k = 0..n-1: h K w_k =
+    sigma_k w_k at the centers and h dK/dx w_k = t_k sqrt(2) sin(k pi x) =
+    `gradient`(e_k w_k) at the faces, so u -> grad K(u) has singular values
+    |t_k|. Other kernels have `symbols = None`. The Green `apply_grad` reads
+    `green_scan`, O(n) weights; a Gaussian or power-law kernel acts by
+    `grad_toeplitz` and `value_toeplitz`, O(n) offsets. The dense samples
+    `k_centers` and `gradk_faces` are taken when first read, which only a
+    table's actions do.
     """
 
     def __init__(self, spec: KernelSpec, grid: Grid1D):
@@ -286,12 +285,12 @@ def _green_dx(a, x, y, dist=None):
 
 
 def _green_symbols(spec: KernelSpec, grid: Grid1D) -> tuple:
-    """Exact (sigma_k, t_k) of the Green kernel on the grid, k = 0..n-1.
+    """Exact (sigma_k, t_k, e_k) of the Green kernel on the grid, k = 0..n-1.
 
     With s = sqrt(a), c = s h / 2 and theta_k = k pi h / 2, the aliased mode
     sums are sigma_k = sinh(2c) / (4 n s (sinh^2 c + sin^2 theta_k)) and
-    t_k = -(h/2) sin(theta_k) cosh(c) / (sinh^2 c + sin^2 theta_k); both are
-    computed divided through by cosh^2 c, which cannot overflow.
+    t_k = -(h/2) sin(theta_k) cosh(c) / (sinh^2 c + sin^2 theta_k); they and
+    e_k = -h t_k / (2 sin theta_k) are divided through by cosh^2 c: no overflow.
     """
     s, h = math.sqrt(spec.a), grid.h
     c = 0.5 * s * h
@@ -302,7 +301,8 @@ def _green_symbols(spec: KernelSpec, grid: Grid1D) -> tuple:
     # tanh^2 c alone underflows for a tiny a
     sigma = np.concatenate(([h / (2.0 * s * math.tanh(c))], h * math.tanh(c) / (2.0 * s) / denom))
     t = np.concatenate(([0.0], -0.5 * h * sech * sin_theta / denom))
-    return spec.scale * sigma, spec.scale * t
+    e = np.concatenate(([0.0], 0.25 * h * h * sech / denom))
+    return spec.scale * sigma, spec.scale * t, spec.scale * e
 
 
 def _power_law_value(spec, r):
@@ -454,14 +454,17 @@ def apply_grad(km: KernelMatrices, u) -> np.ndarray:
 def apply_grad_adjoint(km: KernelMatrices, v) -> np.ndarray:
     """The adjoint of `apply_grad`, face values to cell values along axis 0.
 
-    A Toeplitz FFT for a Gaussian or power-law kernel, the dense product
-    otherwise; a Green kernel's operator norm and eigenpair read its symbols
-    instead.
+    A Toeplitz FFT for a Gaussian or power-law kernel and the dense product
+    for a table. A Green `apply_grad` is `gradient` after the symbol e, so its
+    adjoint is e after -`divergence`, the adjoint of `gradient`: O(n log n).
     """
     v = _rows(v, km.grid.n + 1, "face array")
     if km.spec.variant in _TOEPLITZ:
         return km.grid.h * km.grad_toeplitz.adjoint(v)
-    return km.grid.h * (km.gradk_faces.T @ v)
+    if km.symbols is None:
+        return km.grid.h * (km.gradk_faces.T @ v)
+    basis, e = km.grid.basis, _along_axis0(km.symbols[2], v.ndim)
+    return -basis.from_spectral(e * basis.to_spectral(divergence(v, km.grid)))
 
 
 def _scaled_norm(values: np.ndarray, weights=1.0) -> float:
@@ -666,8 +669,7 @@ def _norm_ladder(spec: KernelSpec, q_primes, levels=None) -> dict:
     trend that is not there.
     """
     for q in q_primes:
-        if not q >= 1:  # written so that NaN fails too
-            raise InvalidParameterError(f"q' must be in [1, inf], got {q}")
+        check_real(q, "q'", 1, finite=False)
     if spec.variant == "tabulated":  # the table is its only level
         levels = (spec.table_values.shape[0],)
     elif levels is None:
@@ -746,8 +748,7 @@ def validate_assumptions(
     mixed gradient norms, and the value-symmetry defect. One sweep of the
     refinement ladder gives both the q_primes estimates and the classification.
     """
-    if not 0 < tol < math.inf:  # written so that NaN fails too
-        raise InvalidParameterError("tol must be positive and finite")
+    check_real(tol, "tol", 0, strict=True)
     neumann = _boundary_residual(km)
     mean_grad = float(np.max(np.abs(apply_grad(km, np.ones(km.grid.n))[1:-1]), initial=0.0))
     ladder = _norm_ladder(km.spec, (*q_primes, *CLASSIFY_QPRIMES))
@@ -766,16 +767,16 @@ def validate_assumptions(
     )
 
 
-def save_tabulated_csv(path, grid: Grid1D, km: KernelMatrices):
-    """Write kernel samples as x,y,k,gradk rows (one of k/gradk per row)."""
+def save_tabulated_csv(path, km: KernelMatrices):
+    """Write the kernel's samples on its grid as x,y,k,gradk rows (one of k/gradk per row)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "k", "gradk"])
-        for i, x in enumerate(grid.centers):
-            for j, y in enumerate(grid.centers):
+        for i, x in enumerate(km.grid.centers):
+            for j, y in enumerate(km.grid.centers):
                 writer.writerow([repr(float(x)), repr(float(y)), repr(float(km.k_centers[i, j])), ""])
-        for f, x in enumerate(grid.faces):
-            for j, y in enumerate(grid.centers):
+        for f, x in enumerate(km.grid.faces):
+            for j, y in enumerate(km.grid.centers):
                 writer.writerow([repr(float(x)), repr(float(y)), "", repr(float(km.gradk_faces[f, j]))])
 
 

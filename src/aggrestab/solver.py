@@ -38,7 +38,7 @@ from .errors import (
     RejectedStepError,
     SchemeFailureError,
 )
-from .grid import MAX_STORED_VALUES, Grid1D, check_count, divergence, gradient, lp_norm
+from .grid import MAX_STORED_VALUES, Grid1D, check_count, check_real, divergence, gradient, lp_norm
 from .kernel import KernelMatrices, apply_grad
 from .spectral import LAMBDA_1
 
@@ -241,14 +241,11 @@ def evolve(
     """
     if mode not in MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    # the comparisons are written so that NaN fails them
-    if not t_end > 0:
-        raise InvalidParameterError("t_end must be positive")
-    if dt is not None and not 0 < dt < math.inf:
-        raise InvalidParameterError("dt must be positive and finite")
+    check_real(t_end, "t_end", 0, strict=True)
+    if dt is not None:
+        check_real(dt, "dt", 0, strict=True)
     output_stride = check_count(output_stride, "the output stride", 1)
-    if not mass_level >= 0:
-        raise InvalidParameterError("mass level M must be nonnegative")
+    check_real(mass_level, "mass level M", 0)
     grid = km.grid
     u = check_datum(u0, grid.n)
     mass0 = grid.h * float(u.sum())
@@ -304,8 +301,7 @@ def evolve(
 
 def heat_semigroup(u, grid: Grid1D, t: float) -> np.ndarray:
     """Neumann heat propagator, exact on the discrete cosine basis."""
-    if not 0 <= t < math.inf:  # written so that NaN fails too
-        raise InvalidParameterError(f"semigroup time must be nonnegative and finite, got {t}")
+    check_real(t, "semigroup time", 0)
     basis = grid.basis
     return basis.from_spectral(basis.to_spectral(u) * np.exp(-basis.eigenvalues_discrete * t))
 
@@ -368,14 +364,9 @@ def existence_time(u0, grid: Grid1D, grad_norm: float, q_prime: float, c_emp: fl
     The returned T solves the corresponding equality.
     """
     u0 = check_datum(u0, grid.n)
-    # each comparison is written so that NaN fails it
-    if not c_emp > 0:
-        raise InvalidParameterError("empirical constant must be positive")
-    if not q_prime >= 1:
-        raise InvalidParameterError("q' must be in [1, inf]")
-    if not grad_norm >= 0:
-        raise InvalidParameterError("gradient kernel norm must be nonnegative")
-    if grad_norm == math.inf:
+    check_real(c_emp, "empirical constant", 0, strict=True)
+    check_real(q_prime, "q'", 1, finite=False)
+    if check_real(grad_norm, "gradient kernel norm", 0, finite=False) == math.inf:
         raise NoExistenceTimeError("gradient kernel norm estimate is infinite")
     if grad_norm == 0:
         return math.inf
@@ -413,12 +404,11 @@ def picard_mild_solve(
     gradient-semigroup bound never enters the quadrature.
     """
     u0 = check_datum(u0, km.grid.n)
-    if not 0 < horizon < math.inf:  # written so that NaN fails too
-        raise InvalidParameterError(f"horizon T must be positive and finite, got {horizon}")
+    check_real(horizon, "horizon T", 0, strict=True)
     n_time = check_count(n_time, "the time interval count n_time", 2)
     max_iter = check_count(max_iter, "the sweep count max_iter", 1)
-    if not (tol >= 0 and q_prime >= 1):  # written so that NaN fails too
-        raise InvalidParameterError(f"need tol >= 0 and q' in [1, inf], got {tol} and {q_prime}")
+    check_real(tol, "tol", 0, finite=False)
+    check_real(q_prime, "q'", 1, finite=False)
     if km.grid.n * (n_time + 1) > MAX_STORED_VALUES:
         raise InvalidParameterError(
             f"the (n, n_time + 1) states hold {km.grid.n * (n_time + 1):.3g} values; "

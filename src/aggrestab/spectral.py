@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedKernelError
 from .eigen import smallest_eigenpair
-from .grid import MAX_STORED_VALUES, divergence, gradient
+from .grid import MAX_STORED_VALUES, check_real, divergence, gradient
 from .kernel import KernelMatrices, apply, apply_grad, apply_grad_adjoint, l2_operator_norm
 
 LAMBDA_1 = math.pi**2
@@ -148,14 +148,9 @@ def assemble_linearized(km: KernelMatrices) -> LinearizedFamily:
     return LinearizedFamily(km)
 
 
-def _check_mass(mass: float):
-    if not 0 <= mass < math.inf:  # written so that NaN fails too
-        raise InvalidParameterError(f"mass level M must be nonnegative and finite, got {mass}")
-
-
 def bilinear_form(km: KernelMatrices, mass_level: float, phi, psi) -> float:
     """Energy form J(phi, psi) at level M of cell values over interior faces."""
-    _check_mass(mass_level)
+    check_real(mass_level, "mass level M", 0)
     if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
         raise InvalidParameterError("phi and psi must be finite")
     grid = km.grid
@@ -203,7 +198,7 @@ def principal_eigenpair(family: LinearizedFamily, mass_level: float):
     mode) with the mode normalized to unit L2 norm; the weak eigenrelation
     residual in the full space is verified before returning.
     """
-    _check_mass(mass_level)
+    check_real(mass_level, "mass level M", 0)
     km, grid = family.km, family.grid
     if km.symbols is not None:  # S(M) is diagonal in the modes
         lap, drift = family.reduced

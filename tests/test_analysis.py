@@ -24,6 +24,7 @@ from aggrestab import (
     picard_mild_solve,
     principal_eigenpair,
     stability_verdict,
+    step_imex,
     threshold_bisect,
     validate_assumptions,
 )
@@ -297,7 +298,17 @@ NON_FINITE = {
     "fit-rate-unknown-norm": lambda: fit_rate(
         evolve(np.ones(32), _green_km(32), "nonlinear", t_end=0.1), "l3"
     ),
+    "existence-c_emp-inf": lambda: existence_time(np.ones(32), Grid1D(32), 1.0, 2.0, math.inf),
 }
+# an infinite mass level in every mode, from a datum the mode accepts
+for _mode in ("nonlinear", "perturbed", "linearized"):
+    _u0 = np.ones(32) if _mode == "nonlinear" else 0.1 * Grid1D(32).basis.mode(1)
+    NON_FINITE[f"evolve-{_mode}-M-inf"] = lambda m=_mode, u=_u0: evolve(
+        u, _green_km(32), m, math.inf
+    )
+    NON_FINITE[f"step-imex-{_mode}-M-inf"] = lambda m=_mode, u=_u0: step_imex(
+        u, 1e-3, m, math.inf, _green_km(32)
+    )
 
 
 @pytest.mark.parametrize("call", NON_FINITE.values(), ids=NON_FINITE.keys())

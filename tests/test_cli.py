@@ -78,6 +78,15 @@ class TestRunConfig:
         monkeypatch.setenv("AGGRESTAB_SEED", "11")
         assert config.seed == 11
 
+    @pytest.mark.parametrize("initial", ["random_zero_mean:0.1,", "constant:0.0"])
+    def test_seed_env_is_bounded_as_the_seed_key(self, tmp_path, capsys, monkeypatch, initial):
+        # with or without a datum that reads the run seed
+        lines = "kernel.variant = green_closed_form\ngrid.n = 32\nsim.mode = perturbed\n"
+        cfg = write_config(tmp_path, "c.cfg", lines + f"sim.initial = {initial}\n")
+        monkeypatch.setenv("AGGRESTAB_SEED", "-1")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert "AGGRESTAB_SEED: must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_validate_kernel_green_passes(self, tmp_path):
@@ -297,7 +306,7 @@ class TestCommands:
     def test_simulate_non_finite_tabulated_kernel_is_unusable(self, tmp_path):
         grid = Grid1D(16)
         table = tmp_path / "kernel.csv"
-        save_tabulated_csv(table, grid, assemble(KernelSpec.green_closed_form(), grid))
+        save_tabulated_csv(table, assemble(KernelSpec.green_closed_form(), grid))
         lines = table.read_text().splitlines()
         row = 1 + grid.n * grid.n + grid.n  # gradient at the first interior face
         x, y, k, gradk = lines[row].split(",")
@@ -409,7 +418,7 @@ class TestCommands:
     def test_tabulated_kernel_is_scaled(self, tmp_path):
         grid = Grid1D(16)
         table = tmp_path / "kernel.csv"
-        save_tabulated_csv(table, grid, assemble(KernelSpec.gaussian(0.1), grid))
+        save_tabulated_csv(table, assemble(KernelSpec.gaussian(0.1), grid))
         reports = {}
         for scale in ("1", "2"):
             text = f"kernel.variant = tabulated\nkernel.csv = {table}\ngrid.n = 16\n"
@@ -445,7 +454,7 @@ class TestCommands:
         values[0, 1] = 1.0
         spec = KernelSpec.tabulated(values, np.zeros((17, 16)))
         table = tmp_path / "kernel.csv"
-        save_tabulated_csv(table, grid, assemble(spec, grid))
+        save_tabulated_csv(table, assemble(spec, grid))
         cfg = write_config(
             tmp_path,
             "c.cfg",
@@ -503,7 +512,7 @@ class TestUsageErrors:
     )
     def test_oversized_arrays_are_refused(self, tmp_path, capsys, monkeypatch, command, text, limit):
         table = tmp_path / "kernel.csv"
-        save_tabulated_csv(table, Grid1D(16), assemble(KernelSpec.gaussian(0.1), Grid1D(16)))
+        save_tabulated_csv(table, assemble(KernelSpec.gaussian(0.1), Grid1D(16)))
         if limit is not None:
             monkeypatch.setattr(spectral, "MAX_STORED_VALUES", limit)
         cfg = write_config(tmp_path, "c.cfg", text.format(table=table))

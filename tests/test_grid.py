@@ -5,6 +5,7 @@ import pytest
 
 from aggrestab import Grid1D, SpectralBasis, divergence, gradient, lp_norm
 from aggrestab.errors import InvalidParameterError
+from aggrestab.grid import check_real
 
 
 class TestGrid1D:
@@ -33,6 +34,51 @@ class TestGrid1D:
         grid = Grid1D(np.int64(64))
         assert type(grid.n) is int and grid == Grid1D(64)
         assert grid.centers.shape == (64,) and grid.faces.shape == (65,)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize(
+        "value, low, strict, finite, accepted",
+        [
+            (0.0, 0, False, True, True),  # low itself, not strict
+            (0.0, 0, True, True, False),  # low itself, strict
+            (-0.0, 0, False, True, True),  # -0.0 == 0
+            (-0.0, 0, True, True, False),
+            (1.0, 1, False, False, True),
+            (1.0, 1, True, False, False),
+            (5e-324, 0, True, True, True),
+            (-5e-324, 0, False, True, False),
+            (math.nan, 0, False, True, False),
+            (math.nan, 0, False, False, False),
+            (math.nan, -math.inf, True, False, False),
+            (math.inf, 0, False, True, False),
+            (math.inf, 0, True, False, True),
+            (math.inf, 1, False, False, True),
+            (-math.inf, 0, False, False, False),
+            (-math.inf, -math.inf, True, False, False),
+            (-math.inf, -math.inf, False, True, True),
+        ],
+    )
+    def test_boundaries(self, value, low, strict, finite, accepted):
+        if accepted:
+            assert check_real(value, "x", low, strict, finite) is value
+        else:
+            with pytest.raises(InvalidParameterError, match="x must be"):
+                check_real(value, "x", low, strict, finite)
+
+    @pytest.mark.parametrize(
+        "low, strict, finite, span",
+        [
+            (0, True, True, "positive and finite"),
+            (0, False, True, "nonnegative and finite"),
+            (0, True, False, "positive"),
+            (1, False, False, r"in \[1, inf\]"),
+            (-math.inf, True, True, r"in \(-inf, inf\)"),
+        ],
+    )
+    def test_message_names_the_range(self, low, strict, finite, span):
+        with pytest.raises(InvalidParameterError, match=f"^x must be {span}, got nan$"):
+            check_real(math.nan, "x", low, strict, finite)
 
 
 class TestNorms:

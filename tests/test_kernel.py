@@ -249,6 +249,28 @@ class TestGreenScan:
             bound = (np.abs(k) @ np.abs(u)).max(axis=0)
             assert (np.abs(got - k @ u).max(axis=0) <= 1e-13 * bound).all()
 
+    @pytest.mark.parametrize("n", [4, 5, 63, 512])
+    @pytest.mark.parametrize("a", [1e-300, 1e-6, 1.0, 3.0, 1e4, 1e8])
+    def test_adjoint_by_symbols_matches_dense_sample(self, a, n, rng):
+        grid = Grid1D(n)
+        faces = [rng.standard_normal(n + 1), rng.standard_normal((n + 1, 2)) * [1e-200, 1e200]]
+        for scale in (1.0, -2.5):
+            km = assemble(KernelSpec.green_series(a, scale), grid)
+            actions = [apply_grad_adjoint(km, v) for v in faces]
+            assert "gradk_faces" not in vars(km)
+            gkt = grid.h * km.gradk_faces.T
+            for v, got in zip(faces, actions):
+                assert got.shape == (n,) + v.shape[1:]
+                bound = (np.abs(gkt) @ np.abs(v)).max(axis=0)
+                assert (np.abs(got - gkt @ v).max(axis=0) <= 1e-13 * bound).all()
+
+    def test_adjoint_costs_no_sample_at_large_n(self):
+        # the dense sample at n = 16384 (2.7e8 values) is over the storage limit
+        km = assemble(KernelSpec.green_series(3.0, scale=-2.0), Grid1D(16384))
+        out = apply_grad_adjoint(km, np.ones(16385))
+        assert "gradk_faces" not in vars(km)
+        assert out.shape == (16384,) and np.isfinite(out).all()
+
     @pytest.mark.parametrize("n", [1, 7, 64])
     @pytest.mark.parametrize("c", [0.0, 0.05, 5.0, 60.0, 1e3])
     def test_scan_matches_direct_sum(self, c, n, rng):
@@ -558,7 +580,7 @@ class TestTabulatedRoundTrip:
         grid = Grid1D(16)
         km = assemble(green, grid)
         path = tmp_path / "kernel.csv"
-        save_tabulated_csv(path, grid, km)
+        save_tabulated_csv(path, km)
         spec = load_tabulated_csv(path, grid)
         back = assemble(spec, grid)
         np.testing.assert_allclose(back.k_centers, km.k_centers, rtol=1e-15)
@@ -567,7 +589,7 @@ class TestTabulatedRoundTrip:
     def test_load_rejects_wrong_grid(self, green, tmp_path):
         grid = Grid1D(16)
         path = tmp_path / "kernel.csv"
-        save_tabulated_csv(path, grid, assemble(green, grid))
+        save_tabulated_csv(path, assemble(green, grid))
         with pytest.raises(KernelLoadError):
             load_tabulated_csv(path, Grid1D(32))
 
