@@ -14,6 +14,7 @@ Laplacian.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,8 +69,10 @@ def check_count(value, what: str, least: int) -> int:
 
 
 def check_real(value, what: str, low: float, strict: bool = False, finite: bool = True):
-    """value, refused unless it is above low (strict) or at least low, and below inf
-    unless not finite; each comparison is written so that NaN fails it."""
+    """value, refused unless it is a real number (bool too, as in check_count) above low
+    (strict) or at least low, and below inf unless not finite; NaN fails each comparison."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{what} must be a real number, got {value!r}")
     if (value > low if strict else value >= low) and (value < math.inf or not finite):
         return value
     words = ("positive" if strict else "nonnegative") + (" and finite" if finite else "")
@@ -118,7 +121,8 @@ class SpectralBasis:
 
     Mode coefficients c_k = h sum_i u_i w_k(x_i) are sqrt(h) times the
     orthonormal DCT-II of u; every change of basis goes through that transform,
-    computed with NumPy's FFT (scipy.fft would load scipy.special, about 5 MB).
+    Makhoul's: one NumPy real FFT and one multiply by a twiddle built here with
+    the scale and c_0's weight (scipy.fft would load scipy.special, about 5 MB).
     The eigenvalues of the three-point discrete Neumann Laplacian are
     (2/h^2)(1 - cos(k pi h)), below the continuum (k pi)^2; time evolution
     uses them, and the stability thresholds the continuum LAMBDA_1 = pi^2.
@@ -129,10 +133,10 @@ class SpectralBasis:
         n = grid.n
         k = np.arange(n)
         self.eigenvalues_discrete = (2.0 / grid.h**2) * (1.0 - np.cos(k * np.pi * grid.h))
-        # the transforms' twiddle factors, functions of pi k / 2n alone
-        angle = (0.5 * np.pi / n) * k
-        self._cos, self._sin = np.cos(angle), np.sin(angle)
-        self._shift = (n / np.sqrt(2.0)) * np.exp(1j * angle[: n // 2 + 1])
+        # e^{-+i pi k / 2n} on the half spectrum, times sqrt(2)/n and n/sqrt(2); c_0's weight at 0
+        turn = np.exp(1j * ((0.5 * np.pi / n) * k[: n // 2 + 1]))
+        self._twiddle, self._shift = (np.sqrt(2.0) / n) * turn.conj(), (n / np.sqrt(2.0)) * turn
+        self._twiddle[0], self._shift[0] = 1.0 / n, n
 
     def mode(self, k: int) -> np.ndarray:
         k = check_count(k, "the mode index", 0)
@@ -145,29 +149,24 @@ class SpectralBasis:
         """Mode coefficients of cell values, along axis 0."""
         u = _rows(u, self.grid.n, "cell array")
         n, half = self.grid.n, self.grid.n // 2 + 1
-        cos, sin = _along_axis0(self._cos, u.ndim), _along_axis0(self._sin, u.ndim)
-        # Makhoul's DCT-II: V = FFT of the even samples followed by the odd ones reversed,
-        # c_k ~ Re(e^{-i pi k / 2n} V_k), and V_k = conj(V_{n-k}) as the samples are real
+        # Makhoul's DCT-II: V = FFT of the even samples followed by the odd ones reversed; with
+        # W = twiddle V, c_k = Re W_k below half and -Im W_{n-k} above, as V_k = conj(V_{n-k})
         spec = np.fft.rfft(np.concatenate((u[::2], u[1::2][::-1])), axis=0)
-        re, im = spec.real, spec.imag
+        spec *= _along_axis0(self._twiddle, u.ndim)
         c = np.empty(u.shape)
-        c[:half] = cos[:half] * re + sin[:half] * im
-        c[half:] = cos[half:] * re[n - half : 0 : -1] - sin[half:] * im[n - half : 0 : -1]
-        c *= np.sqrt(2.0) / n
-        c[0] /= np.sqrt(2.0)
+        c[:half] = spec.real
+        np.negative(spec.imag[n - half : 0 : -1], out=c[half:])
         return c
 
     def from_spectral(self, c) -> np.ndarray:
         """Cell values of mode coefficients, along axis 0."""
         c = _rows(c, self.grid.n, "coefficient array")
         n, half = self.grid.n, self.grid.n // 2 + 1
-        # to_spectral undone: V_k = (n / sqrt 2) e^{i pi k / 2n} (c_k - i c_{n-k}), with c_0
-        # weighted by sqrt 2 and c_n = 0; one inverse real FFT; the sample order restored
-        spec = np.zeros((half,) + c.shape[1:], dtype=complex)
-        spec[1:] = c[: n - half : -1]
-        spec *= -1j
-        spec += c[:half]
-        spec[0] *= np.sqrt(2.0)
+        # to_spectral undone: V_k = shift_k (c_k - i c_{n-k}) with c_n = 0, filled part by
+        # part; one inverse real FFT; the sample order restored
+        spec = np.empty((half,) + c.shape[1:], dtype=complex)
+        spec.real, spec.imag[0] = c[:half], 0.0
+        np.negative(c[: n - half : -1], out=spec.imag[1:])
         spec *= _along_axis0(self._shift, c.ndim)
         v = np.fft.irfft(spec, n, axis=0)
         u = np.empty(c.shape)

@@ -137,7 +137,7 @@ def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> np.ndarray:
 def _transport_flux(u: np.ndarray, mode: str, mass_level: float, km: KernelMatrices):
     """Face flux of the drift term and the advecting velocity used for CFL."""
     v = apply_grad(km, u)
-    v[[0, -1]] = 0.0
+    v[0] = v[-1] = 0.0
     if mode == "linearized":
         return mass_level * v, v
     upwind = np.zeros(km.grid.n + 1)
@@ -444,13 +444,14 @@ def picard_mild_solve(
         return flux
 
     def drift_integrals(states: np.ndarray) -> np.ndarray:
-        """Mode coefficients of the Duhamel drift integral from 0 to each t_j."""
-        d = basis.to_spectral(divergence(face_flux(states), grid))
-        dbar = 0.5 * (d[:, :-1] + d[:, 1:])  # trapezoidal average over each subinterval
-        d[:, 0] = 0.0
+        """Mode coefficients of the Duhamel drift integral from 0 to each t_j, run time-major."""
+        d = basis.to_spectral(divergence(face_flux(states), grid)).T.copy()
+        dbar = gain * (0.5 * (d[:-1] + d[1:]))  # the trapezoidal average over each subinterval
+        d[0] = 0.0
         for j in range(n_time):
-            d[:, j + 1] = decay * d[:, j] + gain * dbar[:, j]
-        return d
+            np.multiply(decay, d[j], out=d[j + 1])
+            d[j + 1] += dbar[j]
+        return d.T
 
     def norm_xt(delta: np.ndarray) -> float:
         """sup_t ||.||_1 + sup_t ||.||_q over the time columns; overwrites delta."""

@@ -299,6 +299,9 @@ NON_FINITE = {
         evolve(np.ones(32), _green_km(32), "nonlinear", t_end=0.1), "l3"
     ),
     "existence-c_emp-inf": lambda: existence_time(np.ones(32), Grid1D(32), 1.0, 2.0, math.inf),
+    # values that are not real numbers
+    "evolve-t_end-str": lambda: evolve(np.ones(32), _green_km(32), "nonlinear", 1.0, "1"),
+    "evolve-M-None": lambda: evolve(np.ones(32), _green_km(32), "nonlinear", mass_level=None),
 }
 # an infinite mass level in every mode, from a datum the mode accepts
 for _mode in ("nonlinear", "perturbed", "linearized"):

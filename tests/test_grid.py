@@ -57,6 +57,12 @@ class TestCheckReal:
             (-math.inf, 0, False, False, False),
             (-math.inf, -math.inf, True, False, False),
             (-math.inf, -math.inf, False, True, True),
+            # what is not a real number is refused; bool is an integer, as to check_count
+            ("1", 0, False, True, False),
+            (None, 0, False, True, False),
+            (1j, 0, False, False, False),
+            (True, 0, True, True, True),
+            (np.float32(0.5), 0, True, True, True),
         ],
     )
     def test_boundaries(self, value, low, strict, finite, accepted):
@@ -194,6 +200,20 @@ def _dense_modes(grid):
     return modes
 
 
+def _laid_out(a, layout):
+    """The values of a in C order, in F order (the transpose of a C copy of a.T), or in a
+    view with negative strides."""
+    if layout == "F":
+        laid = a.T.copy().T
+        assert laid.flags.f_contiguous and not laid.flags.c_contiguous
+        return laid
+    if layout == "reversed":
+        laid = a[::-1].copy()[::-1]
+        assert laid.strides[0] < 0
+        return laid
+    return a
+
+
 class TestCosineTransform:
     @pytest.mark.parametrize("n", [4, 37, 100, 256])
     def test_modes_equal_dense_columns(self, n):
@@ -202,15 +222,21 @@ class TestCosineTransform:
         for k in range(n):
             assert np.array_equal(basis.mode(k), modes[:, k])
 
-    @pytest.mark.parametrize("n", [37, 64])
-    @pytest.mark.parametrize("columns", [(), (5,)], ids=["1d", "2d"])
-    def test_transforms_match_dense_cosine_sums(self, n, columns, rng):
+    # picard_mild_solve hands from_spectral the F-ordered transpose of a time-major array
+    @pytest.mark.parametrize("n", [5, 37, 64, 255])
+    @pytest.mark.parametrize(
+        "columns, layout",
+        [((), "C"), ((5,), "C"), ((5,), "F"), ((), "reversed"), ((5,), "reversed")],
+        ids=["1d", "2d", "2d-F", "1d-reversed", "2d-reversed"],
+    )
+    def test_transforms_match_dense_cosine_sums(self, n, columns, layout, rng):
         grid = Grid1D(n)
         basis, modes = SpectralBasis(grid), _dense_modes(grid)
-        u = rng.standard_normal((n, *columns))
+        u = _laid_out(rng.standard_normal((n, *columns)), layout)
         c = basis.to_spectral(u)
         assert c.shape == u.shape
         np.testing.assert_allclose(c, grid.h * modes.T @ u, rtol=0, atol=1e-13)
+        c = _laid_out(c, layout)
         np.testing.assert_allclose(basis.from_spectral(c), modes @ c, rtol=0, atol=1e-12)
         np.testing.assert_allclose(basis.from_spectral(c), u, rtol=0, atol=1e-12)
 

@@ -11,6 +11,7 @@ from aggrestab import (
     assemble,
     auto_dt,
     cross_validate,
+    divergence,
     evolve,
     existence_time,
     heat_semigroup,
@@ -283,6 +284,23 @@ class TestEvolve:
             evolve(u0, km, "nonlinear", mass_level=30.0, t_end=0.5)
 
 
+def _count_calls(monkeypatch) -> dict:
+    """The solver's kernel actions and transforms, counted by name from here on."""
+    calls = {"apply_grad": 0, "to_spectral": 0, "from_spectral": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "apply_grad", counted("apply_grad", solver.apply_grad))
+    for name in ("to_spectral", "from_spectral"):
+        monkeypatch.setattr(SpectralBasis, name, counted(name, getattr(SpectralBasis, name)))
+    return calls
+
+
 class TestCarriedCoefficients:
     """evolve carries the mode coefficients from step to step; step_imex starts from cell values."""
 
@@ -322,18 +340,7 @@ class TestCarriedCoefficients:
         assert np.abs(traj.snapshots - states).max() <= 1e-13 * np.abs(states).max()
 
     def test_step_work_budget(self, green, monkeypatch):
-        calls = {"apply_grad": 0, "to_spectral": 0, "from_spectral": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        monkeypatch.setattr(solver, "apply_grad", counted("apply_grad", solver.apply_grad))
-        for name in ("to_spectral", "from_spectral"):
-            monkeypatch.setattr(SpectralBasis, name, counted(name, getattr(SpectralBasis, name)))
+        calls = _count_calls(monkeypatch)
         km = assemble(green, Grid1D(64))
         u0 = initial_field("constant_plus_mode:8,0.08,1", km.grid)
         steps = len(evolve(u0, km, "nonlinear", mass_level=8.0, t_end=0.1).times) - 1
@@ -515,6 +522,41 @@ class TestPicardMildSolve:
         # (128, 10^7 + 1) states: refused before they are allocated
         with pytest.raises(InvalidParameterError, match="limit"):
             picard_mild_solve(u0, km128, 1.0, n_time=10**7)
+
+    def test_recurrence_matches_the_column_loop(self, green):
+        # the drift recurrence runs on time-major rows with the column loop's arithmetic
+        km = assemble(green, Grid1D(16))
+        basis, lam, horizon, n_time = km.grid.basis, km.grid.basis.eigenvalues_discrete, 0.1, 8
+        u0 = initial_field("constant_plus_mode:1,0.5,1", km.grid)
+        diag = picard_mild_solve(u0, km, horizon, n_time=n_time)
+        dt = horizon / n_time
+        decay = np.exp(-lam * dt)
+        gain = np.empty_like(lam)
+        gain[0] = dt
+        gain[1:] = (1.0 - decay[1:]) / lam[1:]
+        c0 = basis.to_spectral(u0)
+        free = basis.from_spectral(c0[:, None] * np.exp(-np.outer(lam, dt * np.arange(n_time + 1))))
+        states = free.copy()
+        for _ in diag.picard_distances:
+            flux = kernel.apply_grad(km, states)
+            flux[1:-1] *= 0.5 * (states[:-1] + states[1:])
+            d = basis.to_spectral(divergence(flux, km.grid))
+            dbar = 0.5 * (d[:, :-1] + d[:, 1:])
+            d[:, 0] = 0.0
+            for j in range(n_time):
+                d[:, j + 1] = decay * d[:, j] + gain * dbar[:, j]
+            states = free - basis.from_spectral(d)
+        assert len(diag.picard_distances) > 2
+        assert np.array_equal(diag.trajectory.snapshots, states.T)
+
+    def test_sweep_work_budget(self, green, monkeypatch):
+        calls = _count_calls(monkeypatch)
+        km = assemble(green, Grid1D(64))
+        u0 = initial_field("constant_plus_mode:1,0.5,1", km.grid)
+        sweeps = len(picard_mild_solve(u0, km, 0.1, n_time=16).picard_distances)
+        assert sweeps > 2
+        # one kernel action and one transform pair a sweep, and the free solution's pair
+        assert calls == {"apply_grad": sweeps, "to_spectral": 1 + sweeps, "from_spectral": 1 + sweeps}
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan])
     def test_non_finite_horizon_is_refused(self, km128, horizon):
