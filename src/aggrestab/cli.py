@@ -53,6 +53,8 @@ _REMOVED_KEYS = {
     "kernel.normalization": "kernel.normalization was removed: kernel.scale multiplies every "
     "kernel, the Gaussian too",
 }
+# the flag spellings a config may use, in any case
+_FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _number(key, raw) -> float:
@@ -80,7 +82,9 @@ def _numbers(key, raw) -> tuple:
 
 
 def _flag(key, raw) -> bool:
-    return raw.lower() in ("true", "1", "yes")
+    if (flag := _FLAGS.get(raw.lower())) is None:
+        raise ConfigError(f"{key}: not a flag (true/false, 1/0 or yes/no): {raw!r}")
+    return flag
 
 
 def _step(key, raw):
@@ -125,12 +129,14 @@ _KEYS = {
     "output.dir": (str, ".", None),
     "seed": (_integer, "0", 0),
 }
-# the kernel.* keys each built-in variant reads, by KernelSpec field
+# the kernel.* keys each variant reads besides kernel.variant and kernel.scale, a
+# built-in variant's by KernelSpec field; any other kernel.* key is refused
 _VARIANT_KEYS = {
     "green_closed_form": (),
     "green_series": ("a",),
     "gaussian": ("sigma",),
     "power_law_gradient": ("alpha", "delta"),
+    "tabulated": ("csv",),
 }
 
 
@@ -198,13 +204,16 @@ class RunConfig:
     def kernel(self) -> KernelMatrices:
         """The kernel of the kernel.* keys, assembled on the grid of grid.n."""
         variant, scale = self["kernel.variant"], self["kernel.scale"]
+        if variant not in _VARIANT_KEYS:
+            raise ConfigError(f"unknown kernel.variant {variant!r}")
+        reads = {f"kernel.{name}" for name in ("variant", "scale", *_VARIANT_KEYS[variant])}
+        if unread := {key for key in self.pairs if key.startswith("kernel.")} - reads:
+            raise ConfigError(f"kernel.variant = {variant} reads no {', '.join(sorted(unread))}")
         if variant == "tabulated":
             spec = replace(load_tabulated_csv(self["kernel.csv"], self.grid()), scale=scale)
-        elif variant in _VARIANT_KEYS:
+        else:
             params = {name: self[f"kernel.{name}"] for name in _VARIANT_KEYS[variant]}
             spec = KernelSpec(variant, scale=scale, **params)
-        else:
-            raise ConfigError(f"unknown kernel.variant {variant!r}")
         return assemble(spec, self.grid())
 
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-# the most float values one array may hold (800 MB): larger grids, runs and
-# dense samples are refused before they allocate
+# the most float values one array may hold (800 MB); check_size refuses more
 MAX_STORED_VALUES = 10**8
 
 
@@ -35,9 +34,8 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", check_count(self.n, "the cell count n", 4))
-        if self.n > MAX_STORED_VALUES:
-            raise InvalidParameterError(f"n = {self.n} cells; the limit is {MAX_STORED_VALUES:.0e}")
+        n = check_count(self.n, "the cell count n", 4)
+        object.__setattr__(self, "n", check_size(n, f"a grid of n = {n} cells"))
 
     @property
     def h(self) -> float:
@@ -66,6 +64,14 @@ def check_count(value, what: str, least: int) -> int:
     if count < least:
         raise InvalidParameterError(f"need {what} >= {least}, got {count}")
     return count
+
+
+def check_size(count, what: str):
+    """count, the values that what would hold, refused above MAX_STORED_VALUES (NaN too)."""
+    if count <= MAX_STORED_VALUES:
+        return count
+    limit = f"the limit is {MAX_STORED_VALUES:.0e}"
+    raise InvalidParameterError(f"{what} holds {count:.3g} values; {limit}")
 
 
 def check_real(value, what: str, low: float, strict: bool = False, finite: bool = True):

@@ -51,7 +51,7 @@ from .errors import (
     KernelLoadError,
     SingularityError,
 )
-from .grid import MAX_STORED_VALUES, Grid1D, _along_axis0, _rows, check_real, divergence
+from .grid import Grid1D, _along_axis0, _rows, check_real, check_size, divergence
 
 # the two Green variants are one family: green_closed_form is a = 1
 _GREEN = ("green_closed_form", "green_series")
@@ -102,6 +102,8 @@ class KernelSpec:
         check_real(self.scale, "kernel scale", -math.inf, strict=True)
         if self.variant in _GREEN:
             check_real(self.a, "Green a", 0, strict=True)
+            if self.variant == "green_closed_form" and self.a != 1:
+                raise InvalidParameterError(f"green_closed_form has a = 1, got a = {self.a:g}")
             # the Green kernel is about 1/a as a -> 0, computed unscaled, then scaled
             if math.isinf(max(1.0, abs(self.scale)) / self.a):
                 raise InvalidParameterError(
@@ -378,25 +380,17 @@ class _Toeplitz:
         return self._convolve(v[::-1], self.rows - 1, self.n)[::-1]
 
 
-def _check_sample_size(grid: Grid1D):
-    if (grid.n + 1) * grid.n > MAX_STORED_VALUES:
-        raise InvalidParameterError(
-            f"a dense kernel sample at n = {grid.n} holds {(grid.n + 1) * grid.n:.3g} values; "
-            f"the limit is {MAX_STORED_VALUES:.0e}"
-        )
-
-
 def _values_matrix(spec: KernelSpec, grid: Grid1D) -> np.ndarray:
     if spec.variant == "tabulated":
-        return spec.scale * spec.table_values.copy()
-    _check_sample_size(grid)
+        return spec.scale * spec.table_values
+    check_size((grid.n + 1) * grid.n, f"a dense kernel sample at n = {grid.n}")
     return np.asarray(eval_kernel(spec, grid.centers[:, None], grid.centers[None, :]))
 
 
 def _gradk_matrix(spec: KernelSpec, grid: Grid1D) -> np.ndarray:
     if spec.variant == "tabulated":
-        return spec.scale * spec.table_grad.copy()
-    _check_sample_size(grid)
+        return spec.scale * spec.table_grad
+    check_size((grid.n + 1) * grid.n, f"a dense kernel sample at n = {grid.n}")
     x, y = grid.faces[:, None], grid.centers[None, :]
     if spec.variant in _GREEN:
         # |x_f - y_j| from the index offset: the rounded coordinates are off by
@@ -781,8 +775,8 @@ def save_tabulated_csv(path, km: KernelMatrices):
 
 
 def load_tabulated_csv(path, grid: Grid1D) -> KernelSpec:
-    """Read a tabulated kernel written in the x,y,k,gradk row format."""
-    _check_sample_size(grid)
+    """Read a tabulated kernel written in the x,y,k,gradk row format, one row per cell."""
+    check_size((grid.n + 1) * grid.n, f"a dense kernel sample at n = {grid.n}")
     n, h = grid.n, grid.h
     values = np.full((n, n), np.nan)
     grad = np.full((n + 1, n), np.nan)
@@ -805,14 +799,17 @@ def load_tabulated_csv(path, grid: Grid1D) -> KernelSpec:
                     i = round(x / h - 0.5)
                     if not (0 <= i < n and abs(grid.centers[i] - x) <= 1e-9):
                         raise KernelLoadError(f"{path}: x={x} is not a cell center of n={n}")
-                    values[i, j] = float(row[2])
+                    table, cell, entry = values, (i, j), row[2]
                 elif row[3] != "":
                     f = round(x / h)
                     if not (0 <= f <= n and abs(grid.faces[f] - x) <= 1e-9):
                         raise KernelLoadError(f"{path}: x={x} is not a face of n={n}")
-                    grad[f, j] = float(row[3])
+                    table, cell, entry = grad, (f, j), row[3]
                 else:
                     raise KernelLoadError(f"{path}: row with neither k nor gradk")
+                if not np.isnan(table[cell]):
+                    raise KernelLoadError(f"{path}: repeated entry in row {row!r}")
+                table[cell] = float(entry)
     except OSError as exc:
         raise KernelLoadError(f"{path}: {exc}") from exc
     except ValueError as exc:

@@ -38,7 +38,8 @@ from .errors import (
     RejectedStepError,
     SchemeFailureError,
 )
-from .grid import MAX_STORED_VALUES, Grid1D, check_count, check_real, divergence, gradient, lp_norm
+from .grid import MAX_STORED_VALUES, Grid1D, check_count, check_real, check_size
+from .grid import divergence, gradient, lp_norm
 from .kernel import KernelMatrices, apply_grad
 from .spectral import LAMBDA_1
 
@@ -46,7 +47,7 @@ MODES = ("nonlinear", "perturbed", "linearized")
 
 _DT_EPS = 1e-30  # guards the pure-diffusion case in the CFL formula
 # evolve refuses a run that needs more steps than this, or keeps more state
-# values than MAX_STORED_VALUES; the longest default basin_probe horizon
+# values than check_size allows; the longest default basin_probe horizon
 # (t_end = 1000 at the automatic step cap h/2) is 2000 n steps
 _MAX_STEPS = 10**8
 
@@ -256,12 +257,10 @@ def evolve(
     auto = dt is None
     # an automatic run takes at least the steps of its cap h/2; a set dt, exactly its own
     steps = t_end / (0.5 * grid.h if auto else dt)
-    stored = ((steps + 1) / output_stride + 2) * grid.n
-    if steps > _MAX_STEPS or stored > MAX_STORED_VALUES:
-        raise InvalidParameterError(
-            f"the run needs {'at least ' if auto else ''}{steps:.3g} steps and keeps up to "
-            f"{stored:.3g} state values; the limits are {_MAX_STEPS:.0e} and {MAX_STORED_VALUES:.0e}"
-        )
+    run = f"a run of {'at least ' if auto else ''}{steps:.3g} steps"
+    if steps > _MAX_STEPS:
+        raise InvalidParameterError(f"{run} is refused; the limit is {_MAX_STEPS:.0e} steps")
+    check_size(((steps + 1) / output_stride + 2) * grid.n, f"{run} at stride {output_stride}")
     nsteps = max(1, math.ceil(steps - 1e-12))  # the step count of a set dt
     dt = auto_dt(u, km) if auto else t_end / nsteps
     strang = _Strang(mode, mass_level, km)
@@ -409,11 +408,7 @@ def picard_mild_solve(
     max_iter = check_count(max_iter, "the sweep count max_iter", 1)
     check_real(tol, "tol", 0, finite=False)
     check_real(q_prime, "q'", 1, finite=False)
-    if km.grid.n * (n_time + 1) > MAX_STORED_VALUES:
-        raise InvalidParameterError(
-            f"the (n, n_time + 1) states hold {km.grid.n * (n_time + 1):.3g} values; "
-            f"the limit is {MAX_STORED_VALUES:.0e}"
-        )
+    check_size(km.grid.n * (n_time + 1), "an (n, n_time + 1) array of Picard states")
     if existence_estimate is not None and horizon > existence_estimate:
         warnings.warn(
             f"T={horizon:g} exceeds the contraction estimate {existence_estimate:g}; "

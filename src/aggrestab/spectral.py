@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedKernelError
 from .eigen import smallest_eigenpair
-from .grid import MAX_STORED_VALUES, check_real, divergence, gradient
+from .grid import check_real, check_size, divergence, gradient
 from .kernel import KernelMatrices, apply, apply_grad, apply_grad_adjoint, l2_operator_norm
 
 LAMBDA_1 = math.pi**2
@@ -67,16 +67,13 @@ class LinearizedFamily:
     L acts by face differences, D by the kernel's `apply_grad` and its
     adjoint. Only a table's D is dense, built when first read; a table is
     refused here, before anything is allocated, when that path would hold more
-    than MAX_STORED_VALUES values at once.
+    values at once than `check_size` allows.
     """
 
     def __init__(self, km: KernelMatrices):
         grid = km.grid
-        if km.spec.variant == "tabulated" and _DENSE_ARRAYS * grid.n**2 > MAX_STORED_VALUES:
-            raise InvalidParameterError(
-                f"the dense stability path at n = {grid.n} holds {_DENSE_ARRAYS} n x n arrays, "
-                f"{_DENSE_ARRAYS * grid.n**2:.3g} values; the limit is {MAX_STORED_VALUES:.0e}"
-            )
+        if km.spec.variant == "tabulated":
+            check_size(_DENSE_ARRAYS * grid.n**2, f"the dense stability path at n = {grid.n}")
         self.grid, self.km = grid, km
 
     @cached_property

@@ -208,6 +208,18 @@ class TestBasinProbe:
         assert probe.bisection_history == ((1.0, False), (0.5, False), (0.25, False), (0.125, False))
         assert all(type(decayed) is bool for _, decayed in probe.bisection_history)
 
+    def test_default_horizon_is_ten_decay_times(self, green, monkeypatch):
+        # without t_end each run lasts 10 / (lambda_1 (1 - M A)), the linear rate's ten e-folds
+        km = kernel.assemble(green, Grid1D(32))
+        horizons, decays = [], analysis._decays
+        monkeypatch.setattr(
+            analysis, "_decays", lambda *args: horizons.append(args[-1]) or decays(*args)
+        )
+        probe = basin_probe(km, mass_level=5.0, amplitude_hi=0.1, steps=1)
+        rate = spectral.LAMBDA_1 * (1.0 - 5.0 * stability_verdict(km, 5.0).interaction_coefficient)
+        assert horizons == [pytest.approx(10.0 / rate, rel=1e-15)]
+        assert probe.open_above and probe.eta_estimate == 0.1
+
     def test_rejects_unstable_regime(self, green):
         km = kernel.assemble(green, Grid1D(64))
         with pytest.raises(InvalidParameterError):

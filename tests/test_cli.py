@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from aggrestab import Grid1D, KernelSpec, assemble, save_tabulated_csv, solver, spectral
+from aggrestab import Grid1D, KernelSpec, assemble, save_tabulated_csv, solver
+from aggrestab import grid as grid_module
 from aggrestab.cli import (
     EXIT_BAD_KERNEL,
     EXIT_NO_CONTRACTION,
@@ -173,16 +174,26 @@ class TestCommands:
         assert main(["simulate", "--config", cfg, "--out", str(out2)]) == EXIT_OK
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
-    def test_simulate_snapshots_option(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flag, code",
+        [("true", EXIT_OK), ("YES", EXIT_OK), ("0", EXIT_OK), ("ture", EXIT_USAGE)],
+        ids=["true", "YES", "0", "ture"],
+    )
+    def test_simulate_snapshots_option(self, tmp_path, capsys, flag, code):
         cfg = write_config(
             tmp_path,
             "c.cfg",
             GREEN_LINES
             + "sim.mode = nonlinear\nsim.t_end = 0.01\nsim.initial = constant:1\n"
-            + "sim.snapshots = true\n",
+            + f"sim.snapshots = {flag}\n",
         )
         out = tmp_path / "out"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == code
+        if code == EXIT_USAGE:
+            assert "sim.snapshots: not a flag" in capsys.readouterr().err
+        if flag == "0" or code == EXIT_USAGE:
+            assert not (out / "snapshots.csv").exists()
+            return
         snaps = (out / "snapshots.csv").read_text().splitlines()
         assert snaps[0].startswith("x,t=")
         assert len(snaps) == 65  # header + one row per cell
@@ -432,9 +443,12 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["validate-kernel", "analyze", "simulate", "mild-solve", "threshold"])
     def test_table_defaults_written_out_change_nothing(self, tmp_path, command):
-        # every key with a default, set to the text the key table gives it
+        # every key with a default, set to the text the key table gives it, but
+        # kernel.delta: only the power law reads it, and a Green config refuses it
         defaults = "".join(
-            f"{key} = {default}\n" for key, (_, default, _) in _KEYS.items() if isinstance(default, str)
+            f"{key} = {default}\n"
+            for key, (_, default, _) in _KEYS.items()
+            if isinstance(default, str) and key != "kernel.delta"
         )
         outputs = []
         for name, text in (("minimal", GREEN_LINES), ("defaults", GREEN_LINES + defaults)):
@@ -514,7 +528,7 @@ class TestUsageErrors:
         table = tmp_path / "kernel.csv"
         save_tabulated_csv(table, assemble(KernelSpec.gaussian(0.1), Grid1D(16)))
         if limit is not None:
-            monkeypatch.setattr(spectral, "MAX_STORED_VALUES", limit)
+            monkeypatch.setattr(grid_module, "MAX_STORED_VALUES", limit)
         cfg = write_config(tmp_path, "c.cfg", text.format(table=table))
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
         assert f"the limit is {limit or 10**8:.0e}" in capsys.readouterr().err
@@ -546,6 +560,50 @@ class TestUsageErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "beyond the largest double" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("grid.n = 64\n", "missing required key kernel.variant"),
+            ("kernel.variant = green_closed_form\n", "missing required key grid.n"),
+            ("kernel.variant = gaussian\ngrid.n = 64\n", "missing required key kernel.sigma"),
+            (GREEN_LINES + "sim.M 5\n", "expected key=value, got 'sim.M 5'"),
+            ("kernel.variant = mexican_hat\ngrid.n = 64\n", "unknown kernel.variant 'mexican_hat'"),
+            # a kernel.* key the variant does not read, a default value too, and a
+            # table's before its file is read
+            (GREEN_LINES + "kernel.a = 5\n", "kernel.variant = green_closed_form reads no kernel.a"),
+            (
+                "kernel.variant = green_series\nkernel.a = 2\nkernel.delta = 0\ngrid.n = 64\n",
+                "kernel.variant = green_series reads no kernel.delta",
+            ),
+            (
+                "kernel.variant = gaussian\nkernel.sigma = 0.1\nkernel.alpha = 0.5\n"
+                "kernel.csv = k.csv\ngrid.n = 64\n",
+                "kernel.variant = gaussian reads no kernel.alpha, kernel.csv",
+            ),
+            (
+                "kernel.variant = tabulated\nkernel.csv = absent.csv\nkernel.sigma = 0.1\n"
+                "grid.n = 16\n",
+                "kernel.variant = tabulated reads no kernel.sigma",
+            ),
+        ],
+        ids=[
+            "no-variant",
+            "no-grid",
+            "no-sigma",
+            "no-equals",
+            "unknown-variant",
+            "closed-form-a",
+            "series-delta",
+            "gaussian-alpha-csv",
+            "tabulated-sigma",
+        ],
+    )
+    def test_incomplete_or_unread_config_is_refused(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path, "c.cfg", text)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "stability_report.csv").exists()
 
     def test_config_with_bad_value(self, tmp_path):
         cfg = write_config(tmp_path, "c.cfg", "kernel.variant = green_closed_form\ngrid.n = two\n")

@@ -5,7 +5,7 @@ import pytest
 
 from aggrestab import Grid1D, SpectralBasis, divergence, gradient, lp_norm
 from aggrestab.errors import InvalidParameterError
-from aggrestab.grid import check_real
+from aggrestab.grid import check_real, check_size
 
 
 class TestGrid1D:
@@ -34,6 +34,20 @@ class TestGrid1D:
         grid = Grid1D(np.int64(64))
         assert type(grid.n) is int and grid == Grid1D(64)
         assert grid.centers.shape == (64,) and grid.faces.shape == (65,)
+
+
+class TestCheckSize:
+    @pytest.mark.parametrize(
+        "count, shown",
+        [(10**8, None), (0, None), (10**8 + 1, "1e+08"), (6.4e8, "6.4e+08"), (math.nan, "nan")],
+    )
+    def test_boundaries(self, count, shown):
+        if shown is None:
+            assert check_size(count, "an array") is count
+        else:
+            with pytest.raises(InvalidParameterError) as info:
+                check_size(count, "an array")
+            assert str(info.value) == f"an array holds {shown} values; the limit is 1e+08"
 
 
 class TestCheckReal:

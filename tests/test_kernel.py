@@ -23,6 +23,7 @@ from aggrestab import (
     save_tabulated_csv,
     validate_assumptions,
 )
+from aggrestab.cli import EXIT_BAD_KERNEL, main
 from aggrestab.errors import (
     InvalidParameterError,
     KernelLoadError,
@@ -47,6 +48,10 @@ class TestKernelSpec:
         with pytest.raises(InvalidParameterError, match="beyond the largest double"):
             KernelSpec.green_series(1e-300, scale=1e10)
         KernelSpec.green_series(1e-300, scale=1e5)
+        # green_closed_form is the a = 1 kernel: another a would go under its name
+        with pytest.raises(InvalidParameterError, match="green_closed_form has a = 1, got a = 5"):
+            KernelSpec("green_closed_form", a=5.0)
+        assert KernelSpec("green_closed_form", a=1).a == 1
 
     @pytest.mark.parametrize(
         "make",
@@ -602,3 +607,41 @@ class TestTabulatedRoundTrip:
     def test_load_rejects_missing_file(self, tmp_path):
         with pytest.raises(KernelLoadError):
             load_tabulated_csv(tmp_path / "nope.csv", Grid1D(16))
+
+    # each edit of a saved 16-cell table's rows (rows[0] the header, rows[1] the k of
+    # (x_0, y_0), rows[-1] the gradk of (x = 1, y_15)), and the error it reads as
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: rows + ["0.03125,0.03125,1"], "malformed row"),
+            (lambda rows: rows + ["0.03125,0.03125,1,,"], "malformed row"),
+            (lambda rows: rows[:1] + ["0.03125,0.03125,abc,"] + rows[2:], "could not convert"),
+            (lambda rows: rows + ["0.0,0.03125,1,"], "x=0.0 is not a cell center of n=16"),
+            (lambda rows: rows + ["0.03125,0.03125,,1"], "x=0.03125 is not a face of n=16"),
+            (lambda rows: rows + ["0.03125,0.03125,,"], "neither k nor gradk"),
+            (lambda rows: rows[:-1], "incomplete kernel table for n=16"),
+            (lambda rows: rows + ["0.03125,0.03125,123,"], "repeated entry"),
+            (lambda rows: rows + [rows[-1]], "repeated entry"),
+        ],
+        ids=[
+            "3-fields",
+            "5-fields",
+            "non-numeric",
+            "x-off-centres",
+            "x-off-faces",
+            "neither",
+            "incomplete",
+            "repeated-k",
+            "repeated-gradk",
+        ],
+    )
+    def test_load_rejects_malformed_table(self, green, tmp_path, capsys, edit, message):
+        path = tmp_path / "kernel.csv"
+        save_tabulated_csv(path, assemble(green, Grid1D(16)))
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(KernelLoadError, match=message):
+            load_tabulated_csv(path, Grid1D(16))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"kernel.variant = tabulated\nkernel.csv = {path}\ngrid.n = 16\n")
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_BAD_KERNEL
+        assert message in capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aggrestab import grid as grid_module
 from aggrestab import kernel, solver
 from aggrestab import (
     Grid1D,
@@ -270,7 +271,7 @@ class TestEvolve:
         with pytest.raises(InvalidParameterError, match="limit"):
             evolve(np.ones(64), km, "nonlinear")
         monkeypatch.setattr(solver, "_MAX_STEPS", 10**8)
-        monkeypatch.setattr(solver, "MAX_STORED_VALUES", 64 * 100)
+        monkeypatch.setattr(grid_module, "MAX_STORED_VALUES", 64 * 100)
         with pytest.raises(InvalidParameterError, match="limit"):
             evolve(np.ones(64), km, "nonlinear")
 

@@ -25,6 +25,7 @@ from aggrestab import (
     stability_verdict,
 )
 from aggrestab import divergence, gradient, kernel, spectral
+from aggrestab import grid as grid_module
 from aggrestab.errors import InvalidParameterError, UnsupportedKernelError
 from aggrestab.spectral import VERDICT_INCONCLUSIVE, VERDICT_STABLE, VERDICT_UNSTABLE
 
@@ -352,7 +353,7 @@ class TestStabilityVerdict:
     def test_oversized_dense_path_refused_before_allocating(self, monkeypatch):
         # the 64^2 table is below a limit of 10^4 values, the dense path's seven arrays are not
         table = _table(KernelSpec.gaussian(0.1), Grid1D(64))
-        monkeypatch.setattr(spectral, "MAX_STORED_VALUES", 10**4)
+        monkeypatch.setattr(grid_module, "MAX_STORED_VALUES", 10**4)
         tracemalloc.start()
         try:
             with pytest.raises(InvalidParameterError, match="the limit is 1e\\+04"):
