@@ -795,18 +795,19 @@ def load_tabulated_csv(path, grid: Grid1D) -> KernelSpec:
                 j = round(y / h - 0.5)
                 if not (0 <= j < n and abs(grid.centers[j] - y) <= 1e-9):
                     raise KernelLoadError(f"{path}: y={y} is not a cell center of n={n}")
+                if (row[2] == "") == (row[3] == ""):  # a row holds one of k and gradk
+                    what = "both k and" if row[2] else "neither k nor"
+                    raise KernelLoadError(f"{path}: row with {what} gradk")
                 if row[2] != "":
                     i = round(x / h - 0.5)
                     if not (0 <= i < n and abs(grid.centers[i] - x) <= 1e-9):
                         raise KernelLoadError(f"{path}: x={x} is not a cell center of n={n}")
                     table, cell, entry = values, (i, j), row[2]
-                elif row[3] != "":
+                else:
                     f = round(x / h)
                     if not (0 <= f <= n and abs(grid.faces[f] - x) <= 1e-9):
                         raise KernelLoadError(f"{path}: x={x} is not a face of n={n}")
                     table, cell, entry = grad, (f, j), row[3]
-                else:
-                    raise KernelLoadError(f"{path}: row with neither k nor gradk")
                 if not np.isnan(table[cell]):
                     raise KernelLoadError(f"{path}: repeated entry in row {row!r}")
                 table[cell] = float(entry)

@@ -20,7 +20,8 @@ semigroup probes. The solver's entry points take the datum and the assembled
 kernel and read the grid from `km.grid`: `evolve(u0, km, mode, ...)`,
 `step_imex(u, dt, mode, M, km)` and `picard_mild_solve(u0, km, T)`. Each
 refuses, through `check_datum`, anything but a finite (n,) array. A
-`Trajectory` keeps its stored states as the rows of one (stored states, n) array.
+`Trajectory` keeps its stored states as the rows of one (stored states, n) array;
+the Picard states are time-major too, and a sweep runs over blocks of time rows.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ _DT_EPS = 1e-30  # guards the pure-diffusion case in the CFL formula
 # values than check_size allows; the longest default basin_probe horizon
 # (t_end = 1000 at the automatic step cap h/2) is 2000 n steps
 _MAX_STEPS = 10**8
+# the values in one block of time rows of a Picard sweep, so that its work stays in cache
+_PICARD_BLOCK = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,18 +68,20 @@ class Trajectory:
     @classmethod
     def from_states(cls, times, states):
         """The run record of cell-value rows on [0,1], reduced along axis 1."""
-        # C order, so that each row is summed as the lone vector would be
-        snapshots = np.array(states, dtype=float, order="C")
+        # C order, so that each row is summed as the lone vector would be; an array
+        # already in it is kept, not copied
+        snapshots = np.asarray(states, dtype=float, order="C")
         h = 1.0 / snapshots.shape[1]
         size = np.abs(snapshots)
+        l1, linf = h * size.sum(axis=1), size.max(axis=1, initial=0.0)
         return cls(
             times=np.asarray(times, dtype=float),
             snapshots=snapshots,
             mass=h * snapshots.sum(axis=1),
-            l1=h * size.sum(axis=1),
+            l1=l1,
             # a scalar power per row: NumPy's array power of 1/2 can differ in the last digit
-            l2=np.array([s**0.5 for s in h * np.square(size).sum(axis=1)]),
-            linf=size.max(axis=1, initial=0.0),
+            l2=np.array([s**0.5 for s in h * np.square(size, out=size).sum(axis=1)]),
+            linf=linf,
             min_value=snapshots.min(axis=1),
         )
 
@@ -408,7 +413,9 @@ def picard_mild_solve(
     max_iter = check_count(max_iter, "the sweep count max_iter", 1)
     check_real(tol, "tol", 0, finite=False)
     check_real(q_prime, "q'", 1, finite=False)
-    check_size(km.grid.n * (n_time + 1), "an (n, n_time + 1) array of Picard states")
+    # two (n_time + 1, n) arrays at the peak (free and states, then states and the trajectory's
+    # |states|) and the blocks' work, about 9 * _PICARD_BLOCK values: three bound them
+    check_size(3 * km.grid.n * (n_time + 1), f"a Picard solve at n = {km.grid.n}, n_time = {n_time}")
     if existence_estimate is not None and horizon > existence_estimate:
         warnings.warn(
             f"T={horizon:g} exceeds the contraction estimate {existence_estimate:g}; "
@@ -421,64 +428,74 @@ def picard_mild_solve(
     dt = horizon / n_time
     times = dt * np.arange(n_time + 1)
     q = 1.0 if np.isinf(q_prime) else (q_prime / (q_prime - 1.0) if q_prime > 1 else np.inf)
+    rows = max(1, _PICARD_BLOCK // grid.n)
+    blocks = [slice(j, j + rows) for j in range(0, n_time + 1, rows)]
 
-    # states are (n, n_time + 1) arrays: column j holds the cell values at t_j
+    # states are time-major (n_time + 1, n) arrays: row j holds the cell values at t_j
     c0 = basis.to_spectral(u0)
-    free = basis.from_spectral(c0[:, None] * np.exp(-np.outer(lam, times)))
+    free = np.empty((n_time + 1, grid.n))
+    for s in blocks:
+        free[s] = basis.from_spectral(c0[:, None] * np.exp(-np.outer(lam, times[s]))).T
 
     decay = np.exp(-lam * dt)
     gain = np.empty_like(lam)
     gain[0] = dt
     gain[1:] = (1.0 - decay[1:]) / lam[1:]
 
-    # a function of its own, so that the face array is freed before the transform
-    def face_flux(states: np.ndarray) -> np.ndarray:
-        """u grad K(u) at the interior faces for every time; `divergence` reads no other."""
-        flux = apply_grad(km, states)
-        flux[1:-1] *= 0.5 * (states[:-1] + states[1:])
-        return flux
+    def sweep(states: np.ndarray) -> float:
+        """One Picard sweep, block by block in place; sup_t ||.||_1 + sup_t ||.||_q of the change.
 
-    def drift_integrals(states: np.ndarray) -> np.ndarray:
-        """Mode coefficients of the Duhamel drift integral from 0 to each t_j, run time-major."""
-        d = basis.to_spectral(divergence(face_flux(states), grid)).T.copy()
-        dbar = gain * (0.5 * (d[:-1] + d[1:]))  # the trapezoidal average over each subinterval
-        d[0] = 0.0
-        for j in range(n_time):
-            np.multiply(decay, d[j], out=d[j + 1])
-            d[j + 1] += dbar[j]
-        return d.T
-
-    def norm_xt(delta: np.ndarray) -> float:
-        """sup_t ||.||_1 + sup_t ||.||_q over the time columns; overwrites delta."""
-        np.abs(delta, out=delta)
-        sup1 = grid.h * delta.sum(axis=0)
-        if np.isinf(q):
-            supq = delta.max(axis=0)
-        else:
-            delta **= q
-            supq = (grid.h * delta.sum(axis=0)) ** (1.0 / q)
-        return float(sup1.max() + supq.max())
+        A block reads only its own old rows and two rows carried from the block
+        before: its last raw drift row and its last Duhamel drift integral row.
+        """
+        norms = np.empty((2, n_time + 1))  # per time: the change's L^1 and L^q norms
+        carry = np.zeros((2, grid.n))
+        for s in blocks:
+            old = states[s].T
+            flux = apply_grad(km, old)  # u grad K(u) at the interior faces
+            flux[1:-1] *= 0.5 * (old[:-1] + old[1:])
+            d = np.empty((old.shape[1] + 1, grid.n))  # row 0: the row carried in
+            d[1:] = basis.to_spectral(divergence(flux, grid)).T
+            d[0] = carry[0]
+            dbar = gain * (0.5 * (d[:-1] + d[1:]))  # the trapezoidal average over each subinterval
+            carry[0] = d[-1]
+            first = 0 if s.start else 1  # the first block starts at t_0, whose integral is 0
+            d[first] = carry[1]
+            for j in range(first, len(dbar)):
+                np.multiply(decay, d[j], out=d[j + 1])
+                d[j + 1] += dbar[j]
+            carry[1] = d[-1]
+            new = basis.from_spectral(d[1:].T)
+            np.subtract(free[s].T, new, out=new)
+            # the change, time-major: each row is summed as lp_norm sums the lone vector
+            change = np.abs(np.subtract(new.T, states[s], out=d[1:]), out=d[1:])
+            states[s] = new.T
+            norms[0, s] = grid.h * change.sum(axis=1)
+            if np.isinf(q):
+                norms[1, s] = change.max(axis=1)
+            elif q != 1:
+                change **= q
+                norms[1, s] = (grid.h * change.sum(axis=1)) ** (1.0 / q)
+        sup1 = norms[0].max()
+        return float(sup1 + (sup1 if q == 1 else norms[1].max()))
 
     states = free.copy()
     distances = []
     # an overflow shows as a non-finite distance, which ends the iteration
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            new_states = basis.from_spectral(drift_integrals(states))
-            np.subtract(free, new_states, out=new_states)
-            # the old iterate's buffer takes the change, then is dropped
-            distance = norm_xt(np.subtract(new_states, states, out=states))
+            distance = sweep(states)
             if not math.isfinite(distance):
                 raise NonContractionError(distances)
             distances.append(distance)
-            states = new_states
             if distance <= tol:
                 break
         else:
             raise NonContractionError(distances)
+    del free
     ratios = [b / a for a, b in zip(distances, distances[1:]) if a > 0 and b > 0]
     contraction = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
-    trajectory = Trajectory.from_states(times, states.T)
+    trajectory = Trajectory.from_states(times, states)
     return MildSolveDiagnostics(
         picard_distances=distances,
         contraction_ratio=contraction,

@@ -513,6 +513,9 @@ class TestUsageErrors:
         [
             # (1024, 10^7 + 1) Picard states
             ("mild-solve", GREEN_LINES.replace("64", "1024") + "mild.n_time = 10000000\n", None),
+            # (101, 64) Picard states fit a limit of 10^4 values, the three arrays of the
+            # solve do not
+            ("mild-solve", GREEN_LINES + "mild.n_time = 100\n", 10**4),
             # a 200000^2 table, refused before its file is read
             ("analyze", "kernel.variant = tabulated\nkernel.csv = {table}\ngrid.n = 200000\n", None),
             # a 16^2 table fits a limit of 10^3 values, the seven n x n arrays of its
@@ -522,7 +525,14 @@ class TestUsageErrors:
             # a grid of 10^12 cells, refused before its first array
             ("analyze", GREEN_LINES.replace("64", "1000000000000"), None),
         ],
-        ids=["mild-solve", "analyze", "analyze-dense-path", "threshold-dense-path", "analyze-grid"],
+        ids=[
+            "mild-solve",
+            "mild-solve-three-arrays",
+            "analyze",
+            "analyze-dense-path",
+            "threshold-dense-path",
+            "analyze-grid",
+        ],
     )
     def test_oversized_arrays_are_refused(self, tmp_path, capsys, monkeypatch, command, text, limit):
         table = tmp_path / "kernel.csv"

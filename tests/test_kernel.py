@@ -619,6 +619,7 @@ class TestTabulatedRoundTrip:
             (lambda rows: rows + ["0.0,0.03125,1,"], "x=0.0 is not a cell center of n=16"),
             (lambda rows: rows + ["0.03125,0.03125,,1"], "x=0.03125 is not a face of n=16"),
             (lambda rows: rows + ["0.03125,0.03125,,"], "neither k nor gradk"),
+            (lambda rows: rows + ["0.03125,0.03125,1.0,999"], "both k and gradk"),
             (lambda rows: rows[:-1], "incomplete kernel table for n=16"),
             (lambda rows: rows + ["0.03125,0.03125,123,"], "repeated entry"),
             (lambda rows: rows + [rows[-1]], "repeated entry"),
@@ -630,6 +631,7 @@ class TestTabulatedRoundTrip:
             "x-off-centres",
             "x-off-faces",
             "neither",
+            "both",
             "incomplete",
             "repeated-k",
             "repeated-gradk",

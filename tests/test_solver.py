@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -527,28 +528,42 @@ class TestPicardMildSolve:
     def test_recurrence_matches_the_column_loop(self, green):
         # the drift recurrence runs on time-major rows with the column loop's arithmetic
         km = assemble(green, Grid1D(16))
-        basis, lam, horizon, n_time = km.grid.basis, km.grid.basis.eigenvalues_discrete, 0.1, 8
         u0 = initial_field("constant_plus_mode:1,0.5,1", km.grid)
-        diag = picard_mild_solve(u0, km, horizon, n_time=n_time)
-        dt = horizon / n_time
-        decay = np.exp(-lam * dt)
-        gain = np.empty_like(lam)
-        gain[0] = dt
-        gain[1:] = (1.0 - decay[1:]) / lam[1:]
-        c0 = basis.to_spectral(u0)
-        free = basis.from_spectral(c0[:, None] * np.exp(-np.outer(lam, dt * np.arange(n_time + 1))))
-        states = free.copy()
-        for _ in diag.picard_distances:
-            flux = kernel.apply_grad(km, states)
-            flux[1:-1] *= 0.5 * (states[:-1] + states[1:])
-            d = basis.to_spectral(divergence(flux, km.grid))
-            dbar = 0.5 * (d[:, :-1] + d[:, 1:])
-            d[:, 0] = 0.0
-            for j in range(n_time):
-                d[:, j + 1] = decay * d[:, j] + gain * dbar[:, j]
-            states = free - basis.from_spectral(d)
+        diag = picard_mild_solve(u0, km, 0.1, n_time=8)
+        states, distances = _column_loop(u0, km, 0.1, 8, len(diag.picard_distances))
         assert len(diag.picard_distances) > 2
         assert np.array_equal(diag.trajectory.snapshots, states.T)
+        assert diag.picard_distances == distances
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    def test_blocks_match_one_block(self, green, monkeypatch, rows):
+        # the 9 time rows in blocks of 1, 2 (the last of 1), 3 and 4 (the last of 1): each
+        # block carries the drift and integral rows it needs from the block before
+        km = assemble(green, Grid1D(16))
+        u0 = initial_field("constant_plus_mode:1,0.5,1", km.grid)
+        whole = picard_mild_solve(u0, km, 0.1, n_time=8)
+        monkeypatch.setattr(solver, "_PICARD_BLOCK", rows * 16)
+        diag = picard_mild_solve(u0, km, 0.1, n_time=8)
+        states, distances = _column_loop(u0, km, 0.1, 8, len(diag.picard_distances))
+        assert np.array_equal(diag.trajectory.snapshots, whole.trajectory.snapshots)
+        assert np.array_equal(diag.trajectory.snapshots, states.T)
+        # each time's norms are its row's sums, whatever block holds the row
+        assert diag.picard_distances == whole.picard_distances == distances
+
+    def test_memory_budget(self, green):
+        # the free solution and the states, then the states and their |states|, and
+        # blocks of 2^15 values: 3.05 times one array here, 6.0 before the blocks
+        n, n_time = 512, 512
+        km = assemble(green, Grid1D(n))
+        u0 = initial_field("constant_plus_mode:1,0.5,1", km.grid)
+        picard_mild_solve(u0, km, 0.01, n_time=4)
+        tracemalloc.start()
+        try:
+            picard_mild_solve(u0, km, 0.01, n_time=n_time)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * n * (n_time + 1)
 
     def test_sweep_work_budget(self, green, monkeypatch):
         calls = _count_calls(monkeypatch)
@@ -564,6 +579,34 @@ class TestPicardMildSolve:
         # an infinite step would make every propagator factor 0 * inf
         with pytest.raises(InvalidParameterError, match="positive and finite"):
             picard_mild_solve(np.ones(128), km128, horizon)
+
+
+def _column_loop(u0, km, horizon, n_time, sweeps):
+    """The Picard states after sweeps sweeps at q' = inf, one column per time, and each
+    sweep's distance from the lp_norm of each time's change."""
+    basis, lam, grid = km.grid.basis, km.grid.basis.eigenvalues_discrete, km.grid
+    dt = horizon / n_time
+    decay = np.exp(-lam * dt)
+    gain = np.empty_like(lam)
+    gain[0] = dt
+    gain[1:] = (1.0 - decay[1:]) / lam[1:]
+    c0 = basis.to_spectral(u0)
+    free = basis.from_spectral(c0[:, None] * np.exp(-np.outer(lam, dt * np.arange(n_time + 1))))
+    states, distances = free.copy(), []
+    for _ in range(sweeps):
+        flux = kernel.apply_grad(km, states)
+        flux[1:-1] *= 0.5 * (states[:-1] + states[1:])
+        d = basis.to_spectral(divergence(flux, grid))
+        dbar = 0.5 * (d[:, :-1] + d[:, 1:])
+        d[:, 0] = 0.0
+        for j in range(n_time):
+            d[:, j + 1] = decay * d[:, j] + gain * dbar[:, j]
+        new = free - basis.from_spectral(d)
+        # q' = inf: sup_t ||.||_1 + sup_t ||.||_q at q = 1
+        sup1 = max(lp_norm(row, 1, grid) for row in (new - states).T)
+        distances.append(sup1 + sup1)
+        states = new
+    return states, distances
 
 
 def _dense_picard_reference(u0, km, horizon, n_time, q_prime, max_iter=30, tol=1e-10):
