@@ -28,6 +28,7 @@ from .errors import (
 )
 from .grid import Grid1D
 from .kernel import (
+    VARIANT_PARAMETERS,
     KernelMatrices,
     KernelSpec,
     assemble,
@@ -131,13 +132,7 @@ _KEYS = {
 }
 # the kernel.* keys each variant reads besides kernel.variant and kernel.scale, a
 # built-in variant's by KernelSpec field; any other kernel.* key is refused
-_VARIANT_KEYS = {
-    "green_closed_form": (),
-    "green_series": ("a",),
-    "gaussian": ("sigma",),
-    "power_law_gradient": ("alpha", "delta"),
-    "tabulated": ("csv",),
-}
+_VARIANT_KEYS = {**VARIANT_PARAMETERS, "tabulated": ("csv",)}
 
 
 def _parse(name, raw, key):

@@ -25,6 +25,8 @@ from .errors import InvalidParameterError
 
 # the most float values one array may hold (800 MB); check_size refuses more
 MAX_STORED_VALUES = 10**8
+# the log of the largest double: e^x overflows above it
+LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -86,17 +88,25 @@ def check_real(value, what: str, low: float, strict: bool = False, finite: bool 
     raise InvalidParameterError(f"{what} must be {words if low == 0 else interval}, got {value}")
 
 
-def lp_norm(v, p: float, grid: Grid1D) -> float:
-    """L^p norm with weight h per entry; p = inf gives the max norm.
+def lp_norm(v, p: float, grid: Grid1D):
+    """L^p norm along axis 0 with weight h per entry; p = inf gives the max norm.
 
     Takes cell values (midpoint quadrature over cells) or face values (weight h
-    per face) on the grid.
+    per face) on the grid: a float for one array, one norm per column of an
+    (rows, m) array, each equal to the norm of that column alone.
     """
     check_real(p, "p", 1, finite=False)
-    v = np.abs(np.asarray(v, dtype=float))
+    # F order, so that each column is summed contiguously, as a lone vector is
+    v = np.abs(np.asarray(v, dtype=float), order="F")
     if np.isinf(p):
-        return float(v.max(initial=0.0))
-    return float((grid.h * np.sum(v**p)) ** (1.0 / p))
+        norms = v.max(axis=0, initial=0.0)
+    elif p == 1:
+        norms = grid.h * v.sum(axis=0)
+    else:  # a scalar power per column: NumPy's array power can move the last digit
+        v **= p
+        sums = np.ravel(grid.h * v.sum(axis=0))
+        norms = np.reshape([s ** (1.0 / p) for s in sums], v.shape[1:])
+    return float(norms) if v.ndim == 1 else norms
 
 
 def _rows(a, rows: int, what: str) -> np.ndarray:

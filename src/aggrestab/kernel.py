@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -51,13 +51,20 @@ from .errors import (
     KernelLoadError,
     SingularityError,
 )
-from .grid import Grid1D, _along_axis0, _rows, check_real, check_size, divergence
+from .grid import LOG_MAX_DOUBLE, Grid1D, _along_axis0, _rows, check_real, check_size, divergence
 
 # the two Green variants are one family: green_closed_form is a = 1
 _GREEN = ("green_closed_form", "green_series")
 # kernels of x - y alone, whose samples are Toeplitz matrices
 _TOEPLITZ = ("gaussian", "power_law_gradient")
-_VARIANTS = (*_GREEN, *_TOEPLITZ, "tabulated")
+# the KernelSpec fields each variant reads besides scale (a table reads its arrays)
+VARIANT_PARAMETERS = {
+    "green_closed_form": (),
+    "green_series": ("a",),
+    "gaussian": ("sigma",),
+    "power_law_gradient": ("alpha", "delta"),
+    "tabulated": (),
+}
 
 # classification probe exponents, largest first
 CLASSIFY_QPRIMES = (np.inf, 4.0, 2.0, 1.5, 1.1, 1.0)
@@ -97,19 +104,13 @@ class KernelSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if self.variant not in VARIANT_PARAMETERS:
             raise InvalidParameterError(f"unknown kernel variant {self.variant!r}")
         check_real(self.scale, "kernel scale", -math.inf, strict=True)
         if self.variant in _GREEN:
             check_real(self.a, "Green a", 0, strict=True)
             if self.variant == "green_closed_form" and self.a != 1:
                 raise InvalidParameterError(f"green_closed_form has a = 1, got a = {self.a:g}")
-            # the Green kernel is about 1/a as a -> 0, computed unscaled, then scaled
-            if math.isinf(max(1.0, abs(self.scale)) / self.a):
-                raise InvalidParameterError(
-                    f"the Green kernel at a = {self.a:g}, scale = {self.scale:g} has values "
-                    "beyond the largest double"
-                )
         if self.variant == "gaussian":
             check_real(self.sigma, "gaussian sigma", 0, strict=True)
         if self.variant == "power_law_gradient":
@@ -129,6 +130,31 @@ class KernelSpec:
                 )
             if not (np.isfinite(self.table_values).all() and np.isfinite(self.table_grad).all()):
                 raise InvalidParameterError("tabulated kernel tables must be finite")
+        # the samples are computed unscaled, then scaled: both must be finite doubles
+        if self._log_reach() + math.log(max(1.0, abs(self.scale))) > LOG_MAX_DOUBLE:
+            at = "".join(f"{k} = {getattr(self, k):g}, " for k in VARIANT_PARAMETERS[self.variant])
+            raise InvalidParameterError(
+                f"the {self.variant} kernel at {at}scale = {self.scale:g} has values beyond the "
+                "largest double"
+            )
+
+    def _log_reach(self) -> float:
+        """A bound on the log of the largest magnitude that an unscaled sample on [0,1],
+        or a factor it is computed from, reaches."""
+        if self.variant in _GREEN:
+            return -math.log(self.a)  # K is about 1/a as a -> 0
+        if self.variant == "gaussian":
+            return 2.0 * abs(math.log(self.sigma))  # sigma^2, and (x - y) / sigma^2 in grad K
+        if self.variant == "tabulated":
+            tables = (self.table_values, self.table_grad)
+            peak = max(max(t.max(initial=0.0), -t.min(initial=0.0)) for t in tables)
+            return math.log(max(1.0, peak))
+        if self.delta == 0:  # alpha < 1: K and grad K are r^(1 - alpha) and r^-alpha
+            return 0.0
+        # grad K peaks at delta^-alpha, and K is made of (r + delta)^(1 - alpha), 0 <= r <= 1
+        log_delta = math.log(self.delta)
+        ends = (log_delta, math.log1p(self.delta))
+        return max(-self.alpha * log_delta, *((1.0 - self.alpha) * end for end in ends))
 
     @classmethod
     def green_closed_form(cls, scale=1.0):
@@ -500,12 +526,15 @@ def l2_operator_norm(km: KernelMatrices) -> float:
         return float(np.abs(km.symbols[1]).max())
     n = km.grid.n
     start = np.linalg.qr(np.random.default_rng(0).standard_normal((n, min(_NORM_BLOCK, n))))[0]
+    # A is scaled exactly by the power of two of its largest sample, so A^T A cannot overflow
+    samples = km.grad_toeplitz.offsets if km.spec.variant in _TOEPLITZ else km.gradk_faces
+    _, exp = math.frexp(km.grid.h * float(np.abs(samples).max(initial=0.0)))
 
     def gram(v):
-        return -apply_grad_adjoint(km, apply_grad(km, v))
+        return -np.ldexp(apply_grad_adjoint(km, np.ldexp(apply_grad(km, v), -exp)), -exp)
 
     # abs, not a minus sign: a zero kernel's eigenvalue may be -0.0
-    return math.sqrt(abs(smallest_eigenpair(gram, start, _NORM_TOL)[0]))
+    return math.ldexp(math.sqrt(abs(smallest_eigenpair(gram, start, _NORM_TOL)[0])), exp)
 
 
 def _mixed_norm(row_sums, col_sums, h: float, q_prime: float) -> float:
@@ -606,7 +635,7 @@ def _green_norm(spec: KernelSpec, grid: Grid1D, q_prime: float) -> float:
     """
     s, h = math.sqrt(spec.a), grid.h
     p, q = _green_p(s, grid.faces), _green_q(s, grid.centers)
-    edge = abs(spec.scale) * math.exp(-0.5 * s * h)
+    edge = math.exp(-0.5 * s * h)
     if np.isinf(q_prime):
         return 2.0 * edge * float(np.max(p[:-1] * q))
     pq, qq = p**q_prime, q**q_prime
@@ -617,15 +646,21 @@ def _green_norm(spec: KernelSpec, grid: Grid1D, q_prime: float) -> float:
 
 
 def _level_norms(spec: KernelSpec, n: int, q_primes) -> list:
-    """The mixed norm of every q' at level n; only a tabulated kernel is read densely."""
-    grid = Grid1D(n)
+    """The mixed norm of every q' at level n; only a tabulated kernel is read densely.
+
+    Each norm is |scale| times the unscaled kernel's, so the q' powers of a
+    large but finite gradient do not overflow.
+    """
+    grid, unit = Grid1D(n), replace(spec, scale=1.0)
     if spec.variant == "tabulated":
-        gk = np.abs(_gradk_matrix(spec, grid))
-        return [_norm_value(gk, grid.h, q) for q in q_primes]
-    if spec.variant in _GREEN:
-        return [_green_norm(spec, grid, q) for q in q_primes]
-    g = np.abs(_grad_offsets(spec, grid))
-    return [_window_norm(g, grid.h, q) for q in q_primes]
+        gk = np.abs(_gradk_matrix(unit, grid))
+        norms = [_norm_value(gk, grid.h, q) for q in q_primes]
+    elif spec.variant in _GREEN:
+        norms = [_green_norm(unit, grid, q) for q in q_primes]
+    else:
+        g = np.abs(_grad_offsets(unit, grid))
+        norms = [_window_norm(g, grid.h, q) for q in q_primes]
+    return [abs(spec.scale) * norm for norm in norms]
 
 
 def _estimate(q_prime: float, trend: tuple) -> KernelNormEstimate:

@@ -22,6 +22,8 @@ kernel and read the grid from `km.grid`: `evolve(u0, km, mode, ...)`,
 refuses, through `check_datum`, anything but a finite (n,) array. A
 `Trajectory` keeps its stored states as the rows of one (stored states, n) array;
 the Picard states are time-major too, and a sweep runs over blocks of time rows.
+Every L^p norm here, of the run record, of a Picard change and of the semigroup
+probes, is one `lp_norm` call on a transposed batch: one column, one norm, per time.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
     SchemeFailureError,
 )
 from .grid import MAX_STORED_VALUES, Grid1D, check_count, check_real, check_size
-from .grid import divergence, gradient, lp_norm
+from .grid import LOG_MAX_DOUBLE, divergence, gradient, lp_norm
 from .kernel import KernelMatrices, apply_grad
 from .spectral import LAMBDA_1
 
@@ -66,22 +68,16 @@ class Trajectory:
     min_value: np.ndarray
 
     @classmethod
-    def from_states(cls, times, states):
-        """The run record of cell-value rows on [0,1], reduced along axis 1."""
-        # C order, so that each row is summed as the lone vector would be; an array
-        # already in it is kept, not copied
-        snapshots = np.asarray(states, dtype=float, order="C")
-        h = 1.0 / snapshots.shape[1]
-        size = np.abs(snapshots)
-        l1, linf = h * size.sum(axis=1), size.max(axis=1, initial=0.0)
+    def from_states(cls, times, states, grid: Grid1D):
+        """The run record of cell-value rows on the grid, reduced along axis 1."""
+        snapshots = np.asarray(states, dtype=float, order="C")  # kept, not copied, if C-ordered
         return cls(
             times=np.asarray(times, dtype=float),
             snapshots=snapshots,
-            mass=h * snapshots.sum(axis=1),
-            l1=l1,
-            # a scalar power per row: NumPy's array power of 1/2 can differ in the last digit
-            l2=np.array([s**0.5 for s in h * np.square(size, out=size).sum(axis=1)]),
-            linf=linf,
+            mass=grid.h * snapshots.sum(axis=1),
+            l1=lp_norm(snapshots.T, 1, grid),
+            l2=lp_norm(snapshots.T, 2, grid),
+            linf=lp_norm(snapshots.T, np.inf, grid),
             min_value=snapshots.min(axis=1),
         )
 
@@ -300,7 +296,7 @@ def evolve(
                     f"the snapshots up to t={t:g} hold more than {MAX_STORED_VALUES:.0e} values; "
                     "raise the output stride"
                 )
-    return Trajectory.from_states(times, states)
+    return Trajectory.from_states(times, states, grid)
 
 
 def heat_semigroup(u, grid: Grid1D, t: float) -> np.ndarray:
@@ -332,11 +328,14 @@ def semigroup_probe(probes, grid: Grid1D, p: float, q: float, times) -> Semigrou
     if not 1 <= q <= p:
         raise InvalidParameterError("need 1 <= q <= p <= inf")
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or not np.all((times > 0) & (times < math.inf)):
-        raise InvalidParameterError("probe times must be positive and finite")
+    if times.size == 0 or not np.all((times > 0) & (LAMBDA_1 * times < LOG_MAX_DOUBLE)):
+        limit = LOG_MAX_DOUBLE / LAMBDA_1  # about 71.9: e^{lambda_1 t} overflows above it
+        raise InvalidParameterError(f"probe times must lie in (0, {limit:.4g})")
     probes = list(probes)
     if not probes:
         raise InvalidParameterError("need at least one probe")
+    basis = grid.basis
+    decay = np.exp(-np.outer(basis.eigenvalues_discrete, times))  # e^{tL} on the modes, per time
     expo = 0.5 * (1.0 / q - 1.0 / p)  # 1/inf = 0
     smoothing = np.zeros((len(probes), times.size))
     grad = np.zeros((len(probes), times.size))
@@ -344,11 +343,11 @@ def semigroup_probe(probes, grid: Grid1D, p: float, q: float, times) -> Semigrou
         fq = lp_norm(f, q, grid)
         if fq == 0:
             continue
-        for j, t in enumerate(times):
-            uf = heat_semigroup(f, grid, t)
-            smoothing[i, j] = lp_norm(uf, p, grid) / ((1.0 + t**(-expo)) * fq)
-            g = gradient(uf, grid)
-            grad[i, j] = lp_norm(g, p, grid) * t ** (expo + 0.5) * math.exp(LAMBDA_1 * t) / fq
+        uf = basis.from_spectral(basis.to_spectral(f)[:, None] * decay)  # a column per time
+        smoothing[i] = lp_norm(uf, p, grid) / ((1.0 + times**-expo) * fq)
+        # the ratio first: e^{lambda_1 t} times t^{...} alone may overflow
+        ratio = lp_norm(gradient(uf, grid), p, grid) / fq
+        grad[i] = ratio * np.exp(LAMBDA_1 * times) * times ** (expo + 0.5)
     return SemigroupProbeReport(
         p=p,
         q=q,
@@ -448,7 +447,7 @@ def picard_mild_solve(
         A block reads only its own old rows and two rows carried from the block
         before: its last raw drift row and its last Duhamel drift integral row.
         """
-        norms = np.empty((2, n_time + 1))  # per time: the change's L^1 and L^q norms
+        sup = np.zeros(2)  # over the times so far: the change's L^1 and L^q norms
         carry = np.zeros((2, grid.n))
         for s in blocks:
             old = states[s].T
@@ -467,17 +466,12 @@ def picard_mild_solve(
             carry[1] = d[-1]
             new = basis.from_spectral(d[1:].T)
             np.subtract(free[s].T, new, out=new)
-            # the change, time-major: each row is summed as lp_norm sums the lone vector
-            change = np.abs(np.subtract(new.T, states[s], out=d[1:]), out=d[1:])
+            change = np.subtract(new.T, states[s], out=d[1:]).T  # one column per time
             states[s] = new.T
-            norms[0, s] = grid.h * change.sum(axis=1)
-            if np.isinf(q):
-                norms[1, s] = change.max(axis=1)
-            elif q != 1:
-                change **= q
-                norms[1, s] = (grid.h * change.sum(axis=1)) ** (1.0 / q)
-        sup1 = norms[0].max()
-        return float(sup1 + (sup1 if q == 1 else norms[1].max()))
+            l1 = lp_norm(change, 1, grid)
+            lq = l1 if q == 1 else lp_norm(change, q, grid)
+            np.maximum(sup, (l1.max(), lq.max()), out=sup)
+        return float(sup.sum())
 
     states = free.copy()
     distances = []
@@ -495,7 +489,7 @@ def picard_mild_solve(
     del free
     ratios = [b / a for a, b in zip(distances, distances[1:]) if a > 0 and b > 0]
     contraction = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
-    trajectory = Trajectory.from_states(times, states)
+    trajectory = Trajectory.from_states(times, states, grid)
     return MildSolveDiagnostics(
         picard_distances=distances,
         contraction_ratio=contraction,

@@ -62,27 +62,27 @@ class TestFitRate:
     def test_recovers_synthetic_exponential(self, grid128):
         times = np.linspace(0.0, 2.0, 50)
         states = [math.exp(-3.0 * t) * np.ones(grid128.n) for t in times]
-        fit = fit_rate(Trajectory.from_states(times, states), norm="linf")
+        fit = fit_rate(Trajectory.from_states(times, states, grid128), norm="linf")
         assert fit.rate == pytest.approx(3.0, rel=1e-10)
         assert fit.reliable
 
     def test_growth_has_negative_rate(self, grid128):
         times = np.linspace(0.0, 1.0, 40)
         states = [math.exp(2.0 * t) * np.ones(grid128.n) for t in times]
-        fit = fit_rate(Trajectory.from_states(times, states))
+        fit = fit_rate(Trajectory.from_states(times, states, grid128))
         assert fit.rate == pytest.approx(-2.0, rel=1e-10)
 
     def test_too_few_samples(self, grid128):
         times = np.linspace(0.0, 1.0, 4)
         states = [np.ones(grid128.n) for _ in times]
         with pytest.raises(FitFailureError):
-            fit_rate(Trajectory.from_states(times, states))
+            fit_rate(Trajectory.from_states(times, states, grid128))
 
     def test_underflowed_norms_are_windowed_out(self, grid128):
         times = np.linspace(0.0, 1.0, 40)
         values = [math.exp(-3.0 * t) if t <= 0.5 else 1e-14 for t in times]
         states = [v * np.ones(grid128.n) for v in values]
-        fit = fit_rate(Trajectory.from_states(times, states))
+        fit = fit_rate(Trajectory.from_states(times, states, grid128))
         assert fit.samples_used < len(times)
         assert fit.rate == pytest.approx(3.0, rel=1e-8)
 

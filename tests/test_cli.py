@@ -571,6 +571,57 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "beyond the largest double" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "mild-solve", "validate-kernel"])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            "gaussian\nkernel.sigma = 1e160",
+            "gaussian\nkernel.sigma = 1e-160",
+            "power_law_gradient\nkernel.alpha = 1e300\nkernel.delta = 0.5",
+            "power_law_gradient\nkernel.alpha = 1e3\nkernel.delta = 0.1",
+            "gaussian\nkernel.sigma = 1e-150\nkernel.scale = 1e10",
+        ],
+        ids=["sigma-large", "sigma-small", "alpha-huge", "alpha-large", "scaled"],
+    )
+    def test_kernel_samples_beyond_a_double_are_refused(self, tmp_path, capsys, command, params):
+        cfg = write_config(tmp_path, "c.cfg", f"kernel.variant = {params}\ngrid.n = 16\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "beyond the largest double" in err and "Traceback" not in err
+
+    def test_kernel_report_scales_with_the_kernel(self, tmp_path):
+        # q' = 2 read as divergent, value inf, at scale 1e200 while |scale| came before the powers
+        reports = {}
+        for scale in ("1", "1e200"):
+            text = f"kernel.variant = gaussian\nkernel.sigma = 0.1\nkernel.scale = {scale}\n"
+            cfg = write_config(tmp_path, "c.cfg", text + "grid.n = 64\nvalidate.q_prime = inf,2,1.5\n")
+            out = tmp_path / scale
+            assert main(["validate-kernel", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+            lines = (out / "kernel_report.txt").read_text().splitlines()
+            reports[scale] = dict(line.split("=") for line in lines)
+        unit, large = reports["1"], reports["1e200"]
+        for q in ("inf", "2.0", "1.5"):
+            assert large[f"norm_inf_q{q}_verdict"] == unit[f"norm_inf_q{q}_verdict"] == "finite"
+            value = float(large[f"norm_inf_q{q}"])
+            assert value == pytest.approx(1e200 * float(unit[f"norm_inf_q{q}"]), rel=1e-12)
+        assert large["classification"] == unit["classification"]
+        assert large["critical_q_prime"] == unit["critical_q_prime"]
+
+    def test_analyze_at_a_large_scale(self, tmp_path):
+        # the operator norm's A^T A overflowed at scale 1e160, and analyze died in eigh
+        rows = {}
+        for scale in ("1", "1e160"):
+            text = f"kernel.variant = gaussian\nkernel.sigma = 0.1\nkernel.scale = {scale}\n"
+            cfg = write_config(tmp_path, "c.cfg", text + "grid.n = 16\nanalysis.M = 3\n")
+            out = tmp_path / scale
+            assert main(["analyze", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            header, row = (out / "stability_report.csv").read_text().splitlines()
+            rows[scale] = dict(zip(header.split(","), row.split(",")))
+        unit, large = rows["1"], rows["1e160"]
+        grad_norm = float(large["grad_norm"])
+        assert grad_norm == pytest.approx(1e160 * float(unit["grad_norm"]), rel=1e-12)
+        assert large["verdict"] == "linearly_unstable"
+
     @pytest.mark.parametrize(
         "text, message",
         [

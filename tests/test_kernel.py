@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,43 @@ class TestKernelSpec:
     def test_non_finite_parameters_rejected(self, make, bad):
         with pytest.raises(InvalidParameterError):
             make(bad)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: KernelSpec.gaussian(1e160),  # sigma^2 overflows
+            lambda: KernelSpec.gaussian(1e-160),  # (x - y) / sigma^2 overflows: inf * 0 in grad K
+            lambda: KernelSpec.gaussian(1e-150, scale=1e10),
+            lambda: KernelSpec.power_law(1e300, delta=0.5),  # delta^-alpha overflows
+            lambda: KernelSpec.power_law(1e3, delta=0.1),
+            lambda: KernelSpec.power_law(1.0, delta=1e-320),  # log((r + delta) / delta)
+            lambda: KernelSpec.power_law(0.5, delta=1e-300, scale=1e160),
+            lambda: KernelSpec.tabulated(np.full((8, 8), 1e300), np.zeros((9, 8)), scale=1e10),
+        ],
+        ids=["sigma-large", "sigma-small", "sigma-scaled", "alpha-huge", "alpha-large",
+             "log-delta", "delta-scaled", "table-scaled"],
+    )
+    def test_samples_beyond_a_double_are_refused(self, make):
+        with pytest.raises(InvalidParameterError, match="beyond the largest double"):
+            make()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec.gaussian(1e-100),
+            KernelSpec.gaussian(1e100),
+            KernelSpec.gaussian(0.1, scale=1e300),
+            KernelSpec.power_law(0.5, scale=-1e300),
+            KernelSpec.power_law(1e3, delta=2.0),
+            KernelSpec.power_law(3.0, delta=1e-100),
+        ],
+        ids=["sigma-small", "sigma-large", "scaled", "power-law-scaled", "wide", "steep"],
+    )
+    def test_samples_near_the_largest_double_are_kept(self, spec):
+        grid = Grid1D(16)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            samples = (kernel._values_matrix(spec, grid), kernel._gradk_matrix(spec, grid))
+        assert all(np.isfinite(s).all() for s in samples)
 
     def test_tabulated_shape_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -205,6 +243,18 @@ class TestOperators:
 
     def test_hs_norm_dominates_operator_norm(self, km128):
         assert l2_operator_norm(km128) <= hilbert_schmidt_grad_norm(km128) + 1e-12
+
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec.gaussian(0.1), KernelSpec.power_law(0.5, delta=0.01)],
+        ids=["gaussian", "power_law"],
+    )
+    def test_operator_norm_of_a_large_scale_is_finite(self, spec):
+        # the entries of A^T A at scale 1e160 overflow; A is scaled by a power of two first
+        grid = Grid1D(16)
+        unit = l2_operator_norm(assemble(spec, grid))
+        for scale in (1e160, -1e300):
+            large = l2_operator_norm(assemble(replace(spec, scale=scale), grid))
+            assert large == pytest.approx(abs(scale) * unit, rel=1e-12)
 
     def test_hs_norm_of_a_large_scale_is_finite(self):
         # the squares of the 1e160 sample overflow, its norm does not
@@ -470,6 +520,21 @@ class TestNormEstimates:
         assert [fine[q].verdict for q in kernel.CLASSIFY_QPRIMES] == [
             default[q].verdict for q in kernel.CLASSIFY_QPRIMES
         ]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec.gaussian(0.1), KernelSpec.power_law(0.5), KernelSpec.green_series(4.0)],
+        ids=["gaussian", "power_law", "green"],
+    )
+    def test_norms_scale_with_the_kernel(self, spec):
+        # the q' powers of a 1e200 gradient overflow; |scale| multiplies the norms after them
+        q_primes = (*kernel.CLASSIFY_QPRIMES, 3.0)
+        unit = kernel._norm_ladder(spec, q_primes)
+        for scale in (1e200, -1e300):
+            large = kernel._norm_ladder(replace(spec, scale=scale), q_primes)
+            for q in q_primes:
+                assert large[q].verdict == unit[q].verdict
+                assert large[q].value == pytest.approx(abs(scale) * unit[q].value, rel=1e-12)
 
     def test_classification_green(self, green):
         cls = classify(green, levels=(64, 128, 256, 512))

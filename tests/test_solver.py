@@ -16,6 +16,7 @@ from aggrestab import (
     divergence,
     evolve,
     existence_time,
+    gradient,
     heat_semigroup,
     initial_field,
     lp_norm,
@@ -370,7 +371,7 @@ class TestCarriedCoefficients:
 class TestStateConvention:
     def test_trajectory_reductions_match_lp_norm(self, grid128, rng):
         states = rng.standard_normal((5, grid128.n))
-        traj = solver.Trajectory.from_states(np.arange(5.0), states)
+        traj = solver.Trajectory.from_states(np.arange(5.0), states, grid128)
         for row, state in enumerate(states):
             assert traj.mass[row] == grid128.h * float(state.sum())
             assert traj.l1[row] == lp_norm(state, 1, grid128)
@@ -446,6 +447,32 @@ class TestSemigroupProbe:
             semigroup_probe([np.ones(128)], grid128, p=2, q=2, times=[0.0, 0.1])
         with pytest.raises(InvalidParameterError):
             semigroup_probe([], grid128, p=2, q=2, times=[0.1])
+
+    def test_times_where_the_weight_overflows_are_refused(self):
+        # e^{pi^2 t} overflows a double above t = 71.92
+        grid = Grid1D(64)
+        probes = [grid.basis.mode(1), np.ones(64) + grid.basis.mode(2)]
+        with pytest.raises(InvalidParameterError, match=r"in \(0, 71.92\)"):
+            semigroup_probe(probes, grid, p=np.inf, q=1, times=[1.0, 80.0])
+        report = semigroup_probe(probes, grid, p=np.inf, q=1, times=[1.0, 71.9])
+        assert np.isfinite(report.gradient_ratios).all()
+        assert np.isfinite(report.smoothing_ratios).all()
+
+    def test_batch_matches_one_time_at_a_time(self, grid128, rng):
+        basis, (p, q) = grid128.basis, (4.0, 2.0)
+        probes = [basis.mode(1), rng.standard_normal(128)]
+        times = np.geomspace(1e-3, 2.0, 9)
+        report = semigroup_probe(probes, grid128, p=p, q=q, times=times)
+        expo = 0.5 * (1.0 / q - 1.0 / p)
+        for i, f in enumerate(probes):
+            fq = lp_norm(f, q, grid128)
+            for j, t in enumerate(times):
+                uf = heat_semigroup(f, grid128, t)
+                smoothing = lp_norm(uf, p, grid128) / ((1.0 + t**-expo) * fq)
+                grad = lp_norm(gradient(uf, grid128), p, grid128) / fq
+                grad *= t ** (expo + 0.5) * math.exp(math.pi**2 * t)
+                assert report.smoothing_ratios[i, j] == pytest.approx(smoothing, rel=1e-12)
+                assert report.gradient_ratios[i, j] == pytest.approx(grad, rel=1e-12)
 
 
 class TestExistenceTime:
