@@ -1,6 +1,8 @@
 """Command-line front end: flat key=value configs, deterministic CSV outputs.
 
 Subcommands: validate-kernel, analyze, simulate, mild-solve, threshold.
+Every output file is written by `_write`, and every message is one stderr line
+starting `aggrestab: `; a failure takes its exit code and label from `_FAILURES`.
 Exit codes: 0 ok, 2 validation failure / invalid bracket, 3 scheme failure
 or rejected step, 4 non-contraction, 5 unusable kernel (incl. unreadable,
 non-finite or asymmetric tables), 64 usage or config error, 74 I/O error.
@@ -46,6 +48,18 @@ EXIT_NO_CONTRACTION = 4
 EXIT_BAD_KERNEL = 5
 EXIT_USAGE = 64
 EXIT_IO = 74
+
+# each error type's exit code and message label; an error takes the first entry it matches
+_FAILURES = {
+    ConfigError: (EXIT_USAGE, "config error: "),
+    SchemeFailureError: (EXIT_SCHEME, "scheme failure: "),
+    NoExistenceTimeError: (EXIT_BAD_KERNEL, "unusable kernel: "),
+    KernelLoadError: (EXIT_BAD_KERNEL, "unusable kernel: "),
+    UnsupportedKernelError: (EXIT_BAD_KERNEL, "unusable kernel: "),
+    InvalidBracketError: (EXIT_VALIDATION, ""),
+    OSError: (EXIT_IO, "i/o error: "),
+    AggrestabError: (EXIT_USAGE, ""),
+}
 
 # keys that earlier versions read, refused with the reason they went
 _REMOVED_KEYS = {
@@ -151,8 +165,16 @@ def _parse(name, raw, key):
 
 
 def _fmt(x) -> str:
-    """Locale-independent numeric formatting, 17 significant digits."""
-    return format(float(x), ".17g")
+    """Text as is; a number locale-independent, to 17 significant digits."""
+    return x if isinstance(x, str) else format(float(x), ".17g")
+
+
+def _write(path: Path, header=None, rows=(), /, **trailer) -> None:
+    """Write the header, one comma-joined line per row, then key=value lines; each by `_fmt`."""
+    lines = [] if header is None else [header]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    lines += [f"{key}={_fmt(value)}" for key, value in trailer.items()]
+    path.write_text("\n".join(lines) + "\n")
 
 
 class RunConfig:
@@ -170,7 +192,7 @@ class RunConfig:
         pairs = {}
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -216,22 +238,22 @@ def cmd_validate_kernel(config: RunConfig, out_dir: Path) -> int:
     km = config.kernel()
     tol = config["validate.tol"]
     report = validate_assumptions(km, tol, q_primes=config["validate.q_prime"])
-    lines = [
-        f"variant={km.spec.variant}",
-        f"tol={_fmt(tol)}",
-        f"neumann_residual={_fmt(report.neumann_residual)}",
-        f"neumann_ok={report.neumann_ok}",
-        f"mean_gradient_residual={_fmt(report.mean_gradient_residual)}",
-        f"mean_gradient_ok={report.mean_gradient_ok}",
-        f"symmetry_residual={_fmt(report.symmetry_residual)}",
-        f"hilbert_schmidt_norm={_fmt(report.hilbert_schmidt_norm)}",
-        f"classification={report.classification.category}",
-        f"critical_q_prime={report.classification.critical_q_prime}",
-    ]
+    entries = {
+        "variant": km.spec.variant,
+        "tol": tol,
+        "neumann_residual": report.neumann_residual,
+        "neumann_ok": str(report.neumann_ok),
+        "mean_gradient_residual": report.mean_gradient_residual,
+        "mean_gradient_ok": str(report.mean_gradient_ok),
+        "symmetry_residual": report.symmetry_residual,
+        "hilbert_schmidt_norm": report.hilbert_schmidt_norm,
+        "classification": report.classification.category,
+        "critical_q_prime": str(report.classification.critical_q_prime),
+    }
     for q, est in sorted(report.norm_estimates.items()):
-        lines.append(f"norm_inf_q{q}={_fmt(est.value) if math.isfinite(est.value) else 'inf'}")
-        lines.append(f"norm_inf_q{q}_verdict={est.verdict}")
-    (out_dir / "kernel_report.txt").write_text("\n".join(lines) + "\n")
+        entries[f"norm_inf_q{q}"] = est.value
+        entries[f"norm_inf_q{q}_verdict"] = est.verdict
+    _write(out_dir / "kernel_report.txt", **entries)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -248,11 +270,8 @@ def cmd_analyze(config: RunConfig, out_dir: Path) -> int:
         report.stability_bound_mass,
         report.principal_eigenvalue,
     )
-    rows = [
-        "M,lambda1,grad_norm,A,M_crit_instab,M_bound_stab,principal_eig,verdict",
-        ",".join([*map(_fmt, values), report.verdict]),
-    ]
-    (out_dir / "stability_report.csv").write_text("\n".join(rows) + "\n")
+    header = "M,lambda1,grad_norm,A,M_crit_instab,M_bound_stab,principal_eig,verdict"
+    _write(out_dir / "stability_report.csv", header, [(*values, report.verdict)])
     return EXIT_OK
 
 
@@ -269,21 +288,12 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
         dt=config["sim.dt"],
         output_stride=config["sim.output_stride"],
     )
-    rows = ["t,mass,l1,l2,linf,min_u"]
-    for i, t in enumerate(traj.times):
-        rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (t, traj.mass[i], traj.l1[i], traj.l2[i], traj.linf[i], traj.min_value[i])
-            )
-        )
-    (out_dir / "trajectory.csv").write_text("\n".join(rows) + "\n")
+    rows = zip(traj.times, traj.mass, traj.l1, traj.l2, traj.linf, traj.min_value)
+    _write(out_dir / "trajectory.csv", "t,mass,l1,l2,linf,min_u", rows)
     if config["sim.snapshots"]:
         header = "x," + ",".join(f"t={_fmt(t)}" for t in traj.times)
-        lines = [header]
-        for x, column in zip(grid.centers, traj.snapshots.T):
-            lines.append(",".join(_fmt(v) for v in (x, *column)))
-        (out_dir / "snapshots.csv").write_text("\n".join(lines) + "\n")
+        rows = ((x, *column) for x, column in zip(grid.centers, traj.snapshots.T))
+        _write(out_dir / "snapshots.csv", header, rows)
     return EXIT_OK
 
 
@@ -310,19 +320,16 @@ def cmd_mild_solve(config: RunConfig, out_dir: Path) -> int:
             max_iter=config["mild.max_iter"],
             tol=config["mild.tol"],
             q_prime=q_prime,
-            existence_estimate=t_exist,
         ).picard_distances
     except NonContractionError as exc:
-        distances = exc.distances
-        code = EXIT_NO_CONTRACTION
-    rows = ["iteration,distance_XT,ratio"]
-    prev = None
-    for i, d in enumerate(distances, 1):
-        ratio = "" if prev in (None, 0.0) else _fmt(d / prev)
-        rows.append(f"{i},{_fmt(d)},{ratio}")
-        prev = d
-    rows.append(f"T_existence={_fmt(t_exist) if math.isfinite(t_exist) else 'inf'}")
-    (out_dir / "picard.csv").write_text("\n".join(rows) + "\n")
+        distances, code = exc.distances, EXIT_NO_CONTRACTION
+    if horizon > t_exist:
+        warning = f"T={horizon:g} exceeds the contraction estimate {t_exist:g}"
+        print(f"aggrestab: warning: {warning}; the iteration may not contract", file=sys.stderr)
+    # a zero distance ends the iteration, so no ratio divides by zero
+    ratios = ["", *(d / prev for prev, d in zip(distances, distances[1:]))]
+    rows = zip(range(1, len(distances) + 1), distances, ratios)
+    _write(out_dir / "picard.csv", "iteration,distance_XT,ratio", rows, T_existence=t_exist)
     return code
 
 
@@ -335,11 +342,8 @@ def cmd_threshold(config: RunConfig, out_dir: Path) -> int:
         config["analysis.tol_M"],
         history=history,
     )
-    rows = ["iteration,M_lo,M_hi,M_mid,eig_mid"]
-    for i, (lo, hi, mid, eig) in enumerate(history, 1):
-        rows.append(f"{i},{_fmt(lo)},{_fmt(hi)},{_fmt(mid)},{_fmt(eig)}")
-    rows.append(f"M_critical={_fmt(critical)}")
-    (out_dir / "threshold.csv").write_text("\n".join(rows) + "\n")
+    rows = ((i, *step) for i, step in enumerate(history, 1))
+    _write(out_dir / "threshold.csv", "iteration,M_lo,M_hi,M_mid,eig_mid", rows, M_critical=critical)
     return EXIT_OK
 
 
@@ -369,24 +373,10 @@ def main(argv=None) -> int:
         out_dir = Path(args.out or config["output.dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out_dir)
-    except ConfigError as exc:
-        print(f"aggrestab: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SchemeFailureError as exc:
-        print(f"aggrestab: scheme failure: {exc}", file=sys.stderr)
-        return EXIT_SCHEME
-    except (NoExistenceTimeError, KernelLoadError, UnsupportedKernelError) as exc:
-        print(f"aggrestab: unusable kernel: {exc}", file=sys.stderr)
-        return EXIT_BAD_KERNEL
-    except InvalidBracketError as exc:
-        print(f"aggrestab: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"aggrestab: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except AggrestabError as exc:
-        print(f"aggrestab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (AggrestabError, OSError) as exc:
+        code, label = next(entry for kind, entry in _FAILURES.items() if isinstance(exc, kind))
+        print(f"aggrestab: {label}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ probes, is one `lp_norm` call on a transposed batch: one column, one norm, per t
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -397,7 +396,6 @@ def picard_mild_solve(
     max_iter: int = 30,
     tol: float = 1e-10,
     q_prime: float = np.inf,
-    existence_estimate: float | None = None,
 ) -> MildSolveDiagnostics:
     """Fixed-point iteration on the Duhamel integral form of the dynamics.
 
@@ -415,12 +413,6 @@ def picard_mild_solve(
     # two (n_time + 1, n) arrays at the peak (free and states, then states and the trajectory's
     # |states|) and the blocks' work, about 9 * _PICARD_BLOCK values: three bound them
     check_size(3 * km.grid.n * (n_time + 1), f"a Picard solve at n = {km.grid.n}, n_time = {n_time}")
-    if existence_estimate is not None and horizon > existence_estimate:
-        warnings.warn(
-            f"T={horizon:g} exceeds the contraction estimate {existence_estimate:g}; "
-            "the iteration may not contract",
-            stacklevel=2,
-        )
     grid = km.grid
     basis = grid.basis
     lam = basis.eigenvalues_discrete

@@ -157,6 +157,15 @@ def bilinear_form(km: KernelMatrices, mass_level: float, phi, psi) -> float:
     return float(grid.h * np.sum(gphi * gpsi) - mass_level * grid.h * np.sum(gk * gpsi))
 
 
+def _finite(values, mass: float):
+    """values, refused when one of them has left the doubles at this mass."""
+    if not np.isfinite(values).all():
+        raise InvalidParameterError(
+            f"mass level M = {mass:g} takes S(M) or its eigenpair beyond the largest double"
+        )
+    return values
+
+
 def _block_solve(family: LinearizedFamily, mass: float) -> tuple:
     """(eigenvalue, mode coefficients, scale) of a Gaussian or power-law S(M).
 
@@ -178,8 +187,8 @@ def _block_solve(family: LinearizedFamily, mass: float) -> tuple:
     low = float(diagonal[order[0]])
     shifted = diagonal - (low - 1.0 - 0.01 * abs(low))
 
-    def operator(coef):
-        return lap[:, None] * coef + mass * family.reduced_drift(coef)
+    def operator(coef):  # refused when not finite, before the projection's eigh reads it
+        return _finite(lap[:, None] * coef + mass * family.reduced_drift(coef), mass)
 
     scale = max(abs(lap[-1] + mass * last), 1.0)
     lam, coef = smallest_eigenpair(
@@ -188,12 +197,15 @@ def _block_solve(family: LinearizedFamily, mass: float) -> tuple:
     return lam, coef, max(scale, abs(lam))
 
 
+# an M whose S(M) overflows is refused by `_finite`, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def principal_eigenpair(family: LinearizedFamily, mass_level: float):
     """Smallest eigenvalue of the symmetrized S(M) on zero-mean vectors.
 
     Solved for that eigenpair alone in the cosine modes. Returns (eigenvalue,
     mode) with the mode normalized to unit L2 norm; the weak eigenrelation
-    residual in the full space is verified before returning.
+    residual in the full space is verified before returning. An M so large
+    that S(M), its eigenvalue or the residual leaves the doubles is refused.
     """
     check_real(mass_level, "mass level M", 0)
     km, grid = family.km, family.grid
@@ -209,7 +221,7 @@ def principal_eigenpair(family: LinearizedFamily, mass_level: float):
             from scipy.linalg import eigh  # a table's direct solve is the one use of SciPy
 
             lap, drift = family.reduced
-            reduced = np.diag(lap) + mass_level * drift
+            reduced = _finite(np.diag(lap) + mass_level * drift, mass_level)
             eigvals, eigvecs = eigh(reduced, subset_by_index=[0, 0])
             lam, coef = float(eigvals[0]), eigvecs[:, 0]
             scale = np.linalg.norm(reduced, np.inf)
@@ -220,7 +232,8 @@ def principal_eigenpair(family: LinearizedFamily, mass_level: float):
     # scale is at most the infinity norm of the reduced operator that was solved
     r = mass_level * d_vec - divergence(gradient(vec, grid), grid) - lam * vec
     residual = np.max(np.abs(r - r.mean()))
-    if residual > 1e-8 * max(scale, 1.0):
+    _finite((scale, residual), mass_level)
+    if not residual <= 1e-8 * max(scale, 1.0):
         raise UnsupportedKernelError(
             f"weak eigenrelation residual {residual:.2e} exceeds tolerance"
         )

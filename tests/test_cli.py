@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -27,6 +28,7 @@ def write_config(tmp_path, name, text):
 
 
 GREEN_LINES = "kernel.variant = green_closed_form\ngrid.n = 64\n"
+GAUSSIAN_32 = "kernel.variant = gaussian\nkernel.sigma = 0.1\ngrid.n = 32\n"
 
 
 class TestRunConfig:
@@ -71,6 +73,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="kernel.scale"):
             RunConfig.from_file(path)
         assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == EXIT_USAGE
+
+    def test_rejects_a_config_that_is_not_utf8(self, tmp_path, capsys):
+        from aggrestab.errors import ConfigError
+
+        path = tmp_path / "c.cfg"
+        path.write_bytes(GREEN_LINES.encode() + b"# caf\xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read config {path}: ")):
+            RunConfig.from_file(path)
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("aggrestab: config error: ") and err.count("\n") == 1
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, "c.cfg", GREEN_LINES + "seed = 3\n")
@@ -301,14 +314,32 @@ class TestCommands:
         assert "mild.T" in capsys.readouterr().err
         assert not (out / "picard.csv").exists()
 
-    def test_mild_solve_overflow_writes_no_nan_row(self, tmp_path):
+    def test_mild_solve_beyond_existence_time_warns_in_one_line(self, tmp_path, capsys):
+        text = GREEN_LINES.replace("64", "32") + (
+            "sim.initial = constant_plus_mode:1,0.5,1\nmild.T_factor = 4\n"
+        )
+        cfg = write_config(tmp_path, "c.cfg", text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mild-solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == (
+            "aggrestab: warning: T=0.0628215 exceeds the contraction estimate 0.0157054; "
+            "the iteration may not contract\n"
+        )
+        lines = (out / "picard.csv").read_text().splitlines()
+        assert lines[0] == "iteration,distance_XT,ratio"
+        assert lines[-1] == "T_existence=0.015705375665695052"
+
+    def test_mild_solve_overflow_writes_no_nan_row(self, tmp_path, capsys):
         # the third sweep overflows: the run stops with the two finite distances
         text = GREEN_LINES + "kernel.scale = 1e100\nmild.T = 0.01\n"
         cfg = write_config(tmp_path, "c.cfg", text)
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="contraction estimate"):
-            code = main(["mild-solve", "--config", cfg, "--out", str(out)])
+        code = main(["mild-solve", "--config", cfg, "--out", str(out)])
         assert code == EXIT_NO_CONTRACTION
+        (warning,) = capsys.readouterr().err.splitlines()
+        assert warning.startswith("aggrestab: warning: T=0.01 exceeds the contraction estimate")
         lines = (out / "picard.csv").read_text().splitlines()
         numbers = [float(v) for line in lines[1:-1] for v in line.split(",")[1:] if v]
         numbers.append(float(lines[-1].split("=")[1]))
@@ -606,6 +637,23 @@ class TestUsageErrors:
             assert value == pytest.approx(1e200 * float(unit[f"norm_inf_q{q}"]), rel=1e-12)
         assert large["classification"] == unit["classification"]
         assert large["critical_q_prime"] == unit["critical_q_prime"]
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("analyze", GREEN_LINES + "kernel.scale = 10\nanalysis.M = 1e308\n"),
+            ("analyze", GAUSSIAN_32 + "analysis.M = 1e307\n"),
+            ("threshold", GAUSSIAN_32 + "analysis.M_hi = 1e308\n"),
+        ],
+        ids=["green", "gaussian", "threshold"],
+    )
+    def test_mass_beyond_the_doubles_is_refused(self, tmp_path, capsys, command, text):
+        cfg = write_config(tmp_path, "c.cfg", text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("aggrestab: mass level M = 1e+30") and err.count("\n") == 1
+        assert not any(out.iterdir())
 
     def test_analyze_at_a_large_scale(self, tmp_path):
         # the operator norm's A^T A overflowed at scale 1e160, and analyze died in eigh

@@ -4,10 +4,16 @@ Configs are drawn from the keys of `cli._KEYS`, for every subcommand and kernel
 variant, on grids of at most 32 cells and short runs. Each key draws from a
 pool of sensible values and of 0, negative numbers, nan, inf, empty strings
 and non-numbers; kernel parameters stay in moderate ranges (|scale| <= 10).
+Every run is made with each warning raised as an error, and every line it
+writes to stderr must be an `aggrestab:` message.
 """
 
+import contextlib
+import io
+import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,6 +27,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 # the exit codes the CLI documents
 EXIT_CODES = {0, 2, 3, 4, 5, 64, 74}
+# the outputs that the README documents as possibly infinite: no existence time, no
+# critical q', a divergent q' norm, no instability threshold (A <= 0) and no
+# stability bound (a zero gradient)
+INFINITE = re.compile(r"T_existence|critical_q_prime|norm_inf_q.*|M_crit_instab|M_bound_stab")
 # values that every key may draw, one key a config
 BAD = ["0", "-1", "nan", "inf", "-inf", "", "abc"]
 # stands for a 16-cell table, written once for the module by the `table` fixture
@@ -53,9 +63,9 @@ POOLS = {
     ],
     "sim.output_stride": ["1", "2", "1.5"],
     "sim.snapshots": ["true", "false", "maybe"],
-    "analysis.M": ["1", "3", "12", "30"],
+    "analysis.M": ["1", "3", "12", "30", "1e308"],
     "analysis.M_lo": ["1", "5", "20"],
-    "analysis.M_hi": ["10", "30", "40"],
+    "analysis.M_hi": ["10", "30", "40", "1e308"],
     "analysis.tol_M": ["0.01", "0.5", "1e-6"],
     "validate.tol": ["1e-6", "1"],
     "validate.q_prime": ["inf", "2", "1", "inf,2,1", "1.5,4", "0.5", "1,x"],
@@ -90,6 +100,19 @@ def configs(draw):
     return pairs
 
 
+def cells(text):
+    """(name, value) of each value in an output file: a key=value line's under its key,
+    a CSV row's under its column's header."""
+    header = None
+    for line in text.splitlines():
+        if "," not in line and "=" in line:
+            yield tuple(line.split("=", 1))
+        elif header is None:
+            header = line.split(",")
+        else:
+            yield from zip(header, line.split(","))
+
+
 @pytest.fixture(scope="module")
 def table(tmp_path_factory):
     path = tmp_path_factory.mktemp("table") / "kernel.csv"
@@ -103,6 +126,8 @@ def test_every_key_has_a_pool():
 
 GAUSSIAN = {"kernel.variant": "gaussian", "grid.n": "16"}
 POWER_LAW = {"kernel.variant": "power_law_gradient", "grid.n": "16"}
+GAUSSIAN_32 = {**GAUSSIAN, "grid.n": "32"}
+GREEN_32 = {"kernel.variant": "green_closed_form", "grid.n": "32"}
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -118,12 +143,30 @@ POWER_LAW = {"kernel.variant": "power_law_gradient", "grid.n": "16"}
     pairs={**GAUSSIAN, "kernel.sigma": "0.1", "kernel.scale": "1e200", "validate.q_prime": "inf,2,1.5"},
 )
 @example(command="analyze", pairs={**GAUSSIAN, "kernel.sigma": "0.1", "kernel.scale": "1e160"})
+# the horizon warning is one aggrestab: line, not a Python warning
+@example(command="mild-solve", pairs={**GREEN_32, "mild.T_factor": "4"})
+# a principal eigenvalue or eigen-residual beyond the largest double is refused, exit 64
+@example(command="analyze", pairs={**GREEN_32, "kernel.scale": "10", "analysis.M": "1e308"})
+@example(command="analyze", pairs={**GAUSSIAN_32, "kernel.sigma": "0.1", "analysis.M": "1e307"})
+@example(command="threshold", pairs={**GAUSSIAN, "kernel.sigma": "0.1", "analysis.M_hi": "1e308"})
 def test_every_config_ends_in_a_documented_exit(table, command, pairs):
     with tempfile.TemporaryDirectory() as tmp:
         text = "".join(f"{key} = {table if raw == TABLE else raw}\n" for key, raw in pairs.items())
         config = Path(tmp) / "run.cfg"
         config.write_text(text)
         out = Path(tmp) / "out"
-        assert main([command, "--config", str(config), "--out", str(out)]) in EXIT_CODES
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(config), "--out", str(out)])
+        assert code in EXIT_CODES
+        for line in stderr.getvalue().splitlines():
+            assert line.startswith("aggrestab: "), line
         for path in out.glob("*"):
-            assert "nan" not in re.split(r"[,=\n]", path.read_text().lower()), path.name
+            for name, value in cells(path.read_text()):
+                try:
+                    number = float(value)
+                except ValueError:
+                    continue
+                finite = math.isfinite(number) or number == math.inf and INFINITE.fullmatch(name)
+                assert finite, (path.name, name, value)

@@ -530,11 +530,6 @@ class TestPicardMildSolve:
         drift = np.abs(diag.trajectory.mass - mass).max()
         assert drift <= 1e-10 * mass
 
-    def test_warns_beyond_existence_estimate(self, km128, grid128):
-        u0 = initial_field("constant_plus_mode:1,0.1,1", grid128)
-        with pytest.warns(UserWarning, match="contraction estimate"):
-            picard_mild_solve(u0, km128, 0.2, n_time=32, existence_estimate=0.1)
-
     def test_non_contraction_raises(self, green, grid128, km128):
         # far beyond the horizon with few iterations the residual cannot reach tol
         u0 = initial_field("constant_plus_mode:40,4,1", grid128)

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -211,7 +212,7 @@ class TestMatrixFree:
             ref = scipy.linalg.eigh(reduced, eigvals_only=True, subset_by_index=[0, 0])[0]
             assert principal_eigenpair(family, mass)[0] == pytest.approx(ref, rel=1e-9)
 
-    @pytest.mark.parametrize("mass", [1e150, 1e200, 1e305])
+    @pytest.mark.parametrize("mass", [1e150, 1e200, 1e305, 1e306])
     def test_huge_mass_converges_without_overflow(self, mass):
         # the residual's entries are about M: its squares overflow past M ~ 1e154
         with warnings.catch_warnings():
@@ -219,6 +220,24 @@ class TestMatrixFree:
             report = stability_verdict(assemble(KernelSpec.gaussian(0.1), Grid1D(32)), mass)
         assert report.verdict == VERDICT_UNSTABLE
         assert report.principal_eigenvalue == pytest.approx(-17.556409730305 * mass, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "spec, mass",
+        [
+            (KernelSpec.green_closed_form(scale=10.0), 1e308),
+            (KernelSpec.gaussian(0.1), 1e307),
+            (KernelSpec.gaussian(0.1), 1e308),
+            (KernelSpec.power_law(0.5), 5e307),
+            (_table(KernelSpec.gaussian(0.1), Grid1D(32)), 1e307),
+        ],
+        ids=["green-scale10", "gaussian", "gaussian-1e308", "power_law", "table"],
+    )
+    def test_mass_beyond_the_doubles_is_refused(self, spec, mass):
+        # the Green eigenvalue read -inf with a NaN residual; the others died in eigh, although
+        # the Gaussian's lambda = -1.76e308 at M = 1e307 is a double: its residual is not
+        family = assemble_linearized(assemble(spec, Grid1D(32)))
+        with pytest.raises(InvalidParameterError, match=re.escape(f"M = {mass:g} takes S")):
+            principal_eigenpair(family, mass)
 
     def test_reads_no_dense_sample(self, monkeypatch):
         def refuse(*args):
