@@ -9,10 +9,6 @@ class InvalidParameterError(AggrestabError, ValueError):
     """An argument is outside its admissible range."""
 
 
-class GridMismatchError(AggrestabError):
-    """Two objects were built on different grids."""
-
-
 class SingularityError(AggrestabError):
     """Kernel evaluation requested at a non-integrable singularity."""
 

@@ -45,12 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .eigen import smallest_eigenpair
-from .errors import (
-    GridMismatchError,
-    InvalidParameterError,
-    KernelLoadError,
-    SingularityError,
-)
+from .errors import InvalidParameterError, KernelLoadError, SingularityError
 from .grid import LOG_MAX_DOUBLE, Grid1D, _along_axis0, _rows, check_real, check_size, divergence
 
 # the two Green variants are one family: green_closed_form is a = 1
@@ -196,10 +191,13 @@ class KernelMatrices:
     `green_scan`, O(n) weights; a Gaussian or power-law kernel acts by
     `grad_toeplitz` and `value_toeplitz`, O(n) offsets. The dense samples
     `k_centers` and `gradk_faces` are taken when first read, which only a
-    table's actions do.
+    table's actions do. A table on another grid is refused here, so `assemble`
+    and the constructor refuse it alike, with `InvalidParameterError`.
     """
 
     def __init__(self, spec: KernelSpec, grid: Grid1D):
+        if spec.variant == "tabulated" and (n := spec.table_values.shape[0]) != grid.n:
+            raise InvalidParameterError(f"a table of n = {n} does not match grid n = {grid.n}")
         self.spec, self.grid = spec, grid
         self.symbols = _green_symbols(spec, grid) if spec.variant in _GREEN else None
 
@@ -428,8 +426,6 @@ def _gradk_matrix(spec: KernelSpec, grid: Grid1D) -> np.ndarray:
 
 def assemble(spec: KernelSpec, grid: Grid1D) -> KernelMatrices:
     """The kernel on the grid: values at centers, gradient at faces, sampled when read."""
-    if spec.variant == "tabulated" and spec.table_values.shape != (grid.n, grid.n):
-        raise GridMismatchError("tabulated value table does not match grid")
     return KernelMatrices(spec, grid)
 
 
@@ -846,9 +842,7 @@ def load_tabulated_csv(path, grid: Grid1D) -> KernelSpec:
                 if not np.isnan(table[cell]):
                     raise KernelLoadError(f"{path}: repeated entry in row {row!r}")
                 table[cell] = float(entry)
-    except OSError as exc:
-        raise KernelLoadError(f"{path}: {exc}") from exc
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise KernelLoadError(f"{path}: {exc}") from exc
     if np.isnan(values).any() or np.isnan(grad).any():
         raise KernelLoadError(f"{path}: incomplete kernel table for n={n}")

@@ -7,12 +7,15 @@ upwinding and Heun's method (SSP-RK2), then a second diffusion half step.
 The scheme is second order in time, and discrete mass conservation and
 positivity are structural: diffusion leaves the constant mode alone and
 e^{-t L_h} is nonnegative, and each Heun stage is a forward-Euler step under
-the CFL bound. Transport alone sets the automatic step. `evolve` alone drives
-the step: it carries the mode coefficients, three transforms and two kernel
-actions a step, and checks each state's finiteness, positivity and mass;
-`step_imex` is its run of one set step. The mild solver iterates the integral
-fixed point on the same exact propagator, with its own drift treatment and the
-same kernel action `apply_grad`.
+the CFL bound. Transport alone sets the automatic step, and `_velocity` alone
+reads the transport velocity, for `auto_dt` and for each Heun stage. `evolve`
+alone drives the step: it carries the mode coefficients, three transforms and
+two kernel actions a step, and checks each state's finiteness, positivity and
+mass; `step_imex` is its run of one set step. The mild solver iterates the
+integral fixed point on the same exact propagator, with its own drift treatment
+and the same kernel action `apply_grad`. On cell values that propagator is
+`heat_semigroup` alone: the mild solver's free term and the semigroup probes
+call it, with an array of times for a column per time.
 
 Every state and datum is a cell array, as in `grid`: the initial datum, the
 stepper's input and output, and the inputs of the mild solver and the
@@ -135,16 +138,15 @@ def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> np.ndarray:
         raise InvalidParameterError(f"bad initial descriptor {descriptor!r}: {exc}") from exc
 
 
-def _transport_flux(u: np.ndarray, mode: str, mass_level: float, km: KernelMatrices):
-    """Face flux of the drift term and the advecting velocity used for CFL."""
+def _velocity(u: np.ndarray, km: KernelMatrices):
+    """The transport velocity grad K(u) at the faces, its two boundary faces (no flux) at 0,
+    and its max|v|; refused when not finite."""
     v = apply_grad(km, u)
     v[0] = v[-1] = 0.0
-    if mode == "linearized":
-        return mass_level * v, v
-    upwind = np.zeros(km.grid.n + 1)
-    upwind[1:-1] = np.where(v[1:-1] > 0, u[:-1], u[1:])
-    # the flux (M + u) grad K(u), at M = 0 in nonlinear mode; the constant M needs no upwinding
-    return v * ((mass_level if mode == "perturbed" else 0.0) + upwind), v
+    vmax = float(np.abs(v).max())
+    if not math.isfinite(vmax):
+        raise SchemeFailureError("non-finite transport velocity: no step is admissible")
+    return v, vmax
 
 
 def _cfl_dt(vmax: float, h: float) -> float:
@@ -158,22 +160,23 @@ def auto_dt(u: np.ndarray, km: KernelMatrices) -> float:
     Every mode advects with grad K(u). Diffusion is exact, so the cap keeps a
     step with no transport from jumping across the whole run.
     """
-    vmax = float(np.abs(apply_grad(km, u)[1:-1]).max())  # the boundary faces carry no flux
-    if not math.isfinite(vmax):
-        raise SchemeFailureError("non-finite transport velocity: no step is admissible")
-    return _cfl_dt(vmax, km.grid.h)
+    return _cfl_dt(_velocity(u, km)[1], km.grid.h)
 
 
 def _transport_stage(u: np.ndarray, dt: float, mode: str, mass_level: float, km: KernelMatrices):
     """One forward-Euler upwind transport step and its max|v|, refused above the CFL bound."""
-    flux, v = _transport_flux(u, mode, mass_level, km)
-    vmax = float(np.abs(v).max())
-    if not math.isfinite(vmax):
-        raise SchemeFailureError("non-finite transport velocity: no step is admissible")
+    v, vmax = _velocity(u, km)
     if vmax > 0:
         admissible = km.grid.h / (2.0 * vmax)
         if dt > admissible:
             raise RejectedStepError(dt, admissible)
+    if mode == "linearized":
+        flux = mass_level * v
+    else:
+        upwind = np.zeros(km.grid.n + 1)
+        upwind[1:-1] = np.where(v[1:-1] > 0, u[:-1], u[1:])
+        # the flux (M + u) grad K(u), at M = 0 in nonlinear mode; the constant M needs no upwinding
+        flux = v * ((mass_level if mode == "perturbed" else 0.0) + upwind)
     return u - dt * divergence(flux, km.grid), vmax
 
 
@@ -298,11 +301,17 @@ def evolve(
     return Trajectory.from_states(times, states, grid)
 
 
-def heat_semigroup(u, grid: Grid1D, t: float) -> np.ndarray:
-    """Neumann heat propagator, exact on the discrete cosine basis."""
-    check_real(t, "semigroup time", 0)
+def heat_semigroup(u, grid: Grid1D, t) -> np.ndarray:
+    """e^{-t L_h}, the Neumann heat propagator, on cell values along axis 0, exact on the
+    grid's cosine modes. An array of times adds its axes after u's: a column per time."""
+    times = np.asarray(t)
+    for time in times.flat:
+        check_real(time, "semigroup time", 0)
     basis = grid.basis
-    return basis.from_spectral(basis.to_spectral(u) * np.exp(-basis.eigenvalues_discrete * t))
+    c = basis.to_spectral(u)
+    decay = np.exp(-np.multiply.outer(basis.eigenvalues_discrete, times))
+    decay = decay.reshape((grid.n,) + (1,) * (c.ndim - 1) + times.shape)
+    return basis.from_spectral(c.reshape(c.shape + (1,) * times.ndim) * decay)
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,8 +342,6 @@ def semigroup_probe(probes, grid: Grid1D, p: float, q: float, times) -> Semigrou
     probes = list(probes)
     if not probes:
         raise InvalidParameterError("need at least one probe")
-    basis = grid.basis
-    decay = np.exp(-np.outer(basis.eigenvalues_discrete, times))  # e^{tL} on the modes, per time
     expo = 0.5 * (1.0 / q - 1.0 / p)  # 1/inf = 0
     smoothing = np.zeros((len(probes), times.size))
     grad = np.zeros((len(probes), times.size))
@@ -342,7 +349,7 @@ def semigroup_probe(probes, grid: Grid1D, p: float, q: float, times) -> Semigrou
         fq = lp_norm(f, q, grid)
         if fq == 0:
             continue
-        uf = basis.from_spectral(basis.to_spectral(f)[:, None] * decay)  # a column per time
+        uf = heat_semigroup(f, grid, times)  # a column per time
         smoothing[i] = lp_norm(uf, p, grid) / ((1.0 + times**-expo) * fq)
         # the ratio first: e^{lambda_1 t} times t^{...} alone may overflow
         ratio = lp_norm(gradient(uf, grid), p, grid) / fq
@@ -423,10 +430,9 @@ def picard_mild_solve(
     blocks = [slice(j, j + rows) for j in range(0, n_time + 1, rows)]
 
     # states are time-major (n_time + 1, n) arrays: row j holds the cell values at t_j
-    c0 = basis.to_spectral(u0)
     free = np.empty((n_time + 1, grid.n))
     for s in blocks:
-        free[s] = basis.from_spectral(c0[:, None] * np.exp(-np.outer(lam, times[s]))).T
+        free[s] = heat_semigroup(u0, grid, times[s]).T
 
     decay = np.exp(-lam * dt)
     gain = np.empty_like(lam)

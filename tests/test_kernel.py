@@ -656,6 +656,14 @@ class TestTabulatedRoundTrip:
         np.testing.assert_allclose(back.k_centers, km.k_centers, rtol=1e-15)
         np.testing.assert_allclose(back.gradk_faces, km.gradk_faces, rtol=1e-15)
 
+    @pytest.mark.parametrize("build", [assemble, kernel.KernelMatrices], ids=["assemble", "init"])
+    def test_table_on_another_grid_refused(self, green, build):
+        km = assemble(green, Grid1D(64))
+        table = KernelSpec.tabulated(km.k_centers, km.gradk_faces)
+        message = "a table of n = 64 does not match grid n = 32"
+        with pytest.raises(InvalidParameterError, match=message):
+            build(table, Grid1D(32))
+
     def test_load_rejects_wrong_grid(self, green, tmp_path):
         grid = Grid1D(16)
         path = tmp_path / "kernel.csv"

@@ -428,6 +428,37 @@ class TestHeatSemigroup:
         with pytest.raises(InvalidParameterError):
             heat_semigroup(np.ones(128), grid128, -0.1)
 
+    @pytest.mark.parametrize("m", [8, 3])
+    def test_batch_acts_along_axis_0(self, m, rng):
+        # m = n is the square batch that a propagator acting along the last axis gets wrong
+        grid = Grid1D(8)
+        u = rng.standard_normal((8, m))
+        out = heat_semigroup(u, grid, 0.01)
+        assert out.shape == (8, m)
+        for j in range(m):
+            assert np.array_equal(out[:, j], heat_semigroup(u[:, j], grid, 0.01))
+
+    def test_times_add_trailing_axes(self, grid128, rng):
+        f, times = rng.standard_normal(128), np.array([[0.0, 1e-3], [0.01, 0.5]])
+        out = heat_semigroup(f, grid128, times)
+        assert out.shape == (128, 2, 2)
+        for index in np.ndindex(times.shape):
+            one = heat_semigroup(f, grid128, times[index])
+            assert np.array_equal(out[(slice(None), *index)], one)
+        batch = rng.standard_normal((128, 3))
+        out = heat_semigroup(batch, grid128, times[1])
+        assert out.shape == (128, 3, 2)
+        for j, t in enumerate(times[1]):
+            assert np.array_equal(out[:, :, j], heat_semigroup(batch, grid128, t))
+
+    @pytest.mark.parametrize(
+        "t", [-0.1, math.nan, math.inf, [0.1, -0.1], [math.nan], [0.0, math.inf]]
+    )
+    def test_negative_or_non_finite_time_refused(self, grid128, t):
+        message = "semigroup time must be nonnegative and finite"
+        with pytest.raises(InvalidParameterError, match=message):
+            heat_semigroup(np.ones(128), grid128, t)
+
 
 class TestSemigroupProbe:
     def test_constants_finite_and_positive(self, grid128, rng):
