@@ -191,8 +191,7 @@ class KernelMatrices:
     `green_scan`, O(n) weights; a Gaussian or power-law kernel acts by
     `grad_toeplitz` and `value_toeplitz`, O(n) offsets. The dense samples
     `k_centers` and `gradk_faces` are taken when first read, which only a
-    table's actions do. A table on another grid is refused here, so `assemble`
-    and the constructor refuse it alike, with `InvalidParameterError`.
+    table's actions do. A table of another n is refused with `InvalidParameterError`.
     """
 
     def __init__(self, spec: KernelSpec, grid: Grid1D):

@@ -7,15 +7,12 @@ upwinding and Heun's method (SSP-RK2), then a second diffusion half step.
 The scheme is second order in time, and discrete mass conservation and
 positivity are structural: diffusion leaves the constant mode alone and
 e^{-t L_h} is nonnegative, and each Heun stage is a forward-Euler step under
-the CFL bound. Transport alone sets the automatic step, and `_velocity` alone
-reads the transport velocity, for `auto_dt` and for each Heun stage. `evolve`
-alone drives the step: it carries the mode coefficients, three transforms and
-two kernel actions a step, and checks each state's finiteness, positivity and
-mass; `step_imex` is its run of one set step. The mild solver iterates the
-integral fixed point on the same exact propagator, with its own drift treatment
-and the same kernel action `apply_grad`. On cell values that propagator is
-`heat_semigroup` alone: the mild solver's free term and the semigroup probes
-call it, with an array of times for a column per time.
+the CFL bound. Transport alone sets the automatic step. `evolve` alone drives
+the step: it carries the mode coefficients, three transforms and two kernel
+actions a step, and checks each state's finiteness, positivity and mass;
+`step_imex` is its run of one set step. The mild solver iterates the integral
+fixed point on the same exact propagator, with its own drift treatment and the
+same kernel action `apply_grad`.
 
 Every state and datum is a cell array, as in `grid`: the initial datum, the
 stepper's input and output, and the inputs of the mild solver and the
