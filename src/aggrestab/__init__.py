@@ -43,7 +43,6 @@ from .spectral import (
     StabilityReport,
     assemble_linearized,
     bilinear_form,
-    compute_A,
     compute_interaction_coefficient,
     principal_eigenpair,
     stability_verdict,

@@ -1,6 +1,8 @@
 """Command-line front end: flat key=value configs, deterministic CSV outputs.
 
 Subcommands: validate-kernel, analyze, simulate, mild-solve, threshold.
+A run reads the keys of `_KEYS` and the flags --config and --out (default: the
+working directory), and nothing else.
 Every output file is written by `_write`, and every message is one stderr line
 starting `aggrestab: `; a failure takes its exit code and label from `_FAILURES`.
 Exit codes: 0 ok, 2 validation failure / invalid bracket, 3 scheme failure
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -61,13 +62,6 @@ _FAILURES = {
     AggrestabError: (EXIT_USAGE, ""),
 }
 
-# keys that earlier versions read, refused with the reason they went
-_REMOVED_KEYS = {
-    "kernel.m": "kernel.m was removed: the Green kernel is exact for every a, with no series "
-    "to truncate",
-    "kernel.normalization": "kernel.normalization was removed: kernel.scale multiplies every "
-    "kernel, the Gaussian too",
-}
 # the flag spellings a config may use, in any case
 _FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -108,10 +102,10 @@ def _step(key, raw):
 
 _REQUIRED = object()
 _POSITIVE = "positive"
-# every key: (parser, default, bound); str keeps the text. A default is the text
-# a config would give, _REQUIRED, or None where absence means something: sim.dt
-# the automatic step, analysis.M the level sim.M, mild.T the horizon T_factor
-# times the existence time. A bound is a least value or _POSITIVE; q' takes inf.
+# every key a config may hold: (parser, default, bound); str keeps the text, and any
+# other key is refused. A default is the text a config would give, _REQUIRED, or None
+# where absence means something: analysis.M the level sim.M, mild.T the horizon
+# T_factor times the existence time. A bound is a least value or _POSITIVE; q' takes inf.
 _KEYS = {
     "kernel.variant": (str, _REQUIRED, None),
     "kernel.a": (_real, _REQUIRED, _POSITIVE),
@@ -124,7 +118,7 @@ _KEYS = {
     "sim.mode": (str, "nonlinear", None),
     "sim.M": (_real, "0", 0.0),
     "sim.t_end": (_real, "1", _POSITIVE),
-    "sim.dt": (_step, None, _POSITIVE),
+    "sim.dt": (_step, "auto", _POSITIVE),
     "sim.initial": (str, "constant:1.0", None),
     "sim.output_stride": (_integer, "1", 1),
     "sim.snapshots": (_flag, "false", None),
@@ -141,27 +135,11 @@ _KEYS = {
     "mild.tol": (_real, "1e-10", _POSITIVE),
     "mild.q_prime": (_number, "inf", None),
     "mild.C_emp": (_real, "1", _POSITIVE),
-    "output.dir": (str, ".", None),
     "seed": (_integer, "0", 0),
 }
 # the kernel.* keys each variant reads besides kernel.variant and kernel.scale, a
 # built-in variant's by KernelSpec field; any other kernel.* key is refused
 _VARIANT_KEYS = {**VARIANT_PARAMETERS, "tabulated": ("csv",)}
-
-
-def _parse(name, raw, key):
-    """raw parsed and bounded as `_KEYS` says for key, with name in every message."""
-    parse, _, bound = _KEYS[key]
-    if raw is _REQUIRED:
-        raise ConfigError(f"missing required key {name}")
-    value = raw if raw is None or parse is str else parse(name, raw)
-    if value is None or bound is None:
-        return value
-    if bound == _POSITIVE and value <= 0:
-        raise ConfigError(f"{name}: must be positive, got {value}")
-    if bound != _POSITIVE and value < bound:
-        raise ConfigError(f"{name}: must be >= {bound}, got {value}")
-    return value
 
 
 def _fmt(x) -> str:
@@ -181,8 +159,6 @@ class RunConfig:
     """A flat key=value configuration; `config[key]` parses and bounds a key as `_KEYS` says."""
 
     def __init__(self, pairs: dict):
-        for key in sorted(set(pairs) & set(_REMOVED_KEYS)):
-            raise ConfigError(_REMOVED_KEYS[key])
         if unknown := set(pairs) - set(_KEYS):
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         self.pairs = dict(pairs)
@@ -208,15 +184,17 @@ class RunConfig:
         return cls(pairs)
 
     def __getitem__(self, key):
-        return _parse(key, self.pairs.get(key, _KEYS[key][1]), key)
-
-    @property
-    def seed(self) -> int:
-        env = os.environ.get("AGGRESTAB_SEED")
-        return self["seed"] if env is None else _parse("AGGRESTAB_SEED", env, "seed")
-
-    def grid(self) -> Grid1D:
-        return Grid1D(self["grid.n"])
+        parse, default, bound = _KEYS[key]
+        if (raw := self.pairs.get(key, default)) is _REQUIRED:
+            raise ConfigError(f"missing required key {key}")
+        value = raw if raw is None or parse is str else parse(key, raw)
+        if value is None or bound is None:
+            return value
+        if bound == _POSITIVE and value <= 0:
+            raise ConfigError(f"{key}: must be positive, got {value}")
+        if bound != _POSITIVE and value < bound:
+            raise ConfigError(f"{key}: must be >= {bound}, got {value}")
+        return value
 
     def kernel(self) -> KernelMatrices:
         """The kernel of the kernel.* keys, assembled on the grid of grid.n."""
@@ -226,12 +204,13 @@ class RunConfig:
         reads = {f"kernel.{name}" for name in ("variant", "scale", *_VARIANT_KEYS[variant])}
         if unread := {key for key in self.pairs if key.startswith("kernel.")} - reads:
             raise ConfigError(f"kernel.variant = {variant} reads no {', '.join(sorted(unread))}")
+        grid = Grid1D(self["grid.n"])
         if variant == "tabulated":
-            spec = replace(load_tabulated_csv(self["kernel.csv"], self.grid()), scale=scale)
+            spec = replace(load_tabulated_csv(self["kernel.csv"], grid), scale=scale)
         else:
             params = {name: self[f"kernel.{name}"] for name in _VARIANT_KEYS[variant]}
             spec = KernelSpec(variant, scale=scale, **params)
-        return assemble(spec, self.grid())
+        return assemble(spec, grid)
 
 
 def cmd_validate_kernel(config: RunConfig, out_dir: Path) -> int:
@@ -278,7 +257,7 @@ def cmd_analyze(config: RunConfig, out_dir: Path) -> int:
 def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     km = config.kernel()
     grid = km.grid
-    u0 = initial_field(config["sim.initial"], grid, config.seed)
+    u0 = initial_field(config["sim.initial"], grid, config["seed"])
     traj = evolve(
         u0,
         km,
@@ -300,7 +279,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
 def cmd_mild_solve(config: RunConfig, out_dir: Path) -> int:
     km = config.kernel()
     grid = km.grid
-    u0 = initial_field(config["sim.initial"], grid, config.seed)
+    u0 = initial_field(config["sim.initial"], grid, config["seed"])
     q_prime, c_emp = config["mild.q_prime"], config["mild.C_emp"]
     estimate = norm_inf_qprime(km.spec, q_prime, levels=(64, 128, 256, 512))
     t_exist = existence_time(u0, grid, estimate.value, q_prime, c_emp)
@@ -363,14 +342,14 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=None)
+    parser.add_argument("--out", default=".")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         config = RunConfig.from_file(args.config)
-        out_dir = Path(args.out or config["output.dir"])
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out_dir)
     except (AggrestabError, OSError) as exc:

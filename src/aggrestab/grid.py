@@ -27,6 +27,8 @@ from .errors import InvalidParameterError
 MAX_STORED_VALUES = 10**8
 # the log of the largest double: e^x overflows above it
 LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
+# the smallest normal double: a sum below it has lost digits
+SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -96,16 +98,26 @@ def lp_norm(v, p: float, grid: Grid1D):
     (rows, m) array, each equal to the norm of that column alone.
     """
     check_real(p, "p", 1, finite=False)
+    a = np.asarray(v, dtype=float)
     # F order, so that each column is summed contiguously, as a lone vector is
-    v = np.abs(np.asarray(v, dtype=float), order="F")
+    v = np.abs(a, order="F")
     if np.isinf(p):
         norms = v.max(axis=0, initial=0.0)
     elif p == 1:
         norms = grid.h * v.sum(axis=0)
     else:  # a scalar power per column: NumPy's array power can move the last digit
-        v **= p
-        sums = np.ravel(grid.h * v.sum(axis=0))
-        norms = np.reshape([s ** (1.0 / p) for s in sums], v.shape[1:])
+        with np.errstate(over="ignore"):
+            v **= p
+            sums = np.ravel(grid.h * v.sum(axis=0))
+        roots = [s ** (1.0 / p) for s in sums]
+        # a sum that overflowed, or fell below the smallest normal double, is redone with its
+        # column's peak divided out, so that its largest term is 1
+        columns = a.reshape(len(a), math.prod(a.shape[1:]))
+        for i in np.flatnonzero(~((SMALLEST_NORMAL <= sums) & (sums < math.inf))):
+            column = np.abs(columns[:, i])
+            if 0 < (peak := column.max(initial=0.0)) < math.inf:  # not zero, no inf or NaN
+                roots[i] = peak * (grid.h * np.sum((column / peak) ** p)) ** (1.0 / p)
+        norms = np.reshape(roots, v.shape[1:])
     return float(norms) if v.ndim == 1 else norms
 
 

@@ -46,7 +46,8 @@ import numpy as np
 
 from .eigen import smallest_eigenpair
 from .errors import InvalidParameterError, KernelLoadError, SingularityError
-from .grid import LOG_MAX_DOUBLE, Grid1D, _along_axis0, _rows, check_real, check_size, divergence
+from .grid import LOG_MAX_DOUBLE, SMALLEST_NORMAL, Grid1D, _along_axis0, _rows, check_real
+from .grid import check_size, divergence, lp_norm
 
 # the two Green variants are one family: green_closed_form is a = 1
 _GREEN = ("green_closed_form", "green_series")
@@ -532,33 +533,35 @@ def l2_operator_norm(km: KernelMatrices) -> float:
     return math.ldexp(math.sqrt(abs(smallest_eigenpair(gram, start, _NORM_TOL)[0])), exp)
 
 
-def _mixed_norm(row_sums, col_sums, h: float, q_prime: float) -> float:
-    """sup_x (h sum_y |grad K|^q')^(1/q') plus the same over y, from the sums."""
-    sups = (float(np.max(h * sums, initial=0.0)) for sums in (row_sums, col_sums))
-    return sum(sup ** (1.0 / q_prime) for sup in sups)
+def _mixed_norm(sums, peak: float, h: float, q_prime: float) -> float:
+    """sup_x (h sum_y |grad K|^q')^(1/q') plus the same over y.
+
+    sums(q', False) gives the row and column sums of |grad K|^q', and sums(q', True)
+    those of (|grad K| / peak)^q', whose largest term is 1, taken only where a sup of
+    the former overflowed or fell below the smallest normal double (peak nonzero).
+    """
+    sups = [float(np.max(h * s, initial=0.0)) for s in sums(q_prime, False)]
+    if all(SMALLEST_NORMAL <= sup < math.inf for sup in sups) or not 0 < peak < math.inf:
+        return sum(sup ** (1.0 / q_prime) for sup in sups)
+    sups = [float(np.max(h * s, initial=0.0)) for s in sums(q_prime, True)]
+    return peak * sum(sup ** (1.0 / q_prime) for sup in sups)
 
 
-def _norm_value(gk: np.ndarray, h: float, q_prime: float) -> float:
-    """Mixed norm of one sampled |grad K| (faces x centers) at cell width h."""
-    if np.isinf(q_prime):
-        return 2.0 * float(gk.max(initial=0.0))
-    powered = gk**q_prime
-    return _mixed_norm(powered.sum(axis=1), powered.sum(axis=0), h, q_prime)
-
-
-def _window_norm(g: np.ndarray, h: float, q_prime: float) -> float:
-    """`_norm_value` of a level whose |grad K| at (face f, center j) is g[f - j + n - 1].
+def _window_norms(g: np.ndarray, h: float, q_primes) -> list:
+    """Mixed norms of a level whose |grad K| at (face f, center j) is g[f - j + n - 1].
 
     Row f sums the window g[f : f + n] and column j the window
     g[n - 1 - j : 2n - j]; one cumulative sum gives them all. Every window
     spans offsets of length 1 across the diagonal, so it holds a sizable share
     of the whole sum and differences of the cumulative sum keep their digits.
     """
-    n = g.size // 2
-    if np.isinf(q_prime):
-        return 2.0 * float(g.max())
-    c = np.concatenate(([0.0], np.cumsum(g**q_prime)))
-    return _mixed_norm(c[n:] - c[: n + 1], c[n + 1 :] - c[:n], h, q_prime)
+    n, peak = g.size // 2, float(g.max())
+
+    def sums(q_prime, scaled):
+        c = np.concatenate(([0.0], np.cumsum((g / peak if scaled else g) ** q_prime)))
+        return c[n:] - c[: n + 1], c[n + 1 :] - c[:n]
+
+    return [2.0 * peak if np.isinf(q) else _mixed_norm(sums, peak, h, q) for q in q_primes]
 
 
 class _DecayScan:
@@ -617,8 +620,8 @@ class _DecayScan:
         return blocks.reshape((-1,) + rest)[:n]
 
 
-def _green_norm(spec: KernelSpec, grid: Grid1D, q_prime: float) -> float:
-    """`_norm_value` of the Green kernel on the grid without its (n+1) x n sample.
+def _green_norms(spec: KernelSpec, grid: Grid1D, q_primes) -> list:
+    """Mixed norms of the Green kernel on the grid without its (n+1) x n sample.
 
     |dG/dx| at (x_f, y_j) is e^{-s |x_f - y_j|} p_f q_j for x_f < y_j and the
     mirror p_{n-f} q_{n-1-j} otherwise (see `_green_dx`). Row f then sums to
@@ -626,36 +629,46 @@ def _green_norm(spec: KernelSpec, grid: Grid1D, q_prime: float) -> float:
     and r = e^{-q' s h}, and column j to e^{-q' s h/2} (b_j + b_{n-1-j}) with
     b_j = q_j^q' sum_{f <= j} r^{j-f} p_f^q'. For q' = inf, |dG/dx| grows
     towards the diagonal on both sides, so its maximum is at a face next to
-    it, where the two sides mirror each other: e^{-s h/2} max_j p_j q_j.
+    it, where the two sides mirror each other: e^{-s h/2} max_j p_j q_j. p and
+    q both grow, so dividing each by its maximum divides that peak out.
     """
     s, h = math.sqrt(spec.a), grid.h
-    p, q = _green_p(s, grid.faces), _green_q(s, grid.centers)
-    edge = math.exp(-0.5 * s * h)
-    if np.isinf(q_prime):
-        return 2.0 * edge * float(np.max(p[:-1] * q))
-    pq, qq = p**q_prime, q**q_prime
-    scan = _DecayScan(q_prime * s * h, grid.n)
-    rows = pq * np.append(scan(qq[::-1])[::-1], 0.0)
-    cols = qq * scan(pq[:-1])
-    return edge * _mixed_norm(rows + rows[::-1], cols + cols[::-1], h, q_prime)
+    p, q = _green_p(s, grid.faces[:-1]), _green_q(s, grid.centers)  # row n sums to 0
+    edge, p_max, q_max = math.exp(-0.5 * s * h), float(p.max()), float(q.max())
+
+    def sums(q_prime, scaled):
+        # past 2 LOG_MAX_DOUBLE the decay e^{-q' s h} is 0, as it is for any larger exponent
+        scan = _DecayScan(min(q_prime * s * h, 2.0 * LOG_MAX_DOUBLE), grid.n)
+        pq = (p / p_max if scaled else p) ** q_prime
+        qq = (q / q_max if scaled else q) ** q_prime
+        rows = np.append(pq * scan(qq[::-1])[::-1], 0.0)
+        cols = qq * scan(pq)
+        return rows + rows[::-1], cols + cols[::-1]
+
+    sup = 2.0 * edge * float(np.max(p * q))
+    return [
+        sup if np.isinf(q_prime) else edge * _mixed_norm(sums, p_max * q_max, h, q_prime)
+        for q_prime in q_primes
+    ]
 
 
 def _level_norms(spec: KernelSpec, n: int, q_primes) -> list:
     """The mixed norm of every q' at level n; only a tabulated kernel is read densely.
 
     Each norm is |scale| times the unscaled kernel's, so the q' powers of a
-    large but finite gradient do not overflow.
+    large but finite gradient do not overflow; power sums that leave the
+    doubles anyway are redone with the peak divided out, without a warning.
     """
     grid, unit = Grid1D(n), replace(spec, scale=1.0)
-    if spec.variant == "tabulated":
-        gk = np.abs(_gradk_matrix(unit, grid))
-        norms = [_norm_value(gk, grid.h, q) for q in q_primes]
-    elif spec.variant in _GREEN:
-        norms = [_green_norm(unit, grid, q) for q in q_primes]
-    else:
-        g = np.abs(_grad_offsets(unit, grid))
-        norms = [_window_norm(g, grid.h, q) for q in q_primes]
-    return [abs(spec.scale) * norm for norm in norms]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.variant == "tabulated":
+            gk = _gradk_matrix(unit, grid)  # the sup of its rows' L^q' norms plus its columns'
+            norms = [lp_norm(gk.T, q, grid).max() + lp_norm(gk, q, grid).max() for q in q_primes]
+        elif spec.variant in _GREEN:
+            norms = _green_norms(unit, grid, q_primes)
+        else:
+            norms = _window_norms(np.abs(_grad_offsets(unit, grid)), grid.h, q_primes)
+    return [abs(spec.scale) * float(norm) for norm in norms]
 
 
 def _estimate(q_prime: float, trend: tuple) -> KernelNormEstimate:

@@ -241,15 +241,11 @@ def principal_eigenpair(family: LinearizedFamily, mass_level: float):
 
 
 def compute_interaction_coefficient(km: KernelMatrices) -> float:
-    """Double integral of K against the first cosine mode in both slots."""
+    """Double integral of K against the first cosine mode in both slots: A in M > 1/A."""
     if km.symbols is not None:
         return float(km.symbols[0][1])
     w1 = km.grid.basis.mode(1)
     return float(km.grid.h * (w1 @ apply(km, w1)))
-
-
-# conventional short name: A in the instability condition M > 1/A
-compute_A = compute_interaction_coefficient
 
 
 @dataclass(frozen=True, eq=False)

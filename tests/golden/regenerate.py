@@ -21,7 +21,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import platform
 import shutil
 import sys
@@ -120,13 +119,8 @@ def environment() -> dict:
 def run(command: str, config: Path, out: Path) -> tuple:
     """The exit code and stderr lines of one CLI run, its files written to out."""
     stderr = io.StringIO()
-    seed = os.environ.pop("AGGRESTAB_SEED", None)  # each case runs at its config's seed
-    try:
-        with contextlib.redirect_stderr(stderr):
-            code = cli.main([command, "--config", str(config), "--out", str(out)])
-    finally:
-        if seed is not None:
-            os.environ["AGGRESTAB_SEED"] = seed
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main([command, "--config", str(config), "--out", str(out)])
     return code, stderr.getvalue().splitlines()
 
 

@@ -33,8 +33,8 @@ def linearized_rate(mass, n=256, amplitude=0.01, t_end=1.0):
 def test_criterion_01_instability_constant():
     start = time.perf_counter()
     grid = ag.Grid1D(512)
-    a1 = ag.compute_A(ag.assemble(GREEN, grid))
-    a4 = ag.compute_A(ag.assemble(ag.KernelSpec.green_series(4.0), grid))
+    a1 = ag.compute_interaction_coefficient(ag.assemble(GREEN, grid))
+    a4 = ag.compute_interaction_coefficient(ag.assemble(ag.KernelSpec.green_series(4.0), grid))
     err1 = abs(a1 - 1.0 / (1.0 + PI2))
     err4 = abs(a4 - 1.0 / (4.0 + PI2))
     elapsed = time.perf_counter() - start

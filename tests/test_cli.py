@@ -31,6 +31,17 @@ GREEN_LINES = "kernel.variant = green_closed_form\ngrid.n = 64\n"
 GAUSSIAN_32 = "kernel.variant = gaussian\nkernel.sigma = 0.1\ngrid.n = 32\n"
 
 
+def assert_unknown_key(tmp_path, capsys, text, key):
+    """The config text, holding key, is refused as holding an unknown key: exit 64, one line."""
+    from aggrestab.errors import ConfigError
+
+    path = write_config(tmp_path, "c.cfg", text)
+    with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: {key}")):
+        RunConfig.from_file(path)
+    assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"aggrestab: config error: unknown config keys: {key}\n"
+
+
 class TestRunConfig:
     def test_parses_comments_and_whitespace(self, tmp_path):
         path = write_config(
@@ -40,7 +51,7 @@ class TestRunConfig:
         )
         config = RunConfig.from_file(path)
         assert config["kernel.variant"] == "green_closed_form"
-        assert config.grid().n == 64
+        assert config["grid.n"] == 64
 
     def test_rejects_unknown_key(self, tmp_path):
         from aggrestab.errors import ConfigError
@@ -56,23 +67,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             RunConfig.from_file(path)
 
-    def test_rejects_removed_key(self, tmp_path):
-        from aggrestab.errors import ConfigError
-
+    def test_rejects_removed_key(self, tmp_path, capsys):
         text = "kernel.variant = green_series\nkernel.a = 4\nkernel.m = 4096\ngrid.n = 64\n"
-        path = write_config(tmp_path, "c.cfg", text)
-        with pytest.raises(ConfigError, match="kernel.m was removed"):
-            RunConfig.from_file(path)
-        assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert_unknown_key(tmp_path, capsys, text, "kernel.m")
 
-    def test_rejects_normalization_key(self, tmp_path):
-        from aggrestab.errors import ConfigError
-
+    def test_rejects_normalization_key(self, tmp_path, capsys):
         text = "kernel.variant = gaussian\nkernel.sigma = 0.1\nkernel.normalization = 2\ngrid.n = 64\n"
-        path = write_config(tmp_path, "c.cfg", text)
-        with pytest.raises(ConfigError, match="kernel.scale"):
-            RunConfig.from_file(path)
-        assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert_unknown_key(tmp_path, capsys, text, "kernel.normalization")
+
+    def test_rejects_output_dir_key(self, tmp_path, capsys):
+        assert_unknown_key(tmp_path, capsys, GREEN_LINES + "output.dir = elsewhere\n", "output.dir")
 
     def test_rejects_a_config_that_is_not_utf8(self, tmp_path, capsys):
         from aggrestab.errors import ConfigError
@@ -85,21 +89,19 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.startswith("aggrestab: config error: ") and err.count("\n") == 1
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, "c.cfg", GREEN_LINES + "seed = 3\n")
-        config = RunConfig.from_file(path)
-        assert config.seed == 3
-        monkeypatch.setenv("AGGRESTAB_SEED", "11")
-        assert config.seed == 11
-
     @pytest.mark.parametrize("initial", ["random_zero_mean:0.1,", "constant:0.0"])
-    def test_seed_env_is_bounded_as_the_seed_key(self, tmp_path, capsys, monkeypatch, initial):
+    def test_seed_key_is_bounded(self, tmp_path, capsys, initial):
         # with or without a datum that reads the run seed
         lines = "kernel.variant = green_closed_form\ngrid.n = 32\nsim.mode = perturbed\n"
-        cfg = write_config(tmp_path, "c.cfg", lines + f"sim.initial = {initial}\n")
-        monkeypatch.setenv("AGGRESTAB_SEED", "-1")
+        cfg = write_config(tmp_path, "c.cfg", lines + f"sim.initial = {initial}\nseed = -1\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
-        assert "AGGRESTAB_SEED: must be >= 0, got -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "aggrestab: config error: seed: must be >= 0, got -1\n"
+
+    def test_out_defaults_to_the_working_directory(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "c.cfg", GREEN_LINES)
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", "--config", cfg]) == EXIT_OK
+        assert (tmp_path / "stability_report.csv").is_file()
 
 
 class TestCommands:

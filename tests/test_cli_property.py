@@ -78,8 +78,7 @@ POOLS = {
     "mild.C_emp": ["1", "0.1", "10"],
     "seed": ["1", "7"],
 }
-# every config holds grid.n and sim.t_end, and draws a few of these; output.dir is never
-# drawn, as --out overrides it
+# every config holds grid.n and sim.t_end, and draws a few of these
 OPTIONAL = [k for k in POOLS if not k.startswith("kernel.") and k not in ("grid.n", "sim.t_end")]
 
 
@@ -121,7 +120,7 @@ def table(tmp_path_factory):
 
 
 def test_every_key_has_a_pool():
-    assert set(POOLS) == set(_KEYS) - {"output.dir"}
+    assert set(POOLS) == set(_KEYS)
 
 
 GAUSSIAN = {"kernel.variant": "gaussian", "grid.n": "16"}

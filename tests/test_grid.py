@@ -141,6 +141,23 @@ class TestNorms:
         assert norms.tolist() == lone
         assert isinstance(lp_norm(v[:, 0], p, grid), float)
 
+    @pytest.mark.parametrize("value, p", [(3.0, 700), (0.01, 200), (3.0, 1e308), (0.01, 1e308)])
+    def test_large_exponents_keep_the_value(self, value, p):
+        # 3^700 overflows and 0.01^200 falls below the doubles; with the peak divided
+        # out, the norm of a constant is that constant
+        assert lp_norm(np.full(64, value), p, Grid1D(64)) == pytest.approx(value, rel=1e-12)
+
+    def test_large_exponents_rescale_only_their_columns(self):
+        grid = Grid1D(64)
+        ordinary = np.linspace(0.5, 1.5, 64)
+        v = np.column_stack([np.full(64, 3.0), np.full(64, 0.01), ordinary, np.zeros(64)])
+        norms = lp_norm(v, 700, grid)
+        assert norms[:2].tolist() == pytest.approx([3.0, 0.01], rel=1e-12)
+        # a sum that stays a normal double is taken as before, digit for digit
+        lone = (grid.h * np.sum(ordinary**700)) ** (1 / 700)
+        assert norms[2] == lp_norm(ordinary, 700, grid) == lone
+        assert norms[3] == 0.0
+
 
 class TestCalculus:
     def test_gradient_zero_flux_boundaries(self, rng):

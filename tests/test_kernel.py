@@ -14,17 +14,18 @@ from aggrestab import (
     apply_grad_adjoint,
     assemble,
     classify,
-    compute_A,
+    compute_interaction_coefficient,
     eval_grad_x,
     eval_kernel,
     hilbert_schmidt_grad_norm,
     l2_operator_norm,
     load_tabulated_csv,
+    lp_norm,
     norm_inf_qprime,
     save_tabulated_csv,
     validate_assumptions,
 )
-from aggrestab.cli import EXIT_BAD_KERNEL, main
+from aggrestab.cli import EXIT_BAD_KERNEL, EXIT_VALIDATION, main
 from aggrestab.errors import (
     InvalidParameterError,
     KernelLoadError,
@@ -185,7 +186,7 @@ class TestGreenKernel:
         # those of -d^2/dx^2
         km = assemble(KernelSpec.green_series(6e-309), Grid1D(64))
         assert l2_operator_norm(km) == pytest.approx(1.0 / math.pi, rel=1e-3)
-        assert compute_A(km) == pytest.approx(1.0 / math.pi**2, rel=1e-3)
+        assert compute_interaction_coefficient(km) == pytest.approx(1.0 / math.pi**2, rel=1e-3)
 
     def test_ode_residual_off_diagonal(self, green):
         # -K_xx + K = 0 away from x = y
@@ -470,6 +471,48 @@ class TestNormEstimates:
         # |d/dx K| is bounded by its jump size ~ 1 on each side
         assert 1.5 < est.value < 2.5
 
+    def test_gaussian_ladder_at_large_exponents(self):
+        # |grad K|^q' (peak about 6) overflows past q' of about 400, so q' = 1000 read inf,
+        # "divergent"; with each level's peak divided out the norm grows with q' to the sup norm
+        q_primes = (300.0, 1000.0, 1e308, math.inf)
+        estimates = kernel._norm_ladder(KernelSpec.gaussian(0.1), q_primes)
+        assert [estimates[q].verdict for q in q_primes] == ["finite"] * 4
+        values = [estimates[q].value for q in q_primes]
+        assert values == sorted(values)
+        assert values[1] == pytest.approx(12.0763, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "a, q_prime", [(100.0, 1e6), (1.0, 1e308), (1e6, 1e308)], ids=["a100", "a1", "a1e6"]
+    )
+    def test_green_levels_at_large_exponents(self, a, q_prime):
+        # p^q' fell below the doubles, so these levels read 0 ("finite"), or NaN once
+        # q' s h overflows (a = 1e6); each lies between q' = 1000's and the sup norm
+        spec = KernelSpec.green_series(a)
+        for n in (64, 512):
+            q1000, large, sup = kernel._level_norms(spec, n, (1e3, q_prime, math.inf))
+            assert 0 < q1000 <= large <= sup
+
+    def test_table_level_at_a_large_exponent(self, tmp_path):
+        # a table's level is lp_norm over its rows and its columns, which divides a peak out
+        # where the powers leave the doubles, as the Gaussian's window sums do
+        grid, spec = Grid1D(64), KernelSpec.gaussian(0.1)
+        save_tabulated_csv(tmp_path / "k.csv", assemble(spec, grid))
+        table = load_tabulated_csv(tmp_path / "k.csv", grid)
+        for q in (1000.0, 1e308):
+            dense, windows = (kernel._level_norms(s, 64, (q,))[0] for s in (table, spec))
+            assert dense == pytest.approx(windows, rel=1e-12)
+
+    def test_validate_kernel_at_a_large_exponent(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "kernel.variant = gaussian\nkernel.sigma = 0.1\ngrid.n = 64\nvalidate.q_prime = 1000\n"
+        )
+        # a Gaussian fails the Neumann check
+        code = main(["validate-kernel", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "norm_inf_q1000.0_verdict=finite" in (tmp_path / "kernel_report.txt").read_text()
+        assert capsys.readouterr().err == ""
+
     def test_power_law_divergence_pattern(self):
         spec = KernelSpec.power_law(0.5)
         levels = (64, 128, 256, 512, 1024, 2048)
@@ -496,8 +539,9 @@ class TestNormEstimates:
         # the sum over the dense (n+1) x n sample
         q_primes = (*kernel.CLASSIFY_QPRIMES, 3.0)
         for n in (64, 128, 256, 512, 1024, 2048):
-            gk = np.abs(kernel._gradk_matrix(spec, Grid1D(n)))
-            dense = [kernel._norm_value(gk, 1.0 / n, q) for q in q_primes]
+            grid = Grid1D(n)
+            gk = kernel._gradk_matrix(spec, grid)
+            dense = [max(lp_norm(gk.T, q, grid)) + max(lp_norm(gk, q, grid)) for q in q_primes]
             np.testing.assert_allclose(kernel._level_norms(spec, n, q_primes), dense, rtol=1e-12)
 
     @pytest.mark.parametrize(

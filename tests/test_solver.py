@@ -547,6 +547,20 @@ class TestPicardMildSolve:
         d = diag.picard_distances
         assert all(b < a for a, b in zip(d, d[1:]))
 
+    def test_distance_near_q_prime_one_keeps_its_lq_part(self, green):
+        # q' = 1.01 reads each change in L^101, whose powers of changes near 1e-4 fell below
+        # the doubles: the distance read sup ||.||_1 alone, half its q' = inf value. It lies
+        # between the L^11 (q' = 1.1) and the sup-norm (q' = 1) distances
+        grid = Grid1D(64)
+        km = assemble(green, grid)
+        u0 = initial_field("constant_plus_mode:0.1,0.05,1", grid)
+        d = {
+            q: picard_mild_solve(u0, km, 0.05, n_time=16, q_prime=q).picard_distances[:3]
+            for q in (1.0, 1.01, 1.1, np.inf)
+        }
+        for l1, low, mid, high in zip(d[np.inf], d[1.1], d[1.01], d[1.0]):
+            assert l1 <= low <= mid <= high
+
     def test_pure_diffusion_converges_immediately(self, grid128):
         km = assemble(KernelSpec.zero(128), grid128)
         u0 = initial_field("constant_plus_mode:1,0.1,1", grid128)

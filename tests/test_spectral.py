@@ -19,7 +19,6 @@ from aggrestab import (
     assemble,
     assemble_linearized,
     bilinear_form,
-    compute_A,
     compute_interaction_coefficient,
     l2_operator_norm,
     principal_eigenpair,
@@ -321,10 +320,6 @@ class TestInteractionCoefficient:
         # for the Green kernel of -d^2/dx^2 + a the coefficient is 1/(a + pi^2)
         a_coef = compute_interaction_coefficient(km256)
         assert a_coef == pytest.approx(1.0 / (1.0 + math.pi**2), abs=1e-5)
-
-    def test_alias_is_same_function(self):
-        assert compute_A is compute_interaction_coefficient
-
 
 
 class TestStabilityVerdict:

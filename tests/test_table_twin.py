@@ -18,7 +18,7 @@ from aggrestab import (
     apply_grad_adjoint,
     assemble,
     assemble_linearized,
-    compute_A,
+    compute_interaction_coefficient,
     hilbert_schmidt_grad_norm,
     l2_operator_norm,
     principal_eigenpair,
@@ -69,7 +69,7 @@ def test_structured_paths_match_the_table_twin(spec, n):
     terms = h * (np.abs(apply_grad(twin, u)) @ np.abs(v))
     _close(h * (apply_grad(km, u) @ v), h * (u @ apply_grad_adjoint(km, v)), terms)
     _close(h * (apply_grad(km, u) @ v), h * (apply_grad(twin, u) @ v), terms)
-    for quantity in (compute_A, hilbert_schmidt_grad_norm, l2_operator_norm):
+    for quantity in (compute_interaction_coefficient, hilbert_schmidt_grad_norm, l2_operator_norm):
         _close(quantity(km), quantity(twin))
 
 
