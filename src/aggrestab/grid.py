@@ -103,21 +103,25 @@ def lp_norm(v, p: float, grid: Grid1D):
     v = np.abs(a, order="F")
     if np.isinf(p):
         norms = v.max(axis=0, initial=0.0)
-    elif p == 1:
-        norms = grid.h * v.sum(axis=0)
-    else:  # a scalar power per column: NumPy's array power can move the last digit
+    else:
         with np.errstate(over="ignore"):
-            v **= p
-            sums = np.ravel(grid.h * v.sum(axis=0))
-        roots = [s ** (1.0 / p) for s in sums]
-        # a sum that overflowed, or fell below the smallest normal double, is redone with its
-        # column's peak divided out, so that its largest term is 1
-        columns = a.reshape(len(a), math.prod(a.shape[1:]))
-        for i in np.flatnonzero(~((SMALLEST_NORMAL <= sums) & (sums < math.inf))):
-            column = np.abs(columns[:, i])
-            if 0 < (peak := column.max(initial=0.0)) < math.inf:  # not zero, no inf or NaN
-                roots[i] = peak * (grid.h * np.sum((column / peak) ** p)) ** (1.0 / p)
-        norms = np.reshape(roots, v.shape[1:])
+            if p != 1:
+                v **= p
+            norms = sums = grid.h * v.sum(axis=0)
+        # p = 1 takes no power: its sums are its norms, unless one overflowed (or is NaN)
+        if p != 1 or not sums.max(initial=0.0) < math.inf:
+            sums = np.ravel(sums)
+            # a scalar root per column: NumPy's array power can move the last digit
+            roots = [s ** (1.0 / p) for s in sums]
+            # a sum that overflowed, or for p > 1 fell below the smallest normal double, is
+            # redone with its column's peak divided out, so that its largest term is 1
+            low = 0.0 if p == 1 else SMALLEST_NORMAL
+            columns = a.reshape(len(a), math.prod(a.shape[1:]))
+            for i in np.flatnonzero(~((low <= sums) & (sums < math.inf))):
+                column = np.abs(columns[:, i])
+                if 0 < (peak := column.max(initial=0.0)) < math.inf:  # not zero, no inf or NaN
+                    roots[i] = peak * (grid.h * np.sum((column / peak) ** p)) ** (1.0 / p)
+            norms = np.reshape(roots, v.shape[1:])
     return float(norms) if v.ndim == 1 else norms
 
 
@@ -149,8 +153,10 @@ class SpectralBasis:
 
     Mode coefficients c_k = h sum_i u_i w_k(x_i) are sqrt(h) times the
     orthonormal DCT-II of u; every change of basis goes through that transform,
-    Makhoul's: one NumPy real FFT and one multiply by a twiddle built here with
-    the scale and c_0's weight (scipy.fft would load scipy.special, about 5 MB).
+    Makhoul's: one gather in (the even samples, then the odd ones reversed), one
+    NumPy real FFT and one multiply by a twiddle built here with the scale and c_0's
+    weight; back, their inverses and one gather out. A batch of columns copies its
+    two halves instead, faster than a gather (scipy.fft loads scipy.special, 5 MB).
     The eigenvalues of the three-point discrete Neumann Laplacian are
     (2/h^2)(1 - cos(k pi h)), below the continuum (k pi)^2; time evolution
     uses them, and the stability thresholds the continuum LAMBDA_1 = pi^2.
@@ -165,6 +171,9 @@ class SpectralBasis:
         turn = np.exp(1j * ((0.5 * np.pi / n) * k[: n // 2 + 1]))
         self._twiddle, self._shift = (np.sqrt(2.0) / n) * turn.conj(), (n / np.sqrt(2.0)) * turn
         self._twiddle[0], self._shift[0] = 1.0 / n, n
+        # Makhoul's sample order, the even samples then the odd ones reversed, and its inverse
+        self._order, self._restore = np.concatenate((k[::2], k[1::2][::-1])), np.empty_like(k)
+        self._restore[self._order] = k
 
     def mode(self, k: int) -> np.ndarray:
         k = check_count(k, "the mode index", 0)
@@ -179,7 +188,9 @@ class SpectralBasis:
         n, half = self.grid.n, self.grid.n // 2 + 1
         # Makhoul's DCT-II: V = FFT of the even samples followed by the odd ones reversed; with
         # W = twiddle V, c_k = Re W_k below half and -Im W_{n-k} above, as V_k = conj(V_{n-k})
-        spec = np.fft.rfft(np.concatenate((u[::2], u[1::2][::-1])), axis=0)
+        spec = np.fft.rfft(
+            u[self._order] if u.ndim == 1 else np.concatenate((u[::2], u[1::2][::-1])), axis=0
+        )
         spec *= _along_axis0(self._twiddle, u.ndim)
         c = np.empty(u.shape)
         c[:half] = spec.real
@@ -197,6 +208,8 @@ class SpectralBasis:
         np.negative(c[: n - half : -1], out=spec.imag[1:])
         spec *= _along_axis0(self._shift, c.ndim)
         v = np.fft.irfft(spec, n, axis=0)
+        if c.ndim == 1:
+            return v[self._restore]
         u = np.empty(c.shape)
         u[::2] = v[: (n + 1) // 2]
         u[1::2] = v[(n + 1) // 2 :][::-1]
@@ -209,4 +222,4 @@ class SpectralBasis:
 
 def _along_axis0(v: np.ndarray, ndim: int) -> np.ndarray:
     """The vector v shaped to act along axis 0 of an ndim-dimensional array."""
-    return v.reshape((-1,) + (1,) * (ndim - 1))
+    return v if ndim == 1 else v.reshape((-1,) + (1,) * (ndim - 1))

@@ -456,15 +456,15 @@ def apply_grad(km: KernelMatrices, u) -> np.ndarray:
     scan reversed. The boundary faces, where p = 0, read 0.
     """
     u = _rows(u, km.grid.n, "cell array")
+    if km.symbols is not None:
+        out = np.empty((len(u) + 1,) + u.shape[1:])
+        km.green_scan(u, out=out[:-1], reverse=True)
+        out[-1] = 0.0
+        out[1:] -= km.green_scan(u)
+        return out
     if km.spec.variant in _TOEPLITZ:
         return km.grid.h * km.grad_toeplitz(u)
-    if km.symbols is None:
-        return km.grid.h * (km.gradk_faces @ u)
-    out = np.empty((km.grid.n + 1,) + u.shape[1:])
-    km.green_scan(u, out=out[:-1], reverse=True)
-    out[-1] = 0.0
-    out[1:] -= km.green_scan(u)
-    return out
+    return km.grid.h * (km.gradk_faces @ u)
 
 
 def apply_grad_adjoint(km: KernelMatrices, v) -> np.ndarray:

@@ -53,7 +53,7 @@ _DT_EPS = 1e-30  # guards the pure-diffusion case in the CFL formula
 # (t_end = 1000 at the automatic step cap h/2) is 2000 n steps
 _MAX_STEPS = 10**8
 # the values in one block of time rows of a Picard sweep, so that its work stays in cache
-_PICARD_BLOCK = 2**15
+_PICARD_BLOCK = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +140,7 @@ def _velocity(u: np.ndarray, km: KernelMatrices):
     and its max|v|; refused when not finite."""
     v = apply_grad(km, u)
     v[0] = v[-1] = 0.0
-    vmax = float(np.abs(v).max())
+    vmax = float(max(v.max(), -v.min()))
     if not math.isfinite(vmax):
         raise SchemeFailureError("non-finite transport velocity: no step is admissible")
     return v, vmax
@@ -167,14 +167,16 @@ def _transport_stage(u: np.ndarray, dt: float, mode: str, mass_level: float, km:
         admissible = km.grid.h / (2.0 * vmax)
         if dt > admissible:
             raise RejectedStepError(dt, admissible)
+    # v becomes the flux in place: M grad K(u) in linearized mode, else (M + u) grad K(u), at
+    # M = 0 in nonlinear mode, with u upwinded; the constant M needs no upwinding
     if mode == "linearized":
-        flux = mass_level * v
+        v *= mass_level
     else:
-        upwind = np.zeros(km.grid.n + 1)
-        upwind[1:-1] = np.where(v[1:-1] > 0, u[:-1], u[1:])
-        # the flux (M + u) grad K(u), at M = 0 in nonlinear mode; the constant M needs no upwinding
-        flux = v * ((mass_level if mode == "perturbed" else 0.0) + upwind)
-    return u - dt * divergence(flux, km.grid), vmax
+        upwind = np.where(v[1:-1] > 0, u[:-1], u[1:])
+        upwind += mass_level if mode == "perturbed" else 0.0
+        v[1:-1] *= upwind
+    d = divergence(v, km.grid)
+    return np.subtract(u, np.multiply(dt, d, out=d), out=d), vmax
 
 
 class _Strang:
@@ -182,16 +184,19 @@ class _Strang:
 
     def __init__(self, mode: str, mass_level: float, km: KernelMatrices):
         self.mode, self.mass_level, self.km, self.dt, self.half = mode, mass_level, km, None, None
+        self.basis = km.grid.basis
 
     def __call__(self, c: np.ndarray, dt: float):
         """The closing coefficients from those of the start c, and the two stages' larger max|v|."""
-        basis = self.km.grid.basis
+        basis = self.basis
         if dt != self.dt:
             self.dt, self.half = dt, np.exp(-0.5 * dt * basis.eigenvalues_discrete)
         start = basis.from_spectral(self.half * c)
         stage, v1 = _transport_stage(start, dt, self.mode, self.mass_level, self.km)
         stage, v2 = _transport_stage(stage, dt, self.mode, self.mass_level, self.km)
-        out = self.half * basis.to_spectral(0.5 * (start + stage))
+        stage += start
+        out = basis.to_spectral(np.multiply(0.5, stage, out=stage))
+        out *= self.half
         out[0] = c[0]  # the transforms conserve mass only to roundoff; pin the mean exactly
         return out, max(v1, v2)
 
@@ -224,6 +229,8 @@ def _auto_step(c, t, dt, t_end, budget, strang):
             dt *= 0.5
 
 
+# an overflow or NaN in a run shows in its velocity or state checks, which refuse it
+@np.errstate(over="ignore", invalid="ignore")
 def evolve(
     u0,
     km: KernelMatrices,
@@ -248,19 +255,20 @@ def evolve(
     output_stride = check_count(output_stride, "the output stride", 1)
     check_real(mass_level, "mass level M", 0)
     grid = km.grid
-    u = check_datum(u0, grid.n)
-    mass0 = grid.h * float(u.sum())
+    h, n, from_spectral = grid.h, grid.n, grid.basis.from_spectral
+    u = check_datum(u0, n)
+    mass0 = h * float(u.sum())
     if mode == "nonlinear" and u.min() < 0:
         raise InvalidParameterError("nonlinear mode requires a nonnegative initial datum")
     if mode != "nonlinear" and abs(mass0) > 1e-10 * max(1.0, float(np.abs(u).max())):
         raise InvalidParameterError("perturbation modes require a zero-mean initial datum")
     auto = dt is None
     # an automatic run takes at least the steps of its cap h/2; a set dt, exactly its own
-    steps = t_end / (0.5 * grid.h if auto else dt)
+    steps = t_end / (0.5 * h if auto else dt)
     run = f"a run of {'at least ' if auto else ''}{steps:.3g} steps"
     if steps > _MAX_STEPS:
         raise InvalidParameterError(f"{run} is refused; the limit is {_MAX_STEPS:.0e} steps")
-    check_size(((steps + 1) / output_stride + 2) * grid.n, f"{run} at stride {output_stride}")
+    check_size(((steps + 1) / output_stride + 2) * n, f"{run} at stride {output_stride}")
     nsteps = max(1, math.ceil(steps - 1e-12))  # the step count of a set dt
     dt = auto_dt(u, km) if auto else t_end / nsteps
     strang = _Strang(mode, mass_level, km)
@@ -272,11 +280,11 @@ def evolve(
         step += 1
         if auto:
             c, t, vmax = _auto_step(c, t, dt, t_end, _MAX_STEPS - step + 1, strang)
-            dt, last = _cfl_dt(vmax, grid.h), t == t_end
+            dt, last = _cfl_dt(vmax, h), t == t_end
         else:
             c, _ = strang(c, dt)
             t, last = step * dt, step == nsteps
-        u = grid.basis.from_spectral(c)
+        u = from_spectral(c)
         if not np.isfinite(u).all():
             raise SchemeFailureError(f"non-finite state at t={t:g}")
         if mode == "nonlinear":
@@ -284,13 +292,13 @@ def evolve(
                 raise SchemeFailureError(
                     f"positivity lost at t={t:g} (min {u.min():.3e}); refine dt or the grid"
                 )
-            drift = abs(grid.h * float(u.sum()) - mass0)
+            drift = abs(h * float(u.sum()) - mass0)
             if mass0 != 0 and drift > 1e-12 * abs(mass0):
                 raise SchemeFailureError(f"mass drift {drift / abs(mass0):.3e} at t={t:g}")
         if step % output_stride == 0 or last:
             times.append(t)
             states.append(u)
-            if len(states) * grid.n > MAX_STORED_VALUES:
+            if len(states) * n > MAX_STORED_VALUES:
                 raise SchemeFailureError(
                     f"the snapshots up to t={t:g} hold more than {MAX_STORED_VALUES:.0e} values; "
                     "raise the output stride"
@@ -426,11 +434,6 @@ def picard_mild_solve(
     rows = max(1, _PICARD_BLOCK // grid.n)
     blocks = [slice(j, j + rows) for j in range(0, n_time + 1, rows)]
 
-    # states are time-major (n_time + 1, n) arrays: row j holds the cell values at t_j
-    free = np.empty((n_time + 1, grid.n))
-    for s in blocks:
-        free[s] = heat_semigroup(u0, grid, times[s]).T
-
     decay = np.exp(-lam * dt)
     gain = np.empty_like(lam)
     gain[0] = dt
@@ -468,10 +471,14 @@ def picard_mild_solve(
             np.maximum(sup, (l1.max(), lq.max()), out=sup)
         return float(sup.sum())
 
-    states = free.copy()
     distances = []
     # an overflow shows as a non-finite distance, which ends the iteration
     with np.errstate(over="ignore", invalid="ignore"):
+        # states are time-major (n_time + 1, n) arrays: row j holds the cell values at t_j
+        free = np.empty((n_time + 1, grid.n))
+        for s in blocks:
+            free[s] = heat_semigroup(u0, grid, times[s]).T
+        states = free.copy()
         for _ in range(max_iter):
             distance = sweep(states)
             if not math.isfinite(distance):

@@ -429,7 +429,6 @@ class TestCommands:
         assert "non-finite transport velocity" in capsys.readouterr().err
         assert len(calls) == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize("dt", ["auto", "0.001"])
     def test_simulate_non_finite_state_is_scheme_failure(self, tmp_path, monkeypatch, capsys, dt):
         # an admissible velocity, but the linearized flux M v overflows
@@ -445,6 +444,32 @@ class TestCommands:
         assert code == EXIT_SCHEME
         assert "non-finite state" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, code, line",
+        [
+            (
+                "simulate",
+                EXIT_SCHEME,
+                "scheme failure: non-finite transport velocity: no step is admissible",
+            ),
+            (
+                "mild-solve",
+                EXIT_BAD_KERNEL,
+                "unusable kernel: the existence time underflows to 0 (budget inf)",
+            ),
+        ],
+    )
+    def test_datum_near_the_largest_double_ends_in_one_line(
+        self, tmp_path, capsys, command, code, line
+    ):
+        # h times the sum of the 64 cells is 1e308, but the sum is not a double: no NumPy
+        # warning escapes, and the run ends in its typed refusal
+        cfg = write_config(tmp_path, "c.cfg", GREEN_LINES + "sim.initial = constant:1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == f"aggrestab: {line}\n"
 
     def test_simulate_auto_run_limits(self, tmp_path, monkeypatch):
         cfg = write_config(

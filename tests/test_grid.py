@@ -141,10 +141,12 @@ class TestNorms:
         assert norms.tolist() == lone
         assert isinstance(lp_norm(v[:, 0], p, grid), float)
 
-    @pytest.mark.parametrize("value, p", [(3.0, 700), (0.01, 200), (3.0, 1e308), (0.01, 1e308)])
+    @pytest.mark.parametrize(
+        "value, p", [(3.0, 700), (0.01, 200), (3.0, 1e308), (0.01, 1e308), (1e308, 1)]
+    )
     def test_large_exponents_keep_the_value(self, value, p):
-        # 3^700 overflows and 0.01^200 falls below the doubles; with the peak divided
-        # out, the norm of a constant is that constant
+        # 3^700 overflows and 0.01^200 falls below the doubles, and so does the sum of 64
+        # values of 1e308; with the peak divided out, the norm of a constant is that constant
         assert lp_norm(np.full(64, value), p, Grid1D(64)) == pytest.approx(value, rel=1e-12)
 
     def test_large_exponents_rescale_only_their_columns(self):
@@ -157,6 +159,11 @@ class TestNorms:
         lone = (grid.h * np.sum(ordinary**700)) ** (1 / 700)
         assert norms[2] == lp_norm(ordinary, 700, grid) == lone
         assert norms[3] == 0.0
+        # at p = 1 only a sum that overflowed is redone
+        v[:, 0] = 1e308
+        norms = lp_norm(v, 1, grid)
+        assert norms[0] == pytest.approx(1e308, rel=1e-12)
+        assert norms[1:].tolist() == [grid.h * np.sum(column) for column in v[:, 1:].T]
 
 
 class TestCalculus:
@@ -288,6 +295,12 @@ class TestCosineTransform:
         c = _laid_out(c, layout)
         np.testing.assert_allclose(basis.from_spectral(c), modes @ c, rtol=0, atol=1e-12)
         np.testing.assert_allclose(basis.from_spectral(c), u, rtol=0, atol=1e-12)
+        # a batch gives each column the digits of the lone vector's transform, whose samples
+        # are gathered where a batch's are copied by halves
+        for transform, batch in ((basis.to_spectral, u), (basis.from_spectral, c)):
+            columns = transform(batch).reshape(n, -1).T
+            lone = [transform(np.ascontiguousarray(column)) for column in batch.reshape(n, -1).T]
+            assert [column.tobytes() for column in columns] == [v.tobytes() for v in lone]
 
     @pytest.mark.parametrize("n", [33, 48])
     def test_projection_matches_dense_cosine_sums(self, n, rng):

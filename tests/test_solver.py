@@ -188,6 +188,14 @@ class TestEvolve:
         with pytest.raises(InvalidParameterError, match=message):
             evolve(np.ones(64), km, **{"mode": "nonlinear", **arguments})
 
+    @pytest.mark.parametrize("dt", [None, 1e-3])
+    def test_datum_near_the_largest_double_raises_no_warning(self, green, dt):
+        # the mass sum and the Green scan overflow; the velocity check refuses the run, and
+        # no RuntimeWarning (an error under this suite's filter) escapes before it
+        km = assemble(green, Grid1D(64))
+        with pytest.raises(SchemeFailureError, match="non-finite transport velocity"):
+            evolve(np.full(64, 1e308), km, "nonlinear", dt=dt)
+
     def test_refuses_unbounded_runs_before_stepping(self, green, monkeypatch):
         def no_step(*args):
             raise AssertionError("stepped a run that should be refused")
@@ -619,7 +627,7 @@ class TestPicardMildSolve:
 
     def test_memory_budget(self, green):
         # the free solution and the states, then the states and their |states|, and
-        # blocks of 2^15 values: 3.05 times one array here, 6.0 before the blocks
+        # blocks of 2^14 values: 2.55 times one array here (3.05 at 2^15, 6.0 before the blocks)
         n, n_time = 512, 512
         km = assemble(green, Grid1D(n))
         u0 = initial_field("constant_plus_mode:1,0.5,1", km.grid)
@@ -640,6 +648,12 @@ class TestPicardMildSolve:
         assert sweeps > 2
         # one kernel action and one transform pair a sweep, and the free solution's pair
         assert calls == {"apply_grad": sweeps, "to_spectral": 1 + sweeps, "from_spectral": 1 + sweeps}
+
+    def test_datum_near_the_largest_double_raises_no_warning(self, green):
+        # the free solution's transform overflows: a non-finite distance, and no warning
+        km = assemble(green, Grid1D(64))
+        with pytest.raises(NonContractionError):
+            picard_mild_solve(np.full(64, 1e308), km, 0.01, n_time=8)
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan])
     def test_non_finite_horizon_is_refused(self, km128, horizon):
