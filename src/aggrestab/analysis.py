@@ -122,8 +122,6 @@ def threshold_bisect(
 
 def _decays(km, mass_level, amplitude, t_end) -> bool:
     """Run the perturbed dynamics from amplitude * w1 and classify decay."""
-    if amplitude == 0:
-        return True
     u0 = amplitude * km.grid.basis.mode(1)
     traj = evolve(u0, km, "perturbed", mass_level, t_end, output_stride=10**9)  # endpoints only
     return bool(traj.l2[-1] <= 0.01 * traj.l2[0])

@@ -46,7 +46,7 @@ import numpy as np
 
 from .eigen import smallest_eigenpair
 from .errors import InvalidParameterError, KernelLoadError, SingularityError
-from .grid import LOG_MAX_DOUBLE, SMALLEST_NORMAL, Grid1D, _along_axis0, _rows, check_real
+from .grid import LOG_MAX_DOUBLE, MAX_STORED_VALUES, Grid1D, _along_axis0, _rows, check_real
 from .grid import check_size, divergence, lp_norm
 
 # the two Green variants are one family: green_closed_form is a = 1
@@ -61,6 +61,9 @@ VARIANT_PARAMETERS = {
     "power_law_gradient": ("alpha", "delta"),
     "tabulated": (),
 }
+
+# the log of 3, the headroom that a mixed gradient norm needs over its peak sample
+_LOG_3 = math.log(3.0)
 
 # classification probe exponents, largest first
 CLASSIFY_QPRIMES = (np.inf, 4.0, 2.0, 1.5, 1.1, 1.0)
@@ -130,27 +133,31 @@ class KernelSpec:
         if self._log_reach() + math.log(max(1.0, abs(self.scale))) > LOG_MAX_DOUBLE:
             at = "".join(f"{k} = {getattr(self, k):g}, " for k in VARIANT_PARAMETERS[self.variant])
             raise InvalidParameterError(
-                f"the {self.variant} kernel at {at}scale = {self.scale:g} has values beyond the "
-                "largest double"
+                f"the {self.variant} kernel at {at}scale = {self.scale:g} has values or norms "
+                "beyond the largest double"
             )
 
     def _log_reach(self) -> float:
         """A bound on the log of the largest magnitude that an unscaled sample on [0,1],
-        or a factor it is computed from, reaches."""
+        or a factor it is computed from, reaches, and of 3 times the peak |grad K|: a
+        mixed gradient norm is at most (2 + h) times that peak."""
         if self.variant in _GREEN:
-            return -math.log(self.a)  # K is about 1/a as a -> 0
-        if self.variant == "gaussian":
-            return 2.0 * abs(math.log(self.sigma))  # sigma^2, and (x - y) / sigma^2 in grad K
+            # K <= coth(s) / s <= (1 + s) / a with s = sqrt(a), as is h K 1; |grad K| <= 1
+            return max(math.log1p(math.sqrt(self.a)) - math.log(self.a), _LOG_3)
+        if self.variant == "gaussian":  # sigma^2 and (x - y) / sigma^2; |grad K| <= 1 / sigma
+            return max(2.0 * abs(math.log(self.sigma)), _LOG_3 - math.log(self.sigma))
         if self.variant == "tabulated":
             tables = (self.table_values, self.table_grad)
-            peak = max(max(t.max(initial=0.0), -t.min(initial=0.0)) for t in tables)
-            return math.log(max(1.0, peak))
-        if self.delta == 0:  # alpha < 1: K and grad K are r^(1 - alpha) and r^-alpha
-            return 0.0
+            values, grad = (float(max(t.max(initial=0.0), -t.min(initial=0.0))) for t in tables)
+            return math.log(max(1.0, values, 3.0 * grad))  # 3 times 1e308 is inf: refused
+        if self.delta == 0:  # alpha < 1: |K| <= 1 / (1 - alpha), and r^-alpha in grad K peaks
+            # at the finest sample, r = h / 2, where check_size bounds any grid's 2n
+            peak = self.alpha * math.log(2.0 * MAX_STORED_VALUES)
+            return max(_LOG_3 + peak, -math.log1p(-self.alpha))
         # grad K peaks at delta^-alpha, and K is made of (r + delta)^(1 - alpha), 0 <= r <= 1
         log_delta = math.log(self.delta)
         ends = (log_delta, math.log1p(self.delta))
-        return max(-self.alpha * log_delta, *((1.0 - self.alpha) * end for end in ends))
+        return max(_LOG_3 - self.alpha * log_delta, *((1.0 - self.alpha) * end for end in ends))
 
     @classmethod
     def green_closed_form(cls, scale=1.0):
@@ -536,15 +543,13 @@ def l2_operator_norm(km: KernelMatrices) -> float:
 def _mixed_norm(sums, peak: float, h: float, q_prime: float) -> float:
     """sup_x (h sum_y |grad K|^q')^(1/q') plus the same over y.
 
-    sums(q', False) gives the row and column sums of |grad K|^q', and sums(q', True)
-    those of (|grad K| / peak)^q', whose largest term is 1, taken only where a sup of
-    the former overflowed or fell below the smallest normal double (peak nonzero).
+    sums(q') gives the row and column sums of (|grad K| / peak)^q'. Their largest
+    term is 1, so at any q' no sum overflows or falls below the smallest normal
+    double; a zero peak, where every sample underflowed, gives 0.
     """
-    sups = [float(np.max(h * s, initial=0.0)) for s in sums(q_prime, False)]
-    if all(SMALLEST_NORMAL <= sup < math.inf for sup in sups) or not 0 < peak < math.inf:
-        return sum(sup ** (1.0 / q_prime) for sup in sups)
-    sups = [float(np.max(h * s, initial=0.0)) for s in sums(q_prime, True)]
-    return peak * sum(sup ** (1.0 / q_prime) for sup in sups)
+    if peak == 0:
+        return 0.0
+    return peak * sum(float(np.max(h * s, initial=0.0)) ** (1.0 / q_prime) for s in sums(q_prime))
 
 
 def _window_norms(g: np.ndarray, h: float, q_primes) -> list:
@@ -557,8 +562,8 @@ def _window_norms(g: np.ndarray, h: float, q_primes) -> list:
     """
     n, peak = g.size // 2, float(g.max())
 
-    def sums(q_prime, scaled):
-        c = np.concatenate(([0.0], np.cumsum((g / peak if scaled else g) ** q_prime)))
+    def sums(q_prime):
+        c = np.concatenate(([0.0], np.cumsum((g / peak) ** q_prime)))
         return c[n:] - c[: n + 1], c[n + 1 :] - c[:n]
 
     return [2.0 * peak if np.isinf(q) else _mixed_norm(sums, peak, h, q) for q in q_primes]
@@ -636,11 +641,10 @@ def _green_norms(spec: KernelSpec, grid: Grid1D, q_primes) -> list:
     p, q = _green_p(s, grid.faces[:-1]), _green_q(s, grid.centers)  # row n sums to 0
     edge, p_max, q_max = math.exp(-0.5 * s * h), float(p.max()), float(q.max())
 
-    def sums(q_prime, scaled):
+    def sums(q_prime):
         # past 2 LOG_MAX_DOUBLE the decay e^{-q' s h} is 0, as it is for any larger exponent
         scan = _DecayScan(min(q_prime * s * h, 2.0 * LOG_MAX_DOUBLE), grid.n)
-        pq = (p / p_max if scaled else p) ** q_prime
-        qq = (q / q_max if scaled else q) ** q_prime
+        pq, qq = (p / p_max) ** q_prime, (q / q_max) ** q_prime
         rows = np.append(pq * scan(qq[::-1])[::-1], 0.0)
         cols = qq * scan(pq)
         return rows + rows[::-1], cols + cols[::-1]
@@ -655,19 +659,18 @@ def _green_norms(spec: KernelSpec, grid: Grid1D, q_primes) -> list:
 def _level_norms(spec: KernelSpec, n: int, q_primes) -> list:
     """The mixed norm of every q' at level n; only a tabulated kernel is read densely.
 
-    Each norm is |scale| times the unscaled kernel's, so the q' powers of a
-    large but finite gradient do not overflow; power sums that leave the
-    doubles anyway are redone with the peak divided out, without a warning.
+    Each norm is |scale| times the unscaled kernel's, and each level divides
+    the unscaled peak out before the q' powers (`_mixed_norm`), so no power
+    sum leaves the doubles at any q'.
     """
     grid, unit = Grid1D(n), replace(spec, scale=1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.variant == "tabulated":
-            gk = _gradk_matrix(unit, grid)  # the sup of its rows' L^q' norms plus its columns'
-            norms = [lp_norm(gk.T, q, grid).max() + lp_norm(gk, q, grid).max() for q in q_primes]
-        elif spec.variant in _GREEN:
-            norms = _green_norms(unit, grid, q_primes)
-        else:
-            norms = _window_norms(np.abs(_grad_offsets(unit, grid)), grid.h, q_primes)
+    if spec.variant == "tabulated":
+        gk = _gradk_matrix(unit, grid)  # the sup of its rows' L^q' norms plus its columns'
+        norms = [lp_norm(gk.T, q, grid).max() + lp_norm(gk, q, grid).max() for q in q_primes]
+    elif spec.variant in _GREEN:
+        norms = _green_norms(unit, grid, q_primes)
+    else:
+        norms = _window_norms(np.abs(_grad_offsets(unit, grid)), grid.h, q_primes)
     return [abs(spec.scale) * float(norm) for norm in norms]
 
 

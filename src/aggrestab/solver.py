@@ -382,8 +382,6 @@ def existence_time(u0, grid: Grid1D, grad_norm: float, q_prime: float, c_emp: fl
     check_real(q_prime, "q'", 1, finite=False)
     if check_real(grad_norm, "gradient kernel norm", 0, finite=False) == math.inf:
         raise NoExistenceTimeError("gradient kernel norm estimate is infinite")
-    if grad_norm == 0:
-        return math.inf
     if q_prime > 1:
         q = q_prime / (q_prime - 1.0) if np.isfinite(q_prime) else 1.0
         gamma = 1.0 / (2.0 * q)

@@ -77,6 +77,11 @@ class TestFitRate:
         states = [np.ones(grid128.n) for _ in times]
         with pytest.raises(FitFailureError):
             fit_rate(Trajectory.from_states(times, states, grid128))
+        # enough snapshots, but every norm below the floor
+        times = np.linspace(0.0, 1.0, 40)
+        states = [np.full(grid128.n, 1e-14) for _ in times]
+        with pytest.raises(FitFailureError, match="after windowing"):
+            fit_rate(Trajectory.from_states(times, states, grid128))
 
     def test_underflowed_norms_are_windowed_out(self, grid128):
         times = np.linspace(0.0, 1.0, 40)
@@ -207,6 +212,14 @@ class TestBasinProbe:
         assert probe.eta_fail == 0.125
         assert probe.bisection_history == ((1.0, False), (0.5, False), (0.25, False), (0.125, False))
         assert all(type(decayed) is bool for _, decayed in probe.bisection_history)
+
+    def test_bisection_moves_both_ends(self, green, monkeypatch):
+        # amplitudes below 0.3 decay: 1 and 0.5 do not, 0.25 does, 0.375 does not
+        monkeypatch.setattr(analysis, "_decays", lambda km, mass, amplitude, t: amplitude < 0.3)
+        km = kernel.assemble(green, Grid1D(32))
+        probe = basin_probe(km, mass_level=5.0, amplitude_hi=1.0, steps=3, t_end=1.0)
+        assert (probe.eta_estimate, probe.eta_fail, probe.open_above) == (0.25, 0.375, False)
+        assert probe.bisection_history == ((1.0, False), (0.5, False), (0.25, True), (0.375, False))
 
     def test_default_horizon_is_ten_decay_times(self, green, monkeypatch):
         # without t_end each run lasts 10 / (lambda_1 (1 - M A)), the linear rate's ten e-folds

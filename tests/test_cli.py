@@ -638,8 +638,12 @@ class TestUsageErrors:
             "power_law_gradient\nkernel.alpha = 1e300\nkernel.delta = 0.5",
             "power_law_gradient\nkernel.alpha = 1e3\nkernel.delta = 0.1",
             "gaussian\nkernel.sigma = 1e-150\nkernel.scale = 1e10",
+            # a delta = 0 power law's gradient peaks at (2n)^alpha, in the finest cell
+            "power_law_gradient\nkernel.alpha = 0.5\nkernel.delta = 0\nkernel.scale = 1e308",
+            # the Green gradient is at most 1, but its q' = inf norm is about 2
+            "green_closed_form\nkernel.scale = 1e308",
         ],
-        ids=["sigma-large", "sigma-small", "alpha-huge", "alpha-large", "scaled"],
+        ids=["sigma-large", "sigma-small", "alpha-huge", "alpha-large", "scaled", "peak", "norm"],
     )
     def test_kernel_samples_beyond_a_double_are_refused(self, tmp_path, capsys, command, params):
         cfg = write_config(tmp_path, "c.cfg", f"kernel.variant = {params}\ngrid.n = 16\n")

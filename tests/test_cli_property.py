@@ -136,6 +136,11 @@ GREEN_32 = {"kernel.variant": "green_closed_form", "grid.n": "32"}
 @example(command="validate-kernel", pairs={**GAUSSIAN, "kernel.sigma": "1e-160"})
 @example(command="analyze", pairs={**POWER_LAW, "kernel.alpha": "1e300", "kernel.delta": "0.5"})
 @example(command="validate-kernel", pairs={**POWER_LAW, "kernel.alpha": "1e3", "kernel.delta": "0.1"})
+# a delta = 0 power law peaks at (2n)^alpha, in the finest cell: its norms leave the doubles
+@example(
+    command="validate-kernel",
+    pairs={**POWER_LAW, "kernel.alpha": "0.5", "kernel.delta": "0", "kernel.scale": "1e308"},
+)
 # norms of large but finite gradients: |scale| multiplies them after the q' powers
 @example(
     command="validate-kernel",

@@ -81,9 +81,16 @@ class TestKernelSpec:
             lambda: KernelSpec.power_law(1.0, delta=1e-320),  # log((r + delta) / delta)
             lambda: KernelSpec.power_law(0.5, delta=1e-300, scale=1e160),
             lambda: KernelSpec.tabulated(np.full((8, 8), 1e300), np.zeros((9, 8)), scale=1e10),
+            lambda: KernelSpec.power_law(0.5, scale=1e308),  # (2n)^alpha on the finest grid
+            lambda: KernelSpec.green_closed_form(scale=1e308),  # the mixed norms reach 2
+            lambda: KernelSpec.tabulated(np.zeros((8, 8)), np.ones((9, 8)), scale=1e308),
+            lambda: KernelSpec.tabulated(np.zeros((8, 8)), np.full((9, 8), 1e308)),
+            # K peaks at coth(s) / s = 1000.33 and h K 1 at 1000.005, both above 1 / a
+            lambda: KernelSpec.green_series(1e-3, scale=1.7976931330646318e305),
         ],
         ids=["sigma-large", "sigma-small", "sigma-scaled", "alpha-huge", "alpha-large",
-             "log-delta", "delta-scaled", "table-scaled"],
+             "log-delta", "delta-scaled", "table-scaled", "peak-scaled", "norm-scaled",
+             "table-norm-scaled", "table-norm", "green-values-scaled"],
     )
     def test_samples_beyond_a_double_are_refused(self, make):
         with pytest.raises(InvalidParameterError, match="beyond the largest double"):
@@ -112,6 +119,13 @@ class TestKernelSpec:
             KernelSpec.tabulated(np.zeros((8, 8)), np.zeros((8, 8)))
         with pytest.raises(InvalidParameterError):
             KernelSpec.tabulated(np.full((8, 8), np.nan), np.zeros((9, 8)))
+        with pytest.raises(InvalidParameterError, match="needs value and gradient tables"):
+            KernelSpec("tabulated")
+
+    @pytest.mark.parametrize("evaluate", [eval_kernel, eval_grad_x])
+    def test_a_table_has_no_off_grid_evaluation(self, evaluate):
+        with pytest.raises(InvalidParameterError, match="no off-grid evaluation"):
+            evaluate(KernelSpec.zero(8), 0.25, 0.5)
 
 
 class TestGreenKernel:
@@ -465,6 +479,20 @@ class TestNormEstimates:
         with pytest.raises(InvalidParameterError):
             norm_inf_qprime(green, math.nan)
 
+    @pytest.mark.parametrize("levels", [(), (128, 64), (64, 64)], ids=["none", "down", "repeat"])
+    def test_levels_must_increase(self, green, levels):
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            norm_inf_qprime(green, 2.0, levels)
+
+    def test_a_level_whose_samples_all_underflow_reads_zero(self):
+        # (r + 1)^-1e6 is 0 at every offset of n = 64, so the level's peak is 0
+        spec = KernelSpec.power_law(1e6, delta=1.0)
+        assert kernel._level_norms(spec, 64, (1.0, 2.0, math.inf)) == [0.0, 0.0, 0.0]
+
+    def test_a_non_finite_level_is_divergent(self):
+        estimate = kernel._estimate(2.0, ((64, 1.0), (128, math.inf)))
+        assert (estimate.value, estimate.verdict) == (math.inf, "divergent")
+
     def test_green_sup_norm_finite(self, green):
         est = norm_inf_qprime(green, np.inf, levels=(64, 128, 256))
         assert est.verdict == "finite"
@@ -588,6 +616,22 @@ class TestNormEstimates:
     def test_classification_gaussian(self):
         cls = classify(KernelSpec.gaussian(0.2), levels=(64, 128, 256))
         assert cls.category == "mildly_singular"
+
+    def test_finite_only_at_one_is_strongly_singular(self):
+        estimates = {
+            q: kernel.KernelNormEstimate(q, 1.0, (), "finite")
+            if q == 1.0
+            else kernel.KernelNormEstimate(q, math.inf, (), "divergent")
+            for q in kernel.CLASSIFY_QPRIMES
+        }
+        cls = kernel._classify_estimates(estimates)
+        assert (cls.category, cls.critical_q_prime) == ("strongly_singular", 1.0)
+
+    @pytest.mark.xfail(strict=True, reason="the finest-pair slope reads q' = 1 and 1.1 as ambiguous")
+    def test_power_law_past_its_critical_exponent_is_strongly_singular(self):
+        # alpha = 0.95: q' = 1 is finite, and q' = 1.1 diverges, as alpha q' > 1
+        cls = classify(KernelSpec.power_law(0.95))
+        assert (cls.category, cls.critical_q_prime) == ("strongly_singular", 1.0)
 
     @pytest.mark.parametrize(
         "spec",

@@ -196,6 +196,22 @@ class TestEvolve:
         with pytest.raises(SchemeFailureError, match="non-finite transport velocity"):
             evolve(np.full(64, 1e308), km, "nonlinear", dt=dt)
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        # a first mode above the mean takes u below 0; a scaled state drifts off its mass
+        [
+            (lambda c: c + np.eye(len(c))[1] * 2 * c[0], "positivity lost"),
+            (lambda c: c * (1 + 1e-9), "mass drift"),
+        ],
+        ids=["positivity", "mass"],
+    )
+    def test_faulty_step_is_refused(self, green, monkeypatch, fault, message):
+        step = solver._Strang.__call__
+        monkeypatch.setattr(solver._Strang, "__call__", lambda *args: (fault(step(*args)[0]), 0.0))
+        km = assemble(green, Grid1D(32))
+        with pytest.raises(SchemeFailureError, match=message):
+            evolve(np.full(32, 5.0), km, "nonlinear", 5.0, t_end=0.01, dt=1e-3)
+
     def test_refuses_unbounded_runs_before_stepping(self, green, monkeypatch):
         def no_step(*args):
             raise AssertionError("stepped a run that should be refused")
@@ -472,10 +488,12 @@ class TestSemigroupProbe:
     def test_constants_finite_and_positive(self, grid128, rng):
         basis = SpectralBasis(grid128)
         z = rng.standard_normal(128)
-        probes = [basis.mode(1), z - z.mean()]
+        probes = [basis.mode(1), z - z.mean(), np.zeros(128)]
         report = semigroup_probe(probes, grid128, p=np.inf, q=1, times=np.geomspace(1e-3, 2.0, 20))
         assert 0 < report.smoothing_constant < np.inf
         assert 0 < report.gradient_constant < np.inf
+        # a zero probe has no ratio to bound, and reads 0
+        assert not report.smoothing_ratios[-1].any() and not report.gradient_ratios[-1].any()
 
     def test_invalid_exponent_order(self, grid128):
         with pytest.raises(InvalidParameterError):
@@ -526,7 +544,8 @@ class TestExistenceTime:
             existence_time(np.ones(128), grid128, math.inf, np.inf, 1.0)
 
     def test_zero_interaction_gives_infinite_horizon(self, grid128):
-        assert existence_time(np.ones(128), grid128, 0.0, np.inf, 1.0) == math.inf
+        for q_prime in (np.inf, 2.0, 1.0):
+            assert existence_time(np.ones(128), grid128, 0.0, q_prime, 1.0) == math.inf
 
     def test_overflowed_horizon_is_infinite(self):
         # budget^(-1/gamma) = (4e-200)^(-2) is beyond the largest double
