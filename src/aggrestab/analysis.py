@@ -176,7 +176,7 @@ def cross_validate(u0, km: KernelMatrices, horizon: float, n_time: int = 128) ->
     """
     mild = picard_mild_solve(u0, km, horizon, n_time=n_time)
     u, gap = u0, 0.0
-    for state in mild.trajectory.snapshots[1:]:
+    for state in mild.states[1:]:
         u = evolve(u, km, "nonlinear", t_end=horizon / n_time, output_stride=10**9).snapshots[-1]
         gap = max(gap, float(np.abs(u - state).max()))
     return gap

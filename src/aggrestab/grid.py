@@ -202,15 +202,17 @@ class SpectralBasis:
         c = _rows(c, self.grid.n, "coefficient array")
         n, half = self.grid.n, self.grid.n // 2 + 1
         # to_spectral undone: V_k = shift_k (c_k - i c_{n-k}) with c_n = 0, filled part by
-        # part; one inverse real FFT; the sample order restored
-        spec = np.empty((half,) + c.shape[1:], dtype=complex)
+        # part; one inverse real FFT; the sample order restored. A batch of F-ordered
+        # columns keeps its order, so that each column is filled and stored contiguously
+        order = "F" if c.flags.f_contiguous else "C"
+        spec = np.empty((half,) + c.shape[1:], dtype=complex, order=order)
         spec.real, spec.imag[0] = c[:half], 0.0
         np.negative(c[: n - half : -1], out=spec.imag[1:])
         spec *= _along_axis0(self._shift, c.ndim)
         v = np.fft.irfft(spec, n, axis=0)
         if c.ndim == 1:
             return v[self._restore]
-        u = np.empty(c.shape)
+        u = np.empty(c.shape, order=order)
         u[::2] = v[: (n + 1) // 2]
         u[1::2] = v[(n + 1) // 2 :][::-1]
         return u

@@ -451,7 +451,7 @@ def apply(km: KernelMatrices, u) -> np.ndarray:
     return km.grid.h * (km.k_centers @ u)
 
 
-def apply_grad(km: KernelMatrices, u) -> np.ndarray:
+def apply_grad(km: KernelMatrices, u, out=None) -> np.ndarray:
     """Gradient of the integral operator on cell values along axis 0, sampled at faces.
 
     A Gaussian or power-law kernel acts by its Toeplitz FFT and a table by its
@@ -460,18 +460,19 @@ def apply_grad(km: KernelMatrices, u) -> np.ndarray:
     -e^{-c (f - 1 - j + 1/2)} p_{n-f} q_{n-1-j} u_j (see `_green_dx`):
     `green_scan` of u, whose weights are q reversed in and p reversed out, with
     scale, h and e^{-c/2}. The centers above are its mirror image, the same
-    scan reversed. The boundary faces, where p = 0, read 0.
+    scan reversed; `green_scan.both` runs the two at once. The boundary faces,
+    where p = 0, read 0. The result is written to out, when given.
     """
     u = _rows(u, km.grid.n, "cell array")
     if km.symbols is not None:
-        out = np.empty((len(u) + 1,) + u.shape[1:])
-        km.green_scan(u, out=out[:-1], reverse=True)
-        out[-1] = 0.0
-        out[1:] -= km.green_scan(u)
+        scans = km.green_scan.both(u)  # the centers below, then those above
+        out = np.empty((len(u) + 1,) + u.shape[1:]) if out is None else out
+        out[:-1], out[-1] = scans[1], 0.0
+        out[1:] -= scans[0]
         return out
     if km.spec.variant in _TOEPLITZ:
-        return km.grid.h * km.grad_toeplitz(u)
-    return km.grid.h * (km.gradk_faces @ u)
+        return np.multiply(km.grid.h, km.grad_toeplitz(u), out=out)
+    return np.multiply(km.grid.h, km.gradk_faces @ u, out=out)
 
 
 def apply_grad_adjoint(km: KernelMatrices, v) -> np.ndarray:
@@ -578,9 +579,6 @@ class _DecayScan:
     of the blocks before are carried in by a scan over the blocks. One block
     covers c n <= L: a Green kernel with a <= L^2 at any n. The weights, pre
     and post included, are O(n) and computed once.
-
-    With reverse=True it is the mirror image, the scan of v reversed read
-    backwards: out_r = post_{n-1-r} sum_{k >= r} e^{-c (k - r)} pre_{n-1-k} v_k.
     """
 
     def __init__(self, c: float, n: int, pre=1.0, post=1.0):
@@ -590,21 +588,34 @@ class _DecayScan:
         self.pre, self.post = pre * grow, post / grow
 
     @cached_property
-    def reversed(self) -> tuple:
-        """Reversed copies of the weights, so that a reversed scan reads contiguous arrays."""
-        return self.pre[::-1].copy(), self.post[::-1].copy()
+    def stacked(self) -> tuple:
+        """pre and post over their reversed copies: row 0 weights the scan, row 1 its mirror."""
+        return np.stack((self.pre, self.pre[::-1])), np.stack((self.post, self.post[::-1]))
 
-    def __call__(self, v: np.ndarray, out=None, reverse=False) -> np.ndarray:
-        pre, post = self.reversed if reverse else (self.pre, self.post)
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        acc = _along_axis0(self.pre, v.ndim) * v
+        self._accumulate(acc)
+        return np.multiply(acc, _along_axis0(self.post, v.ndim), out=acc)
+
+    def both(self, v: np.ndarray) -> np.ndarray:
+        """The scan of v over its mirror image along a new axis 0, each weight applied to both
+        in one multiply; the mirror is the scan of v reversed read backwards,
+        out_r = post_{n-1-r} sum_{k >= r} e^{-c (k - r)} pre_{n-1-k} v_k."""
+        pre, post = self.stacked
         if v.ndim > 1:
-            pre, post = _along_axis0(pre, v.ndim), _along_axis0(post, v.ndim)
+            shape = pre.shape + (1,) * (v.ndim - 1)
+            pre, post = pre.reshape(shape), post.reshape(shape)
         acc = pre * v
-        rows = acc[::-1] if reverse else acc
+        self._accumulate(acc[0])
+        self._accumulate(acc[1, ::-1])
+        return np.multiply(acc, post, out=acc)
+
+    def _accumulate(self, rows: np.ndarray):
+        """The sums of the scan, in place along axis 0 of rows."""
         if self.block == len(rows):
             np.add.accumulate(rows, axis=0, out=rows)
         else:
             rows[:] = self._blocked(rows)
-        return np.multiply(acc, post, out=acc if out is None else out)
 
     def _blocked(self, rows: np.ndarray) -> np.ndarray:
         """The cumulative sum of every block, plus the decayed sum of the blocks before."""

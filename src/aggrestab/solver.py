@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,7 +91,14 @@ class Trajectory:
 class MildSolveDiagnostics:
     picard_distances: list
     contraction_ratio: float
-    trajectory: Trajectory
+    times: np.ndarray
+    states: np.ndarray  # (n_time + 1, n): row j holds the cell values at times[j]
+    grid: Grid1D
+
+    @cached_property
+    def trajectory(self) -> Trajectory:
+        """The run record of the states, built when first read."""
+        return Trajectory.from_states(self.times, self.states, self.grid)
 
 
 def check_datum(u, n: int) -> np.ndarray:
@@ -135,10 +143,10 @@ def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> np.ndarray:
         raise InvalidParameterError(f"bad initial descriptor {descriptor!r}: {exc}") from exc
 
 
-def _velocity(u: np.ndarray, km: KernelMatrices):
-    """The transport velocity grad K(u) at the faces, its two boundary faces (no flux) at 0,
-    and its max|v|; refused when not finite."""
-    v = apply_grad(km, u)
+def _velocity(u: np.ndarray, km: KernelMatrices, out=None):
+    """The transport velocity grad K(u) at the faces, in out when given, its two boundary
+    faces (no flux) at 0, and its max|v|; refused when not finite."""
+    v = apply_grad(km, u, out)
     v[0] = v[-1] = 0.0
     vmax = float(max(v.max(), -v.min()))
     if not math.isfinite(vmax):
@@ -160,31 +168,14 @@ def auto_dt(u: np.ndarray, km: KernelMatrices) -> float:
     return _cfl_dt(_velocity(u, km)[1], km.grid.h)
 
 
-def _transport_stage(u: np.ndarray, dt: float, mode: str, mass_level: float, km: KernelMatrices):
-    """One forward-Euler upwind transport step and its max|v|, refused above the CFL bound."""
-    v, vmax = _velocity(u, km)
-    if vmax > 0:
-        admissible = km.grid.h / (2.0 * vmax)
-        if dt > admissible:
-            raise RejectedStepError(dt, admissible)
-    # v becomes the flux in place: M grad K(u) in linearized mode, else (M + u) grad K(u), at
-    # M = 0 in nonlinear mode, with u upwinded; the constant M needs no upwinding
-    if mode == "linearized":
-        v *= mass_level
-    else:
-        upwind = np.where(v[1:-1] > 0, u[:-1], u[1:])
-        upwind += mass_level if mode == "perturbed" else 0.0
-        v[1:-1] *= upwind
-    d = divergence(v, km.grid)
-    return np.subtract(u, np.multiply(dt, d, out=d), out=d), vmax
-
-
 class _Strang:
-    """The Strang step on mode coefficients; it recomputes e^{-(dt/2) L_h} only when dt changes."""
+    """The Strang step on mode coefficients, in its own face array; it recomputes
+    e^{-(dt/2) L_h} only when dt changes."""
 
     def __init__(self, mode: str, mass_level: float, km: KernelMatrices):
         self.mode, self.mass_level, self.km, self.dt, self.half = mode, mass_level, km, None, None
-        self.basis = km.grid.basis
+        self.basis, self.grid, self.h = km.grid.basis, km.grid, km.grid.h
+        self.faces = np.empty(km.grid.n + 1)  # a stage's velocity, then its flux
 
     def __call__(self, c: np.ndarray, dt: float):
         """The closing coefficients from those of the start c, and the two stages' larger max|v|."""
@@ -192,13 +183,30 @@ class _Strang:
         if dt != self.dt:
             self.dt, self.half = dt, np.exp(-0.5 * dt * basis.eigenvalues_discrete)
         start = basis.from_spectral(self.half * c)
-        stage, v1 = _transport_stage(start, dt, self.mode, self.mass_level, self.km)
-        stage, v2 = _transport_stage(stage, dt, self.mode, self.mass_level, self.km)
+        stage, v1 = self._stage(start, dt)
+        stage, v2 = self._stage(stage, dt)
         stage += start
         out = basis.to_spectral(np.multiply(0.5, stage, out=stage))
         out *= self.half
         out[0] = c[0]  # the transforms conserve mass only to roundoff; pin the mean exactly
         return out, max(v1, v2)
+
+    def _stage(self, u: np.ndarray, dt: float):
+        """One forward-Euler upwind transport step and its max|v|, refused above the CFL bound."""
+        v, vmax = _velocity(u, self.km, self.faces)
+        if vmax > 0 and dt > (admissible := self.h / (2.0 * vmax)):
+            raise RejectedStepError(dt, admissible)
+        # v becomes the flux in place: M grad K(u) in linearized mode, else (M + u) grad K(u),
+        # at M = 0 in nonlinear mode, with u upwinded; the constant M needs no upwinding
+        if self.mode == "linearized":
+            v *= self.mass_level
+        else:
+            upwind = np.where(v[1:-1] > 0, u[:-1], u[1:])
+            if self.mode == "perturbed":
+                upwind += self.mass_level
+            v[1:-1] *= upwind
+        d = divergence(v, self.grid)
+        return np.subtract(u, np.multiply(dt, d, out=d), out=d), vmax
 
 
 def step_imex(
@@ -420,8 +428,8 @@ def picard_mild_solve(
     max_iter = check_count(max_iter, "the sweep count max_iter", 1)
     check_real(tol, "tol", 0, finite=False)
     check_real(q_prime, "q'", 1, finite=False)
-    # two (n_time + 1, n) arrays at the peak (free and states, then states and the trajectory's
-    # |states|) and the blocks' work, about 9 * _PICARD_BLOCK values: three bound them
+    # two (n_time + 1, n) arrays, free and states, and the blocks' work, about
+    # 9 * _PICARD_BLOCK values: three bound them
     check_size(3 * km.grid.n * (n_time + 1), f"a Picard solve at n = {km.grid.n}, n_time = {n_time}")
     grid = km.grid
     basis = grid.basis
@@ -486,12 +494,6 @@ def picard_mild_solve(
                 break
         else:
             raise NonContractionError(distances)
-    del free
     ratios = [b / a for a, b in zip(distances, distances[1:]) if a > 0 and b > 0]
     contraction = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
-    trajectory = Trajectory.from_states(times, states, grid)
-    return MildSolveDiagnostics(
-        picard_distances=distances,
-        contraction_ratio=contraction,
-        trajectory=trajectory,
-    )
+    return MildSolveDiagnostics(distances, contraction, times, states, grid)

@@ -380,7 +380,9 @@ class TestCommands:
     @pytest.mark.parametrize("dt", ["auto", "0.001"])
     def test_simulate_nan_velocity_is_scheme_failure(self, tmp_path, monkeypatch, capsys, dt):
         # a NaN velocity fails the stage's CFL check instead of passing it
-        monkeypatch.setattr(solver, "apply_grad", lambda km, u: np.full(km.grid.n + 1, np.nan))
+        monkeypatch.setattr(
+            solver, "apply_grad", lambda km, u, out=None: np.full(km.grid.n + 1, np.nan)
+        )
         cfg = write_config(
             tmp_path,
             "c.cfg",
@@ -397,9 +399,9 @@ class TestCommands:
         # only a Heun stage reads the velocity after the first step: no halving follows
         action, calls = solver.apply_grad, []
 
-        def fails_late(km, u):
+        def fails_late(km, u, out=None):
             calls.append(None)
-            return action(km, u) if len(calls) < 6 else np.full(km.grid.n + 1, np.nan)
+            return action(km, u, out) if len(calls) < 6 else np.full(km.grid.n + 1, np.nan)
 
         monkeypatch.setattr(solver, "apply_grad", fails_late)
         cfg = write_config(
@@ -414,9 +416,9 @@ class TestCommands:
         # the second step's first stage reads a NaN velocity; a set dt reads no other
         action, calls = solver.apply_grad, []
 
-        def fails_late(km, u):
+        def fails_late(km, u, out=None):
             calls.append(None)
-            return action(km, u) if len(calls) < 3 else np.full(km.grid.n + 1, np.nan)
+            return action(km, u, out) if len(calls) < 3 else np.full(km.grid.n + 1, np.nan)
 
         monkeypatch.setattr(solver, "apply_grad", fails_late)
         cfg = write_config(
@@ -432,7 +434,9 @@ class TestCommands:
     @pytest.mark.parametrize("dt", ["auto", "0.001"])
     def test_simulate_non_finite_state_is_scheme_failure(self, tmp_path, monkeypatch, capsys, dt):
         # an admissible velocity, but the linearized flux M v overflows
-        monkeypatch.setattr(solver, "apply_grad", lambda km, u: np.full(km.grid.n + 1, 2.0))
+        monkeypatch.setattr(
+            solver, "apply_grad", lambda km, u, out=None: np.full(km.grid.n + 1, 2.0)
+        )
         cfg = write_config(
             tmp_path,
             "c.cfg",

@@ -345,16 +345,38 @@ class TestGreenScan:
     @pytest.mark.parametrize("c", [0.0, 0.05, 5.0, 60.0, 1e3])
     def test_scan_matches_direct_sum(self, c, n, rng):
         # one block, several with a partial last one, one row per block, and
-        # blocks whose weights underflow
+        # blocks whose weights underflow; the scan alone, and the scan and its
+        # mirror image (the scan of v reversed, read backwards) from `both`
         pre, post, v = rng.random(n) + 0.5, rng.random(n) + 0.5, rng.standard_normal((n, 2))
         scan = kernel._DecayScan(c, n, pre=pre, post=post)
         r, k = np.arange(n)[:, None], np.arange(n)[None, :]
         weights = np.where(k <= r, np.exp(-c * np.abs(r - k)), 0.0)
         expected = post[:, None] * (weights @ (pre[:, None] * v))
         bound = 1e-13 * post[:, None] * (weights @ np.abs(pre[:, None] * v))
-        for got in (scan(v), scan(v[::-1], reverse=True)[::-1]):
-            assert (np.abs(got - expected) <= bound).all()
-        assert (np.abs(scan(v[:, 0]) - expected[:, 0]) <= bound[:, 0]).all()
+        for x, e, b in ((v, expected, bound), (v[:, 0], expected[:, 0], bound[:, 0])):
+            for got in (scan(x), scan.both(x)[0], scan.both(x[::-1])[1][::-1]):
+                assert (np.abs(got - e) <= b).all()
+
+    @pytest.mark.parametrize("a, n, block", [(1.0, 64, 64), (1e5, 256, 51)], ids=["one", "blocked"])
+    def test_both_scans_serve_vectors_batches_and_out(self, a, n, block, rng):
+        # at a = 1e5, n = 256 the scan runs in blocks of 51 rows; a batch in C order, in F
+        # order or reversed gives each column the lone vector's bytes
+        km = assemble(KernelSpec.green_series(a), Grid1D(n))
+        assert km.green_scan.block == block
+        batch = rng.standard_normal((n, 3))
+        gk = km.grid.h * km.gradk_faces
+        for u in (batch, np.asfortranarray(batch), batch[::-1]):
+            got = apply_grad(km, u)
+            for col, vector in zip(got.T, u.T):
+                assert col.tobytes() == apply_grad(km, vector.copy()).tobytes()
+            twin = gk @ u
+            assert np.abs(got - twin).max() <= 1e-12 * np.abs(twin).max()
+        out = np.full((n + 1, 3), np.nan)
+        assert apply_grad(km, batch, out=out) is out
+        assert out.tobytes() == apply_grad(km, batch).tobytes()
+        vector, face = batch[:, 0].copy(), np.full(n + 1, np.nan)
+        assert apply_grad(km, vector, out=face) is face
+        assert face.tobytes() == apply_grad(km, vector).tobytes()
 
     def test_action_costs_no_sample_at_large_n(self):
         # the dense gradient sample at n = 2^20 would hold 8.8 TB; the action

@@ -380,9 +380,9 @@ class TestCarriedCoefficients:
         # auto_dt reads the datum, the first step's two stages pass, the second step's first fails
         action, calls = solver.apply_grad, []
 
-        def fails_late(km, u):
+        def fails_late(km, u, out=None):
             calls.append(None)
-            return action(km, u) if len(calls) < 4 else np.full(km.grid.n + 1, np.nan)
+            return action(km, u, out) if len(calls) < 4 else np.full(km.grid.n + 1, np.nan)
 
         monkeypatch.setattr(solver, "apply_grad", fails_late)
         km = assemble(green, Grid1D(64))
@@ -644,9 +644,23 @@ class TestPicardMildSolve:
         # each time's norms are its row's sums, whatever block holds the row
         assert diag.picard_distances == whole.picard_distances == distances
 
+    @pytest.mark.parametrize("n, n_time", [(64, 8), (512, 512)])
+    def test_a_kernel_with_no_drift_keeps_the_free_solution(self, n, n_time):
+        # at (512, 512): 17 blocks of 32 time rows, the last of one row. The zero kernel
+        # adds no drift, so the first sweep changes nothing and the states stay the free
+        # term, built block by block, which matches one heat_semigroup call over all times
+        km = assemble(KernelSpec.zero(n), Grid1D(n))
+        u0 = initial_field("constant_plus_mode:1,0.5,1", km.grid)
+        diag = picard_mild_solve(u0, km, 0.1, n_time=n_time)
+        assert diag.picard_distances == [0.0]
+        np.testing.assert_array_equal(diag.states, heat_semigroup(u0, km.grid, diag.times).T)
+        # the run record is built when first read, from the same states
+        assert "trajectory" not in vars(diag)
+        assert diag.trajectory.snapshots is diag.states
+
     def test_memory_budget(self, green):
-        # the free solution and the states, then the states and their |states|, and
-        # blocks of 2^14 values: 2.55 times one array here (3.05 at 2^15, 6.0 before the blocks)
+        # the free solution and the states, and blocks of 2^14 values: 2.55 times one array
+        # here (3.05 at 2^15, 6.0 before the blocks); the run record is built only when read
         n, n_time = 512, 512
         km = assemble(green, Grid1D(n))
         u0 = initial_field("constant_plus_mode:1,0.5,1", km.grid)
