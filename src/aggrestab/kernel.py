@@ -6,33 +6,25 @@ Gaussian, a power-law gradient family bracketing the critical integrability
 exponent, and tabulated data. Values are sampled at cell centers; x-gradients
 at cell faces, so the gradient is never evaluated on its diagonal jump.
 
-A Green kernel is diagonal in the cosine modes of `SpectralBasis`: at cell
-centers and faces every mode above n aliases onto a DCT mode, so its
-integral operator and its gradient have exact O(n) symbols and need no
-n x n sample.
-
 The kernel actions `apply`, `apply_grad` and the adjoint `apply_grad_adjoint`
 take values along axis 0, of shape (n,) or (n, m) (n + 1 rows for face
-values), as `grid`'s operators do, and return arrays. Each kernel acts by its
-structure, and only a table by a dense product:
+values), as `grid`'s operators do, and return arrays. `KernelMatrices` builds
+the kernel's one structure, whose methods give every action, norm, residual
+and linearized solve; only a table acts by a dense product:
 
-- Green: `apply` and `apply_grad_adjoint` by the symbols, O(n log n), and
-  `apply_grad` by two decaying scans (`_DecayScan`), O(n), as the gradient
-  is separable on each side of the diagonal.
-- Gaussian and power law: K and grad K depend on x - y alone, so their
-  samples are Toeplitz matrices of 2n offsets, and each action is one
-  zero-padded real FFT (`_Toeplitz`), O(n log n) per column.
-- Tabulated: products with the stored table, O(n^2) per column.
+- `_Symbols`, a Green kernel: at cell centers and faces every cosine mode above
+  n aliases onto a DCT mode, so K and grad K have exact O(n) symbols. `apply`
+  and `apply_grad_adjoint` act by them, O(n log n), and `apply_grad` by two
+  decaying scans (`_DecayScan`), O(n), as grad K is separable on each side
+  of the diagonal. A norm level's row and column sums are such scans.
+- `_Convolution`, a Gaussian or power-law kernel: K and grad K depend on
+  x - y alone, so their samples are Toeplitz matrices of 2n offsets. Each
+  action is one zero-padded real FFT (`_Toeplitz`), O(n log n) per column,
+  and a norm level's sums are windows of the offsets.
+- `_Table`, a tabulated kernel: products with the stored table, O(n^2) per column.
 
-The operator norm and the Hilbert-Schmidt norm read the same structure: the
-Green symbols, the offsets and the FFT actions, or the table.
-
-The mixed gradient norms are estimated on a refinement ladder in O(n) work
-and memory per level: Gaussian and power-law gradients depend on x - y alone,
-so each row and column sum of |grad K|^q' is a window of 2n offset samples;
-the Green gradient is separable on each side of the diagonal, so its sums are
-geometric scans. Only a tabulated kernel is read as a dense table. A ladder
-is refined until it resolves the kernel's length scale.
+The mixed gradient norms are estimated on a refinement ladder, in O(n) work
+and memory per level but for a table, until it resolves the kernel's length scale.
 """
 
 from __future__ import annotations
@@ -45,14 +37,12 @@ from functools import cached_property
 import numpy as np
 
 from .eigen import smallest_eigenpair
-from .errors import InvalidParameterError, KernelLoadError, SingularityError
+from .errors import InvalidParameterError, KernelLoadError, SingularityError, UnsupportedKernelError
 from .grid import LOG_MAX_DOUBLE, MAX_STORED_VALUES, Grid1D, _along_axis0, _rows, check_real
 from .grid import check_size, divergence, lp_norm
 
 # the two Green variants are one family: green_closed_form is a = 1
 _GREEN = ("green_closed_form", "green_series")
-# kernels of x - y alone, whose samples are Toeplitz matrices
-_TOEPLITZ = ("gaussian", "power_law_gradient")
 # the KernelSpec fields each variant reads besides scale (a table reads its arrays)
 VARIANT_PARAMETERS = {
     "green_closed_form": (),
@@ -87,6 +77,17 @@ _SCAN_EXPONENT = 64.0
 # to the largest eigenvalue of A^T A, that stops it
 _NORM_BLOCK = 8
 _NORM_TOL = 1e-8
+
+# the largest value-symmetry defect of a table that the linearized solve accepts
+_SYMMETRY_TOL = 1e-8
+# n x n arrays a table's linearized solve holds at its peak, in the second transform
+# of its projection of D: the kernel's value and gradient samples, D, the first
+# transform's output, and the second's reordered input, FFT and output
+_DENSE_ARRAYS = 7
+# the block eigensolver's width on a convolution's S(M), and the 2-norm of its
+# residual in the modes, relative to the check's scale, that stops it
+_BLOCK = 4
+_SOLVE_TOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,55 +193,22 @@ class KernelSpec:
 class KernelMatrices:
     """Kernel on a grid: values at center pairs, x-gradient at (face, center).
 
-    A Green kernel carries `symbols` = (sigma, t, e), k = 0..n-1: h K w_k =
-    sigma_k w_k at the centers and h dK/dx w_k = t_k sqrt(2) sin(k pi x) =
-    `gradient`(e_k w_k) at the faces, so u -> grad K(u) has singular values
-    |t_k|. Other kernels have `symbols = None`. The Green `apply_grad` reads
-    `green_scan`, O(n) weights; a Gaussian or power-law kernel acts by
-    `grad_toeplitz` and `value_toeplitz`, O(n) offsets. The dense samples
-    `k_centers` and `gradk_faces` are taken when first read, which only a
-    table's actions do. A table of another n is refused with `InvalidParameterError`.
+    `structure`, chosen here, gives every action, norm and linearized solve:
+    `_Symbols` for a Green kernel, `_Convolution` for a Gaussian or power-law kernel,
+    `_Table` for a table, which refuses a table of another n (`InvalidParameterError`).
+    It takes the dense samples `k_centers` and `gradk_faces` when first read, which
+    only a table's actions do: they are its tables.
     """
 
     def __init__(self, spec: KernelSpec, grid: Grid1D):
-        if spec.variant == "tabulated" and (n := spec.table_values.shape[0]) != grid.n:
-            raise InvalidParameterError(f"a table of n = {n} does not match grid n = {grid.n}")
         self.spec, self.grid = spec, grid
-        self.symbols = _green_symbols(spec, grid) if spec.variant in _GREEN else None
+        green, table = spec.variant in _GREEN, spec.variant == "tabulated"
+        self.structure = (_Symbols if green else _Table if table else _Convolution)(spec, grid)
 
-    @cached_property
-    def green_scan(self) -> _DecayScan:
-        """The decaying scan of the Green gradient action, see `apply_grad`."""
-        s, h = math.sqrt(self.spec.a), self.grid.h
-        p = self.spec.scale * h * math.exp(-0.5 * s * h) * _green_p(s, self.grid.faces[-2::-1])
-        return _DecayScan(s * h, self.grid.n, pre=_green_q(s, self.grid.centers[::-1]), post=p)
-
-    @cached_property
-    def grad_toeplitz(self) -> _Toeplitz:
-        """A Gaussian or power-law gradient at (face f, center j), g((f - j - 1/2) h)."""
-        return _Toeplitz(_grad_offsets(self.spec, self.grid), self.grid.n)
-
-    @cached_property
-    def value_toeplitz(self) -> _Toeplitz:
-        """A Gaussian or power-law kernel at (center i, center j), K(|i - j| h)."""
-        n = self.grid.n
-        return _Toeplitz(eval_kernel(self.spec, np.abs(np.arange(1 - n, n)) * self.grid.h, 0.0), n)
-
-    @cached_property
-    def k_centers(self) -> np.ndarray:
-        return _values_matrix(self.spec, self.grid)
-
-    @cached_property
-    def gradk_faces(self) -> np.ndarray:
-        return _gradk_matrix(self.spec, self.grid)
-
-    @cached_property
-    def symmetry_residual(self) -> float:
-        """max |K(x, y) - K(y, x)| at the centers: 0 for a built-in family, a function
-        of |x - y| and x + y, so only a table is sampled."""
-        if self.spec.variant != "tabulated":
-            return 0.0
-        return float(np.max(np.abs(self.k_centers - self.k_centers.T), initial=0.0))
+    k_centers = property(lambda self: self.structure.k_centers)
+    gradk_faces = property(lambda self: self.structure.gradk_faces)
+    # max |K(x, y) - K(y, x)| at the centers, 0 unless the kernel is a table
+    symmetry_residual = property(lambda self: self.structure.symmetry_residual)
 
 
 @dataclass(frozen=True)
@@ -381,11 +349,6 @@ def eval_grad_x(spec: KernelSpec, x, y):
     return spec.scale * out
 
 
-def _grad_offsets(spec: KernelSpec, grid: Grid1D) -> np.ndarray:
-    """A Gaussian or power-law gradient at the 2n offsets x_f - y_j = (m - 1/2) h, m = 1-n..n."""
-    return eval_grad_x(spec, (np.arange(2 * grid.n) - (grid.n - 0.5)) * grid.h, 0.0)
-
-
 class _Toeplitz:
     """The (r x n) Toeplitz matrix T[i, j] = t[i - j + n - 1] of r + n - 1 offsets t.
 
@@ -396,7 +359,7 @@ class _Toeplitz:
     """
 
     def __init__(self, t: np.ndarray, n: int):
-        self.offsets, self.n, self.rows = t, n, t.size - n + 1
+        self.n, self.rows = n, t.size - n + 1
         self.spectrum = np.fft.rfft(t, 2 * n)
 
     def _convolve(self, v: np.ndarray, first: int, count: int) -> np.ndarray:
@@ -437,58 +400,29 @@ def assemble(spec: KernelSpec, grid: Grid1D) -> KernelMatrices:
 
 
 def apply(km: KernelMatrices, u) -> np.ndarray:
-    """Integral operator on cell values along axis 0: result_i = h sum_j K(x_i, y_j) u_j.
-
-    A Green kernel acts by its symbols, h K w_k = sigma_k w_k; a Gaussian or
-    power-law kernel by its Toeplitz FFT; a table by its dense product.
-    """
-    u = _rows(u, km.grid.n, "cell array")
-    if km.symbols is not None:
-        basis = km.grid.basis
-        return basis.from_spectral(_along_axis0(km.symbols[0], u.ndim) * basis.to_spectral(u))
-    if km.spec.variant in _TOEPLITZ:
-        return km.grid.h * km.value_toeplitz(u)
-    return km.grid.h * (km.k_centers @ u)
+    """Integral operator on cell values along axis 0: result_i = h sum_j K(x_i, y_j) u_j."""
+    return km.structure.apply(_rows(u, km.grid.n, "cell array"))
 
 
 def apply_grad(km: KernelMatrices, u, out=None) -> np.ndarray:
-    """Gradient of the integral operator on cell values along axis 0, sampled at faces.
-
-    A Gaussian or power-law kernel acts by its Toeplitz FFT and a table by its
-    dense product. A Green kernel's action costs O(n) per column and reads no
-    sample. With c = s h, the centers y_j < x_f contribute
-    -e^{-c (f - 1 - j + 1/2)} p_{n-f} q_{n-1-j} u_j (see `_green_dx`):
-    `green_scan` of u, whose weights are q reversed in and p reversed out, with
-    scale, h and e^{-c/2}. The centers above are its mirror image, the same
-    scan reversed; `green_scan.both` runs the two at once. The boundary faces,
-    where p = 0, read 0. The result is written to out, when given.
-    """
-    u = _rows(u, km.grid.n, "cell array")
-    if km.symbols is not None:
-        scans = km.green_scan.both(u)  # the centers below, then those above
-        out = np.empty((len(u) + 1,) + u.shape[1:]) if out is None else out
-        out[:-1], out[-1] = scans[1], 0.0
-        out[1:] -= scans[0]
-        return out
-    if km.spec.variant in _TOEPLITZ:
-        return np.multiply(km.grid.h, km.grad_toeplitz(u), out=out)
-    return np.multiply(km.grid.h, km.gradk_faces @ u, out=out)
+    """Gradient of the integral operator on cell values along axis 0, at faces; in out if given."""
+    return km.structure.apply_grad(_rows(u, km.grid.n, "cell array"), out)
 
 
 def apply_grad_adjoint(km: KernelMatrices, v) -> np.ndarray:
-    """The adjoint of `apply_grad`, face values to cell values along axis 0.
+    """The adjoint of `apply_grad`, face values to cell values along axis 0."""
+    return km.structure.apply_grad_adjoint(_rows(v, km.grid.n + 1, "face array"))
 
-    A Toeplitz FFT for a Gaussian or power-law kernel and the dense product
-    for a table. A Green `apply_grad` is `gradient` after the symbol e, so its
-    adjoint is e after -`divergence`, the adjoint of `gradient`: O(n log n).
-    """
-    v = _rows(v, km.grid.n + 1, "face array")
-    if km.spec.variant in _TOEPLITZ:
-        return km.grid.h * km.grad_toeplitz.adjoint(v)
-    if km.symbols is None:
-        return km.grid.h * (km.gradk_faces.T @ v)
-    basis, e = km.grid.basis, _along_axis0(km.symbols[2], v.ndim)
-    return -basis.from_spectral(e * basis.to_spectral(divergence(v, km.grid)))
+
+def hilbert_schmidt_grad_norm(km: KernelMatrices) -> float:
+    """L^2(Omega x Omega) norm of the gradient kernel, h times the Frobenius norm of its sample."""
+    return km.structure.hilbert_schmidt_grad_norm()
+
+
+def l2_operator_norm(km: KernelMatrices) -> float:
+    """Largest singular value of u -> grad K(u) between L^2 spaces: with uniform quadrature
+    weight h on both sides, the Euclidean spectral norm of A = h * gradk_faces."""
+    return km.structure.l2_operator_norm(km)
 
 
 def _scaled_norm(values: np.ndarray, weights=1.0) -> float:
@@ -499,46 +433,13 @@ def _scaled_norm(values: np.ndarray, weights=1.0) -> float:
     return float(np.ldexp(np.sqrt(np.sum(weights * np.square(scaled))), exp))
 
 
-def hilbert_schmidt_grad_norm(km: KernelMatrices) -> float:
-    """L^2(Omega x Omega) norm of the gradient kernel, h times the Frobenius norm of its sample.
-
-    For a Green kernel it is sqrt(sum_k t_k^2), the singular values' norm. A
-    Gaussian or power-law sample holds its offset f - j = m - n + 1 of the
-    2n offsets in min(m + 1, 2n - m) entries. A table is read entry by entry.
-    """
-    if km.symbols is not None:
-        return _scaled_norm(km.symbols[1])
-    if km.spec.variant in _TOEPLITZ:
-        n = km.grid.n
-        m = np.arange(2 * n)
-        return km.grid.h * _scaled_norm(km.grad_toeplitz.offsets, np.minimum(m + 1, 2 * n - m))
-    return km.grid.h * _scaled_norm(km.gradk_faces)
-
-
-def l2_operator_norm(km: KernelMatrices) -> float:
-    """Largest singular value of u -> grad K(u) between L^2 spaces.
-
-    For a Green kernel it is max_k |t_k|. Otherwise the square root of the
-    largest eigenvalue of A^T A, A = `apply_grad`, by the block eigensolver
-    from a seeded random block: it converges on the gap to the block's last
-    eigenvalue, where a power iteration converges on the ratio of the top
-    two, and the top singular values of these kernels come in near-equal
-    pairs. With uniform quadrature weight h on both sides this is the
-    Euclidean spectral norm of A = h * gradk_faces.
-    """
-    if km.symbols is not None:
-        return float(np.abs(km.symbols[1]).max())
-    n = km.grid.n
-    start = np.linalg.qr(np.random.default_rng(0).standard_normal((n, min(_NORM_BLOCK, n))))[0]
-    # A is scaled exactly by the power of two of its largest sample, so A^T A cannot overflow
-    samples = km.grad_toeplitz.offsets if km.spec.variant in _TOEPLITZ else km.gradk_faces
-    _, exp = math.frexp(km.grid.h * float(np.abs(samples).max(initial=0.0)))
-
-    def gram(v):
-        return -np.ldexp(apply_grad_adjoint(km, np.ldexp(apply_grad(km, v), -exp)), -exp)
-
-    # abs, not a minus sign: a zero kernel's eigenvalue may be -0.0
-    return math.ldexp(math.sqrt(abs(smallest_eigenpair(gram, start, _NORM_TOL)[0])), exp)
+def _finite(values, mass: float):
+    """values, refused when one of them has left the doubles at this mass."""
+    if not np.isfinite(values).all():
+        raise InvalidParameterError(
+            f"mass level M = {mass:g} takes S(M) or its eigenpair beyond the largest double"
+        )
+    return values
 
 
 def _mixed_norm(sums, peak: float, h: float, q_prime: float) -> float:
@@ -551,23 +452,6 @@ def _mixed_norm(sums, peak: float, h: float, q_prime: float) -> float:
     if peak == 0:
         return 0.0
     return peak * sum(float(np.max(h * s, initial=0.0)) ** (1.0 / q_prime) for s in sums(q_prime))
-
-
-def _window_norms(g: np.ndarray, h: float, q_primes) -> list:
-    """Mixed norms of a level whose |grad K| at (face f, center j) is g[f - j + n - 1].
-
-    Row f sums the window g[f : f + n] and column j the window
-    g[n - 1 - j : 2n - j]; one cumulative sum gives them all. Every window
-    spans offsets of length 1 across the diagonal, so it holds a sizable share
-    of the whole sum and differences of the cumulative sum keep their digits.
-    """
-    n, peak = g.size // 2, float(g.max())
-
-    def sums(q_prime):
-        c = np.concatenate(([0.0], np.cumsum((g / peak) ** q_prime)))
-        return c[n:] - c[: n + 1], c[n + 1 :] - c[:n]
-
-    return [2.0 * peak if np.isinf(q) else _mixed_norm(sums, peak, h, q) for q in q_primes]
 
 
 class _DecayScan:
@@ -636,52 +520,297 @@ class _DecayScan:
         return blocks.reshape((-1,) + rest)[:n]
 
 
-def _green_norms(spec: KernelSpec, grid: Grid1D, q_primes) -> list:
-    """Mixed norms of the Green kernel on the grid without its (n+1) x n sample.
+class _Structure:
+    """What the three kernel structures share: the kernel and grid, the dense samples, and
+    the operator norm, A and eigenpair of a kernel that no cosine mode diagonalizes."""
 
-    |dG/dx| at (x_f, y_j) is e^{-s |x_f - y_j|} p_f q_j for x_f < y_j and the
-    mirror p_{n-f} q_{n-1-j} otherwise (see `_green_dx`). Row f then sums to
-    e^{-q' s h/2} (a_f + a_{n-f}) with a_f = p_f^q' sum_{j >= f} r^{j-f} q_j^q'
-    and r = e^{-q' s h}, and column j to e^{-q' s h/2} (b_j + b_{n-1-j}) with
-    b_j = q_j^q' sum_{f <= j} r^{j-f} p_f^q'. For q' = inf, |dG/dx| grows
-    towards the diagonal on both sides, so its maximum is at a face next to
-    it, where the two sides mirror each other: e^{-s h/2} max_j p_j q_j. p and
-    q both grow, so dividing each by its maximum divides that peak out.
-    """
-    s, h = math.sqrt(spec.a), grid.h
-    p, q = _green_p(s, grid.faces[:-1]), _green_q(s, grid.centers)  # row n sums to 0
-    edge, p_max, q_max = math.exp(-0.5 * s * h), float(p.max()), float(q.max())
+    symmetry_residual = 0.0  # a built-in family is a function of |x - y| and x + y
 
-    def sums(q_prime):
-        # past 2 LOG_MAX_DOUBLE the decay e^{-q' s h} is 0, as it is for any larger exponent
-        scan = _DecayScan(min(q_prime * s * h, 2.0 * LOG_MAX_DOUBLE), grid.n)
-        pq, qq = (p / p_max) ** q_prime, (q / q_max) ** q_prime
-        rows = np.append(pq * scan(qq[::-1])[::-1], 0.0)
-        cols = qq * scan(pq)
-        return rows + rows[::-1], cols + cols[::-1]
+    def __init__(self, spec: KernelSpec, grid: Grid1D):
+        self.spec, self.grid = spec, grid
 
-    sup = 2.0 * edge * float(np.max(p * q))
-    return [
-        sup if np.isinf(q_prime) else edge * _mixed_norm(sums, p_max * q_max, h, q_prime)
-        for q_prime in q_primes
-    ]
+    @cached_property
+    def k_centers(self) -> np.ndarray:
+        return _values_matrix(self.spec, self.grid)
+
+    @cached_property
+    def gradk_faces(self) -> np.ndarray:
+        return _gradk_matrix(self.spec, self.grid)
+
+    def l2_operator_norm(self, km: KernelMatrices) -> float:
+        """The square root of the largest eigenvalue of A^T A, A = `apply_grad`, by the block
+        eigensolver from a seeded random block: it converges on the gap to the block's last
+        eigenvalue, as these kernels' top singular values come in near-equal pairs."""
+        n = self.grid.n
+        start = np.linalg.qr(np.random.default_rng(0).standard_normal((n, min(_NORM_BLOCK, n))))[0]
+        # A is scaled exactly by the power of two of its largest sample, so A^T A cannot overflow
+        _, exp = math.frexp(self.grid.h * self.grad_peak())
+
+        def gram(v):
+            return -np.ldexp(apply_grad_adjoint(km, np.ldexp(apply_grad(km, v), -exp)), -exp)
+
+        # abs, not a minus sign: a zero kernel's eigenvalue may be -0.0
+        return math.ldexp(math.sqrt(abs(smallest_eigenpair(gram, start, _NORM_TOL)[0])), exp)
+
+    def interaction_coefficient(self) -> float:
+        w1 = self.grid.basis.mode(1)
+        return float(self.grid.h * (w1 @ self.apply(w1)))
+
+    def eigenpair(self, family, mass: float) -> tuple:
+        """(eigenvalue, mode, D_sym mode by the actions, scale) from `solve`'s coefficients."""
+        lam, coef, scale = self.solve(family, mass)
+        vec = self.grid.basis.from_spectral(np.concatenate(([0.0], coef)))
+        return lam, vec, family.symmetric_drift(vec), scale
+
+
+class _Symbols(_Structure):
+    """A Green kernel, whose `symbols` (sigma, t, e), k = 0..n-1, are h K w_k = sigma_k w_k at
+    the centers and h dK/dx w_k = t_k sqrt(2) sin(k pi x) = `gradient`(e_k w_k) at the faces,
+    so u -> grad K(u) has singular values |t_k|. They, and the O(n) weights of `scan`, are
+    built when first read: a ladder level reads neither."""
+
+    @cached_property
+    def symbols(self) -> tuple:
+        return _green_symbols(self.spec, self.grid)
+
+    @cached_property
+    def scan(self) -> _DecayScan:  # see `apply_grad`
+        s, h = math.sqrt(self.spec.a), self.grid.h
+        p = self.spec.scale * h * math.exp(-0.5 * s * h) * _green_p(s, self.grid.faces[-2::-1])
+        return _DecayScan(s * h, self.grid.n, pre=_green_q(s, self.grid.centers[::-1]), post=p)
+
+    @cached_property
+    def drift_symbol(self) -> np.ndarray:
+        """d_k = (2/h) sin(k pi h / 2) t_k, k = 0..n-1: D w_k = d_k w_k."""
+        angles = np.arange(self.grid.n) * (0.5 * np.pi * self.grid.h)
+        return (2.0 / self.grid.h) * np.sin(angles) * self.symbols[1]
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        basis = self.grid.basis
+        return basis.from_spectral(_along_axis0(self.symbols[0], u.ndim) * basis.to_spectral(u))
+
+    def apply_grad(self, u: np.ndarray, out) -> np.ndarray:
+        """O(n) per column, reading no sample. With c = s h, the centers y_j < x_f
+        contribute -e^{-c (f - 1 - j + 1/2)} p_{n-f} q_{n-1-j} u_j (see `_green_dx`):
+        `scan` of u, whose weights are q reversed in and p reversed out, with scale, h
+        and e^{-c/2}. The centers above are its mirror image, the same scan reversed;
+        `scan.both` runs the two at once. The boundary faces, where p = 0, read 0."""
+        scans = self.scan.both(u)  # the centers below, then those above
+        out = np.empty((len(u) + 1,) + u.shape[1:]) if out is None else out
+        out[:-1], out[-1] = scans[1], 0.0
+        out[1:] -= scans[0]
+        return out
+
+    def apply_grad_adjoint(self, v: np.ndarray) -> np.ndarray:
+        """`apply_grad` is `gradient` after the symbol e, so its adjoint is e after
+        -`divergence`, the adjoint of `gradient`: O(n log n)."""
+        basis, e = self.grid.basis, _along_axis0(self.symbols[2], v.ndim)
+        return -basis.from_spectral(e * basis.to_spectral(divergence(v, self.grid)))
+
+    def hilbert_schmidt_grad_norm(self) -> float:
+        return _scaled_norm(self.symbols[1])  # the singular values' norm
+
+    def l2_operator_norm(self, km: KernelMatrices) -> float:
+        return float(np.abs(self.symbols[1]).max())
+
+    def boundary_residual(self) -> float:
+        return 0.0  # the factor p vanishes on both boundary faces
+
+    def level_norms(self, q_primes) -> list:
+        """Mixed norms without the (n+1) x n sample: |dG/dx| at (x_f, y_j) is
+        e^{-s |x_f - y_j|} p_f q_j for x_f < y_j and the mirror p_{n-f} q_{n-1-j}
+        otherwise (see `_green_dx`). Row f then sums to e^{-q' s h/2} (a_f + a_{n-f})
+        with a_f = p_f^q' sum_{j >= f} r^{j-f} q_j^q' and r = e^{-q' s h}, and column
+        j to e^{-q' s h/2} (b_j + b_{n-1-j}) with b_j = q_j^q' sum_{f <= j} r^{j-f} p_f^q'.
+        For q' = inf the maximum is at a face next to the diagonal, where the sides
+        mirror each other: e^{-s h/2} max_j p_j q_j. p and q both grow, so dividing
+        each by its maximum divides that peak out."""
+        s, grid, h = math.sqrt(self.spec.a), self.grid, self.grid.h
+        p, q = _green_p(s, grid.faces[:-1]), _green_q(s, grid.centers)  # row n sums to 0
+        edge, p_max, q_max = math.exp(-0.5 * s * h), float(p.max()), float(q.max())
+
+        def sums(q_prime):
+            # past 2 LOG_MAX_DOUBLE the decay e^{-q' s h} is 0, as it is for any larger exponent
+            scan = _DecayScan(min(q_prime * s * h, 2.0 * LOG_MAX_DOUBLE), grid.n)
+            pq, qq = (p / p_max) ** q_prime, (q / q_max) ** q_prime
+            rows = np.append(pq * scan(qq[::-1])[::-1], 0.0)
+            cols = qq * scan(pq)
+            return rows + rows[::-1], cols + cols[::-1]
+
+        sup = 2.0 * edge * float(np.max(p * q))
+        return [
+            sup if np.isinf(q_prime) else edge * _mixed_norm(sums, p_max * q_max, h, q_prime)
+            for q_prime in q_primes
+        ]
+
+    def interaction_coefficient(self) -> float:
+        return float(self.symbols[0][1])
+
+    def drift_form(self, family) -> np.ndarray:
+        return self.drift_symbol[1:]
+
+    def eigenpair(self, family, mass: float) -> tuple:
+        """S(M)'s smallest entry, with D applied to its mode by `apply_grad`, not the symbol."""
+        lap, drift = family.reduced
+        symbol = lap + mass * drift
+        k = int(np.argmin(symbol))
+        vec = self.grid.basis.mode(k + 1)
+        d_vec = divergence(apply_grad(family.km, vec), self.grid)
+        return float(symbol[k]), vec, d_vec, float(np.abs(symbol).max())
+
+
+class _Convolution(_Structure):
+    """A Gaussian or power-law kernel, whose samples are Toeplitz matrices. The gradient's
+    `offsets` and each `_Toeplitz` are built when first read: a ladder level reads the offsets."""
+
+    @cached_property
+    def offsets(self) -> np.ndarray:  # the gradient at x_f - y_j = (m - 1/2) h, m = 1-n..n
+        n, h = self.grid.n, self.grid.h
+        return eval_grad_x(self.spec, (np.arange(2 * n) - (n - 0.5)) * h, 0.0)
+
+    @cached_property
+    def grad_toeplitz(self) -> _Toeplitz:
+        return _Toeplitz(self.offsets, self.grid.n)
+
+    @cached_property
+    def value_toeplitz(self) -> _Toeplitz:  # K(|i - j| h) at (center i, center j)
+        n = self.grid.n
+        return _Toeplitz(eval_kernel(self.spec, np.abs(np.arange(1 - n, n)) * self.grid.h, 0.0), n)
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        return self.grid.h * self.value_toeplitz(u)
+
+    def apply_grad(self, u: np.ndarray, out) -> np.ndarray:
+        return np.multiply(self.grid.h, self.grad_toeplitz(u), out=out)
+
+    def apply_grad_adjoint(self, v: np.ndarray) -> np.ndarray:
+        return self.grid.h * self.grad_toeplitz.adjoint(v)
+
+    def hilbert_schmidt_grad_norm(self) -> float:
+        """The sample holds its offset f - j = m - n + 1 in min(m + 1, 2n - m) entries."""
+        n, m = self.grid.n, np.arange(2 * self.grid.n)
+        return self.grid.h * _scaled_norm(self.offsets, np.minimum(m + 1, 2 * n - m))
+
+    def boundary_residual(self) -> float:  # the two boundary rows hold all 2n offsets
+        return float(np.abs(self.offsets).max())
+
+    grad_peak = boundary_residual  # so they hold the peak
+
+    def level_norms(self, q_primes) -> list:
+        """Mixed norms from g = |offsets|: row f sums the window g[f : f + n] and column j
+        the window g[n - 1 - j : 2n - j]; one cumulative sum gives them all. Every window
+        spans offsets of length 1 across the diagonal, so it holds a sizable share of the
+        whole sum and differences of the cumulative sum keep their digits."""
+        g = np.abs(self.offsets)
+        n, h, peak = self.grid.n, self.grid.h, float(g.max())
+
+        def sums(q_prime):
+            c = np.concatenate(([0.0], np.cumsum((g / peak) ** q_prime)))
+            return c[n:] - c[: n + 1], c[n + 1 :] - c[:n]
+
+        return [2.0 * peak if np.isinf(q) else _mixed_norm(sums, peak, h, q) for q in q_primes]
+
+    def drift_form(self, family) -> tuple:
+        """The circulant estimate of the reduced D's diagonal, and its exact last entry: D has
+        Toeplitz entries d_m = g((m + 1/2) h) - g((m - 1/2) h) away from the boundary rows,
+        even in m as g is odd, so the estimate sum_m d_m cos(k pi m h), k = 1..n-1, is one
+        real FFT of their even extension. The last entry is one action."""
+        n = self.grid.n
+        d = np.diff(self.offsets)[n - 1 :]
+        estimate = np.fft.rfft(np.concatenate((d, [0.0], d[:0:-1]))).real[1:n]
+        last = np.zeros(n - 1)
+        last[-1] = 1.0
+        return estimate, float(family.reduced_drift(last)[-1])
+
+    def solve(self, family, mass: float) -> tuple:
+        """(eigenvalue, mode coefficients, scale) by the block eigensolver on diag(lambda_k^h)
+        + M D_r, D_r = `reduced_drift`, started at the modes where the circulant estimate
+        lambda_k^h + M e_k is smallest and preconditioned by (lambda_k^h + M e_k - shift)^-1,
+        the shift below the estimate's minimum. The scale, |e_{n-1} . S e_{n-1}| or
+        |eigenvalue| if larger, is at most the infinity norm of the reduced operator."""
+        lap, (estimate, last) = family.reduced
+        diagonal = lap + mass * estimate
+        order = np.argsort(diagonal, kind="stable")[: min(_BLOCK, lap.size)]
+        start = np.zeros((lap.size, order.size))
+        start[order, np.arange(order.size)] = 1.0
+        # a shift just below the minimum makes the preconditioner near singular on one
+        # mode, which stalls the iteration; one far below flattens it to the identity
+        low = float(diagonal[order[0]])
+        shifted = diagonal - (low - 1.0 - 0.01 * abs(low))
+
+        def operator(coef):  # refused when not finite, before the projection's eigh reads it
+            return _finite(lap[:, None] * coef + mass * family.reduced_drift(coef), mass)
+
+        scale = max(abs(lap[-1] + mass * last), 1.0)
+        lam, coef = smallest_eigenpair(
+            operator, start, _SOLVE_TOL, scale, precond=lambda r: r / shifted[:, None]
+        )
+        return lam, coef, max(scale, abs(lam))
+
+
+class _Table(_Structure):
+    """A tabulated kernel: its dense samples are its scaled tables, which its actions
+    multiply, and its D is projected densely and solved by SciPy's `eigh`."""
+
+    def __init__(self, spec: KernelSpec, grid: Grid1D):
+        if (n := spec.table_values.shape[0]) != grid.n:
+            raise InvalidParameterError(f"a table of n = {n} does not match grid n = {grid.n}")
+        super().__init__(spec, grid)
+
+    @cached_property
+    def symmetry_residual(self) -> float:
+        return float(np.max(np.abs(self.k_centers - self.k_centers.T), initial=0.0))
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        return self.grid.h * (self.k_centers @ u)
+
+    def apply_grad(self, u: np.ndarray, out) -> np.ndarray:
+        return np.multiply(self.grid.h, self.gradk_faces @ u, out=out)
+
+    def apply_grad_adjoint(self, v: np.ndarray) -> np.ndarray:
+        return self.grid.h * (self.gradk_faces.T @ v)
+
+    def hilbert_schmidt_grad_norm(self) -> float:
+        return self.grid.h * _scaled_norm(self.gradk_faces)
+
+    def grad_peak(self) -> float:
+        return float(np.abs(self.gradk_faces).max(initial=0.0))
+
+    def boundary_residual(self) -> float:
+        return float(np.max(np.abs(self.gradk_faces[[0, -1], :]), initial=0.0))
+
+    def level_norms(self, q_primes) -> list:
+        """The sup of the table's rows' L^q' norms plus its columns'."""
+        gk, grid = self.gradk_faces, self.grid
+        return [lp_norm(gk.T, q, grid).max() + lp_norm(gk, q, grid).max() for q in q_primes]
+
+    def drift_form(self, family) -> np.ndarray:
+        """The symmetric part of D's dense projection on the modes; refused before anything is
+        allocated above `check_size`'s limit, and for an asymmetric table (no Rayleigh quotient)."""
+        n = self.grid.n
+        check_size(_DENSE_ARRAYS * n**2, f"the dense stability path at n = {n}")
+        if (asym := self.symmetry_residual) > _SYMMETRY_TOL:
+            raise UnsupportedKernelError(
+                f"kernel value matrix asymmetric (residual {asym:.2e}); "
+                "the Rayleigh characterization needs a symmetric kernel"
+            )
+        drift = self.grid.basis.project(family.drift)[1:, 1:]
+        return 0.5 * (drift + drift.T)
+
+    def solve(self, family, mass: float) -> tuple:
+        from scipy.linalg import eigh  # a table's direct solve is the one use of SciPy
+
+        lap, drift = family.reduced
+        reduced = _finite(np.diag(lap) + mass * drift, mass)
+        eigvals, eigvecs = eigh(reduced, subset_by_index=[0, 0])
+        return float(eigvals[0]), eigvecs[:, 0], np.linalg.norm(reduced, np.inf)
 
 
 def _level_norms(spec: KernelSpec, n: int, q_primes) -> list:
-    """The mixed norm of every q' at level n; only a tabulated kernel is read densely.
-
-    Each norm is |scale| times the unscaled kernel's, and each level divides
-    the unscaled peak out before the q' powers (`_mixed_norm`), so no power
-    sum leaves the doubles at any q'.
-    """
-    grid, unit = Grid1D(n), replace(spec, scale=1.0)
-    if spec.variant == "tabulated":
-        gk = _gradk_matrix(unit, grid)  # the sup of its rows' L^q' norms plus its columns'
-        norms = [lp_norm(gk.T, q, grid).max() + lp_norm(gk, q, grid).max() for q in q_primes]
-    elif spec.variant in _GREEN:
-        norms = _green_norms(unit, grid, q_primes)
-    else:
-        norms = _window_norms(np.abs(_grad_offsets(unit, grid)), grid.h, q_primes)
+    """The mixed norm of every q' at level n: |scale| times the unscaled kernel's, whose
+    structure divides its peak out before the q' powers (`_mixed_norm`), so no power sum
+    leaves the doubles at any q'."""
+    norms = KernelMatrices(replace(spec, scale=1.0), Grid1D(n)).structure.level_norms(q_primes)
     return [abs(spec.scale) * float(norm) for norm in norms]
 
 
@@ -775,19 +904,6 @@ def classify(spec: KernelSpec, levels=None) -> KernelClassification:
     return _classify_estimates(_norm_ladder(spec, CLASSIFY_QPRIMES, levels))
 
 
-def _boundary_residual(km: KernelMatrices) -> float:
-    """max |grad K| on the boundary faces x = 0 and x = 1.
-
-    0 for a Green kernel, whose factor p vanishes there; for a Gaussian or
-    power-law kernel the two boundary rows hold all 2n offsets between them.
-    """
-    if km.symbols is not None:
-        return 0.0
-    if km.spec.variant in _TOEPLITZ:
-        return float(np.abs(km.grad_toeplitz.offsets).max())
-    return float(np.max(np.abs(km.gradk_faces[[0, -1], :]), initial=0.0))
-
-
 def validate_assumptions(
     km: KernelMatrices, tol: float, q_primes=(np.inf,)
 ) -> KernelValidationReport:
@@ -800,7 +916,7 @@ def validate_assumptions(
     refinement ladder gives both the q_primes estimates and the classification.
     """
     check_real(tol, "tol", 0, strict=True)
-    neumann = _boundary_residual(km)
+    neumann = km.structure.boundary_residual()  # max |grad K| on the faces x = 0 and x = 1
     mean_grad = float(np.max(np.abs(apply_grad(km, np.ones(km.grid.n))[1:-1]), initial=0.0))
     ladder = _norm_ladder(km.spec, (*q_primes, *CLASSIFY_QPRIMES))
     estimates = {q: ladder[q] for q in q_primes}

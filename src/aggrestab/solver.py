@@ -320,11 +320,14 @@ def heat_semigroup(u, grid: Grid1D, t) -> np.ndarray:
     times = np.asarray(t)
     for time in times.flat:
         check_real(time, "semigroup time", 0)
-    basis = grid.basis
-    c = basis.to_spectral(u)
-    decay = np.exp(-np.multiply.outer(basis.eigenvalues_discrete, times))
+    return _propagate(grid.basis.to_spectral(u), grid, times)
+
+
+def _propagate(c: np.ndarray, grid: Grid1D, times: np.ndarray) -> np.ndarray:
+    """The cell values of e^{-t L_h} on the mode coefficients c, for each of the times."""
+    decay = np.exp(-np.multiply.outer(grid.basis.eigenvalues_discrete, times))
     decay = decay.reshape((grid.n,) + (1,) * (c.ndim - 1) + times.shape)
-    return basis.from_spectral(c.reshape(c.shape + (1,) * times.ndim) * decay)
+    return grid.basis.from_spectral(c.reshape(c.shape + (1,) * times.ndim) * decay)
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,9 +484,9 @@ def picard_mild_solve(
     # an overflow shows as a non-finite distance, which ends the iteration
     with np.errstate(over="ignore", invalid="ignore"):
         # states are time-major (n_time + 1, n) arrays: row j holds the cell values at t_j
-        free = np.empty((n_time + 1, grid.n))
+        free, c0 = np.empty((n_time + 1, grid.n)), basis.to_spectral(u0)
         for s in blocks:
-            free[s] = heat_semigroup(u0, grid, times[s]).T
+            free[s] = _propagate(c0, grid, times[s]).T
         states = free.copy()
         for _ in range(max_iter):
             distance = sweep(states)

@@ -254,7 +254,7 @@ class TestCrossValidate:
     def test_reads_no_gradient_sample(self, green):
         km = kernel.assemble(green, Grid1D(64))
         cross_validate(initial_field("constant_plus_mode:1,0.1,1", km.grid), km, 0.1, n_time=8)
-        assert "gradk_faces" not in vars(km)
+        assert "gradk_faces" not in vars(km.structure)
 
     def test_one_evolve_call_per_mild_interval(self, green, monkeypatch):
         calls = []

@@ -177,7 +177,7 @@ class TestGreenKernel:
         assert np.isfinite(eval_kernel(spec, x[:, None], x[None, :])).all()
         assert np.isfinite(eval_grad_x(spec, x[:, None], x[None, :])).all()
         km = assemble(spec, Grid1D(64))
-        assert all(np.isfinite(symbol).all() for symbol in km.symbols)
+        assert all(np.isfinite(symbol).all() for symbol in km.structure.symbols)
         assert np.isfinite(l2_operator_norm(km))
 
     @pytest.mark.parametrize("a", [1.0, 4.0, 1e-6, 1e-14, 1e-20, 1e-300])
@@ -224,6 +224,24 @@ class TestGreenKernel:
 
 
 class TestOperators:
+    @pytest.mark.parametrize(
+        "spec, structure",
+        [
+            (KernelSpec.green_closed_form(), kernel._Symbols),
+            (KernelSpec.green_series(4.0), kernel._Symbols),
+            (KernelSpec.gaussian(0.1), kernel._Convolution),
+            (KernelSpec.power_law(0.5, delta=0.01), kernel._Convolution),
+            (KernelSpec.zero(16), kernel._Table),
+        ],
+        ids=lambda value: getattr(value, "variant", None),
+    )
+    def test_builds_one_structure_per_variant(self, spec, structure):
+        # the one structure of each variant, which computes nothing until it is read:
+        # no symbols, FFT spectrum, offsets or table
+        km = assemble(spec, Grid1D(16))
+        assert type(km.structure) is structure
+        assert vars(km.structure).keys() == {"spec", "grid"}
+
     def test_grid_mismatch_rejected(self, km128):
         with pytest.raises(InvalidParameterError):
             apply(km128, np.ones(64))
@@ -296,7 +314,7 @@ class TestGreenScan:
             km = assemble(KernelSpec.green_series(a, scale), grid)
             actions = [apply_grad(km, u) for u in inputs]
             zeros = apply_grad(km, np.zeros((n, 2)))
-            assert "gradk_faces" not in vars(km)
+            assert "gradk_faces" not in vars(km.structure)
             assert zeros.shape == (n + 1, 2) and not zeros.any()
             gk = grid.h * km.gradk_faces
             for u, got in zip(inputs, actions):
@@ -313,7 +331,7 @@ class TestGreenScan:
         km = assemble(KernelSpec.green_series(a, scale=-2.5), grid)
         inputs = [np.full(n, 3.0), rng.standard_normal(n), rng.standard_normal((n, 3))]
         actions = [apply(km, u) for u in inputs]
-        assert "k_centers" not in vars(km)
+        assert "k_centers" not in vars(km.structure)
         k = grid.h * km.k_centers
         for u, got in zip(inputs, actions):
             bound = (np.abs(k) @ np.abs(u)).max(axis=0)
@@ -327,7 +345,7 @@ class TestGreenScan:
         for scale in (1.0, -2.5):
             km = assemble(KernelSpec.green_series(a, scale), grid)
             actions = [apply_grad_adjoint(km, v) for v in faces]
-            assert "gradk_faces" not in vars(km)
+            assert "gradk_faces" not in vars(km.structure)
             gkt = grid.h * km.gradk_faces.T
             for v, got in zip(faces, actions):
                 assert got.shape == (n,) + v.shape[1:]
@@ -338,7 +356,7 @@ class TestGreenScan:
         # the dense sample at n = 16384 (2.7e8 values) is over the storage limit
         km = assemble(KernelSpec.green_series(3.0, scale=-2.0), Grid1D(16384))
         out = apply_grad_adjoint(km, np.ones(16385))
-        assert "gradk_faces" not in vars(km)
+        assert "gradk_faces" not in vars(km.structure)
         assert out.shape == (16384,) and np.isfinite(out).all()
 
     @pytest.mark.parametrize("n", [1, 7, 64])
@@ -362,7 +380,7 @@ class TestGreenScan:
         # at a = 1e5, n = 256 the scan runs in blocks of 51 rows; a batch in C order, in F
         # order or reversed gives each column the lone vector's bytes
         km = assemble(KernelSpec.green_series(a), Grid1D(n))
-        assert km.green_scan.block == block
+        assert km.structure.scan.block == block
         batch = rng.standard_normal((n, 3))
         gk = km.grid.h * km.gradk_faces
         for u in (batch, np.asfortranarray(batch), batch[::-1]):
@@ -392,7 +410,7 @@ class TestGreenScan:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * 8 * grid.n
-        assert km.green_scan.block == grid.n
+        assert km.structure.scan.block == grid.n
         assert np.abs(v).max() < 1e-12
 
 
@@ -422,7 +440,7 @@ class TestToeplitz:
         faces = [rng.standard_normal(n + 1), rng.standard_normal((n + 1, 2)) * [1e-200, 1e200]]
         cases = [(apply_grad, cells), (apply, cells), (apply_grad_adjoint, faces)]
         results = [[action(km, u) for u in inputs] for action, inputs in cases]
-        assert "gradk_faces" not in vars(km) and "k_centers" not in vars(km)
+        assert "gradk_faces" not in vars(km.structure) and "k_centers" not in vars(km.structure)
         gk, k = grid.h * km.gradk_faces, grid.h * km.k_centers
         for matrix, (_, inputs), got in zip((gk, k, gk.T), cases, results):
             for u, out in zip(inputs, got):

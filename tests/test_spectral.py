@@ -260,8 +260,8 @@ class TestGreenSymbols:
         family = assemble_linearized(km)
         basis = grid.basis
         for projected, symbol in (
-            (grid.h * basis.project(km.k_centers), km.symbols[0]),
-            (basis.project(family.drift), family.drift_symbol),
+            (grid.h * basis.project(km.k_centers), km.structure.symbols[0]),
+            (basis.project(family.drift), km.structure.drift_symbol),
         ):
             largest = np.abs(projected).max()
             assert np.abs(projected - np.diag(np.diag(projected))).max() <= 1e-13 * largest
@@ -362,7 +362,7 @@ class TestStabilityVerdict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (spectral._DENSE_ARRAYS + 1) * 8 * n**2
+        assert peak <= (kernel._DENSE_ARRAYS + 1) * 8 * n**2
 
     def test_oversized_dense_path_refused_before_allocating(self, monkeypatch):
         # the 64^2 table is below a limit of 10^4 values, the dense path's seven arrays are not

@@ -2,12 +2,14 @@
 
 `perfbench/tracing.py` looks each traced function up by name, so a renamed or
 removed function breaks the traced benchmark. It is read here from its file,
-unchanged.
+unchanged. A call that reached a kernel action other than through the traced
+module functions would drop out of the benchmark's per-layer counts.
 """
 
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,31 @@ def test_tracer_wraps_and_restores(tracing):
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
     assert all(vars(cls)[attr] is raw for cls, attr, raw in methods)
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["gaussian", "table-twin"])
+def test_tracer_counts_each_span(tracing, table):
+    # a Gaussian's block solve and Gram norm, and its table twin's dense solve, reach the
+    # kernel actions through the traced module functions, as many times as they always did
+    spec = KernelSpec.gaussian(0.1)
+    if table:
+        sample = kernel.assemble(spec, Grid1D(64))
+        spec = KernelSpec.tabulated(sample.k_centers, sample.gradk_faces)
+    verdict = {
+        "spectral.stability_verdict": 1,
+        "kernel.assemble": 1,
+        "spectral.assemble_linearized": 1,
+        "spectral.principal_eigenpair": 1,
+        "kernel.l2_operator_norm": 1,
+        "grid.SpectralBasis": 1,
+        "kernel.apply_grad": 4 if table else 9,
+    }
+    validate = {"kernel.assemble": 1, "kernel.validate_assumptions": 1, "kernel.apply_grad": 1}
+    for run, expected in (
+        (lambda km: spectral.stability_verdict(km, 3.0), verdict),
+        (lambda km: kernel.validate_assumptions(km, 1e-6), validate),
+    ):
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            run(kernel.assemble(spec, Grid1D(64)))
+        assert Counter(span[0] for span in tracer.spans) == expected
