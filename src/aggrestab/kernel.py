@@ -8,9 +8,10 @@ at cell faces, so the gradient is never evaluated on its diagonal jump.
 
 The kernel actions `apply`, `apply_grad` and the adjoint `apply_grad_adjoint`
 take values along axis 0, of shape (n,) or (n, m) (n + 1 rows for face
-values), as `grid`'s operators do, and return arrays. `KernelMatrices` builds
-the kernel's one structure, whose methods give every action, norm, residual
-and linearized solve; only a table acts by a dense product:
+values), as `grid`'s operators do, and return arrays. `KernelMatrices(spec,
+grid)` is the kernel on the grid as one of three classes, whose methods give
+every action, norm, residual, the operator D = div(grad K(.)) of the
+linearization and its solve; only a table acts by a dense product:
 
 - `_Symbols`, a Green kernel: at cell centers and faces every cosine mode above
   n aliases onto a DCT mode, so K and grad K have exact O(n) symbols. `apply`
@@ -39,7 +40,7 @@ import numpy as np
 from .eigen import smallest_eigenpair
 from .errors import InvalidParameterError, KernelLoadError, SingularityError, UnsupportedKernelError
 from .grid import LOG_MAX_DOUBLE, MAX_STORED_VALUES, Grid1D, _along_axis0, _rows, check_real
-from .grid import check_size, divergence, lp_norm
+from .grid import check_size, divergence, gradient, lp_norm
 
 # the two Green variants are one family: green_closed_form is a = 1
 _GREEN = ("green_closed_form", "green_series")
@@ -188,27 +189,6 @@ class KernelSpec:
     @classmethod
     def zero(cls, n):
         return cls.tabulated(np.zeros((n, n)), np.zeros((n + 1, n)))
-
-
-class KernelMatrices:
-    """Kernel on a grid: values at center pairs, x-gradient at (face, center).
-
-    `structure`, chosen here, gives every action, norm and linearized solve:
-    `_Symbols` for a Green kernel, `_Convolution` for a Gaussian or power-law kernel,
-    `_Table` for a table, which refuses a table of another n (`InvalidParameterError`).
-    It takes the dense samples `k_centers` and `gradk_faces` when first read, which
-    only a table's actions do: they are its tables.
-    """
-
-    def __init__(self, spec: KernelSpec, grid: Grid1D):
-        self.spec, self.grid = spec, grid
-        green, table = spec.variant in _GREEN, spec.variant == "tabulated"
-        self.structure = (_Symbols if green else _Table if table else _Convolution)(spec, grid)
-
-    k_centers = property(lambda self: self.structure.k_centers)
-    gradk_faces = property(lambda self: self.structure.gradk_faces)
-    # max |K(x, y) - K(y, x)| at the centers, 0 unless the kernel is a table
-    symmetry_residual = property(lambda self: self.structure.symmetry_residual)
 
 
 @dataclass(frozen=True)
@@ -401,28 +381,28 @@ def assemble(spec: KernelSpec, grid: Grid1D) -> KernelMatrices:
 
 def apply(km: KernelMatrices, u) -> np.ndarray:
     """Integral operator on cell values along axis 0: result_i = h sum_j K(x_i, y_j) u_j."""
-    return km.structure.apply(_rows(u, km.grid.n, "cell array"))
+    return km.apply(_rows(u, km.grid.n, "cell array"))
 
 
 def apply_grad(km: KernelMatrices, u, out=None) -> np.ndarray:
     """Gradient of the integral operator on cell values along axis 0, at faces; in out if given."""
-    return km.structure.apply_grad(_rows(u, km.grid.n, "cell array"), out)
+    return km.apply_grad(_rows(u, km.grid.n, "cell array"), out)
 
 
 def apply_grad_adjoint(km: KernelMatrices, v) -> np.ndarray:
     """The adjoint of `apply_grad`, face values to cell values along axis 0."""
-    return km.structure.apply_grad_adjoint(_rows(v, km.grid.n + 1, "face array"))
+    return km.apply_grad_adjoint(_rows(v, km.grid.n + 1, "face array"))
 
 
 def hilbert_schmidt_grad_norm(km: KernelMatrices) -> float:
     """L^2(Omega x Omega) norm of the gradient kernel, h times the Frobenius norm of its sample."""
-    return km.structure.hilbert_schmidt_grad_norm()
+    return km.hilbert_schmidt_grad_norm()
 
 
 def l2_operator_norm(km: KernelMatrices) -> float:
     """Largest singular value of u -> grad K(u) between L^2 spaces: with uniform quadrature
     weight h on both sides, the Euclidean spectral norm of A = h * gradk_faces."""
-    return km.structure.l2_operator_norm(km)
+    return km.l2_operator_norm()
 
 
 def _scaled_norm(values: np.ndarray, weights=1.0) -> float:
@@ -520,11 +500,28 @@ class _DecayScan:
         return blocks.reshape((-1,) + rest)[:n]
 
 
-class _Structure:
-    """What the three kernel structures share: the kernel and grid, the dense samples, and
-    the operator norm, A and eigenpair of a kernel that no cosine mode diagonalizes."""
+class KernelMatrices:
+    """Kernel on a grid: values at center pairs, x-gradient at (face, center).
 
-    symmetry_residual = 0.0  # a built-in family is a function of |x - y| and x + y
+    `KernelMatrices(spec, grid)` is one of three structures, chosen in `__new__`:
+    `_Symbols` for a Green kernel, `_Convolution` for a Gaussian or power-law kernel,
+    `_Table` for a table, which refuses a table of another n (`InvalidParameterError`).
+    Their methods give every action, norm, residual and linearized solve. This base
+    class holds what they share: the dense samples `k_centers` and `gradk_faces`, taken
+    when first read (a table's actions read them: they are its tables), D = div(grad
+    K(.)) in zero-flux form, and the operator norm, A and eigenpair of a kernel that no
+    cosine mode diagonalizes.
+    """
+
+    # max |K(x, y) - K(y, x)| at the centers, 0 unless the kernel is a table
+    symmetry_residual = 0.0
+
+    def __new__(cls, spec=None, grid=None):
+        # the one choice of structure; a copy or an unpickled kernel names its own class
+        if cls is KernelMatrices:
+            green, table = spec.variant in _GREEN, spec.variant == "tabulated"
+            cls = _Symbols if green else _Table if table else _Convolution
+        return super().__new__(cls)
 
     def __init__(self, spec: KernelSpec, grid: Grid1D):
         self.spec, self.grid = spec, grid
@@ -537,7 +534,28 @@ class _Structure:
     def gradk_faces(self) -> np.ndarray:
         return _gradk_matrix(self.spec, self.grid)
 
-    def l2_operator_norm(self, km: KernelMatrices) -> float:
+    @property
+    def drift(self) -> np.ndarray:
+        """D as an n x n array, from the dense gradient sample."""
+        return divergence(self.grid.h * self.gradk_faces, self.grid)
+
+    def symmetric_drift(self, vec) -> np.ndarray:
+        """(D + D^T) vec / 2 on cell values along axis 0, by the kernel's actions.
+
+        Uniform weights make D^T the L2 adjoint of D: it is the adjoint gradient
+        action applied to -gradient(vec), whose boundary faces are zero as the
+        zero-flux D ignores them.
+        """
+        adjoint = apply_grad_adjoint(self, gradient(vec, self.grid))
+        return 0.5 * (divergence(apply_grad(self, vec), self.grid) - adjoint)
+
+    def reduced_drift(self, coef) -> np.ndarray:
+        """The symmetric part of D on mode coefficients of w_1..w_{n-1}, along axis 0."""
+        basis = self.grid.basis
+        vec = basis.from_spectral(np.concatenate((np.zeros((1,) + coef.shape[1:]), coef)))
+        return basis.to_spectral(self.symmetric_drift(vec))[1:]
+
+    def l2_operator_norm(self) -> float:
         """The square root of the largest eigenvalue of A^T A, A = `apply_grad`, by the block
         eigensolver from a seeded random block: it converges on the gap to the block's last
         eigenvalue, as these kernels' top singular values come in near-equal pairs."""
@@ -547,7 +565,7 @@ class _Structure:
         _, exp = math.frexp(self.grid.h * self.grad_peak())
 
         def gram(v):
-            return -np.ldexp(apply_grad_adjoint(km, np.ldexp(apply_grad(km, v), -exp)), -exp)
+            return -np.ldexp(apply_grad_adjoint(self, np.ldexp(apply_grad(self, v), -exp)), -exp)
 
         # abs, not a minus sign: a zero kernel's eigenvalue may be -0.0
         return math.ldexp(math.sqrt(abs(smallest_eigenpair(gram, start, _NORM_TOL)[0])), exp)
@@ -556,14 +574,14 @@ class _Structure:
         w1 = self.grid.basis.mode(1)
         return float(self.grid.h * (w1 @ self.apply(w1)))
 
-    def eigenpair(self, family, mass: float) -> tuple:
+    def eigenpair(self, reduced: tuple, mass: float) -> tuple:
         """(eigenvalue, mode, D_sym mode by the actions, scale) from `solve`'s coefficients."""
-        lam, coef, scale = self.solve(family, mass)
+        lam, coef, scale = self.solve(reduced, mass)
         vec = self.grid.basis.from_spectral(np.concatenate(([0.0], coef)))
-        return lam, vec, family.symmetric_drift(vec), scale
+        return lam, vec, self.symmetric_drift(vec), scale
 
 
-class _Symbols(_Structure):
+class _Symbols(KernelMatrices):
     """A Green kernel, whose `symbols` (sigma, t, e), k = 0..n-1, are h K w_k = sigma_k w_k at
     the centers and h dK/dx w_k = t_k sqrt(2) sin(k pi x) = `gradient`(e_k w_k) at the faces,
     so u -> grad K(u) has singular values |t_k|. They, and the O(n) weights of `scan`, are
@@ -610,7 +628,7 @@ class _Symbols(_Structure):
     def hilbert_schmidt_grad_norm(self) -> float:
         return _scaled_norm(self.symbols[1])  # the singular values' norm
 
-    def l2_operator_norm(self, km: KernelMatrices) -> float:
+    def l2_operator_norm(self) -> float:
         return float(np.abs(self.symbols[1]).max())
 
     def boundary_residual(self) -> float:
@@ -646,20 +664,20 @@ class _Symbols(_Structure):
     def interaction_coefficient(self) -> float:
         return float(self.symbols[0][1])
 
-    def drift_form(self, family) -> np.ndarray:
+    def drift_form(self) -> np.ndarray:
         return self.drift_symbol[1:]
 
-    def eigenpair(self, family, mass: float) -> tuple:
+    def eigenpair(self, reduced: tuple, mass: float) -> tuple:
         """S(M)'s smallest entry, with D applied to its mode by `apply_grad`, not the symbol."""
-        lap, drift = family.reduced
+        lap, drift = reduced
         symbol = lap + mass * drift
         k = int(np.argmin(symbol))
         vec = self.grid.basis.mode(k + 1)
-        d_vec = divergence(apply_grad(family.km, vec), self.grid)
+        d_vec = divergence(apply_grad(self, vec), self.grid)
         return float(symbol[k]), vec, d_vec, float(np.abs(symbol).max())
 
 
-class _Convolution(_Structure):
+class _Convolution(KernelMatrices):
     """A Gaussian or power-law kernel, whose samples are Toeplitz matrices. The gradient's
     `offsets` and each `_Toeplitz` are built when first read: a ladder level reads the offsets."""
 
@@ -710,7 +728,7 @@ class _Convolution(_Structure):
 
         return [2.0 * peak if np.isinf(q) else _mixed_norm(sums, peak, h, q) for q in q_primes]
 
-    def drift_form(self, family) -> tuple:
+    def drift_form(self) -> tuple:
         """The circulant estimate of the reduced D's diagonal, and its exact last entry: D has
         Toeplitz entries d_m = g((m + 1/2) h) - g((m - 1/2) h) away from the boundary rows,
         even in m as g is odd, so the estimate sum_m d_m cos(k pi m h), k = 1..n-1, is one
@@ -720,15 +738,15 @@ class _Convolution(_Structure):
         estimate = np.fft.rfft(np.concatenate((d, [0.0], d[:0:-1]))).real[1:n]
         last = np.zeros(n - 1)
         last[-1] = 1.0
-        return estimate, float(family.reduced_drift(last)[-1])
+        return estimate, float(self.reduced_drift(last)[-1])
 
-    def solve(self, family, mass: float) -> tuple:
+    def solve(self, reduced: tuple, mass: float) -> tuple:
         """(eigenvalue, mode coefficients, scale) by the block eigensolver on diag(lambda_k^h)
         + M D_r, D_r = `reduced_drift`, started at the modes where the circulant estimate
         lambda_k^h + M e_k is smallest and preconditioned by (lambda_k^h + M e_k - shift)^-1,
         the shift below the estimate's minimum. The scale, |e_{n-1} . S e_{n-1}| or
         |eigenvalue| if larger, is at most the infinity norm of the reduced operator."""
-        lap, (estimate, last) = family.reduced
+        lap, (estimate, last) = reduced
         diagonal = lap + mass * estimate
         order = np.argsort(diagonal, kind="stable")[: min(_BLOCK, lap.size)]
         start = np.zeros((lap.size, order.size))
@@ -739,7 +757,7 @@ class _Convolution(_Structure):
         shifted = diagonal - (low - 1.0 - 0.01 * abs(low))
 
         def operator(coef):  # refused when not finite, before the projection's eigh reads it
-            return _finite(lap[:, None] * coef + mass * family.reduced_drift(coef), mass)
+            return _finite(lap[:, None] * coef + mass * self.reduced_drift(coef), mass)
 
         scale = max(abs(lap[-1] + mass * last), 1.0)
         lam, coef = smallest_eigenpair(
@@ -748,7 +766,7 @@ class _Convolution(_Structure):
         return lam, coef, max(scale, abs(lam))
 
 
-class _Table(_Structure):
+class _Table(KernelMatrices):
     """A tabulated kernel: its dense samples are its scaled tables, which its actions
     multiply, and its D is projected densely and solved by SciPy's `eigh`."""
 
@@ -784,7 +802,7 @@ class _Table(_Structure):
         gk, grid = self.gradk_faces, self.grid
         return [lp_norm(gk.T, q, grid).max() + lp_norm(gk, q, grid).max() for q in q_primes]
 
-    def drift_form(self, family) -> np.ndarray:
+    def drift_form(self) -> np.ndarray:
         """The symmetric part of D's dense projection on the modes; refused before anything is
         allocated above `check_size`'s limit, and for an asymmetric table (no Rayleigh quotient)."""
         n = self.grid.n
@@ -794,23 +812,23 @@ class _Table(_Structure):
                 f"kernel value matrix asymmetric (residual {asym:.2e}); "
                 "the Rayleigh characterization needs a symmetric kernel"
             )
-        drift = self.grid.basis.project(family.drift)[1:, 1:]
+        drift = self.grid.basis.project(self.drift)[1:, 1:]
         return 0.5 * (drift + drift.T)
 
-    def solve(self, family, mass: float) -> tuple:
+    def solve(self, reduced: tuple, mass: float) -> tuple:
         from scipy.linalg import eigh  # a table's direct solve is the one use of SciPy
 
-        lap, drift = family.reduced
-        reduced = _finite(np.diag(lap) + mass * drift, mass)
-        eigvals, eigvecs = eigh(reduced, subset_by_index=[0, 0])
-        return float(eigvals[0]), eigvecs[:, 0], np.linalg.norm(reduced, np.inf)
+        lap, drift = reduced
+        operator = _finite(np.diag(lap) + mass * drift, mass)
+        eigvals, eigvecs = eigh(operator, subset_by_index=[0, 0])
+        return float(eigvals[0]), eigvecs[:, 0], np.linalg.norm(operator, np.inf)
 
 
 def _level_norms(spec: KernelSpec, n: int, q_primes) -> list:
     """The mixed norm of every q' at level n: |scale| times the unscaled kernel's, whose
     structure divides its peak out before the q' powers (`_mixed_norm`), so no power sum
     leaves the doubles at any q'."""
-    norms = KernelMatrices(replace(spec, scale=1.0), Grid1D(n)).structure.level_norms(q_primes)
+    norms = KernelMatrices(replace(spec, scale=1.0), Grid1D(n)).level_norms(q_primes)
     return [abs(spec.scale) * float(norm) for norm in norms]
 
 
@@ -916,7 +934,7 @@ def validate_assumptions(
     refinement ladder gives both the q_primes estimates and the classification.
     """
     check_real(tol, "tol", 0, strict=True)
-    neumann = km.structure.boundary_residual()  # max |grad K| on the faces x = 0 and x = 1
+    neumann = km.boundary_residual()  # max |grad K| on the faces x = 0 and x = 1
     mean_grad = float(np.max(np.abs(apply_grad(km, np.ones(km.grid.n))[1:-1]), initial=0.0))
     ladder = _norm_ladder(km.spec, (*q_primes, *CLASSIFY_QPRIMES))
     estimates = {q: ladder[q] for q in q_primes}

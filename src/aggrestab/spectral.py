@@ -16,13 +16,13 @@ its mass-independent parts once, the `LinearizedFamily`, and
 M, phi, psi)` is J at level M; both refuse an M that is negative or not
 finite. `stability_verdict(km, M)` reports on the constant state u = M.
 
-The kernel's structure (`KernelMatrices.structure`) solves for the eigenpair:
-a Green kernel's D is diagonal in the modes too, so S(M) is a vector; a
-Gaussian or power-law kernel is solved matrix-free by the block eigensolver
-of `eigen`, O(n log n) per step; only a table projects its dense D, once per
-family, and solves with SciPy's `eigh`. Neither L nor S(M) is formed: the
-residual check applies L by `gradient` and `divergence`, and D by the
-kernel's actions, not by the stored form of D that the solve read.
+The kernel holds D and solves for the eigenpair: a Green kernel's D is
+diagonal in the modes too, so S(M) is a vector; a Gaussian or power-law
+kernel is solved matrix-free by the block eigensolver of `eigen`, O(n log n)
+per step; only a table projects its dense D, once per family, and solves with
+SciPy's `eigh`. Neither L nor S(M) is formed: the residual check applies L by
+`gradient` and `divergence`, and D by the kernel's actions, not by the stored
+form of D that the solve read.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedKernelError
 from .grid import check_real, divergence, gradient
-from .kernel import KernelMatrices, _finite, apply_grad, apply_grad_adjoint, l2_operator_norm
+from .kernel import KernelMatrices, _finite, apply_grad, l2_operator_norm
 
 LAMBDA_1 = math.pi**2
 
@@ -47,39 +47,18 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 class LinearizedFamily:
     """S(M) = L + M D with L = -Laplace, D = div(grad K(.)) (zero flux), for any M.
 
-    L acts by face differences, D by the kernel's `apply_grad` and its
-    adjoint. Only a table's solve reads the dense D, built when first read.
+    L acts by face differences, D is the kernel's (`km.drift`, `km.symmetric_drift`).
+    The family holds what the solve reads at every M, built when first read.
     """
 
     def __init__(self, km: KernelMatrices):
         self.grid, self.km = km.grid, km
 
     @cached_property
-    def drift(self) -> np.ndarray:
-        """D as an n x n array, from the dense gradient sample."""
-        return divergence(self.grid.h * self.km.gradk_faces, self.grid)
-
-    def symmetric_drift(self, vec) -> np.ndarray:
-        """(D + D^T) vec / 2 on cell values along axis 0, by the kernel's actions.
-
-        Uniform weights make D^T the L2 adjoint of D: it is the adjoint gradient
-        action applied to -gradient(vec), whose boundary faces are zero as the
-        zero-flux D ignores them.
-        """
-        adjoint = apply_grad_adjoint(self.km, gradient(vec, self.grid))
-        return 0.5 * (divergence(apply_grad(self.km, vec), self.grid) - adjoint)
-
-    def reduced_drift(self, coef) -> np.ndarray:
-        """The symmetric part of D on mode coefficients of w_1..w_{n-1}, along axis 0."""
-        basis = self.grid.basis
-        vec = basis.from_spectral(np.concatenate((np.zeros((1,) + coef.shape[1:]), coef)))
-        return basis.to_spectral(self.symmetric_drift(vec))[1:]
-
-    @cached_property
     def reduced(self) -> tuple:
         """L and D on the cosine modes w_1..w_{n-1}: L is its eigenvalues lambda_k^h,
-        D the form that the kernel's structure solves with, its `drift_form`."""
-        return self.grid.basis.eigenvalues_discrete[1:], self.km.structure.drift_form(self)
+        D the form that the kernel solves with, its `drift_form`."""
+        return self.grid.basis.eigenvalues_discrete[1:], self.km.drift_form()
 
 
 def assemble_linearized(km: KernelMatrices) -> LinearizedFamily:
@@ -111,7 +90,7 @@ def principal_eigenpair(family: LinearizedFamily, mass_level: float):
     """
     check_real(mass_level, "mass level M", 0)
     grid = family.grid
-    lam, vec, d_vec, scale = family.km.structure.eigenpair(family, mass_level)
+    lam, vec, d_vec, scale = family.km.eigenpair(family.reduced, mass_level)
     # scale is at most the infinity norm of the reduced operator that was solved
     r = mass_level * d_vec - divergence(gradient(vec, grid), grid) - lam * vec
     residual = np.max(np.abs(r - r.mean()))
@@ -125,7 +104,7 @@ def principal_eigenpair(family: LinearizedFamily, mass_level: float):
 
 def compute_interaction_coefficient(km: KernelMatrices) -> float:
     """Double integral of K against the first cosine mode in both slots: A in M > 1/A."""
-    return km.structure.interaction_coefficient()
+    return km.interaction_coefficient()
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,7 +37,7 @@ def _direct_critical_mass(spec, grid):
     D_r is the symmetric part of the dense D projected on the modes w_1..w_{n-1}.
     """
     family = spectral.assemble_linearized(kernel.assemble(spec, grid))
-    drift = grid.basis.project(family.drift)[1:, 1:]
+    drift = grid.basis.project(family.km.drift)[1:, 1:]
     lap = np.diag(grid.basis.eigenvalues_discrete[1:])
     return 1.0 / scipy.linalg.eigh(-0.5 * (drift + drift.T), lap, eigvals_only=True)[-1]
 
@@ -254,7 +254,7 @@ class TestCrossValidate:
     def test_reads_no_gradient_sample(self, green):
         km = kernel.assemble(green, Grid1D(64))
         cross_validate(initial_field("constant_plus_mode:1,0.1,1", km.grid), km, 0.1, n_time=8)
-        assert "gradk_faces" not in vars(km.structure)
+        assert "gradk_faces" not in vars(km)
 
     def test_one_evolve_call_per_mild_interval(self, green, monkeypatch):
         calls = []

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -177,7 +179,7 @@ class TestGreenKernel:
         assert np.isfinite(eval_kernel(spec, x[:, None], x[None, :])).all()
         assert np.isfinite(eval_grad_x(spec, x[:, None], x[None, :])).all()
         km = assemble(spec, Grid1D(64))
-        assert all(np.isfinite(symbol).all() for symbol in km.structure.symbols)
+        assert all(np.isfinite(symbol).all() for symbol in km.symbols)
         assert np.isfinite(l2_operator_norm(km))
 
     @pytest.mark.parametrize("a", [1.0, 4.0, 1e-6, 1e-14, 1e-20, 1e-300])
@@ -239,8 +241,30 @@ class TestOperators:
         # the one structure of each variant, which computes nothing until it is read:
         # no symbols, FFT spectrum, offsets or table
         km = assemble(spec, Grid1D(16))
-        assert type(km.structure) is structure
-        assert vars(km.structure).keys() == {"spec", "grid"}
+        assert type(km) is structure and isinstance(km, kernel.KernelMatrices)
+        assert vars(km).keys() == {"spec", "grid"}
+
+    @pytest.mark.parametrize("kind", ["green", "gaussian", "table"])
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda km: pickle.loads(pickle.dumps(km))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_the_structure(self, kind, duplicate):
+        # a copy or an unpickled kernel is built without arguments: it keeps its class,
+        # before and after its action has built what it reads
+        grid = Grid1D(16)
+        spec = KernelSpec.green_series(4.0) if kind == "green" else KernelSpec.gaussian(0.1)
+        if kind == "table":
+            sample = assemble(spec, grid)
+            spec = KernelSpec.tabulated(sample.k_centers, sample.gradk_faces)
+        km = assemble(spec, grid)
+        u = np.random.default_rng(0).standard_normal(grid.n)
+        fresh = duplicate(km)
+        expected = apply_grad(km, u).tobytes()
+        for back in (fresh, duplicate(km)):
+            assert type(back) is type(km)
+            assert apply_grad(back, u).tobytes() == expected
 
     def test_grid_mismatch_rejected(self, km128):
         with pytest.raises(InvalidParameterError):
@@ -297,6 +321,44 @@ class TestOperators:
         assert large == pytest.approx(1e160 * unit, rel=1e-14)
 
 
+DRIFT_SPECS = [
+    KernelSpec.green_closed_form(),
+    KernelSpec.green_series(40.0, scale=-2.0),
+    KernelSpec.gaussian(0.1),
+    KernelSpec.power_law(0.5),
+    KernelSpec.power_law(1.5, delta=0.01),
+]
+
+
+class TestDrift:
+    """D = div(grad K(.)) by the kernel's actions against its dense form `drift`: the
+    largest gap measured over five random draws is 1.5e-13 of the dense result's largest
+    entry."""
+
+    @pytest.mark.parametrize("twin", [False, True], ids=["structured", "table-twin"])
+    @pytest.mark.parametrize(
+        "spec",
+        DRIFT_SPECS,
+        ids=["green", "green40-scale-2", "gaussian", "power_law0.5", "power_law1.5"],
+    )
+    @pytest.mark.parametrize("n", [16, 33, 128])
+    def test_actions_match_the_dense_form(self, spec, twin, n, rng):
+        grid = Grid1D(n)
+        km = assemble(spec, grid)
+        if twin:
+            km = assemble(KernelSpec.tabulated(km.k_centers, km.gradk_faces), grid)
+        drift = km.drift
+        projected = grid.basis.project(drift)[1:, 1:]
+        pairs = [
+            (km.symmetric_drift(v), 0.5 * (drift + drift.T) @ v)
+            for v in (rng.standard_normal(n), rng.standard_normal((n, 3)))
+        ]
+        coef = rng.standard_normal((n - 1, 3))
+        pairs.append((km.reduced_drift(coef), 0.5 * (projected + projected.T) @ coef))
+        for got, expected in pairs:
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 class TestGreenScan:
     """The Green gradient action from its separable factors, without the sample."""
 
@@ -314,7 +376,7 @@ class TestGreenScan:
             km = assemble(KernelSpec.green_series(a, scale), grid)
             actions = [apply_grad(km, u) for u in inputs]
             zeros = apply_grad(km, np.zeros((n, 2)))
-            assert "gradk_faces" not in vars(km.structure)
+            assert "gradk_faces" not in vars(km)
             assert zeros.shape == (n + 1, 2) and not zeros.any()
             gk = grid.h * km.gradk_faces
             for u, got in zip(inputs, actions):
@@ -331,7 +393,7 @@ class TestGreenScan:
         km = assemble(KernelSpec.green_series(a, scale=-2.5), grid)
         inputs = [np.full(n, 3.0), rng.standard_normal(n), rng.standard_normal((n, 3))]
         actions = [apply(km, u) for u in inputs]
-        assert "k_centers" not in vars(km.structure)
+        assert "k_centers" not in vars(km)
         k = grid.h * km.k_centers
         for u, got in zip(inputs, actions):
             bound = (np.abs(k) @ np.abs(u)).max(axis=0)
@@ -345,7 +407,7 @@ class TestGreenScan:
         for scale in (1.0, -2.5):
             km = assemble(KernelSpec.green_series(a, scale), grid)
             actions = [apply_grad_adjoint(km, v) for v in faces]
-            assert "gradk_faces" not in vars(km.structure)
+            assert "gradk_faces" not in vars(km)
             gkt = grid.h * km.gradk_faces.T
             for v, got in zip(faces, actions):
                 assert got.shape == (n,) + v.shape[1:]
@@ -356,7 +418,7 @@ class TestGreenScan:
         # the dense sample at n = 16384 (2.7e8 values) is over the storage limit
         km = assemble(KernelSpec.green_series(3.0, scale=-2.0), Grid1D(16384))
         out = apply_grad_adjoint(km, np.ones(16385))
-        assert "gradk_faces" not in vars(km.structure)
+        assert "gradk_faces" not in vars(km)
         assert out.shape == (16384,) and np.isfinite(out).all()
 
     @pytest.mark.parametrize("n", [1, 7, 64])
@@ -380,7 +442,7 @@ class TestGreenScan:
         # at a = 1e5, n = 256 the scan runs in blocks of 51 rows; a batch in C order, in F
         # order or reversed gives each column the lone vector's bytes
         km = assemble(KernelSpec.green_series(a), Grid1D(n))
-        assert km.structure.scan.block == block
+        assert km.scan.block == block
         batch = rng.standard_normal((n, 3))
         gk = km.grid.h * km.gradk_faces
         for u in (batch, np.asfortranarray(batch), batch[::-1]):
@@ -410,7 +472,7 @@ class TestGreenScan:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * 8 * grid.n
-        assert km.structure.scan.block == grid.n
+        assert km.scan.block == grid.n
         assert np.abs(v).max() < 1e-12
 
 
@@ -440,7 +502,7 @@ class TestToeplitz:
         faces = [rng.standard_normal(n + 1), rng.standard_normal((n + 1, 2)) * [1e-200, 1e200]]
         cases = [(apply_grad, cells), (apply, cells), (apply_grad_adjoint, faces)]
         results = [[action(km, u) for u in inputs] for action, inputs in cases]
-        assert "gradk_faces" not in vars(km.structure) and "k_centers" not in vars(km.structure)
+        assert "gradk_faces" not in vars(km) and "k_centers" not in vars(km)
         gk, k = grid.h * km.gradk_faces, grid.h * km.k_centers
         for matrix, (_, inputs), got in zip((gk, k, gk.T), cases, results):
             for u, out in zip(inputs, got):

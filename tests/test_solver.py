@@ -425,7 +425,7 @@ class TestGreenActionReadsNoSample:
     def test_picard_mild_solve(self, green):
         km = assemble(green, Grid1D(64))
         picard_mild_solve(initial_field("constant_plus_mode:1,0.1,1", km.grid), km, 0.1, n_time=16)
-        assert "gradk_faces" not in vars(km.structure)
+        assert "gradk_faces" not in vars(km)
 
 
 class TestHeatSemigroup:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from aggrestab import Grid1D, KernelSpec, kernel, spectral
+from aggrestab import Grid1D, KernelSpec, analysis, kernel, spectral
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -75,12 +75,13 @@ def test_tracer_wraps_and_restores(tracing):
     assert all(vars(cls)[attr] is raw for cls, attr, raw in methods)
 
 
-@pytest.mark.parametrize("table", [False, True], ids=["gaussian", "table-twin"])
-def test_tracer_counts_each_span(tracing, table):
-    # a Gaussian's block solve and Gram norm, and its table twin's dense solve, reach the
-    # kernel actions through the traced module functions, as many times as they always did
-    spec = KernelSpec.gaussian(0.1)
-    if table:
+@pytest.mark.parametrize("kind", ["gaussian", "table-twin", "green"])
+def test_tracer_counts_each_span(tracing, kind):
+    # a Gaussian's block solve and Gram norm, its table twin's dense solve, and a Green
+    # eigenpair's D on its mode reach the kernel actions through the traced module
+    # functions, as many times as they always did
+    spec = KernelSpec.green_closed_form() if kind == "green" else KernelSpec.gaussian(0.1)
+    if kind == "table-twin":
         sample = kernel.assemble(spec, Grid1D(64))
         spec = KernelSpec.tabulated(sample.k_centers, sample.gradk_faces)
     verdict = {
@@ -90,13 +91,24 @@ def test_tracer_counts_each_span(tracing, table):
         "spectral.principal_eigenpair": 1,
         "kernel.l2_operator_norm": 1,
         "grid.SpectralBasis": 1,
-        "kernel.apply_grad": 4 if table else 9,
+        "kernel.apply_grad": {"gaussian": 9, "table-twin": 4, "green": 1}[kind],
     }
     validate = {"kernel.assemble": 1, "kernel.validate_assumptions": 1, "kernel.apply_grad": 1}
-    for run, expected in (
+    runs = [
         (lambda km: spectral.stability_verdict(km, 3.0), verdict),
         (lambda km: kernel.validate_assumptions(km, 1e-6), validate),
-    ):
+    ]
+    if kind == "green":  # one family, and one action per eigenpair
+        bisect = {
+            "analysis.threshold_bisect": 1,
+            "kernel.assemble": 1,
+            "spectral.assemble_linearized": 1,
+            "grid.SpectralBasis": 1,
+            "spectral.principal_eigenpair": 13,
+            "kernel.apply_grad": 13,
+        }
+        runs.append((lambda km: analysis.threshold_bisect(km, 5.0, 20.0, 0.01), bisect))
+    for run, expected in runs:
         tracer = tracing.Tracer()
         with tracer.installed():
             run(kernel.assemble(spec, Grid1D(64)))
