@@ -18,6 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import threshold_bisect
 from .errors import (
     AggrestabError,
@@ -148,9 +150,14 @@ def _fmt(x) -> str:
 
 
 def _write(path: Path, header=None, rows=(), /, **trailer) -> None:
-    """Write the header, one comma-joined line per row, then key=value lines; each by `_fmt`."""
+    """Write the header, one comma-joined line per row, then key=value lines; each by `_fmt`,
+    or a 2-D array's rows of numbers by one "%.17g" template a row, which reads as `_fmt`."""
     lines = [] if header is None else [header]
-    lines += [",".join(map(_fmt, row)) for row in rows]
+    if isinstance(rows, np.ndarray):
+        template = ",".join(["%.17g"] * rows.shape[1])
+        lines += [template % tuple(row.tolist()) for row in rows]
+    else:
+        lines += [",".join(map(_fmt, row)) for row in rows]
     lines += [f"{key}={_fmt(value)}" for key, value in trailer.items()]
     path.write_text("\n".join(lines) + "\n")
 
@@ -267,12 +274,11 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
         dt=config["sim.dt"],
         output_stride=config["sim.output_stride"],
     )
-    rows = zip(traj.times, traj.mass, traj.l1, traj.l2, traj.linf, traj.min_value)
+    rows = np.column_stack((traj.times, traj.mass, traj.l1, traj.l2, traj.linf, traj.min_value))
     _write(out_dir / "trajectory.csv", "t,mass,l1,l2,linf,min_u", rows)
     if config["sim.snapshots"]:
         header = "x," + ",".join(f"t={_fmt(t)}" for t in traj.times)
-        rows = ((x, *column) for x, column in zip(grid.centers, traj.snapshots.T))
-        _write(out_dir / "snapshots.csv", header, rows)
+        _write(out_dir / "snapshots.csv", header, np.column_stack((grid.centers, traj.snapshots.T)))
     return EXIT_OK
 
 

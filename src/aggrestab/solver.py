@@ -8,11 +8,12 @@ The scheme is second order in time, and discrete mass conservation and
 positivity are structural: diffusion leaves the constant mode alone and
 e^{-t L_h} is nonnegative, and each Heun stage is a forward-Euler step under
 the CFL bound. Transport alone sets the automatic step. `evolve` alone drives
-the step: it carries the mode coefficients, three transforms and two kernel
-actions a step, and checks each state's finiteness, positivity and mass;
-`step_imex` is its run of one set step. The mild solver iterates the integral
-fixed point on the same exact propagator, with its own drift treatment and the
-same kernel action `apply_grad`.
+the step: it carries the mode coefficients, two transforms and two kernel
+actions a step, and builds and checks the states off the step path, a block of
+steps at a time, with one batched transform and one pass per check (finiteness,
+positivity, mass) a block; `step_imex` is its run of one set step. The mild
+solver iterates the integral fixed point on the same exact propagator, with its
+own drift treatment and the same kernel action `apply_grad`.
 
 Every state and datum is a cell array, as in `grid`: the initial datum, the
 stepper's input and output, and the inputs of the mild solver and the
@@ -53,8 +54,9 @@ _DT_EPS = 1e-30  # guards the pure-diffusion case in the CFL formula
 # values than check_size allows; the longest default basin_probe horizon
 # (t_end = 1000 at the automatic step cap h/2) is 2000 n steps
 _MAX_STEPS = 10**8
-# the values in one block of time rows of a Picard sweep, so that its work stays in cache
-_PICARD_BLOCK = 2**14
+# the values in one block of time rows, of a Picard sweep or of evolve's waiting states,
+# so that its work stays in cache
+_BLOCK = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +256,10 @@ def evolve(
     the larger max|v| of the previous step's two stages; it is halved while a
     stage is rejected, and the last step lands on t_end. A set dt is rounded
     down to t_end / (whole number of steps) and kept.
+
+    A step does two cosine transforms and two kernel actions; its state waits in a
+    block of about 2^14 values, built by one batched transform and checked there.
+    The first failing state raises at its own time, even when a later step raised first.
     """
     if mode not in MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}")
@@ -282,36 +288,63 @@ def evolve(
     strang = _Strang(mode, mass_level, km)
     c = grid.basis.to_spectral(u)
     floor = -1e-12 * max(1.0, float(np.abs(u).max()))
-    times, states = [0.0], [u]
-    t, step, last = 0.0, 0, False
-    while not last:
-        step += 1
-        if auto:
-            c, t, vmax = _auto_step(c, t, dt, t_end, _MAX_STEPS - step + 1, strang)
-            dt, last = _cfl_dt(vmax, h), t == t_end
-        else:
-            c, _ = strang(c, dt)
-            t, last = step * dt, step == nsteps
-        u = from_spectral(c)
-        if not np.isfinite(u).all():
-            raise SchemeFailureError(f"non-finite state at t={t:g}")
+    # the waiting steps: closing coefficients, times and whether each is stored
+    rows = max(1, _BLOCK // n)
+    block, block_times, kept = np.empty((rows, n)), np.empty(rows), np.empty(rows, dtype=bool)
+    times, states = [np.zeros(1)], [u[None]]
+
+    def check(k: int) -> None:
+        """Check the first k waiting states in step order, raising the first failure, and
+        keep the stored ones."""
+        cells = from_spectral(block[:k].T).T
+        finite = np.isfinite(cells).all(axis=1)
+        bad = ~finite
         if mode == "nonlinear":
-            if float(u.min()) < floor:
+            low = cells.min(axis=1)
+            drift = np.abs(h * cells.sum(axis=1) - mass0)
+            bad |= (low < floor) | (mass0 != 0) & (drift > 1e-12 * abs(mass0))
+        if bad.any():
+            j = int(bad.argmax())
+            t = float(block_times[j])
+            if not finite[j]:
+                raise SchemeFailureError(f"non-finite state at t={t:g}")
+            if low[j] < floor:
                 raise SchemeFailureError(
-                    f"positivity lost at t={t:g} (min {u.min():.3e}); refine dt or the grid"
+                    f"positivity lost at t={t:g} (min {low[j]:.3e}); refine dt or the grid"
                 )
-            drift = abs(h * float(u.sum()) - mass0)
-            if mass0 != 0 and drift > 1e-12 * abs(mass0):
-                raise SchemeFailureError(f"mass drift {drift / abs(mass0):.3e} at t={t:g}")
-        if step % output_stride == 0 or last:
-            times.append(t)
-            states.append(u)
-            if len(states) * n > MAX_STORED_VALUES:
-                raise SchemeFailureError(
-                    f"the snapshots up to t={t:g} hold more than {MAX_STORED_VALUES:.0e} values; "
-                    "raise the output stride"
-                )
-    return Trajectory.from_states(times, states, grid)
+            raise SchemeFailureError(f"mass drift {drift[j] / abs(mass0):.3e} at t={t:g}")
+        times.append(block_times[:k][kept[:k]])
+        states.append(cells[kept[:k]])
+
+    t, step, last, waiting, stored = 0.0, 0, False, 0, 1
+    try:
+        while not last:
+            step += 1
+            if auto:
+                c, t, vmax = _auto_step(c, t, dt, t_end, _MAX_STEPS - step + 1, strang)
+                dt, last = _cfl_dt(vmax, h), t == t_end
+            else:
+                c, _ = strang(c, dt)
+                t, last = step * dt, step == nsteps
+            keep = step % output_stride == 0 or last
+            block[waiting], block_times[waiting], kept[waiting] = c, t, keep
+            waiting += 1
+            if keep:
+                stored += 1
+                if stored * n > MAX_STORED_VALUES:
+                    raise SchemeFailureError(
+                        f"the snapshots up to t={t:g} hold more than {MAX_STORED_VALUES:.0e} "
+                        "values; raise the output stride"
+                    )
+            if waiting == rows or last:
+                k, waiting = waiting, 0
+                check(k)
+    except Exception:
+        # a waiting state's failure comes first, as it did at its own step
+        if waiting:
+            check(waiting)
+        raise
+    return Trajectory.from_states(np.concatenate(times), np.concatenate(states), grid)
 
 
 def heat_semigroup(u, grid: Grid1D, t) -> np.ndarray:
@@ -432,7 +465,7 @@ def picard_mild_solve(
     check_real(tol, "tol", 0, finite=False)
     check_real(q_prime, "q'", 1, finite=False)
     # two (n_time + 1, n) arrays, free and states, and the blocks' work, about
-    # 9 * _PICARD_BLOCK values: three bound them
+    # 9 * _BLOCK values: three bound them
     check_size(3 * km.grid.n * (n_time + 1), f"a Picard solve at n = {km.grid.n}, n_time = {n_time}")
     grid = km.grid
     basis = grid.basis
@@ -440,7 +473,7 @@ def picard_mild_solve(
     dt = horizon / n_time
     times = dt * np.arange(n_time + 1)
     q = 1.0 if np.isinf(q_prime) else (q_prime / (q_prime - 1.0) if q_prime > 1 else np.inf)
-    rows = max(1, _PICARD_BLOCK // grid.n)
+    rows = max(1, _BLOCK // grid.n)
     blocks = [slice(j, j + rows) for j in range(0, n_time + 1, rows)]
 
     decay = np.exp(-lam * dt)

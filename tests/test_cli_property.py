@@ -5,7 +5,8 @@ variant, on grids of at most 32 cells and short runs. Each key draws from a
 pool of sensible values and of 0, negative numbers, nan, inf, empty strings
 and non-numbers; kernel parameters stay in moderate ranges (|scale| <= 10).
 Every run is made with each warning raised as an error, and every line it
-writes to stderr must be an `aggrestab:` message.
+writes to stderr must be an `aggrestab:` message. A second property: the one
+"%.17g" template a row of numbers takes writes each double as `_fmt` does.
 """
 
 import contextlib
@@ -16,10 +17,11 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aggrestab import Grid1D, KernelSpec, assemble, save_tabulated_csv
-from aggrestab.cli import _COMMANDS, _KEYS, _VARIANT_KEYS, main
+from aggrestab.cli import _COMMANDS, _KEYS, _VARIANT_KEYS, _fmt, _write, main
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402 (after the skip)
@@ -174,3 +176,16 @@ def test_every_config_ends_in_a_documented_exit(table, command, pairs):
                     continue
                 finite = math.isfinite(number) or number == math.inf and INFINITE.fullmatch(name)
                 assert finite, (path.name, name, value)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=6))
+# -0, the infinities, NaN, the least subnormal, the least normal and the largest double
+@example(values=[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308])
+@example(values=[-1.7976931348623157e308, 0.1, 1e16, 123456789012345678.0])
+def test_a_row_of_numbers_reads_as_each_cell_by_fmt(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        _write(path, None, np.array([values, values[::-1]]))
+        expected = [",".join(map(_fmt, row)) for row in (values, values[::-1])]
+        assert path.read_text().splitlines() == expected

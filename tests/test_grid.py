@@ -302,6 +302,20 @@ class TestCosineTransform:
             lone = [transform(np.ascontiguousarray(column)) for column in batch.reshape(n, -1).T]
             assert [column.tobytes() for column in columns] == [v.tobytes() for v in lone]
 
+    # evolve builds its states from the F-ordered transpose of the first k rows of a block of
+    # 2^14 coefficient values, then checks their row sums and minima: each must carry the
+    # digits of the lone state's transform and reductions
+    @pytest.mark.parametrize("n", [4, 5, 64, 255, 256, 512])
+    def test_a_block_of_rows_reads_as_its_lone_rows(self, n, rng):
+        basis = SpectralBasis(Grid1D(n))
+        block = rng.standard_normal((2**14 // n, n))
+        for k in sorted({1, 2, len(block) // 2 + 1, len(block)}):
+            cells = basis.from_spectral(block[:k].T).T
+            lone = np.array([basis.from_spectral(row) for row in block[:k]])
+            assert cells.tobytes() == lone.tobytes()
+            assert cells.sum(axis=1).tobytes() == np.array([v.sum() for v in lone]).tobytes()
+            assert cells.min(axis=1).tobytes() == np.array([v.min() for v in lone]).tobytes()
+
     @pytest.mark.parametrize("n", [33, 48])
     def test_projection_matches_dense_cosine_sums(self, n, rng):
         grid = Grid1D(n)

@@ -307,7 +307,8 @@ class TestEvolve:
         u0 = initial_field("constant_plus_mode:30,0.3,1", km.grid)
         # the 66 states stored at the cap h/2 pass the check before stepping
         monkeypatch.setattr(solver, "MAX_STORED_VALUES", 64 * 1000)
-        with pytest.raises(SchemeFailureError, match="snapshots"):
+        # the 1000th stored state's own time, as when each state was checked at its step
+        with pytest.raises(SchemeFailureError, match=r"^the snapshots up to t=0\.344079 hold"):
             evolve(u0, km, "nonlinear", mass_level=30.0, t_end=0.5)
 
 
@@ -372,8 +373,10 @@ class TestCarriedCoefficients:
         u0 = initial_field("constant_plus_mode:8,0.08,1", km.grid)
         steps = len(evolve(u0, km, "nonlinear", mass_level=8.0, t_end=0.1).times) - 1
         assert steps == math.ceil(0.1 / (0.5 / 64))  # every step at the cap h/2
+        # one inverse transform a step, and one a block of waiting states
+        blocks = math.ceil(steps / (solver._BLOCK // 64))
         assert calls == {
-            "apply_grad": 1 + 2 * steps, "to_spectral": 1 + steps, "from_spectral": 2 * steps
+            "apply_grad": 1 + 2 * steps, "to_spectral": 1 + steps, "from_spectral": steps + blocks
         }
 
     def test_non_finite_velocity_after_the_first_step(self, green, monkeypatch):
@@ -390,6 +393,72 @@ class TestCarriedCoefficients:
         with pytest.raises(SchemeFailureError):
             evolve(u0, km, "nonlinear", mass_level=5.0, t_end=0.1)
         assert len(calls) == 4  # no halving loop
+
+
+class TestBlockChecks:
+    """evolve builds and checks its states a block of steps at a time; the first failing
+    state still fails the run, with the message and time it raised at its own step."""
+
+    # at n = 512 a block holds 32 states: a fault from step 40 on waits in the block of
+    # steps 33 to 64, whose later states fail too
+    N, STEPS, DT, START = 512, 70, 2.0**-12, 40
+    LOST = "positivity lost at t=0.00976562 (min -3.515e+00); refine dt or the grid"
+
+    def run(self, green, monkeypatch, fault, velocity_fails_at=None):
+        """The set-dt run with fault applied to the closing coefficients from step START on,
+        and its steps; from step velocity_fails_at on, the transport velocity is NaN."""
+        strang, action, steps = solver._Strang.__call__, solver.apply_grad, []
+
+        def faulty(self, c, dt):
+            out, vmax = strang(self, c, dt)
+            steps.append(None)
+            if len(steps) >= TestBlockChecks.START:
+                out = out.copy()
+                fault(out)
+            return out, vmax
+
+        def velocity(km, u, out=None):
+            v = action(km, u, out)
+            if velocity_fails_at is not None and len(steps) + 1 >= velocity_fails_at:
+                v[...] = np.nan
+            return v
+
+        monkeypatch.setattr(solver._Strang, "__call__", faulty)
+        monkeypatch.setattr(solver, "apply_grad", velocity)
+        km = assemble(green, Grid1D(self.N))
+        u0 = initial_field("constant_plus_mode:5,0.5,1", km.grid)
+        with pytest.raises(SchemeFailureError) as info:
+            evolve(u0, km, "nonlinear", 5.0, t_end=self.STEPS * self.DT, dt=self.DT)
+        return str(info.value), len(steps)
+
+    @staticmethod
+    def lose_positivity(c):
+        c[-1] -= 6.0  # the finest cosine mode dips below 0; the mean and the velocity stay
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lose_positivity, LOST),
+            (lambda c: c.__setitem__(0, 1.001 * c[0]), "mass drift 1.000e-03 at t=0.00976562"),
+        ],
+        ids=["positivity", "mass"],
+    )
+    def test_the_first_failing_state_wins(self, green, monkeypatch, fault, message):
+        assert f"{self.START * self.DT:g}" == "0.00976562"
+        failure, steps = self.run(green, monkeypatch, fault)
+        assert failure == message
+        assert steps == 64  # the block ran to its end before it was checked
+
+    def test_a_non_finite_state_wins_over_the_velocity_it_makes(self, green, monkeypatch):
+        # the NaN state of step 40 makes step 41's velocity NaN, and that step raises first
+        failure, steps = self.run(green, monkeypatch, lambda c: c.__setitem__(3, np.nan))
+        assert failure == "non-finite state at t=0.00976562"
+        assert steps == 40
+
+    def test_a_later_velocity_failure_reports_the_earlier_state(self, green, monkeypatch):
+        failure, steps = self.run(green, monkeypatch, self.lose_positivity, velocity_fails_at=45)
+        assert failure == self.LOST
+        assert steps == 44
 
 
 class TestStateConvention:
@@ -636,7 +705,7 @@ class TestPicardMildSolve:
         km = assemble(green, Grid1D(16))
         u0 = initial_field("constant_plus_mode:1,0.5,1", km.grid)
         whole = picard_mild_solve(u0, km, 0.1, n_time=8)
-        monkeypatch.setattr(solver, "_PICARD_BLOCK", rows * 16)
+        monkeypatch.setattr(solver, "_BLOCK", rows * 16)
         diag = picard_mild_solve(u0, km, 0.1, n_time=8)
         states, distances = _column_loop(u0, km, 0.1, 8, len(diag.picard_distances))
         assert np.array_equal(diag.trajectory.snapshots, whole.trajectory.snapshots)
