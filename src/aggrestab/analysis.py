@@ -6,9 +6,9 @@ perturbation norm, the critical mass located by the sign of the principal
 eigenvalue, lower bounds on the nonlinear attraction basin, and agreement
 between the two independent time discretizations. Each takes the assembled
 kernel `km` and assembles nothing: `threshold_bisect(km, M_lo, M_hi, tol)`
-builds one `LinearizedFamily` for all its masses, `basin_probe(km, M, ...)`
-steps on the kernel that its verdict reads, and `cross_validate(u0, km, T)`
-runs both solvers on it, the split stepper through `evolve` like every run.
+solves at every mass from the one D form that the kernel keeps, `basin_probe(km,
+M, ...)` steps on the kernel that its verdict reads, and `cross_validate(u0, km,
+T)` runs both solvers on it, the split stepper through `evolve` like every run.
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ def threshold_bisect(
     if not (0 <= mass_lo < mass_hi):  # written so that NaN fails too
         raise InvalidParameterError("need 0 <= M_lo < M_hi")
     check_real(tol_mass, "tol_M", 0, strict=True)
-    family = assemble_linearized(km)  # the mass-independent parts of S(M), built once
+    km = assemble_linearized(km)  # the mass-independent part of S(M), built once per kernel
 
     def eig(mass):
-        return principal_eigenpair(family, mass)[0]
+        return principal_eigenpair(km, mass)[0]
 
     lo, hi = mass_lo, mass_hi
     e_lo, e_hi = eig(lo), eig(hi)

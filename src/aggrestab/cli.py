@@ -341,16 +341,18 @@ _COMMANDS = {
 }
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="aggrestab",
+    description="Aggregation-diffusion stability laboratory on [0,1]",
+)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True)
+_PARSER.add_argument("--out", default=".")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="aggrestab",
-        description="Aggregation-diffusion stability laboratory on [0,1]",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=".")
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

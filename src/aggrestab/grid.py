@@ -90,6 +90,18 @@ def check_real(value, what: str, low: float, strict: bool = False, finite: bool 
     raise InvalidParameterError(f"{what} must be {words if low == 0 else interval}, got {value}")
 
 
+def check_datum(u, n: int) -> np.ndarray:
+    """u as a float array, refused unless it is a finite (n,) cell array of real numbers."""
+    values = np.asarray(u)
+    if values.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"the datum has dtype {values.dtype}, not real numbers")
+    if not np.isfinite(values).all():
+        raise InvalidParameterError("the datum has a non-finite value")
+    if values.shape != (n,):
+        raise InvalidParameterError(f"field length {values.shape} does not match grid n={n}")
+    return values.astype(float, copy=False)
+
+
 def lp_norm(v, p: float, grid: Grid1D):
     """L^p norm along axis 0 with weight h per entry; p = inf gives the max norm.
 
@@ -163,8 +175,10 @@ class SpectralBasis:
     """
 
     def __init__(self, grid: Grid1D):
-        self.grid = grid
-        n = grid.n
+        # the grid's n, h and centers, not the grid, which holds its basis: a cycle would
+        # leave both to a full garbage collection, a pause that grows with the process
+        n = self.n = grid.n
+        self.h, self.centers = grid.h, grid.centers
         k = np.arange(n)
         self.eigenvalues_discrete = (2.0 / grid.h**2) * (1.0 - np.cos(k * np.pi * grid.h))
         # e^{-+i pi k / 2n} on the half spectrum, times sqrt(2)/n and n/sqrt(2); c_0's weight at 0
@@ -177,15 +191,15 @@ class SpectralBasis:
 
     def mode(self, k: int) -> np.ndarray:
         k = check_count(k, "the mode index", 0)
-        if not k < self.grid.n:
-            raise InvalidParameterError(f"mode index {k} outside [0, {self.grid.n})")
-        w = np.cos(self.grid.centers * (k * np.pi))
+        if not k < self.n:
+            raise InvalidParameterError(f"mode index {k} outside [0, {self.n})")
+        w = np.cos(self.centers * (k * np.pi))
         return w * np.sqrt(2.0) if k > 0 else w
 
     def to_spectral(self, u) -> np.ndarray:
         """Mode coefficients of cell values, along axis 0."""
-        u = _rows(u, self.grid.n, "cell array")
-        n, half = self.grid.n, self.grid.n // 2 + 1
+        u = _rows(u, self.n, "cell array")
+        n, half = self.n, self.n // 2 + 1
         # Makhoul's DCT-II: V = FFT of the even samples followed by the odd ones reversed; with
         # W = twiddle V, c_k = Re W_k below half and -Im W_{n-k} above, as V_k = conj(V_{n-k})
         spec = np.fft.rfft(
@@ -199,8 +213,8 @@ class SpectralBasis:
 
     def from_spectral(self, c) -> np.ndarray:
         """Cell values of mode coefficients, along axis 0."""
-        c = _rows(c, self.grid.n, "coefficient array")
-        n, half = self.grid.n, self.grid.n // 2 + 1
+        c = _rows(c, self.n, "coefficient array")
+        n, half = self.n, self.n // 2 + 1
         # to_spectral undone: V_k = shift_k (c_k - i c_{n-k}) with c_n = 0, filled part by
         # part; one inverse real FFT; the sample order restored. A batch of F-ordered
         # columns keeps its order, so that each column is filled and stored contiguously
@@ -219,7 +233,7 @@ class SpectralBasis:
 
     def project(self, a) -> np.ndarray:
         """Matrix in the modes of the n x n operator a: entry (j, k) is h w_j . (a w_k)."""
-        return self.to_spectral(self.to_spectral(a).T).T / self.grid.h
+        return self.to_spectral(self.to_spectral(a).T).T / self.h
 
 
 def _along_axis0(v: np.ndarray, ndim: int) -> np.ndarray:

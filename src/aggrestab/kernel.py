@@ -506,11 +506,11 @@ class KernelMatrices:
     `KernelMatrices(spec, grid)` is one of three structures, chosen in `__new__`:
     `_Symbols` for a Green kernel, `_Convolution` for a Gaussian or power-law kernel,
     `_Table` for a table, which refuses a table of another n (`InvalidParameterError`).
-    Their methods give every action, norm, residual and linearized solve. This base
-    class holds what they share: the dense samples `k_centers` and `gradk_faces`, taken
-    when first read (a table's actions read them: they are its tables), D = div(grad
-    K(.)) in zero-flux form, and the operator norm, A and eigenpair of a kernel that no
-    cosine mode diagonalizes.
+    Their methods give every action, norm, residual and linearized solve, which reads D's
+    form on the modes, `drift_form`, built once per kernel. This base class holds what
+    they share: the dense samples `k_centers` and `gradk_faces`, taken when first read
+    (a table's actions read them: they are its tables), D = div(grad K(.)) in zero-flux
+    form, and the operator norm, A and eigenpair of a kernel no cosine mode diagonalizes.
     """
 
     # max |K(x, y) - K(y, x)| at the centers, 0 unless the kernel is a table
@@ -574,9 +574,9 @@ class KernelMatrices:
         w1 = self.grid.basis.mode(1)
         return float(self.grid.h * (w1 @ self.apply(w1)))
 
-    def eigenpair(self, reduced: tuple, mass: float) -> tuple:
+    def eigenpair(self, mass: float) -> tuple:
         """(eigenvalue, mode, D_sym mode by the actions, scale) from `solve`'s coefficients."""
-        lam, coef, scale = self.solve(reduced, mass)
+        lam, coef, scale = self.solve(self.grid.basis.eigenvalues_discrete[1:], mass)
         vec = self.grid.basis.from_spectral(np.concatenate(([0.0], coef)))
         return lam, vec, self.symmetric_drift(vec), scale
 
@@ -598,10 +598,10 @@ class _Symbols(KernelMatrices):
         return _DecayScan(s * h, self.grid.n, pre=_green_q(s, self.grid.centers[::-1]), post=p)
 
     @cached_property
-    def drift_symbol(self) -> np.ndarray:
-        """d_k = (2/h) sin(k pi h / 2) t_k, k = 0..n-1: D w_k = d_k w_k."""
-        angles = np.arange(self.grid.n) * (0.5 * np.pi * self.grid.h)
-        return (2.0 / self.grid.h) * np.sin(angles) * self.symbols[1]
+    def drift_form(self) -> np.ndarray:
+        """d_k = (2/h) sin(k pi h / 2) t_k, k = 1..n-1: D w_k = d_k w_k."""
+        angles = np.arange(1, self.grid.n) * (0.5 * np.pi * self.grid.h)
+        return (2.0 / self.grid.h) * np.sin(angles) * self.symbols[1][1:]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         basis = self.grid.basis
@@ -664,13 +664,9 @@ class _Symbols(KernelMatrices):
     def interaction_coefficient(self) -> float:
         return float(self.symbols[0][1])
 
-    def drift_form(self) -> np.ndarray:
-        return self.drift_symbol[1:]
-
-    def eigenpair(self, reduced: tuple, mass: float) -> tuple:
+    def eigenpair(self, mass: float) -> tuple:
         """S(M)'s smallest entry, with D applied to its mode by `apply_grad`, not the symbol."""
-        lap, drift = reduced
-        symbol = lap + mass * drift
+        symbol = self.grid.basis.eigenvalues_discrete[1:] + mass * self.drift_form
         k = int(np.argmin(symbol))
         vec = self.grid.basis.mode(k + 1)
         d_vec = divergence(apply_grad(self, vec), self.grid)
@@ -728,6 +724,7 @@ class _Convolution(KernelMatrices):
 
         return [2.0 * peak if np.isinf(q) else _mixed_norm(sums, peak, h, q) for q in q_primes]
 
+    @cached_property
     def drift_form(self) -> tuple:
         """The circulant estimate of the reduced D's diagonal, and its exact last entry: D has
         Toeplitz entries d_m = g((m + 1/2) h) - g((m - 1/2) h) away from the boundary rows,
@@ -740,13 +737,13 @@ class _Convolution(KernelMatrices):
         last[-1] = 1.0
         return estimate, float(self.reduced_drift(last)[-1])
 
-    def solve(self, reduced: tuple, mass: float) -> tuple:
+    def solve(self, lap: np.ndarray, mass: float) -> tuple:
         """(eigenvalue, mode coefficients, scale) by the block eigensolver on diag(lambda_k^h)
         + M D_r, D_r = `reduced_drift`, started at the modes where the circulant estimate
         lambda_k^h + M e_k is smallest and preconditioned by (lambda_k^h + M e_k - shift)^-1,
         the shift below the estimate's minimum. The scale, |e_{n-1} . S e_{n-1}| or
         |eigenvalue| if larger, is at most the infinity norm of the reduced operator."""
-        lap, (estimate, last) = reduced
+        estimate, last = self.drift_form
         diagonal = lap + mass * estimate
         order = np.argsort(diagonal, kind="stable")[: min(_BLOCK, lap.size)]
         start = np.zeros((lap.size, order.size))
@@ -802,6 +799,7 @@ class _Table(KernelMatrices):
         gk, grid = self.gradk_faces, self.grid
         return [lp_norm(gk.T, q, grid).max() + lp_norm(gk, q, grid).max() for q in q_primes]
 
+    @cached_property
     def drift_form(self) -> np.ndarray:
         """The symmetric part of D's dense projection on the modes; refused before anything is
         allocated above `check_size`'s limit, and for an asymmetric table (no Rayleigh quotient)."""
@@ -815,11 +813,10 @@ class _Table(KernelMatrices):
         drift = self.grid.basis.project(self.drift)[1:, 1:]
         return 0.5 * (drift + drift.T)
 
-    def solve(self, reduced: tuple, mass: float) -> tuple:
+    def solve(self, lap: np.ndarray, mass: float) -> tuple:
         from scipy.linalg import eigh  # a table's direct solve is the one use of SciPy
 
-        lap, drift = reduced
-        operator = _finite(np.diag(lap) + mass * drift, mass)
+        operator = _finite(np.diag(lap) + mass * self.drift_form, mass)
         eigvals, eigvecs = eigh(operator, subset_by_index=[0, 0])
         return float(eigvals[0]), eigvecs[:, 0], np.linalg.norm(operator, np.inf)
 

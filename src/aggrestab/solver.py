@@ -19,10 +19,11 @@ Every state and datum is a cell array, as in `grid`: the initial datum, the
 stepper's input and output, and the inputs of the mild solver and the
 semigroup probes. The solver's entry points take the datum and the assembled
 kernel and read the grid from `km.grid`: `evolve(u0, km, mode, ...)`,
-`step_imex(u, dt, mode, M, km)` and `picard_mild_solve(u0, km, T)`. Each
-refuses, through `check_datum`, anything but a finite (n,) array. A
-`Trajectory` keeps its stored states as the rows of one (stored states, n) array;
-the Picard states are time-major too, and a sweep runs over blocks of time rows.
+`step_imex(u, dt, mode, M, km)` and `picard_mild_solve(u0, km, T)`. Each, and
+`semigroup_probe` for each probe, refuses through `grid.check_datum` anything but
+a finite (n,) array. A `Trajectory` keeps its stored states as the rows of one
+(stored states, n) array; the Picard states are time-major too, and a sweep runs
+over blocks of time rows.
 Every L^p norm here, of the run record, of a Picard change and of the semigroup
 probes, is one `lp_norm` call on a transposed batch: one column, one norm, per time.
 """
@@ -42,7 +43,7 @@ from .errors import (
     RejectedStepError,
     SchemeFailureError,
 )
-from .grid import MAX_STORED_VALUES, Grid1D, check_count, check_real, check_size
+from .grid import MAX_STORED_VALUES, Grid1D, check_count, check_datum, check_real, check_size
 from .grid import LOG_MAX_DOUBLE, divergence, gradient, lp_norm
 from .kernel import KernelMatrices, apply_grad
 from .spectral import LAMBDA_1
@@ -101,18 +102,6 @@ class MildSolveDiagnostics:
     def trajectory(self) -> Trajectory:
         """The run record of the states, built when first read."""
         return Trajectory.from_states(self.times, self.states, self.grid)
-
-
-def check_datum(u, n: int) -> np.ndarray:
-    """u as a float array, refused unless it is a finite (n,) cell array of real numbers."""
-    values = np.asarray(u)
-    if values.dtype.kind not in "biuf":
-        raise InvalidParameterError(f"the datum has dtype {values.dtype}, not real numbers")
-    if not np.isfinite(values).all():
-        raise InvalidParameterError("the datum has a non-finite value")
-    if values.shape != (n,):
-        raise InvalidParameterError(f"field length {values.shape} does not match grid n={n}")
-    return values.astype(float, copy=False)
 
 
 def initial_field(descriptor: str, grid: Grid1D, seed: int = 0) -> np.ndarray:
@@ -382,13 +371,13 @@ def semigroup_probe(probes, grid: Grid1D, p: float, q: float, times) -> Semigrou
       ||d/dx e^{tL} f||_p * t^{(1/2)(1/q-1/p)+1/2} * e^{lambda_1 t} / ||f||_q;
     the suprema are the empirical constants.
     """
-    if not 1 <= q <= p:
+    if check_real(p, "p", 1, finite=False) < check_real(q, "q", 1, finite=False):
         raise InvalidParameterError("need 1 <= q <= p <= inf")
     times = np.asarray(times, dtype=float)
     if times.size == 0 or not np.all((times > 0) & (LAMBDA_1 * times < LOG_MAX_DOUBLE)):
         limit = LOG_MAX_DOUBLE / LAMBDA_1  # about 71.9: e^{lambda_1 t} overflows above it
         raise InvalidParameterError(f"probe times must lie in (0, {limit:.4g})")
-    probes = list(probes)
+    probes = [check_datum(f, grid.n) for f in probes]
     if not probes:
         raise InvalidParameterError("need at least one probe")
     expo = 0.5 * (1.0 / q - 1.0 / p)  # 1/inf = 0

@@ -10,16 +10,18 @@ of the grid's `basis`, on S(M) = L + M D. The modes diagonalize the discrete
 Laplacian L exactly, so L is its eigenvalues there.
 
 Everything here takes the assembled kernel `km` and the mass M, and reads the
-grid from `km.grid`. S(M) is affine in M: `assemble_linearized(km)` builds
-its mass-independent parts once, the `LinearizedFamily`, and
-`principal_eigenpair(family, M)` solves it at one M, and `bilinear_form(km,
-M, phi, psi)` is J at level M; both refuse an M that is negative or not
-finite. `stability_verdict(km, M)` reports on the constant state u = M.
+grid from `km.grid`. S(M) is affine in M, and its mass-independent part is
+the kernel's: the form of D that the solve reads, `km.drift_form`, is built
+once per kernel, at its first solve, and `assemble_linearized(km)` is `km`.
+`principal_eigenpair(km, M)` solves S(M) at one M, and `bilinear_form(km, M,
+phi, psi)` is J at level M; both refuse an M that is negative or not finite,
+and J refuses phi and psi unless each is a finite (n,) cell array.
+`stability_verdict(km, M)` reports on the constant state u = M.
 
 The kernel holds D and solves for the eigenpair: a Green kernel's D is
 diagonal in the modes too, so S(M) is a vector; a Gaussian or power-law
 kernel is solved matrix-free by the block eigensolver of `eigen`, O(n log n)
-per step; only a table projects its dense D, once per family, and solves with
+per step; only a table projects its dense D, once per kernel, and solves with
 SciPy's `eigh`. Neither L nor S(M) is formed: the residual check applies L by
 `gradient` and `divergence`, and D by the kernel's actions, not by the stored
 form of D that the solve read.
@@ -29,12 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedKernelError
-from .grid import check_real, divergence, gradient
+from .errors import UnsupportedKernelError
+from .grid import check_datum, check_real, divergence, gradient
 from .kernel import KernelMatrices, _finite, apply_grad, l2_operator_norm
 
 LAMBDA_1 = math.pi**2
@@ -44,34 +45,17 @@ VERDICT_UNSTABLE = "linearly_unstable"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-class LinearizedFamily:
-    """S(M) = L + M D with L = -Laplace, D = div(grad K(.)) (zero flux), for any M.
-
-    L acts by face differences, D is the kernel's (`km.drift`, `km.symmetric_drift`).
-    The family holds what the solve reads at every M, built when first read.
-    """
-
-    def __init__(self, km: KernelMatrices):
-        self.grid, self.km = km.grid, km
-
-    @cached_property
-    def reduced(self) -> tuple:
-        """L and D on the cosine modes w_1..w_{n-1}: L is its eigenvalues lambda_k^h,
-        D the form that the kernel solves with, its `drift_form`."""
-        return self.grid.basis.eigenvalues_discrete[1:], self.km.drift_form()
-
-
-def assemble_linearized(km: KernelMatrices) -> LinearizedFamily:
-    """-Laplace + M div(grad K(.)) in zero-flux form, on the kernel's grid, for every M."""
-    return LinearizedFamily(km)
+def assemble_linearized(km: KernelMatrices) -> KernelMatrices:
+    """The kernel itself: it holds D = div(grad K(.)) of -Laplace + M D, and builds the form
+    of D that every solve reads, `drift_form`, once, at its first solve."""
+    return km
 
 
 def bilinear_form(km: KernelMatrices, mass_level: float, phi, psi) -> float:
     """Energy form J(phi, psi) at level M of cell values over interior faces."""
     check_real(mass_level, "mass level M", 0)
-    if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
-        raise InvalidParameterError("phi and psi must be finite")
     grid = km.grid
+    phi, psi = check_datum(phi, grid.n), check_datum(psi, grid.n)
     gphi = gradient(phi, grid)[1:-1]
     gpsi = gradient(psi, grid)[1:-1]
     gk = apply_grad(km, phi)[1:-1]
@@ -80,7 +64,7 @@ def bilinear_form(km: KernelMatrices, mass_level: float, phi, psi) -> float:
 
 # an M whose S(M) overflows is refused by `_finite`, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def principal_eigenpair(family: LinearizedFamily, mass_level: float):
+def principal_eigenpair(km: KernelMatrices, mass_level: float):
     """Smallest eigenvalue of the symmetrized S(M) on zero-mean vectors.
 
     Solved for that eigenpair alone in the cosine modes. Returns (eigenvalue,
@@ -89,8 +73,8 @@ def principal_eigenpair(family: LinearizedFamily, mass_level: float):
     that S(M), its eigenvalue or the residual leaves the doubles is refused.
     """
     check_real(mass_level, "mass level M", 0)
-    grid = family.grid
-    lam, vec, d_vec, scale = family.km.eigenpair(family.reduced, mass_level)
+    grid = km.grid
+    lam, vec, d_vec, scale = km.eigenpair(mass_level)
     # scale is at most the infinity norm of the reduced operator that was solved
     r = mass_level * d_vec - divergence(gradient(vec, grid), grid) - lam * vec
     residual = np.max(np.abs(r - r.mean()))

@@ -36,8 +36,8 @@ def _direct_critical_mass(spec, grid):
 
     D_r is the symmetric part of the dense D projected on the modes w_1..w_{n-1}.
     """
-    family = spectral.assemble_linearized(kernel.assemble(spec, grid))
-    drift = grid.basis.project(family.km.drift)[1:, 1:]
+    km = spectral.assemble_linearized(kernel.assemble(spec, grid))
+    drift = grid.basis.project(km.drift)[1:, 1:]
     lap = np.diag(grid.basis.eigenvalues_discrete[1:])
     return 1.0 / scipy.linalg.eigh(-0.5 * (drift + drift.T), lap, eigvals_only=True)[-1]
 
@@ -54,7 +54,7 @@ def _symbol_critical_mass(a, n):
     """M*(n) = min_k lambda_k^h / (-d_k) from the Green kernel's symbols."""
     grid = Grid1D(n)
     km = kernel.assemble(KernelSpec.green_series(a), grid)
-    lap, drift = spectral.assemble_linearized(km).reduced
+    lap, drift = grid.basis.eigenvalues_discrete[1:], spectral.assemble_linearized(km).drift_form
     return float(np.min(lap / -drift))
 
 
@@ -143,6 +143,24 @@ class TestThresholdBisect:
             threshold_bisect(km, *bracket, tol_mass=0.01, history=history)
             assert len(history) > 10
             assert calls == {"sample": samples, "values": values, "family": 1, "project": samples}
+
+    def test_kernel_builds_its_d_form_once(self, monkeypatch):
+        # two verdicts and a bisection on one kernel read the D form its first solve built:
+        # a table projects D once, and a Gaussian takes its circulant estimate once
+        calls = []
+        gaussian = kernel.assemble(KernelSpec.gaussian(0.1), Grid1D(64))
+        table = KernelSpec.tabulated(gaussian.k_centers, gaussian.gradk_faces)
+        project, estimate = SpectralBasis.project, kernel._Convolution.drift_form.func
+        monkeypatch.setattr(SpectralBasis, "project", lambda *a: calls.append("D") or project(*a))
+        monkeypatch.setattr(
+            kernel._Convolution.drift_form, "func", lambda km: calls.append("e") or estimate(km)
+        )
+        for km, built in ((kernel.assemble(table, Grid1D(64)), "D"), (gaussian, "e")):
+            calls.clear()
+            stability_verdict(km, 1.0)
+            stability_verdict(km, 2.0)
+            threshold_bisect(km, 0.0, 60.0, 1e-2)
+            assert calls == [built]
 
     def test_stops_at_float_spacing(self, green, monkeypatch):
         # a tolerance below the spacing of the bracket's floats cannot be met
@@ -295,6 +313,14 @@ NON_FINITE = {
     "bilinear-psi-inf": lambda: bilinear_form(
         _green_km(32), 1.0, np.ones(32), np.full(32, math.inf)
     ),
+    # a column would broadcast against the (n - 1,) faces to a matrix, and give a wrong J
+    "bilinear-phi-column": lambda: bilinear_form(
+        _green_km(32), 5.0, Grid1D(32).basis.mode(1)[:, None], Grid1D(32).basis.mode(3)
+    ),
+    "bilinear-psi-two-columns": lambda: bilinear_form(
+        _green_km(32), 5.0, np.ones(32), np.ones((32, 2))
+    ),
+    "bilinear-phi-strings": lambda: bilinear_form(_green_km(32), 5.0, ["1"] * 32, np.ones(32)),
     "validate-tol-nan": lambda: validate_assumptions(_green_km(), tol=math.nan),
     "validate-tol-inf": lambda: validate_assumptions(_green_km(), tol=math.inf),
     "basin-amplitude-nan": lambda: basin_probe(_green_km(), 5.0, math.nan, steps=2),

@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import tracemalloc
@@ -121,6 +122,32 @@ class TestCommands:
         code = main(["validate-kernel", "--config", cfg, "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert (out / "kernel_report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, code",
+        [
+            ("validate-kernel", GREEN_LINES, EXIT_OK),
+            ("validate-kernel", GAUSSIAN_32, EXIT_VALIDATION),
+            ("analyze", GAUSSIAN_32 + "analysis.M = 3\n", EXIT_OK),
+            ("threshold", GREEN_LINES + "analysis.M_lo = 5\nanalysis.M_hi = 20\n", EXIT_OK),
+            ("simulate", GREEN_LINES + "sim.M = 5\nsim.t_end = 0.01\n", EXIT_OK),
+            ("mild-solve", GREEN_LINES + "mild.n_time = 32\nmild.T_factor = 0.5\n", EXIT_OK),
+        ],
+        ids=["validate-green", "validate-gaussian", "analyze", "threshold", "simulate", "mild"],
+    )
+    def test_a_call_leaves_no_cyclic_garbage(self, tmp_path, command, text, code):
+        # a call that left cycles (an argument parser built per call, a grid and its basis
+        # holding each other) makes a long in-process run pay a full collection now and then
+        cfg = write_config(tmp_path, "c.cfg", text)
+        out = str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out]) == code
+        gc.collect()
+        gc.disable()
+        try:
+            assert main([command, "--config", cfg, "--out", out]) == code
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_validate_kernel_narrow_green_passes(self, tmp_path):
         cfg = write_config(

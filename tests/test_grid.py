@@ -213,7 +213,7 @@ class TestSpectralBasis:
     def test_discrete_orthonormality(self):
         basis = SpectralBasis(Grid1D(32))
         modes = np.column_stack([basis.mode(k) for k in range(32)])
-        gram = basis.grid.h * modes.T @ modes
+        gram = basis.h * modes.T @ modes
         np.testing.assert_allclose(gram, np.eye(32), atol=1e-12)
 
     def test_round_trip(self, rng):

@@ -24,6 +24,7 @@ from aggrestab import (
     load_tabulated_csv,
     lp_norm,
     norm_inf_qprime,
+    principal_eigenpair,
     save_tabulated_csv,
     validate_assumptions,
 )
@@ -265,6 +266,14 @@ class TestOperators:
         for back in (fresh, duplicate(km)):
             assert type(back) is type(km)
             assert apply_grad(back, u).tobytes() == expected
+        # and its D form: a copy taken before it is built builds its own, one taken after
+        # keeps it, and both solve S(M) to the original's bytes
+        eig, mode = principal_eigenpair(km, 3.0)
+        kept = duplicate(km)
+        assert "drift_form" not in vars(fresh) and "drift_form" in vars(kept)
+        for back in (fresh, kept):
+            back_eig, back_mode = principal_eigenpair(back, 3.0)
+            assert back_eig == eig and back_mode.tobytes() == mode.tobytes()
 
     def test_grid_mismatch_rejected(self, km128):
         with pytest.raises(InvalidParameterError):

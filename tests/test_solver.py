@@ -568,6 +568,27 @@ class TestSemigroupProbe:
         with pytest.raises(InvalidParameterError):
             semigroup_probe([np.ones(128)], grid128, p=1, q=2, times=[0.1])
 
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            ("2", 1, "p must be a real number"),
+            (2, None, "q must be a real number"),
+            (math.nan, 1, r"p must be in \[1, inf\]"),
+            (2, 0.5, r"q must be in \[1, inf\]"),
+        ],
+    )
+    def test_exponent_that_is_not_a_real_number_at_least_one(self, grid128, p, q, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            semigroup_probe([np.ones(128)], grid128, p=p, q=q, times=[0.1])
+
+    @pytest.mark.parametrize(
+        "probe", [np.where(np.arange(128) == 5, math.nan, 1.0), np.ones(64), np.ones((128, 1))]
+    )
+    def test_probe_that_is_not_a_finite_cell_array(self, grid128, probe):
+        # a NaN cell would give NaN constants, with no error
+        with pytest.raises(InvalidParameterError):
+            semigroup_probe([np.ones(128), probe], grid128, p=np.inf, q=1, times=[0.1])
+
     def test_nonpositive_times_rejected(self, grid128):
         with pytest.raises(InvalidParameterError):
             semigroup_probe([np.ones(128)], grid128, p=2, q=2, times=[0.0, 0.1])
